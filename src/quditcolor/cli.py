@@ -15,17 +15,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .energy import CostParams
-from .gradient import check_gradient
-from .graph import GraphParseError, load_graph
+from .gradient import CostWorkspace, check_gradient
+from .graph import GraphParseError, load_graph, select_fixed_node
 from .harness import (hp_to_dict, run_batch, stats_to_dict, sweep_colors,
                       write_trajectory_csv)
-from .qudits import AngleState, build_ops
+from .qudits import build_ops
 from .solver import ConstantAlpha, ExponentialAlpha, Hyperparameters
 
 WORKERS_ENV = "QUDITCOLOR_WORKERS"
@@ -61,6 +61,15 @@ _CONFIG_PARSERS = {
 }
 
 
+def _default_workers() -> int:
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(
+            f"{WORKERS_ENV} must be a positive integer, got {text!r}") from None
+
+
 @dataclass
 class RunConfig:
     """Fully resolved invocation: instance, hyperparameters, outputs."""
@@ -80,7 +89,7 @@ class RunConfig:
     patience: int = 100
     fix: str = "max_degree"
     seed: int = 0
-    workers: int = field(default_factory=lambda: int(os.environ.get(WORKERS_ENV, "1")))
+    workers: int = field(default_factory=_default_workers)
     out: str | None = None
     trajectories: str | None = None
     coloring: str | None = None
@@ -151,17 +160,20 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("the number of colors is required (--colors)")
     if config.method not in ("qdlqa", "qdgd"):
         raise ConfigError(f"method must be qdlqa or qdgd, got {config.method!r}")
+    if config.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {config.workers}")
     _warn_ignored(config)
     return config
 
 
-_METHOD_IGNORES = {"qdlqa": {"patience": 100, "f_tilde": 1.0},
-                   "qdgd": {"f": 0.0, "alpha": "1"}}
+_METHOD_IGNORES = {"qdlqa": ("patience", "f_tilde"),
+                   "qdgd": ("f", "alpha", "include_t_end")}
 
 
 def _warn_ignored(config: RunConfig) -> None:
-    for name, default in _METHOD_IGNORES[config.method].items():
-        if getattr(config, name) != default:
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for name in _METHOD_IGNORES[config.method]:
+        if getattr(config, name) != defaults[name]:
             print(f"warning: {name} is ignored by method {config.method}",
                   file=sys.stderr)
 
@@ -205,6 +217,14 @@ def _resolved_config_dict(config: RunConfig, hp: Hyperparameters) -> dict:
     return out
 
 
+def _write_json(payload: dict, out: str | None) -> None:
+    text = json.dumps(payload, indent=2) + "\n"
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_coloring(path, coloring, original_ids) -> None:
     with open(path, "w") as fh:
         for node, color in enumerate(coloring):
@@ -217,14 +237,8 @@ def _cmd_solve(args) -> int:
     graph, original_ids = load_graph(config.graph, config.format)
     stats = run_batch(graph, hp, workers=config.workers,
                       record_trajectories=config.trajectories is not None)
-    payload = stats_to_dict(stats, graph, hp, _resolved_config_dict(config, hp))
-    if config.out:
-        with open(config.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+    _write_json(stats_to_dict(stats, graph, hp, _resolved_config_dict(config, hp)),
+                config.out)
     if config.trajectories:
         try:
             write_trajectory_csv(config.trajectories, stats.records, "e_potts")
@@ -263,17 +277,14 @@ def _cmd_sweep(args) -> int:
                            if k not in ("config", "graph", "per_run")}
                   for c, s in result.batches.items()},
     }
-    text = json.dumps(payload, indent=2)
-    if config.out:
-        Path(config.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write_json(payload, config.out)
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
     graph, _ = load_graph(args.graph, args.format)
-    ops = build_ops(args.colors)
+    workspace = CostWorkspace(graph, build_ops(args.colors),
+                              select_fixed_node(graph, "max_degree"))
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     flagged = 0
@@ -281,10 +292,8 @@ def _cmd_gradcheck(args) -> int:
         t = float(rng.uniform(0.0, 1.0)) if args.t is None else args.t
         angles = rng.uniform(-np.pi, np.pi,
                              size=(graph.num_nodes - 1, args.colors - 1))
-        state = AngleState(graph.num_nodes, args.colors, angles,
-                           fixed_node=graph.j_max)
         params = CostParams(gamma=args.gamma, h=args.h, t=t)
-        report = check_gradient(state, graph, ops, params,
+        report = check_gradient(workspace, angles, params,
                                 step=args.step, tol=args.tol, rng=rng)
         worst = max(worst, report.max_rel_error)
         flagged += int(report.clamp_flags.sum())
@@ -301,7 +310,8 @@ def _cmd_info(args) -> int:
     graph, _ = load_graph(args.graph, args.format)
     print(f"{Path(args.graph).name}: {graph.num_nodes} nodes, "
           f"{graph.num_edges} edges, density {100 * graph.density:.2f}%, "
-          f"max degree {graph.max_degree} (node {graph.j_max})")
+          f"max degree {graph.max_degree} "
+          f"(node {select_fixed_node(graph, 'max_degree')})")
     return 0
 
 

@@ -3,7 +3,9 @@ the entropy-style regularizer, and their time interpolation.
 
 These are the direct, readable implementations; the fused value+gradient
 path used by the solvers lives in the gradient module and is cross-checked
-against these in the tests.
+against these in the tests.  States enter as the (V, c) amplitude matrix
+``psi`` with the pinned node's one-hot row included; see
+``CostWorkspace.amplitudes``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .qudits import AngleState, AngularMomentumOps
+from .qudits import AngularMomentumOps
 
 # Probabilities are clamped at this value inside gradient logarithms; the
 # cost value itself uses the 0*log(0) = 0 convention.
@@ -38,9 +40,9 @@ class CostParams:
             raise ValueError("t must be in [0, 1]")
 
 
-def extract_coloring(state: AngleState) -> np.ndarray:
+def extract_coloring(psi: np.ndarray) -> np.ndarray:
     """Assign each node its most probable color (ties: lowest index)."""
-    return np.argmax(state.probabilities(), axis=1)
+    return np.argmax(psi ** 2, axis=1)
 
 
 def potts_energy(graph: Graph, coloring: np.ndarray) -> int:
@@ -52,9 +54,11 @@ def potts_energy(graph: Graph, coloring: np.ndarray) -> int:
     return int(np.count_nonzero(coloring[u] == coloring[v]))
 
 
-def energy_initial(state: AngleState, ops: AngularMomentumOps) -> float:
-    """Start cost: minus the summed x angular momentum of the free nodes."""
-    psi = state.amplitudes()[state.free_nodes]
+def energy_initial(psi: np.ndarray, ops: AngularMomentumOps) -> float:
+    """Start cost: minus the summed x angular momentum of the free nodes.
+
+    Sums over every row; a pinned one-hot row contributes exactly zero.
+    """
     # psi^T Lx psi = 2 * sum_m off[m] psi[m] psi[m+1] for tridiagonal Lx
     per_node = 2.0 * (psi[:, :-1] * psi[:, 1:]) @ ops.lx_offdiag
     return float(-per_node.sum())
@@ -69,7 +73,7 @@ def draw_couplings(graph: Graph, h: float, rng: np.random.Generator | None) -> n
     return rng.uniform(0.0, h, size=graph.num_edges)
 
 
-def energy_final(state: AngleState, graph: Graph, params: CostParams,
+def energy_final(psi: np.ndarray, graph: Graph, params: CostParams,
                  rng: np.random.Generator | None = None, *,
                  hvals: np.ndarray | None = None) -> float:
     """End cost: coupling-weighted overlap of probability vectors over edges.
@@ -80,7 +84,7 @@ def energy_final(state: AngleState, graph: Graph, params: CostParams,
     """
     if hvals is None:
         hvals = draw_couplings(graph, params.h, rng)
-    p = state.probabilities()
+    p = psi ** 2
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     overlaps = np.einsum("ij,ij->i", p[u], p[v])
     return float((1.0 + hvals) @ overlaps)
@@ -91,20 +95,20 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return p * np.log(np.maximum(p, 1e-300))
 
 
-def energy_weight(state: AngleState, params: CostParams) -> float:
+def energy_weight(psi: np.ndarray, params: CostParams) -> float:
     """Regularizer favoring spread-out color distributions; always <= 0.
 
     Sums over every node including the fixed one, whose one-hot vector
     contributes exactly zero.
     """
-    return float(params.gamma * _plogp(state.probabilities()).sum())
+    return float(params.gamma * _plogp(psi ** 2).sum())
 
 
-def energy_total(state: AngleState, graph: Graph, ops: AngularMomentumOps,
+def energy_total(psi: np.ndarray, graph: Graph, ops: AngularMomentumOps,
                  params: CostParams, rng: np.random.Generator | None = None, *,
                  hvals: np.ndarray | None = None) -> float:
     """Annealing interpolation: (1-t) * initial + t * (final + regularizer)."""
-    e_i = energy_initial(state, ops)
-    e_f = energy_final(state, graph, params, rng, hvals=hvals)
-    e_w = energy_weight(state, params)
+    e_i = energy_initial(psi, ops)
+    e_f = energy_final(psi, graph, params, rng, hvals=hvals)
+    e_w = energy_weight(psi, params)
     return (1.0 - params.t) * e_i + params.t * (e_f + e_w)

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .energy import LOG_CLAMP, CostParams, _plogp, draw_couplings, energy_total
 from .graph import Graph
-from .qudits import AngleState, AngularMomentumOps, _forward
+from .qudits import AngularMomentumOps, _forward
 
 
 class CostWorkspace:
@@ -24,6 +24,10 @@ class CostWorkspace:
     Holds a CSR adjacency whose data slots are rewritten with the per-call
     couplings, so the neighbor-probability accumulation is a single sparse
     matmul.  Reusable across runs; owns no per-run state.
+
+    The angles are an (n_free, c-1) matrix, one row per node in ascending
+    order with the pinned node (if any) left out; the pinned node's
+    amplitude vector is one-hot (1, 0, ..., 0), i.e. color 0.
     """
 
     def __init__(self, graph: Graph, ops: AngularMomentumOps,
@@ -100,24 +104,6 @@ class CostWorkspace:
         return value, gphi
 
 
-def grad_total(state: AngleState, graph: Graph, ops: AngularMomentumOps,
-               params: CostParams, rng: np.random.Generator | None = None,
-               frozen_noise: np.ndarray | None = None,
-               workspace: CostWorkspace | None = None):
-    """Interpolated cost and its exact gradient over the flat angle layout.
-
-    Couplings are drawn from ``rng`` unless ``frozen_noise`` supplies them.
-    Returns (value, gradient) with the gradient raveled to one entry per
-    free angle.
-    """
-    if workspace is None:
-        workspace = CostWorkspace(graph, ops, state.fixed_node)
-    hvals = frozen_noise if frozen_noise is not None \
-        else draw_couplings(graph, params.h, rng)
-    value, gphi = workspace.value_and_grad(state.angles, params, hvals)
-    return value, gphi.ravel()
-
-
 # Components of nodes whose smallest probability is below this are flagged
 # as clamp-affected: there the clamped analytic log and the exact value
 # diverge, so finite differences are not a fair referee.
@@ -140,10 +126,11 @@ class GradientCheckReport:
     passed: bool
 
 
-def check_gradient(state: AngleState, graph: Graph, ops: AngularMomentumOps,
+def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
                    params: CostParams, step: float = 1e-5, tol: float = 1e-4,
                    rng: np.random.Generator | None = None) -> GradientCheckReport:
-    """Compare the analytic gradient against central finite differences.
+    """Compare the analytic gradient at ``angles`` against central finite
+    differences of the ``energy_total`` oracle.
 
     The coupling noise is frozen internally so both sides see the same
     cost.  Components belonging to nodes with a near-zero probability are
@@ -153,28 +140,30 @@ def check_gradient(state: AngleState, graph: Graph, ops: AngularMomentumOps,
         raise ValueError("finite-difference step must be in [1e-7, 1e-3]")
     if rng is None:
         rng = np.random.default_rng(0)
+    graph, ops = workspace.graph, workspace.ops
     hvals = draw_couplings(graph, params.h, rng)
-    workspace = CostWorkspace(graph, ops, state.fixed_node)
-    _, analytic = grad_total(state, graph, ops, params,
-                             frozen_noise=hvals, workspace=workspace)
+    _, gphi = workspace.value_and_grad(angles, params, hvals)
+    analytic = gphi.ravel()
 
-    angles = state.angles
+    angles = np.array(angles, dtype=np.float64)  # perturbed below
     flat = angles.ravel()
     fd = np.empty_like(analytic)
     for k in range(flat.size):
         saved = flat[k]
         flat[k] = saved + step
-        e_plus = energy_total(state, graph, ops, params, hvals=hvals)
+        e_plus = energy_total(workspace.amplitudes(angles), graph, ops, params,
+                              hvals=hvals)
         flat[k] = saved - step
-        e_minus = energy_total(state, graph, ops, params, hvals=hvals)
+        e_minus = energy_total(workspace.amplitudes(angles), graph, ops, params,
+                               hvals=hvals)
         flat[k] = saved
         fd[k] = (e_plus - e_minus) / (2.0 * step)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), _REL_FLOOR)
     rel = np.abs(analytic - fd) / denom
 
-    p_min = state.probabilities()[state.free_nodes].min(axis=1)
-    clamp_flags = np.repeat(p_min < CLAMP_FLAG_THRESHOLD, state.num_colors - 1)
+    p_min = (workspace.amplitudes(angles)[workspace.free] ** 2).min(axis=1)
+    clamp_flags = np.repeat(p_min < CLAMP_FLAG_THRESHOLD, angles.shape[1])
     clean = rel[~clamp_flags]
     max_rel = float(clean.max()) if clean.size else 0.0
     return GradientCheckReport(max_rel_error=max_rel, rel_errors=rel,

@@ -8,7 +8,7 @@ indices to ``[0, |V|)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +20,15 @@ class GraphParseError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """An undirected simple graph with a designated fixed node.
+    """An undirected simple graph.
 
     Edges are stored as a flat (E, 2) int array with u < v in each row,
     sorted lexicographically; cost evaluation iterates them linearly.
-    ``j_max`` is the lowest-index node of maximal degree.
     """
 
     num_nodes: int
     edges: np.ndarray
     degrees: np.ndarray
-    j_max: int
 
     @property
     def num_edges(self) -> int:
@@ -45,11 +43,6 @@ class Graph:
         if self.num_nodes < 2:
             return 0.0
         return 2.0 * self.num_edges / (self.num_nodes * (self.num_nodes - 1))
-
-    def with_fixed_node(self, j_max: int) -> "Graph":
-        if not 0 <= j_max < self.num_nodes:
-            raise ValueError(f"fixed node {j_max} out of range [0, {self.num_nodes})")
-        return replace(self, j_max=j_max)
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges) -> "Graph":
@@ -68,8 +61,7 @@ class Graph:
         degrees = np.bincount(pairs.ravel(), minlength=num_nodes)
         if num_nodes and degrees.min() == 0:
             raise ValueError("isolated node present; preprocess with compact_edges first")
-        j_max = int(np.argmax(degrees)) if num_nodes else 0
-        return cls(num_nodes=num_nodes, edges=pairs, degrees=degrees, j_max=j_max)
+        return cls(num_nodes=num_nodes, edges=pairs, degrees=degrees)
 
 
 def _canonical_edges(pairs: np.ndarray) -> np.ndarray:

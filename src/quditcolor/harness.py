@@ -1,13 +1,12 @@
 """Multi-run orchestration: batch statistics, chromatic-bound sweeps, and
-machine-readable output (JSON stats, CSV trajectories and histograms)."""
+machine-readable output (a JSON-ready stats dict and CSV trajectories)."""
 
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from .gradient import CostWorkspace
 from .graph import Graph, select_fixed_node
 from .qudits import build_ops
 from .solver import (ConstantAlpha, ExponentialAlpha, Hyperparameters,
-                     RunRecord, run_one, with_colors)
+                     RunRecord, run_one)
 
 
 @dataclass
@@ -104,7 +103,7 @@ def sweep_colors(graph: Graph, hp: Hyperparameters, c_range, *,
     batches: dict[int, BatchStats] = {}
     chi_upper = None
     for c in c_values:
-        stats = run_batch(graph, with_colors(hp, c), workers=workers,
+        stats = run_batch(graph, replace(hp, num_colors=c), workers=workers,
                           record_trajectories=record_trajectories)
         batches[c] = stats
         if stats.best_overall == 0 and chi_upper is None:
@@ -181,13 +180,6 @@ def _alpha_repr(alpha) -> str | int:
     return str(alpha)
 
 
-def write_stats_json(path, stats: BatchStats, graph: Graph,
-                     hp: Hyperparameters, config: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(stats_to_dict(stats, graph, hp, config), fh, indent=2)
-        fh.write("\n")
-
-
 def write_trajectory_csv(path, records: list[RunRecord], quantity: str) -> None:
     step, t, mean, std = trajectory_stats(records, quantity)
     with open(path, "w", newline="") as fh:
@@ -197,10 +189,3 @@ def write_trajectory_csv(path, records: list[RunRecord], quantity: str) -> None:
             writer.writerow([int(row[0]), f"{row[1]:.10g}",
                              f"{row[2]:.10g}", f"{row[3]:.10g}"])
 
-
-def write_histogram_csv(path, stats: BatchStats) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["energy", "count"])
-        for energy, count in stats.histogram.items():
-            writer.writerow([energy, count])

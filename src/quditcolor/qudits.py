@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
-
 # A vanishing prefix sine product makes the remaining angles unidentifiable;
 # below this threshold they are set to 0 in the inverse transform.
 _DEGENERATE_TAIL = 1e-14
-
-_GRAPH_DEFAULT = object()  # sentinel: fix the graph's own j_max
 
 
 @dataclass(frozen=True)
@@ -109,94 +105,35 @@ def amplitudes_to_angles(psi: np.ndarray) -> np.ndarray:
     return phi[0] if single else phi
 
 
-@dataclass
-class AngleState:
-    """The full parameter vector: c-1 angles per free node.
-
-    The fixed node (if any) carries no parameters; its amplitude vector is
-    pinned to one-hot (1, 0, ..., 0), i.e. color 0.
-    """
-
-    num_nodes: int
-    num_colors: int
-    angles: np.ndarray  # (n_free, c-1), float64, mutated in place by optimizers
-    fixed_node: int | None = None
-
-    def __post_init__(self):
-        n_free = self.num_nodes - (0 if self.fixed_node is None else 1)
-        expected = (n_free, self.num_colors - 1)
-        if self.angles.shape != expected:
-            raise ValueError(f"angles shape {self.angles.shape}, expected {expected}")
-
-    @property
-    def num_free(self) -> int:
-        return self.angles.shape[0]
-
-    @property
-    def free_nodes(self) -> np.ndarray:
-        """Node indices owning parameter rows, in ascending order."""
-        if self.fixed_node is None:
-            return np.arange(self.num_nodes)
-        return np.delete(np.arange(self.num_nodes), self.fixed_node)
-
-    def amplitudes(self) -> np.ndarray:
-        """Per-node unit amplitude vectors, shape (num_nodes, c)."""
-        psi = np.empty((self.num_nodes, self.num_colors))
-        psi[self.free_nodes] = _forward(self.angles)[0]
-        if self.fixed_node is not None:
-            psi[self.fixed_node] = 0.0
-            psi[self.fixed_node, 0] = 1.0
-        return psi
-
-    def probabilities(self) -> np.ndarray:
-        """Per-node color probabilities (componentwise squared amplitudes)."""
-        return self.amplitudes() ** 2
-
-
-def _resolve_fixed(graph: Graph, fixed_node) -> int | None:
-    if fixed_node is _GRAPH_DEFAULT:
-        return graph.j_max
-    if fixed_node is not None and not 0 <= fixed_node < graph.num_nodes:
-        raise ValueError(f"fixed node {fixed_node} out of range")
-    return fixed_node
-
-
-def init_qdlqa_state(graph: Graph, c: int, f: float, rng: np.random.Generator,
-                     fixed_node=_GRAPH_DEFAULT) -> AngleState:
-    """Annealing start: every free node near the -Lx ground state.
+def init_qdlqa_state(n_free: int, c: int, f: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Annealing start: (n_free, c-1) angles near the -Lx ground state.
 
     Each angle is the ground-state angle plus i.i.d. uniform noise in
-    [-f, f); the fixed node (default: the graph's j_max) is one-hot and
-    never perturbed.
+    [-f, f).  The pinned node, if any, owns no row.
     """
     if f < 0:
         raise ValueError("perturbation f must be >= 0")
-    fixed = _resolve_fixed(graph, fixed_node)
-    n_free = graph.num_nodes - (0 if fixed is None else 1)
     base = amplitudes_to_angles(lx_ground_state(c))
     angles = np.tile(base, (n_free, 1))
     if f > 0:
         angles += rng.uniform(-f, f, size=angles.shape)
-    return AngleState(graph.num_nodes, c, angles, fixed)
+    return angles
 
 
-def init_qdgd_state(graph: Graph, c: int, f_tilde: float, rng: np.random.Generator,
-                    fixed_node=_GRAPH_DEFAULT) -> AngleState:
-    """Gradient-descent start: random amplitudes, normalized.
+def init_qdgd_state(n_free: int, c: int, f_tilde: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Gradient-descent start: (n_free, c-1) angles of random amplitudes.
 
-    Per free node, c entries are drawn uniformly from [0, f_tilde) and the
-    vector is normalized (all-zero draws are redrawn); the fixed node is
-    one-hot as in the annealing variant.
+    Per row, c entries are drawn uniformly from [0, f_tilde) and the vector
+    is normalized (all-zero draws are redrawn).
     """
     if f_tilde <= 0:
         raise ValueError("init scale f_tilde must be > 0")
-    fixed = _resolve_fixed(graph, fixed_node)
-    n_free = graph.num_nodes - (0 if fixed is None else 1)
     draws = rng.uniform(0.0, f_tilde, size=(n_free, c))
     norms = np.linalg.norm(draws, axis=1)
     while np.any(norms == 0.0):
         zero = norms == 0.0
         draws[zero] = rng.uniform(0.0, f_tilde, size=(int(zero.sum()), c))
         norms = np.linalg.norm(draws, axis=1)
-    angles = amplitudes_to_angles(draws / norms[:, None])
-    return AngleState(graph.num_nodes, c, angles, fixed)
+    return amplitudes_to_angles(draws / norms[:, None])

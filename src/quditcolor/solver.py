@@ -1,11 +1,18 @@
 """The two solution drivers: annealed optimization over an interpolated cost
-(qdlqa) and direct gradient descent on the end cost (qdgd)."""
+(qdlqa) and direct gradient descent on the end cost (qdgd).
+
+Both run one optimizer loop over a stream of stages, each a cost (its
+annealing time t) and a number of Adam steps to take on it.  qdlqa steps t
+through n / n_steps with alpha(t) steps per stage; qdgd is the same loop
+held at t = 1 with one step per stage and a patience stop.
+"""
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -114,19 +121,6 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, run_index])
 
 
-@dataclass
-class _BestTracker:
-    best: int = np.iinfo(np.int64).max
-    coloring: np.ndarray | None = None
-    improved_last: bool = field(default=False, repr=False)
-
-    def update(self, energy: int, colors: np.ndarray) -> None:
-        self.improved_last = energy < self.best
-        if self.improved_last:
-            self.best = energy
-            self.coloring = colors.copy()
-
-
 def run_qdlqa(graph: Graph, hp: Hyperparameters, run_index: int, *,
               record_trajectory: bool = False,
               workspace: CostWorkspace | None = None) -> RunRecord:
@@ -136,38 +130,12 @@ def run_qdlqa(graph: Graph, hp: Hyperparameters, run_index: int, *,
     By default t stops one increment short of 1 (loop guard t < 1);
     ``hp.include_t_end`` adds the final t = 1 stage.
     """
-    start = time.perf_counter()
-    rng = run_rng(hp.master_seed, run_index)
-    ops = build_ops(hp.num_colors)
-    fixed = select_fixed_node(graph, hp.fix_strategy)
-    state = init_qdlqa_state(graph, hp.num_colors, hp.f, rng, fixed_node=fixed)
-    if workspace is None or workspace.fixed_node != fixed:
-        workspace = CostWorkspace(graph, ops, fixed)
-    adam = Adam(state.angles.size, hp.eta)
-    flat = state.angles.ravel()
-
-    tracker = _BestTracker()
-    traj: list[tuple[int, float, float, int]] = []
-    steps_done = 0
     n_outer = hp.n_steps + 1 if hp.include_t_end else hp.n_steps
-    for n in range(n_outer):
-        t = n / hp.n_steps
-        params = CostParams(gamma=hp.gamma, h=hp.h, t=t)
-        value = 0.0
-        for _ in range(alpha_at(hp.alpha, t)):
-            hvals = draw_couplings(graph, hp.h, rng)
-            value, gphi = workspace.value_and_grad(state.angles, params, hvals)
-            adam.step(flat, gphi.ravel())
-            steps_done += 1
-        colors = workspace.coloring(state.angles)
-        e_potts = potts_energy(graph, colors)
-        tracker.update(e_potts, colors)
-        if record_trajectory:
-            traj.append((n, t, value, e_potts))
-        if tracker.best == 0:
-            break
-    return _finish(run_index, tracker, steps_done, start,
-                   traj if record_trajectory else None)
+    times = (n / hp.n_steps for n in range(n_outer))
+    stages = ((CostParams(gamma=hp.gamma, h=hp.h, t=t), alpha_at(hp.alpha, t))
+              for t in times)
+    return _run(graph, hp, run_index, init_qdlqa_state, hp.f, stages,
+                math.inf, record_trajectory, workspace)
 
 
 def run_qdgd(graph: Graph, hp: Hyperparameters, run_index: int, *,
@@ -176,49 +144,62 @@ def run_qdgd(graph: Graph, hp: Hyperparameters, run_index: int, *,
     """Direct driver: plain optimizer steps on the end cost (t = 1),
     stopping at 0 conflicts or after ``patience`` steps without improving
     the best conflict count."""
+    stages = repeat((CostParams(gamma=hp.gamma, h=hp.h, t=1.0), 1), hp.n_steps)
+    return _run(graph, hp, run_index, init_qdgd_state, hp.f_tilde, stages,
+                hp.patience, record_trajectory, workspace)
+
+
+def _run(graph: Graph, hp: Hyperparameters, run_index: int, init_state,
+         init_scale: float, stages, patience: float, record_trajectory: bool,
+         workspace: CostWorkspace | None) -> RunRecord:
+    """The optimizer loop shared by both drivers.
+
+    Each stage is a ``(CostParams, inner_steps)`` pair: take that many Adam
+    steps on the stage's cost, then read out the coloring and track the best
+    conflict count.  Stops at 0 conflicts, after ``patience`` stages in a
+    row without improving the best, or when the stages run out.  The
+    trajectory's t column is n / n_steps for stage n.
+    """
     start = time.perf_counter()
     rng = run_rng(hp.master_seed, run_index)
     ops = build_ops(hp.num_colors)
     fixed = select_fixed_node(graph, hp.fix_strategy)
-    state = init_qdgd_state(graph, hp.num_colors, hp.f_tilde, rng, fixed_node=fixed)
+    n_free = graph.num_nodes - (fixed is not None)
+    angles = init_state(n_free, hp.num_colors, init_scale, rng)
     if workspace is None or workspace.fixed_node != fixed:
         workspace = CostWorkspace(graph, ops, fixed)
-    adam = Adam(state.angles.size, hp.eta)
-    flat = state.angles.ravel()
-    params = CostParams(gamma=hp.gamma, h=hp.h, t=1.0)
+    adam = Adam(angles.size, hp.eta)
+    flat = angles.ravel()
 
-    tracker = _BestTracker()
+    best, best_coloring = np.iinfo(np.int64).max, None
     traj: list[tuple[int, float, float, int]] = []
-    stalled = 0
-    steps_done = 0
-    for n in range(hp.n_steps):
-        hvals = draw_couplings(graph, hp.h, rng)
-        value, gphi = workspace.value_and_grad(state.angles, params, hvals)
-        adam.step(flat, gphi.ravel())
-        steps_done += 1
-        colors = workspace.coloring(state.angles)
+    stalled = steps_done = 0
+    for n, (params, inner) in enumerate(stages):
+        for _ in range(inner):
+            hvals = draw_couplings(graph, hp.h, rng)
+            value, gphi = workspace.value_and_grad(angles, params, hvals)
+            adam.step(flat, gphi.ravel())
+        steps_done += inner
+        colors = workspace.coloring(angles)
         e_potts = potts_energy(graph, colors)
-        tracker.update(e_potts, colors)
-        stalled = 0 if tracker.improved_last else stalled + 1
+        if e_potts < best:
+            best, best_coloring, stalled = e_potts, colors.copy(), 0
+        else:
+            stalled += 1
         if record_trajectory:
             traj.append((n, n / hp.n_steps, value, e_potts))
-        if tracker.best == 0 or stalled >= hp.patience:
+        if best == 0 or stalled >= patience:
             break
-    return _finish(run_index, tracker, steps_done, start,
-                   traj if record_trajectory else None)
 
-
-def _finish(run_index: int, tracker: _BestTracker, steps: int, start: float,
-            traj: list | None) -> RunRecord:
     trajectory = None
-    if traj is not None:
+    if record_trajectory:
         cols = list(zip(*traj))
         trajectory = Trajectory(step=np.array(cols[0], dtype=np.int64),
                                 t=np.array(cols[1]),
                                 e_total=np.array(cols[2]),
                                 e_potts=np.array(cols[3], dtype=np.int64))
-    return RunRecord(run_index=run_index, best_energy=int(tracker.best),
-                     best_coloring=tracker.coloring, steps_executed=steps,
+    return RunRecord(run_index=run_index, best_energy=int(best),
+                     best_coloring=best_coloring, steps_executed=steps_done,
                      wall_time=time.perf_counter() - start,
                      trajectory=trajectory)
 
@@ -230,7 +211,3 @@ def run_one(graph: Graph, hp: Hyperparameters, run_index: int, *,
     runner = run_qdlqa if hp.method == "qdlqa" else run_qdgd
     return runner(graph, hp, run_index, record_trajectory=record_trajectory,
                   workspace=workspace)
-
-
-def with_colors(hp: Hyperparameters, c: int) -> Hyperparameters:
-    return replace(hp, num_colors=c)

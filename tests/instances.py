@@ -3,13 +3,16 @@
 Queen graphs connect chessboard squares that share a row, column, or
 diagonal.  The myciel family applies the triangle-free chromatic-number
 -raising construction repeatedly, starting from a single edge.
+``qdlqa_start`` gives the amplitudes of an annealing start on an instance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from quditcolor.graph import Graph
+from quditcolor.gradient import CostWorkspace
+from quditcolor.graph import Graph, select_fixed_node
+from quditcolor.qudits import build_ops, init_qdlqa_state
 
 
 def queen_edges(rows: int, cols: int) -> list[tuple[int, int]]:
@@ -94,3 +97,10 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
             edges.append((min(i, j), max(i, j)))
             present.update((i, j))
     return Graph.from_edges(n, edges)
+
+
+def qdlqa_start(graph: Graph, c: int, f: float, rng: np.random.Generator):
+    """(V, c) amplitudes of the annealing start, max-degree node pinned."""
+    fixed = select_fixed_node(graph, "max_degree")
+    angles = init_qdlqa_state(graph.num_nodes - 1, c, f, rng)
+    return CostWorkspace(graph, build_ops(c), fixed).amplitudes(angles)

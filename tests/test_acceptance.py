@@ -17,14 +17,13 @@ import numpy as np
 import pytest
 
 from quditcolor.energy import CostParams, energy_total, potts_energy
-from quditcolor.gradient import check_gradient
-from quditcolor.graph import load_graph
+from quditcolor.gradient import CostWorkspace, check_gradient
+from quditcolor.graph import load_graph, select_fixed_node
 from quditcolor.harness import run_batch, sweep_colors
-from quditcolor.qudits import (AngleState, build_ops, init_qdlqa_state,
-                               lx_ground_state, spherical_to_amplitudes)
+from quditcolor.qudits import build_ops, lx_ground_state, spherical_to_amplitudes
 from quditcolor.solver import Hyperparameters
 
-from instances import myciel_graph, queen_graph, random_graph
+from instances import myciel_graph, qdlqa_start, queen_graph, random_graph
 
 pytestmark = pytest.mark.acceptance
 
@@ -104,15 +103,11 @@ def test_criterion_5_gradient_correctness():
     worst = 0.0
     checked = 0
     for graph, c, points in cases:
-        ops = build_ops(c)
+        ws = CostWorkspace(graph, build_ops(c), select_fixed_node(graph, "max_degree"))
         for _ in range(points):
-            n_free = graph.num_nodes - 1
-            state = AngleState(graph.num_nodes, c,
-                               rng.uniform(-np.pi, np.pi, size=(n_free, c - 1)),
-                               fixed_node=graph.j_max)
+            angles = rng.uniform(-np.pi, np.pi, size=(graph.num_nodes - 1, c - 1))
             params = CostParams(gamma=1.0, h=3.0, t=float(rng.uniform(0, 1)))
-            rep = check_gradient(state, graph, ops, params,
-                                 step=1e-5, tol=1e-4, rng=rng)
+            rep = check_gradient(ws, angles, params, step=1e-5, tol=1e-4, rng=rng)
             worst = max(worst, rep.max_rel_error)
             checked += 1
             if not rep.passed:
@@ -169,8 +164,8 @@ def test_criterion_7_invariant_suite():
 
     graph = queen_graph(5, 5)
     ops = build_ops(5)
-    state = init_qdlqa_state(graph, 5, 1.0, rng)
-    values = {t: energy_total(state, graph, ops,
+    psi = qdlqa_start(graph, 5, 1.0, rng)
+    values = {t: energy_total(psi, graph, ops,
                               CostParams(gamma=1.1, h=0.0, t=t))
               for t in (0.0, 0.5, 1.0)}
     if abs(values[0.5] - (values[0.0] + values[1.0]) / 2) > 1e-12:

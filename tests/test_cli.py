@@ -218,3 +218,29 @@ def test_workers_env_default(monkeypatch):
     assert RunConfig(graph="x.col").workers == 4
     monkeypatch.delenv("QUDITCOLOR_WORKERS")
     assert RunConfig(graph="x.col").workers == 1
+
+
+@pytest.mark.parametrize("env, flags, message", [
+    ("abc", [], "QUDITCOLOR_WORKERS must be a positive integer, got 'abc'"),
+    ("1", ["--workers", "0"], "workers must be >= 1, got 0"),
+    ("1", ["--workers", "-2"], "workers must be >= 1, got -2"),
+    ("0", [], "workers must be >= 1, got 0"),
+])
+def test_invalid_worker_count_is_config_error(queen55_col, monkeypatch, capsys,
+                                              env, flags, message):
+    monkeypatch.setenv("QUDITCOLOR_WORKERS", env)
+    for command in ("solve", "sweep"):
+        args = [command, "--graph", str(queen55_col), "--colors", "5",
+                "--runs", "1", "--quiet", *flags]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_include_t_end_warns_for_qdgd(queen55_col, tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code = main(solve_args(queen55_col, "--colors", "5", "--method", "qdgd",
+                           "--runs", "1", "--steps", "20", "--include-t-end",
+                           "--out", str(out)))
+    assert code == 0
+    assert capsys.readouterr().err == \
+        "warning: include_t_end is ignored by method qdgd\n"

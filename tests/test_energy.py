@@ -4,20 +4,15 @@ import pytest
 from quditcolor.energy import (CostParams, energy_final, energy_initial,
                                energy_total, energy_weight, extract_coloring,
                                potts_energy)
-from quditcolor.graph import Graph
-from quditcolor.qudits import (AngleState, amplitudes_to_angles, build_ops,
-                               init_qdlqa_state)
+from quditcolor.graph import Graph, select_fixed_node
+from quditcolor.qudits import build_ops, spherical_to_amplitudes
 
-from instances import queen_graph, random_graph, triangle
+from instances import qdlqa_start, queen_graph, random_graph, triangle
 
 
-def state_from_probabilities(rows, fixed_node=None, num_nodes=None):
-    """Build an AngleState whose free nodes have the given probability rows."""
-    rows = np.asarray(rows, dtype=float)
-    angles = amplitudes_to_angles(np.sqrt(rows))
-    n = num_nodes if num_nodes is not None else len(rows) + (fixed_node is not None)
-    return AngleState(num_nodes=n, num_colors=rows.shape[1],
-                      angles=np.atleast_2d(angles), fixed_node=fixed_node)
+def psi_from_probabilities(rows):
+    """Amplitude matrix whose rows have the given color probabilities."""
+    return np.sqrt(np.asarray(rows, dtype=float))
 
 
 def brute_force_conflicts(graph, coloring):
@@ -32,17 +27,17 @@ def test_cost_params_validation():
 
 
 def test_extract_coloring_argmax_and_ties():
-    state = state_from_probabilities([[0.1, 0.7, 0.2]])
-    assert extract_coloring(state).tolist() == [1]
-    state = state_from_probabilities([[0.5, 0.5]])
-    assert extract_coloring(state).tolist() == [0]
+    psi = psi_from_probabilities([[0.1, 0.7, 0.2]])
+    assert extract_coloring(psi).tolist() == [1]
+    psi = psi_from_probabilities([[0.5, 0.5]])
+    assert extract_coloring(psi).tolist() == [0]
 
 
 def test_extract_coloring_qdlqa_start(k3):
-    state = init_qdlqa_state(k3, 3, 0.0, np.random.default_rng(0))
-    colors = extract_coloring(state)
-    assert colors[state.fixed_node] == 0
-    assert all(colors[i] == 1 for i in state.free_nodes)  # center of (1/4,1/2,1/4)
+    colors = extract_coloring(qdlqa_start(k3, 3, 0.0, np.random.default_rng(0)))
+    fixed = select_fixed_node(k3, "max_degree")
+    assert colors[fixed] == 0
+    assert np.delete(colors, fixed).tolist() == [1, 1]  # center of (1/4,1/2,1/4)
 
 
 def test_potts_energy_small_cases(k3):
@@ -82,40 +77,40 @@ def test_potts_energy_length_check(k3):
 def test_energy_initial_ground_states():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     ops = build_ops(3)
-    state = init_qdlqa_state(g, 3, 0.0, np.random.default_rng(0))
-    assert energy_initial(state, ops) == pytest.approx(-3.0, abs=1e-12)
+    psi = qdlqa_start(g, 3, 0.0, np.random.default_rng(0))
+    assert energy_initial(psi, ops) == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_energy_initial_basis_state_and_rotation():
     ops = build_ops(2)
-    one_hot = AngleState(1, 2, np.array([[np.pi / 2]]), None)  # (0, 1)
+    one_hot = spherical_to_amplitudes(np.array([[np.pi / 2]]))  # (0, 1)
     assert energy_initial(one_hot, ops) == pytest.approx(0.0, abs=1e-12)
-    rotated = AngleState(1, 2, np.array([[np.pi / 4]]), None)
+    rotated = spherical_to_amplitudes(np.array([[np.pi / 4]]))
     assert energy_initial(rotated, ops) == pytest.approx(-0.5)
 
 
 def test_energy_final_orthogonal_and_identical():
     g = Graph.from_edges(2, [(0, 1)])
     rng = np.random.default_rng(0)
-    apart = state_from_probabilities([[1, 0, 0], [0, 1, 0]])
+    apart = psi_from_probabilities([[1, 0, 0], [0, 1, 0]])
     assert energy_final(apart, g, CostParams(h=5.0), rng) == pytest.approx(0.0)
-    together = state_from_probabilities([[0, 1, 0], [0, 1, 0]])
+    together = psi_from_probabilities([[0, 1, 0], [0, 1, 0]])
     assert energy_final(together, g, CostParams(h=0.0)) == pytest.approx(1.0)
 
 
 def test_energy_final_uniform_triangle(k3):
-    state = state_from_probabilities([[1 / 3] * 3] * 3)
-    assert energy_final(state, k3, CostParams(h=0.0)) == pytest.approx(1.0)
+    psi = psi_from_probabilities([[1 / 3] * 3] * 3)
+    assert energy_final(psi, k3, CostParams(h=0.0)) == pytest.approx(1.0)
 
 
 def test_energy_final_draws_change_per_call(k3):
-    state = state_from_probabilities([[1 / 3] * 3] * 3)
+    psi = psi_from_probabilities([[1 / 3] * 3] * 3)
     rng = np.random.default_rng(0)
     params = CostParams(h=3.0)
-    values = {energy_final(state, k3, params, rng) for _ in range(5)}
+    values = {energy_final(psi, k3, params, rng) for _ in range(5)}
     assert len(values) == 5
     with pytest.raises(ValueError, match="rng"):
-        energy_final(state, k3, params)
+        energy_final(psi, k3, params)
 
 
 def test_energy_final_bounds():
@@ -123,55 +118,55 @@ def test_energy_final_bounds():
     g = random_graph(8, 0.5, rng)
     params = CostParams(h=0.0)
     for seed in range(10):
-        state = init_qdlqa_state(g, 3, 2.0, np.random.default_rng(seed))
-        value = energy_final(state, g, params)
+        psi = qdlqa_start(g, 3, 2.0, np.random.default_rng(seed))
+        value = energy_final(psi, g, params)
         assert 0.0 <= value <= g.num_edges
 
 
 def test_energy_weight_cases():
-    one_hot = state_from_probabilities([[1, 0, 0]])
+    one_hot = psi_from_probabilities([[1, 0, 0]])
     assert energy_weight(one_hot, CostParams(gamma=1.0)) == 0.0
-    uniform = state_from_probabilities([[0.25] * 4])
+    uniform = psi_from_probabilities([[0.25] * 4])
     assert energy_weight(uniform, CostParams(gamma=1.0)) == pytest.approx(-np.log(4))
-    half = state_from_probabilities([[0.5, 0.5]])
+    half = psi_from_probabilities([[0.5, 0.5]])
     assert energy_weight(half, CostParams(gamma=2.0)) == pytest.approx(-2 * np.log(2))
 
 
 def test_energy_weight_bounds_and_fixed_node_inclusion(k3):
     params = CostParams(gamma=1.7)
     for seed in range(10):
-        state = init_qdlqa_state(k3, 4, 3.0, np.random.default_rng(seed))
-        value = energy_weight(state, params)
+        psi = qdlqa_start(k3, 4, 3.0, np.random.default_rng(seed))
+        value = energy_weight(psi, params)
         assert -params.gamma * k3.num_nodes * np.log(4) <= value <= 0.0
 
 
 def test_energy_total_boundaries(k3):
     ops = build_ops(3)
-    state = init_qdlqa_state(k3, 3, 0.2, np.random.default_rng(3))
+    psi = qdlqa_start(k3, 3, 0.2, np.random.default_rng(3))
     p0 = CostParams(gamma=1.0, h=0.0, t=0.0)
-    assert energy_total(state, k3, ops, p0) == pytest.approx(
-        energy_initial(state, ops), abs=1e-14)
+    assert energy_total(psi, k3, ops, p0) == pytest.approx(
+        energy_initial(psi, ops), abs=1e-14)
     p1 = CostParams(gamma=1.0, h=0.0, t=1.0)
-    expected = energy_final(state, k3, p1) + energy_weight(state, p1)
-    assert energy_total(state, k3, ops, p1) == pytest.approx(expected, abs=1e-14)
+    expected = energy_final(psi, k3, p1) + energy_weight(psi, p1)
+    assert energy_total(psi, k3, ops, p1) == pytest.approx(expected, abs=1e-14)
 
 
 def test_energy_total_affine_in_t(k3):
     ops = build_ops(4)
-    state = init_qdlqa_state(k3, 4, 1.0, np.random.default_rng(8))
-    values = {t: energy_total(state, k3, ops, CostParams(gamma=0.9, h=0.0, t=t))
+    psi = qdlqa_start(k3, 4, 1.0, np.random.default_rng(8))
+    values = {t: energy_total(psi, k3, ops, CostParams(gamma=0.9, h=0.0, t=t))
               for t in (0.0, 0.5, 1.0)}
     assert values[0.5] == pytest.approx((values[0.0] + values[1.0]) / 2, abs=1e-12)
     # three-point collinearity at an off-center t as well
     t = 0.3
-    v = energy_total(state, k3, ops, CostParams(gamma=0.9, h=0.0, t=t))
+    v = energy_total(psi, k3, ops, CostParams(gamma=0.9, h=0.0, t=t))
     assert v == pytest.approx((1 - t) * values[0.0] + t * values[1.0], abs=1e-12)
 
 
 def test_energy_final_zero_iff_disjoint_supports():
     g = Graph.from_edges(2, [(0, 1)])
     params = CostParams(h=0.0)
-    disjoint = state_from_probabilities([[0.5, 0.5, 0], [0, 0, 1]])
+    disjoint = psi_from_probabilities([[0.5, 0.5, 0], [0, 0, 1]])
     assert energy_final(disjoint, g, params) == pytest.approx(0.0, abs=1e-15)
-    overlapping = state_from_probabilities([[0.5, 0.5, 0], [0, 0.5, 0.5]])
+    overlapping = psi_from_probabilities([[0.5, 0.5, 0], [0, 0.5, 0.5]])
     assert energy_final(overlapping, g, params) > 0.0

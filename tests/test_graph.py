@@ -130,8 +130,7 @@ def test_select_fixed_node_strategies(k3):
 
 def test_select_fixed_node_deterministic(queen55):
     picks = {select_fixed_node(queen55, "max_degree") for _ in range(5)}
-    assert len(picks) == 1
-    assert queen55.j_max in picks
+    assert picks == {12}  # board center has the most attacks
 
 
 def test_load_graph_format_detection(tmp_path):
@@ -155,9 +154,3 @@ def test_load_graph_format_detection(tmp_path):
 def test_graph_properties(queen55):
     assert queen55.max_degree == int(queen55.degrees.max())
     assert queen55.density == pytest.approx(2 * 160 / (25 * 24))
-    assert queen55.j_max == 12  # board center has the most attacks
-    g2 = queen55.with_fixed_node(3)
-    assert g2.j_max == 3
-    assert queen55.j_max == 12  # original untouched
-    with pytest.raises(ValueError):
-        queen55.with_fixed_node(99)

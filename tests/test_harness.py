@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from quditcolor.cli import main
+from quditcolor.graph import to_dimacs
 from quditcolor.harness import (run_batch, stats_to_dict, sweep_colors,
-                                trajectory_stats, write_histogram_csv,
-                                write_stats_json, write_trajectory_csv)
+                                trajectory_stats, write_trajectory_csv)
 from quditcolor.solver import Hyperparameters, RunRecord, Trajectory
 
 from instances import path, queen_graph, triangle
@@ -130,16 +131,18 @@ def test_trajectory_stats_errors():
 
 
 def test_stats_json_round_trip(tmp_path, k3):
-    stats = run_batch(k3, hp(n_runs=3))
+    col = tmp_path / "k3.col"
+    col.write_text(to_dimacs(k3))
     out = tmp_path / "stats.json"
-    write_stats_json(out, stats, k3, hp(n_runs=3))
+    assert main(["solve", "--graph", str(col), "--colors", "3", "--runs", "3",
+                 "--steps", "200", "--quiet", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["graph"] == {"nodes": 3, "edges": 3}
     assert payload["best_energy"] == 0
     assert payload["config"]["runs"] == 3
     assert len(payload["per_run"]) == 3
     assert payload["per_run"][0]["seed"] == [0, 0]
-    assert set(payload["histogram"]) == {"0"}
+    assert payload["histogram"] == {"0": 3}
 
 
 def test_trajectory_csv(tmp_path):
@@ -150,15 +153,6 @@ def test_trajectory_csv(tmp_path):
     assert rows[0] == ["step", "t", "mean", "std"]
     assert rows[1][0] == "0"
     assert float(rows[1][2]) == 3.0
-
-
-def test_histogram_csv(tmp_path, k3):
-    stats = run_batch(k3, hp(n_runs=3))
-    out = tmp_path / "hist.csv"
-    write_histogram_csv(out, stats)
-    rows = list(csv.reader(out.open()))
-    assert rows[0] == ["energy", "count"]
-    assert rows[1] == ["0", "3"]
 
 
 @pytest.mark.slow

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from quditcolor.energy import extract_coloring, potts_energy
-from quditcolor.graph import Graph
-from quditcolor.qudits import init_qdlqa_state
+from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
                                Hyperparameters, alpha_at, run_qdgd, run_qdlqa)
 
-from instances import path, queen_graph, star, triangle
+from instances import path, qdlqa_start, queen_graph, star, triangle
 
 
 def qdlqa_hp(**kw):
@@ -65,18 +64,18 @@ def test_qdgd_solves_triangle(k3):
 
 def test_qdlqa_initial_coloring_conflict_count():
     # with f=0 and odd c, every free node starts on the central color while
-    # the fixed node holds color 0, so conflicts = |E| - deg(j_max)
+    # the fixed node holds color 0, so conflicts = |E| - deg(fixed)
     for g in (triangle(), star(2, [0, 1, 3, 4]), queen_graph(5, 5)):
-        state = init_qdlqa_state(g, 3, 0.0, np.random.default_rng(0))
-        e0 = potts_energy(g, extract_coloring(state))
-        assert e0 == g.num_edges - g.degrees[g.j_max]
+        psi = qdlqa_start(g, 3, 0.0, np.random.default_rng(0))
+        e0 = potts_energy(g, extract_coloring(psi))
+        assert e0 == g.num_edges - g.degrees[select_fixed_node(g, "max_degree")]
 
 
 def test_qdlqa_even_colors_initial_coloring():
     # c=2 ties break to color 0, matching the fixed node: everything clashes
     g = path(4)
-    state = init_qdlqa_state(g, 2, 0.0, np.random.default_rng(0))
-    assert potts_energy(g, extract_coloring(state)) == g.num_edges
+    psi = qdlqa_start(g, 2, 0.0, np.random.default_rng(0))
+    assert potts_energy(g, extract_coloring(psi)) == g.num_edges
 
 
 def test_best_energy_matches_trajectory_minimum(queen55):
