@@ -26,7 +26,7 @@ from .graph import GraphParseError, load_graph, select_fixed_node
 from .harness import (hp_to_dict, run_batch, stats_to_dict, sweep_colors,
                       write_trajectory_csv)
 from .qudits import build_ops
-from .solver import ConstantAlpha, ExponentialAlpha, Hyperparameters
+from .solver import SETTING_NAMES, Hyperparameters, parse_alpha
 
 WORKERS_ENV = "QUDITCOLOR_WORKERS"
 
@@ -35,29 +35,25 @@ class ConfigError(ValueError):
     """Raised for invalid configuration values or unknown keys."""
 
 
-# keys accepted in a config file, with their parsers; colors stays a string
-# because sweep accepts a LO:HI range
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+    return value in ("1", "true", "yes")
+
+
+# config-file key -> parser of its text; a setting is parsed by the type of
+# its default, so colors (no default) stays a string for sweep's LO:HI range
 _CONFIG_PARSERS = {
     "graph": str,
     "format": str,
-    "method": str,
-    "colors": str,
-    "steps": int,
-    "gamma": float,
-    "alpha": str,
-    "eta": float,
-    "f": float,
-    "f_tilde": float,
-    "h": float,
-    "runs": int,
-    "patience": int,
-    "fix": str,
-    "seed": int,
     "workers": int,
     "out": str,
     "trajectories": str,
     "coloring": str,
-    "include_t_end": lambda v: v.lower() in ("1", "true", "yes"),
+    **{SETTING_NAMES[f.name]:
+       {int: int, float: float, bool: _parse_bool}.get(type(f.default), str)
+       for f in fields(Hyperparameters)},
 }
 
 
@@ -72,45 +68,16 @@ def _default_workers() -> int:
 
 @dataclass
 class RunConfig:
-    """Fully resolved invocation: instance, hyperparameters, outputs."""
+    """Resolved invocation: instance, outputs, and the settings as given."""
 
     graph: str
-    method: str = "qdlqa"
     colors: str | None = None
     format: str | None = None
-    steps: int = 1000
-    gamma: float = 1.0
-    alpha: str = "1"
-    eta: float = 0.5
-    f: float = 0.0
-    f_tilde: float = 1.0
-    h: float = 3.0
-    runs: int = 100
-    patience: int = 100
-    fix: str = "max_degree"
-    seed: int = 0
     workers: int = field(default_factory=_default_workers)
     out: str | None = None
     trajectories: str | None = None
     coloring: str | None = None
-    include_t_end: bool = False
-
-
-def parse_alpha(text: str):
-    """"N" -> constant schedule; "exp:RATE:CAP" -> exponential schedule."""
-    text = str(text).strip()
-    if text.startswith("exp:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"alpha schedule {text!r} must be exp:RATE:CAP")
-        try:
-            return ExponentialAlpha(rate=float(parts[1]), cap=int(parts[2]))
-        except ValueError as exc:
-            raise ConfigError(f"bad alpha schedule {text!r}: {exc}") from None
-    try:
-        return ConstantAlpha(int(text))
-    except ValueError:
-        raise ConfigError(f"alpha must be an integer or exp:RATE:CAP, got {text!r}") from None
+    settings: dict = field(default_factory=dict)  # setting name -> value
 
 
 def parse_fix(text: str):
@@ -155,14 +122,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             values[key] = flag_value
     if "graph" not in values:
         raise ConfigError("an input graph is required (--graph)")
-    config = RunConfig(**values)
+    own = {f.name for f in fields(RunConfig)}
+    config = RunConfig(**{k: v for k, v in values.items() if k in own},
+                       settings={k: v for k, v in values.items() if k not in own})
     if config.colors is None:
         raise ConfigError("the number of colors is required (--colors)")
-    if config.method not in ("qdlqa", "qdgd"):
-        raise ConfigError(f"method must be qdlqa or qdgd, got {config.method!r}")
     if config.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    _warn_ignored(config)
     return config
 
 
@@ -170,11 +136,11 @@ _METHOD_IGNORES = {"qdlqa": ("patience", "f_tilde"),
                    "qdgd": ("f", "alpha", "include_t_end")}
 
 
-def _warn_ignored(config: RunConfig) -> None:
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    for name in _METHOD_IGNORES[config.method]:
-        if getattr(config, name) != defaults[name]:
-            print(f"warning: {name} is ignored by method {config.method}",
+def _warn_ignored(hp: Hyperparameters) -> None:
+    defaults = {f.name: f.default for f in fields(Hyperparameters)}
+    for name in _METHOD_IGNORES[hp.method]:
+        if getattr(hp, name) != defaults[name]:
+            print(f"warning: {SETTING_NAMES[name]} is ignored by method {hp.method}",
                   file=sys.stderr)
 
 
@@ -185,27 +151,19 @@ def _colors_int(config: RunConfig) -> int:
         raise ConfigError(f"colors must be an integer, got {config.colors!r}") from None
 
 
+# setting name -> parser of the value given; the others pass as given
+_SETTING_PARSERS = {"alpha": parse_alpha, "fix": parse_fix}
+
+
 def config_to_hp(config: RunConfig, colors: int) -> Hyperparameters:
-    hp = Hyperparameters(
-        method=config.method,
-        num_colors=colors,
-        n_steps=config.steps,
-        gamma=config.gamma,
-        alpha=parse_alpha(config.alpha),
-        eta=config.eta,
-        f=config.f,
-        f_tilde=config.f_tilde,
-        h=config.h,
-        n_runs=config.runs,
-        patience=config.patience,
-        fix_strategy=parse_fix(config.fix),
-        master_seed=config.seed,
-        include_t_end=config.include_t_end,
-    )
+    given = {"method": "qdlqa", **config.settings, "colors": colors}
     try:
-        hp.validate()
+        hp = Hyperparameters(**{
+            field_name: _SETTING_PARSERS.get(name, lambda v: v)(given[name])
+            for field_name, name in SETTING_NAMES.items() if name in given})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    _warn_ignored(hp)
     return hp
 
 
@@ -215,6 +173,16 @@ def _resolved_config_dict(config: RunConfig, hp: Hyperparameters) -> dict:
     out["format"] = config.format
     out["workers"] = config.workers
     return out
+
+
+def _load_graph(config: RunConfig, hp: Hyperparameters):
+    """Load the instance and check that its pinned node can be resolved."""
+    graph, original_ids = load_graph(config.graph, config.format)
+    try:
+        select_fixed_node(graph, hp.fix_strategy)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return graph, original_ids
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -234,7 +202,7 @@ def _write_coloring(path, coloring, original_ids) -> None:
 def _cmd_solve(args) -> int:
     config = load_config(args)
     hp = config_to_hp(config, _colors_int(config))
-    graph, original_ids = load_graph(config.graph, config.format)
+    graph, original_ids = _load_graph(config, hp)
     stats = run_batch(graph, hp, workers=config.workers,
                       record_trajectories=config.trajectories is not None)
     _write_json(stats_to_dict(stats, graph, hp, _resolved_config_dict(config, hp)),
@@ -256,6 +224,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args)
+    for name in ("trajectories", "coloring"):
+        if getattr(config, name):
+            raise ConfigError(f"{name} is not supported by sweep")
     lo, sep, hi = str(config.colors).partition(":")
     # --colors may be "LO:HI" for sweeps; a single value sweeps one point
     try:
@@ -266,7 +237,7 @@ def _cmd_sweep(args) -> int:
     if c_hi < c_lo:
         raise ConfigError("sweep range must be ascending")
     hp = config_to_hp(config, c_lo)
-    graph, _ = load_graph(config.graph, config.format)
+    graph, _ = _load_graph(config, hp)
     result = sweep_colors(graph, hp, range(c_lo, c_hi + 1),
                           force_full=args.force_full, workers=config.workers)
     payload = {

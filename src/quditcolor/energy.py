@@ -41,8 +41,9 @@ class CostParams:
 
 
 def extract_coloring(psi: np.ndarray) -> np.ndarray:
-    """Assign each node its most probable color (ties: lowest index)."""
-    return np.argmax(psi ** 2, axis=1)
+    """Assign each node its most probable color, the largest |amplitude|
+    (ties: lowest index)."""
+    return np.argmax(np.abs(psi), axis=1)
 
 
 def potts_energy(graph: Graph, coloring: np.ndarray) -> int:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .energy import LOG_CLAMP, CostParams, _plogp, draw_couplings, energy_total
+from .energy import (LOG_CLAMP, CostParams, _plogp, draw_couplings,
+                     energy_total, extract_coloring)
 from .graph import Graph
 from .qudits import AngularMomentumOps, _forward
 
@@ -61,7 +62,7 @@ class CostWorkspace:
         return self._psi
 
     def coloring(self, angles: np.ndarray) -> np.ndarray:
-        return np.argmax(np.abs(self.amplitudes(angles)), axis=1)
+        return extract_coloring(self.amplitudes(angles))
 
     def value_and_grad(self, angles: np.ndarray, params: CostParams,
                        hvals: np.ndarray):

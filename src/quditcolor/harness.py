@@ -13,8 +13,7 @@ import numpy as np
 from .gradient import CostWorkspace
 from .graph import Graph, select_fixed_node
 from .qudits import build_ops
-from .solver import (ConstantAlpha, ExponentialAlpha, Hyperparameters,
-                     RunRecord, run_one)
+from .solver import SETTING_NAMES, Hyperparameters, RunRecord, run_one
 
 
 @dataclass
@@ -56,7 +55,6 @@ def run_batch(graph: Graph, hp: Hyperparameters, *,
     Each run's stream is derived from (master_seed, run index), so results
     do not depend on the worker count or scheduling order.
     """
-    hp.validate()
     indices = list(range(hp.n_runs))
     if workers <= 1 or hp.n_runs == 1:
         records = _run_indices(graph, hp, indices, record_trajectories)
@@ -154,30 +152,13 @@ def stats_to_dict(stats: BatchStats, graph: Graph, hp: Hyperparameters,
 
 
 def hp_to_dict(hp: Hyperparameters) -> dict:
-    return {
-        "method": hp.method,
-        "colors": hp.num_colors,
-        "steps": hp.n_steps,
-        "gamma": hp.gamma,
-        "alpha": _alpha_repr(hp.alpha),
-        "eta": hp.eta,
-        "f": hp.f,
-        "f_tilde": hp.f_tilde,
-        "h": hp.h,
-        "runs": hp.n_runs,
-        "patience": hp.patience,
-        "fix": hp.fix_strategy if isinstance(hp.fix_strategy, (str, int)) else "none",
-        "seed": hp.master_seed,
-        "include_t_end": hp.include_t_end,
-    }
-
-
-def _alpha_repr(alpha) -> str | int:
-    if isinstance(alpha, ConstantAlpha):
-        return alpha.steps
-    if isinstance(alpha, ExponentialAlpha):
-        return f"exp:{alpha.rate:g}:{alpha.cap}"
-    return str(alpha)
+    """The settings of ``hp`` by setting name, in values that a config file
+    reads back to ``hp``."""
+    out = {}
+    for field_name, name in SETTING_NAMES.items():
+        value = getattr(hp, field_name)
+        out[name] = "none" if value is None else getattr(value, "spec", value)
+    return out
 
 
 def write_trajectory_csv(path, records: list[RunRecord], quantity: str) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -33,6 +33,11 @@ class ConstantAlpha:
         if self.steps < 1:
             raise ValueError("alpha must be >= 1")
 
+    @property
+    def spec(self) -> int:
+        """The alpha setting that ``parse_alpha`` reads back to this schedule."""
+        return self.steps
+
 
 @dataclass(frozen=True)
 class ExponentialAlpha:
@@ -44,6 +49,33 @@ class ExponentialAlpha:
     def __post_init__(self):
         if self.cap < 1:
             raise ValueError("alpha cap must be >= 1")
+
+    @property
+    def spec(self) -> str:
+        """The alpha setting that ``parse_alpha`` reads back to this schedule:
+        the rate in short form where that is exact, else in full."""
+        rate = f"{self.rate:g}"
+        if float(rate) != self.rate:
+            rate = repr(self.rate)
+        return f"exp:{rate}:{self.cap}"
+
+
+def parse_alpha(text) -> ConstantAlpha | ExponentialAlpha:
+    """"N" -> constant schedule; "exp:RATE:CAP" -> exponential schedule."""
+    text = str(text).strip()
+    if text.startswith("exp:"):
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"alpha schedule {text!r} must be exp:RATE:CAP")
+        try:
+            return ExponentialAlpha(rate=float(parts[1]), cap=int(parts[2]))
+        except ValueError as exc:
+            raise ValueError(f"bad alpha schedule {text!r}: {exc}") from None
+    try:
+        steps = int(text)
+    except ValueError:
+        raise ValueError(f"alpha must be an integer or exp:RATE:CAP, got {text!r}") from None
+    return ConstantAlpha(steps)
 
 
 def alpha_at(schedule, t: float) -> int:
@@ -58,7 +90,7 @@ def alpha_at(schedule, t: float) -> int:
 @dataclass(frozen=True)
 class Hyperparameters:
     """Everything a batch needs; defaults are the values that work well on
-    most mid-size instances."""
+    most mid-size instances.  Invalid values raise ``ValueError``."""
 
     method: str  # "qdlqa" | "qdgd"
     num_colors: int
@@ -75,9 +107,9 @@ class Hyperparameters:
     master_seed: int = 0
     include_t_end: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.method not in ("qdlqa", "qdgd"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValueError(f"method must be qdlqa or qdgd, got {self.method!r}")
         if self.num_colors < 2:
             raise ValueError("colors must be >= 2")
         if self.n_steps < 1:
@@ -92,6 +124,16 @@ class Hyperparameters:
             raise ValueError("f_tilde must be > 0")
         if self.method == "qdgd" and self.patience < 1:
             raise ValueError("patience must be >= 1 for qdgd")
+        if self.master_seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+# Each Hyperparameters field by its name as a setting (config-file key, flag
+# and stats JSON key), in field order; most fields go by their own name.
+SETTING_NAMES = {f.name: {"num_colors": "colors", "n_steps": "steps",
+                          "n_runs": "runs", "fix_strategy": "fix",
+                          "master_seed": "seed"}.get(f.name, f.name)
+                 for f in fields(Hyperparameters)}
 
 
 @dataclass

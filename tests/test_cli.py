@@ -1,10 +1,15 @@
+import argparse
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quditcolor.cli import (ConfigError, main, parse_alpha, parse_fix,
-                            read_config_file)
-from quditcolor.solver import ConstantAlpha, ExponentialAlpha
+from quditcolor.cli import (ConfigError, config_to_hp, load_config, main,
+                            parse_fix, read_config_file)
+from quditcolor.harness import hp_to_dict
+from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
+                               Hyperparameters, parse_alpha)
 
 from instances import myciel_col_text, queen_col_text
 
@@ -25,15 +30,6 @@ def myciel5_col(tmp_path_factory):
 
 def solve_args(graph, *extra):
     return ["solve", "--graph", str(graph), "--quiet", *extra]
-
-
-def test_parse_alpha():
-    assert parse_alpha("1") == ConstantAlpha(1)
-    assert parse_alpha("exp:2:7") == ExponentialAlpha(2.0, 7)
-    with pytest.raises(ConfigError):
-        parse_alpha("exp:2")
-    with pytest.raises(ConfigError):
-        parse_alpha("fast")
 
 
 def test_parse_fix():
@@ -121,9 +117,50 @@ def test_config_file_unknown_key(tmp_path):
 
 def test_config_file_type_mismatch(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("runs = many\n")
-    with pytest.raises(ConfigError, match="bad value"):
-        read_config_file(cfg)
+    for key, value in [("runs", "many"), ("include_t_end", "ture")]:
+        cfg.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            read_config_file(cfg)
+
+
+def test_config_file_boolean_spellings(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for text, value in [("1", True), ("TRUE", True), ("Yes", True),
+                        ("0", False), ("false", False), ("NO", False)]:
+        cfg.write_text(f"include_t_end = {text}\n")
+        assert read_config_file(cfg) == {"include_t_end": value}
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(st.builds(
+    Hyperparameters,
+    method=st.sampled_from(["qdlqa", "qdgd"]),
+    num_colors=st.integers(2, 64),
+    n_steps=st.integers(1, 10**6),
+    gamma=st.floats(0.0, 1e6, **_finite),
+    alpha=st.one_of(st.builds(ConstantAlpha, st.integers(1, 50)),
+                    st.builds(ExponentialAlpha, st.floats(-10.0, 10.0, **_finite),
+                              st.integers(1, 50))),
+    eta=st.floats(1e-9, 1e3, **_finite),
+    f=st.floats(0.0, 10.0, **_finite),
+    f_tilde=st.floats(1e-9, 10.0, **_finite),
+    h=st.floats(0.0, 1e3, **_finite),
+    n_runs=st.integers(1, 10**4),
+    patience=st.integers(1, 10**4),
+    fix_strategy=st.one_of(st.none(), st.sampled_from(["max_degree", "degree_one"]),
+                           st.integers(0, 10**6)),
+    master_seed=st.integers(0, 2**32),
+    include_t_end=st.booleans(),
+))
+def test_recorded_settings_read_back(tmp_path_factory, hp):
+    # the JSON config block, written as a config file, reproduces the run
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in hp_to_dict(hp).items()))
+    config = load_config(argparse.Namespace(config=str(cfg), graph="g.col"))
+    assert config_to_hp(config, int(config.colors)) == hp
 
 
 def test_method_specific_field_warning(queen55_col, tmp_path, capsys):
@@ -199,6 +236,18 @@ def test_sweep_command(tmp_path):
     assert payload["sweep"]["3"]["best_energy"] == 0
 
 
+@pytest.mark.parametrize("name", ["trajectories", "coloring"])
+def test_sweep_rejects_output_files(queen55_col, tmp_path, capsys, name):
+    target = tmp_path / "out.txt"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {target}\n")
+    for extra in (["--" + name, str(target)], ["--config", str(cfg)]):
+        assert main(["sweep", "--graph", str(queen55_col), "--colors", "4:5",
+                     "--runs", "1", "--steps", "5", *extra]) == 1
+        assert capsys.readouterr().err == f"error: {name} is not supported by sweep\n"
+        assert not target.exists()
+
+
 def test_sweep_rejects_descending_range(tmp_path):
     tri = tmp_path / "tri.col"
     tri.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
@@ -244,3 +293,15 @@ def test_include_t_end_warns_for_qdgd(queen55_col, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().err == \
         "warning: include_t_end is ignored by method qdgd\n"
+
+
+@pytest.mark.parametrize("fix, message", [
+    ("degree_one", "no degree-1 node in graph"),
+    ("99", "fixed node 99 out of range [0, 25)"),
+])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_unresolvable_fixed_node_is_config_error(queen55_col, capsys, command,
+                                                 fix, message):
+    assert main([command, "--graph", str(queen55_col), "--colors", "5",
+                 "--runs", "1", "--quiet", "--fix", fix]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

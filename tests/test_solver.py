@@ -4,7 +4,8 @@ import pytest
 from quditcolor.energy import extract_coloring, potts_energy
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
-                               Hyperparameters, alpha_at, run_qdgd, run_qdlqa)
+                               Hyperparameters, alpha_at, parse_alpha, run_qdgd,
+                               run_qdlqa)
 
 from instances import path, qdlqa_start, queen_graph, star, triangle
 
@@ -34,18 +35,44 @@ def test_alpha_schedules():
         alpha_at(3, 0.5)
 
 
+def test_parse_alpha():
+    assert parse_alpha("1") == ConstantAlpha(1)
+    assert parse_alpha("exp:2:7") == ExponentialAlpha(2.0, 7)
+    for bad, message in [("exp:2", "must be exp:RATE:CAP"),
+                         ("fast", "must be an integer"),
+                         ("exp:2:0", "cap must be >= 1"),
+                         ("0", "alpha must be >= 1")]:
+        with pytest.raises(ValueError, match=message):
+            parse_alpha(bad)
+
+
+@pytest.mark.parametrize("schedule, spec", [
+    (ConstantAlpha(3), 3),
+    (ExponentialAlpha(2.0, 7), "exp:2:7"),
+    (ExponentialAlpha(1e-5, 2), "exp:1e-05:2"),
+    (ExponentialAlpha(0.123456789, 7), "exp:0.123456789:7"),
+])
+def test_alpha_spec_reads_back(schedule, spec):
+    assert schedule.spec == spec
+    assert parse_alpha(spec) == schedule
+
+
 def test_hyperparameter_validation():
-    qdlqa_hp().validate()
+    qdlqa_hp()
     with pytest.raises(ValueError, match="method"):
-        Hyperparameters(method="sa", num_colors=3).validate()
+        Hyperparameters(method="sa", num_colors=3)
     with pytest.raises(ValueError, match="colors"):
-        qdlqa_hp(num_colors=1).validate()
+        qdlqa_hp(num_colors=1)
     with pytest.raises(ValueError, match="n_steps"):
-        qdlqa_hp(n_steps=0).validate()
+        qdlqa_hp(n_steps=0)
     with pytest.raises(ValueError, match="patience"):
-        qdgd_hp(patience=0).validate()
+        qdgd_hp(patience=0)
     with pytest.raises(ValueError, match="f_tilde"):
-        qdgd_hp(f_tilde=0.0).validate()
+        qdgd_hp(f_tilde=0.0)
+    with pytest.raises(ValueError, match="eta"):
+        qdlqa_hp(eta=-1.0)
+    with pytest.raises(ValueError, match="seed"):
+        qdlqa_hp(master_seed=-1)
 
 
 def test_qdlqa_solves_single_edge():
