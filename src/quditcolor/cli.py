@@ -193,6 +193,13 @@ def _write_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _warn_diverged(records) -> None:
+    diverged = sum(r.diverged for r in records)
+    if diverged:
+        print(f"warning: {diverged} of {len(records)} runs diverged "
+              "(non-finite cost)", file=sys.stderr)
+
+
 def _write_coloring(path, coloring, original_ids) -> None:
     with open(path, "w") as fh:
         for node, color in enumerate(coloring):
@@ -205,6 +212,7 @@ def _cmd_solve(args) -> int:
     graph, original_ids = _load_graph(config, hp)
     stats = run_batch(graph, hp, workers=config.workers,
                       record_trajectories=config.trajectories is not None)
+    _warn_diverged(stats.records)
     _write_json(stats_to_dict(stats, graph, hp, _resolved_config_dict(config, hp)),
                 config.out)
     if config.trajectories:
@@ -240,6 +248,7 @@ def _cmd_sweep(args) -> int:
     graph, _ = _load_graph(config, hp)
     result = sweep_colors(graph, hp, range(c_lo, c_hi + 1),
                           force_full=args.force_full, workers=config.workers)
+    _warn_diverged([r for s in result.batches.values() for r in s.records])
     payload = {
         "config": _resolved_config_dict(config, hp),
         "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges},

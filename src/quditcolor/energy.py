@@ -18,8 +18,10 @@ from .graph import Graph
 from .qudits import AngularMomentumOps
 
 # Probabilities are clamped at this value inside gradient logarithms; the
-# cost value itself uses the 0*log(0) = 0 convention.
+# cost value itself uses the 0*log(0) = 0 convention, flooring p at
+# PLOGP_FLOOR before the log so that p * log(p) is exactly 0 at p = 0.
 LOG_CLAMP = 1e-12
+PLOGP_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def energy_final(psi: np.ndarray, graph: Graph, params: CostParams,
 
 def _plogp(p: np.ndarray) -> np.ndarray:
     """p * log(p) with 0 * log(0) = 0."""
-    return p * np.log(np.maximum(p, 1e-300))
+    return p * np.log(np.maximum(p, PLOGP_FLOOR))
 
 
 def energy_weight(psi: np.ndarray, params: CostParams) -> float:

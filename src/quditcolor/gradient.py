@@ -9,14 +9,28 @@ stable at the coordinate poles where sine products vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .energy import (LOG_CLAMP, CostParams, _plogp, draw_couplings,
+from .energy import (LOG_CLAMP, PLOGP_FLOOR, CostParams, draw_couplings,
                      energy_total, extract_coloring)
 from .graph import Graph
 from .qudits import AngularMomentumOps, _forward
+
+
+_LOG_OF_CLAMP = float(np.log(LOG_CLAMP))
+
+
+class Forward(NamedTuple):
+    """The spherical map of one angle matrix, as every consumer reads it."""
+
+    psi: np.ndarray       # (V, c) amplitudes, pinned one-hot row included
+    psi_free: np.ndarray  # (n_free, c) rows of the free nodes
+    sin: np.ndarray       # (n_free, c-1) sines of the angles
+    cos: np.ndarray       # (n_free, c-1) cosines of the angles
+    prefix: np.ndarray    # (n_free, c) prefix sine products
 
 
 class CostWorkspace:
@@ -28,7 +42,9 @@ class CostWorkspace:
 
     The angles are an (n_free, c-1) matrix, one row per node in ascending
     order with the pinned node (if any) left out; the pinned node's
-    amplitude vector is one-hot (1, 0, ..., 0), i.e. color 0.
+    amplitude vector is one-hot (1, 0, ..., 0), i.e. color 0.  A step maps
+    the angles once with ``forward`` and hands the result to both
+    ``value_and_grad`` and ``coloring``.
     """
 
     def __init__(self, graph: Graph, ops: AngularMomentumOps,
@@ -36,7 +52,6 @@ class CostWorkspace:
         self.graph = graph
         self.ops = ops
         self.fixed_node = fixed_node
-        c = ops.dim
         n = graph.num_nodes
         if fixed_node is None:
             self.free = np.arange(n)
@@ -52,35 +67,49 @@ class CostWorkspace:
             shape=(n, n))
         self._adj = coo.tocsr()
         self._slot_edge = self._adj.data.astype(np.intp) - 1
-        self._psi = np.zeros((n, c))
-        if fixed_node is not None:
-            self._psi[fixed_node, 0] = 1.0
+
+    def forward(self, angles: np.ndarray) -> Forward:
+        """Map the free-node angle rows to amplitudes; every array is new."""
+        psi_free, s, u, r = _forward(angles)
+        k = self.fixed_node
+        if k is None:
+            psi = psi_free
+        else:
+            psi = np.empty((self.graph.num_nodes, psi_free.shape[1]))
+            psi[:k] = psi_free[:k]
+            psi[k] = 0.0
+            psi[k, 0] = 1.0
+            psi[k + 1:] = psi_free[k:]
+        return Forward(psi, psi_free, s, u, r)
 
     def amplitudes(self, angles: np.ndarray) -> np.ndarray:
         """(V, c) amplitude matrix for the given free-node angle rows."""
-        self._psi[self.free] = _forward(angles)[0]
-        return self._psi
+        return self.forward(angles).psi
 
-    def coloring(self, angles: np.ndarray) -> np.ndarray:
-        return extract_coloring(self.amplitudes(angles))
+    def coloring(self, fwd: Forward) -> np.ndarray:
+        return extract_coloring(fwd.psi)
 
-    def value_and_grad(self, angles: np.ndarray, params: CostParams,
+    def value_and_grad(self, fwd: Forward, params: CostParams,
                        hvals: np.ndarray):
-        """Cost and its gradient w.r.t. the (n_free, c-1) angle matrix."""
-        g, ops = self.graph, self.ops
+        """Cost and its gradient w.r.t. the (n_free, c-1) angle matrix that
+        ``fwd`` maps."""
+        ops = self.ops
         t, gamma = params.t, params.gamma
-        psi_free, s, u, r = _forward(angles)
-        psi = self._psi
-        psi[self.free] = psi_free
+        psi, psi_free, s, u, r = fwd
         p = psi ** 2
 
         # end cost: neighbor accumulation acc_i = sum_j J_ij p_j
-        self._adj.data = 1.0 + hvals[self._slot_edge]
+        data = self._adj.data
+        np.take(hvals, self._slot_edge, out=data)
+        data += 1.0
         acc = self._adj @ p
         e_f = 0.5 * float(np.einsum("ij,ij->", p, acc))
 
-        logp = np.log(np.maximum(p, LOG_CLAMP))
-        e_w = gamma * float(_plogp(p).sum())
+        # one log serves both: floored for the value (as energy._plogp),
+        # then clamped for the gradient (= log(max(p, LOG_CLAMP)))
+        logp = np.log(np.maximum(p, PLOGP_FLOOR))
+        e_w = gamma * float((p * logp).sum())
+        np.maximum(logp, _LOG_OF_CLAMP, out=logp)
 
         off = ops.lx_offdiag
         cross = psi_free[:, :-1] * psi_free[:, 1:]
@@ -89,15 +118,15 @@ class CostWorkspace:
         value = (1.0 - t) * e_i + t * (e_f + e_w)
 
         # dE/dpsi on free nodes
-        gpsi = (2.0 * t) * psi_free * (acc[self.free] + gamma * (logp[self.free] + 1.0))
+        gpsi = (2.0 * t) * psi_free * (acc + gamma * (logp + 1.0))[self.free]
         lxpsi = np.zeros_like(psi_free)
         lxpsi[:, :-1] = off * psi_free[:, 1:]
         lxpsi[:, 1:] += off * psi_free[:, :-1]
         gpsi -= (2.0 * (1.0 - t)) * lxpsi
 
         # chain rule to angles: backward recursion over the angle index
-        cm1 = angles.shape[1]
-        back = np.empty_like(angles)
+        cm1 = s.shape[1]
+        back = np.empty_like(s)
         back[:, cm1 - 1] = gpsi[:, cm1]
         for a in range(cm1 - 2, -1, -1):
             back[:, a] = gpsi[:, a + 1] * u[:, a + 1] + s[:, a + 1] * back[:, a + 1]
@@ -143,7 +172,7 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
         rng = np.random.default_rng(0)
     graph, ops = workspace.graph, workspace.ops
     hvals = draw_couplings(graph, params.h, rng)
-    _, gphi = workspace.value_and_grad(angles, params, hvals)
+    _, gphi = workspace.value_and_grad(workspace.forward(angles), params, hvals)
     analytic = gphi.ravel()
 
     angles = np.array(angles, dtype=np.float64)  # perturbed below

@@ -145,7 +145,8 @@ def stats_to_dict(stats: BatchStats, graph: Graph, hp: Hyperparameters,
         "normalized_error": stats.normalized_error,
         "per_run": [
             {"seed": [hp.master_seed, r.run_index], "best": r.best_energy,
-             "steps": r.steps_executed, "wall_ms": r.wall_time * 1e3}
+             "steps": r.steps_executed, "wall_ms": r.wall_time * 1e3,
+             "diverged": r.diverged}
             for r in stats.records
         ],
     }

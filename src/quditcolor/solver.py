@@ -47,6 +47,8 @@ class ExponentialAlpha:
     cap: int = 7
 
     def __post_init__(self):
+        if not math.isfinite(self.rate):
+            raise ValueError(f"alpha rate must be finite, got {self.rate!r}")
         if self.cap < 1:
             raise ValueError("alpha cap must be >= 1")
 
@@ -83,7 +85,10 @@ def alpha_at(schedule, t: float) -> int:
     if isinstance(schedule, ConstantAlpha):
         return schedule.steps
     if isinstance(schedule, ExponentialAlpha):
-        return max(1, min(int(round(math.exp(schedule.rate * t))), schedule.cap))
+        # past log(cap) + 1 the steps are capped anyway; clamping there keeps
+        # math.exp from overflowing
+        exponent = min(schedule.rate * t, math.log(schedule.cap) + 1.0)
+        return max(1, min(int(round(math.exp(exponent))), schedule.cap))
     raise TypeError(f"unknown alpha schedule {schedule!r}")
 
 
@@ -110,6 +115,10 @@ class Hyperparameters:
     def __post_init__(self):
         if self.method not in ("qdlqa", "qdgd"):
             raise ValueError(f"method must be qdlqa or qdgd, got {self.method!r}")
+        for name in ("gamma", "eta", "f", "f_tilde", "h"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.num_colors < 2:
             raise ValueError("colors must be >= 2")
         if self.n_steps < 1:
@@ -148,7 +157,11 @@ class Trajectory:
 
 @dataclass
 class RunRecord:
-    """Result of one run: the best conflict count seen and its coloring."""
+    """Result of one run: the best conflict count seen and its coloring.
+
+    A run whose cost goes non-finite stops there and is marked ``diverged``;
+    it keeps the best coloring read out up to that point.
+    """
 
     run_index: int
     best_energy: int
@@ -156,6 +169,7 @@ class RunRecord:
     steps_executed: int
     wall_time: float
     trajectory: Trajectory | None = None
+    diverged: bool = False
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -199,8 +213,11 @@ def _run(graph: Graph, hp: Hyperparameters, run_index: int, init_state,
     Each stage is a ``(CostParams, inner_steps)`` pair: take that many Adam
     steps on the stage's cost, then read out the coloring and track the best
     conflict count.  Stops at 0 conflicts, after ``patience`` stages in a
-    row without improving the best, or when the stages run out.  The
-    trajectory's t column is n / n_steps for stage n.
+    row without improving the best, when the stages run out, or, marked as
+    diverged, at a non-finite cost (after reading out the angles reached).
+    The angles are mapped to amplitudes once per step: the forward map
+    taken after an Adam step serves both the stage's readout and the next
+    step's cost.  The trajectory's t column is n / n_steps for stage n.
     """
     start = time.perf_counter()
     rng = run_rng(hp.master_seed, run_index)
@@ -215,14 +232,19 @@ def _run(graph: Graph, hp: Hyperparameters, run_index: int, init_state,
 
     best, best_coloring = np.iinfo(np.int64).max, None
     traj: list[tuple[int, float, float, int]] = []
-    stalled = steps_done = 0
+    stalled = 0
+    diverged = False
+    fwd = workspace.forward(angles)
     for n, (params, inner) in enumerate(stages):
         for _ in range(inner):
             hvals = draw_couplings(graph, hp.h, rng)
-            value, gphi = workspace.value_and_grad(angles, params, hvals)
+            value, gphi = workspace.value_and_grad(fwd, params, hvals)
+            if not math.isfinite(value):
+                diverged = True
+                break
             adam.step(flat, gphi.ravel())
-        steps_done += inner
-        colors = workspace.coloring(angles)
+            fwd = workspace.forward(angles)
+        colors = workspace.coloring(fwd)
         e_potts = potts_energy(graph, colors)
         if e_potts < best:
             best, best_coloring, stalled = e_potts, colors.copy(), 0
@@ -230,7 +252,7 @@ def _run(graph: Graph, hp: Hyperparameters, run_index: int, init_state,
             stalled += 1
         if record_trajectory:
             traj.append((n, n / hp.n_steps, value, e_potts))
-        if best == 0 or stalled >= patience:
+        if diverged or best == 0 or stalled >= patience:
             break
 
     trajectory = None
@@ -241,9 +263,10 @@ def _run(graph: Graph, hp: Hyperparameters, run_index: int, init_state,
                                 e_total=np.array(cols[2]),
                                 e_potts=np.array(cols[3], dtype=np.int64))
     return RunRecord(run_index=run_index, best_energy=int(best),
-                     best_coloring=best_coloring, steps_executed=steps_done,
+                     best_coloring=best_coloring,
+                     steps_executed=adam.step_count,
                      wall_time=time.perf_counter() - start,
-                     trajectory=trajectory)
+                     trajectory=trajectory, diverged=diverged)
 
 
 def run_one(graph: Graph, hp: Hyperparameters, run_index: int, *,

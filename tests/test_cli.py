@@ -1,6 +1,7 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,7 +59,8 @@ def test_solve_writes_self_describing_json(queen55_col, tmp_path):
     assert payload["config"]["method"] == "qdlqa"
     assert payload["config"]["graph_file"] == str(queen55_col)
     assert len(payload["per_run"]) == 4
-    assert {"seed", "best", "steps", "wall_ms"} <= set(payload["per_run"][0])
+    assert {"seed", "best", "steps", "wall_ms", "diverged"} <= set(payload["per_run"][0])
+    assert not any(run["diverged"] for run in payload["per_run"])
 
 
 def test_solve_rejects_too_few_colors(queen55_col, capsys):
@@ -305,3 +307,42 @@ def test_unresolvable_fixed_node_is_config_error(queen55_col, capsys, command,
     assert main([command, "--graph", str(queen55_col), "--colors", "5",
                  "--runs", "1", "--quiet", "--fix", fix]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--eta", "nan"], "eta must be finite, got nan"),
+    (["--gamma", "inf"], "gamma must be finite, got inf"),
+    (["--f-tilde", "nan"], "f_tilde must be finite, got nan"),
+    (["--alpha", "exp:nan:7"],
+     "bad alpha schedule 'exp:nan:7': alpha rate must be finite, got nan"),
+])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_non_finite_setting_is_config_error(queen55_col, capsys, command,
+                                            flags, message):
+    assert main([command, "--graph", str(queen55_col), "--colors", "5",
+                 "--runs", "1", "--quiet", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_overflowing_alpha_rate_runs_at_the_cap(queen55_col, tmp_path):
+    out = tmp_path / "cap.json"
+    assert main(solve_args(queen55_col, "--colors", "4", "--steps", "20",
+                           "--runs", "1", "--alpha", "exp:1000:7",
+                           "--out", str(out))) == 0
+    # alpha(0) = 1, then every later stage is capped at 7 steps
+    assert json.loads(out.read_text())["per_run"][0]["steps"] == 1 + 19 * 7
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_diverged_runs_are_reported(queen55_col, tmp_path, capsys, command):
+    out = tmp_path / "d.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([command, "--graph", str(queen55_col), "--colors", "4",
+                     "--method", "qdgd", "--steps", "50", "--eta", "1e308",
+                     "--runs", "2", "--quiet", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == \
+        "warning: 2 of 2 runs diverged (non-finite cost)\n"
+    if command == "solve":
+        assert [run["diverged"] for run in json.loads(out.read_text())["per_run"]] \
+            == [True, True]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quditcolor.energy import CostParams, draw_couplings, energy_total
+from quditcolor.energy import (CostParams, draw_couplings, energy_total,
+                               extract_coloring)
 from quditcolor.gradient import (CLAMP_FLAG_THRESHOLD, CostWorkspace,
                                  check_gradient)
 from quditcolor.graph import Graph, select_fixed_node
@@ -39,8 +42,9 @@ def finite_difference(ws, angles, params, hvals, step=1e-6):
 def test_gradient_zero_at_annealing_start():
     g = Graph.from_edges(2, [(0, 1)])
     angles = init_qdlqa_state(1, 3, 0.0, np.random.default_rng(0))
-    _, grad = pinned_workspace(g, 3).value_and_grad(
-        angles, CostParams(gamma=1.0, h=0.0, t=0.0), np.zeros(1))
+    ws = pinned_workspace(g, 3)
+    _, grad = ws.value_and_grad(
+        ws.forward(angles), CostParams(gamma=1.0, h=0.0, t=0.0), np.zeros(1))
     assert np.abs(grad).max() < 1e-9
 
 
@@ -52,7 +56,7 @@ def test_gradient_zero_without_edges_or_regularizer():
     angles = random_angles(g, 4, np.random.default_rng(1))
     params = CostParams(gamma=0.0, h=2.0, t=1.0)
     hvals = draw_couplings(g, params.h, np.random.default_rng(0))
-    value, grad = ws.value_and_grad(angles, params, hvals)
+    value, grad = ws.value_and_grad(ws.forward(angles), params, hvals)
     assert value == 0.0
     assert np.abs(grad).max() == 0.0
 
@@ -64,7 +68,7 @@ def test_gradient_matches_finite_differences_on_queen55():
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
     params = CostParams(gamma=1.0, h=3.0, t=0.37)
     hvals = draw_couplings(g, params.h, rng)
-    value, grad = ws.value_and_grad(angles, params, hvals)
+    value, grad = ws.value_and_grad(ws.forward(angles), params, hvals)
     grad = grad.ravel()
     assert value == pytest.approx(
         energy_total(ws.amplitudes(angles), g, ws.ops, params, hvals=hvals),
@@ -78,7 +82,8 @@ def test_gradient_layout_excludes_fixed_node():
     g = triangle()
     ws = CostWorkspace(g, build_ops(4), 1)
     angles = random_angles(g, 4, np.random.default_rng(0), fixed_node=1)
-    _, grad = ws.value_and_grad(angles, CostParams(h=0.0, t=0.6), np.zeros(3))
+    _, grad = ws.value_and_grad(ws.forward(angles), CostParams(h=0.0, t=0.6),
+                                np.zeros(3))
     assert grad.shape == (g.num_nodes - 1, 3)
     assert ws.free.tolist() == [0, 2]
     np.testing.assert_array_equal(ws.amplitudes(angles)[1], [1, 0, 0, 0])
@@ -93,7 +98,7 @@ def test_gradient_linearity_in_t():
     grads = {}
     for t in (0.0, 0.35, 1.0):
         _, grads[t] = ws.value_and_grad(
-            angles, CostParams(gamma=1.2, h=3.0, t=t), hvals)
+            ws.forward(angles), CostParams(gamma=1.2, h=3.0, t=t), hvals)
     combo = 0.65 * grads[0.0] + 0.35 * grads[1.0]
     np.testing.assert_allclose(grads[0.35], combo, atol=1e-10)
 
@@ -157,11 +162,49 @@ def test_workspace_reuse_matches_fresh():
         angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
         params = CostParams(gamma=0.8, h=2.0, t=0.7)
         hvals = draw_couplings(g, params.h, rng)
-        v1, g1 = ws.value_and_grad(angles, params, hvals)
-        v2, g2 = pinned_workspace(g, 5).value_and_grad(angles, params, hvals)
+        v1, g1 = ws.value_and_grad(ws.forward(angles), params, hvals)
+        fresh = pinned_workspace(g, 5)
+        v2, g2 = fresh.value_and_grad(fresh.forward(angles), params, hvals)
         assert v1 == v2
         np.testing.assert_array_equal(g1, g2)
 
 
 def test_clamp_threshold_is_documented_scale():
     assert CLAMP_FLAG_THRESHOLD >= 1e-12  # flags at or above the log clamp
+
+
+# exact pole and equator angles next to arbitrary ones
+_ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 2, np.pi]),
+                    st.floats(-np.pi, np.pi))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), c=st.integers(2, 5), pinned=st.booleans())
+def test_forward_feeds_value_and_coloring(data, c, pinned):
+    g = queen_graph(3, 3)
+    fixed = data.draw(st.integers(0, g.num_nodes - 1)) if pinned else None
+    ws = CostWorkspace(g, build_ops(c), fixed)
+    n_free = g.num_nodes - pinned
+    angles = np.array(data.draw(st.lists(_ANGLES, min_size=n_free * (c - 1),
+                                         max_size=n_free * (c - 1))))
+    angles = angles.reshape(n_free, c - 1)
+    params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
+                        h=3.0, t=data.draw(st.floats(0.0, 1.0)))
+    hvals = draw_couplings(g, params.h,
+                           np.random.default_rng(data.draw(st.integers(0, 99))))
+
+    fwd = ws.forward(angles)
+    np.testing.assert_array_equal(fwd.psi[ws.free], fwd.psi_free)
+    if pinned:
+        np.testing.assert_array_equal(fwd.psi[fixed], np.eye(c)[0])
+    value, grad = ws.value_and_grad(fwd, params, hvals)
+    oracle = energy_total(fwd.psi, g, ws.ops, params, hvals=hvals)
+    assert value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+    np.testing.assert_array_equal(ws.coloring(fwd),
+                                  extract_coloring(ws.amplitudes(angles)))
+
+    # a later forward map leaves the one already held untouched
+    ws.forward(angles + 1.0)
+    again, grad_again = ws.value_and_grad(fwd, params, hvals)
+    assert again == value
+    np.testing.assert_array_equal(grad_again, grad)

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from quditcolor import gradient
 from quditcolor.energy import extract_coloring, potts_energy
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
-                               Hyperparameters, alpha_at, parse_alpha, run_qdgd,
-                               run_qdlqa)
+                               Hyperparameters, alpha_at, parse_alpha, run_one,
+                               run_qdgd, run_qdlqa)
 
 from instances import path, qdlqa_start, queen_graph, star, triangle
 
@@ -35,12 +38,21 @@ def test_alpha_schedules():
         alpha_at(3, 0.5)
 
 
+def test_alpha_at_caps_an_overflowing_exponent():
+    # exp(980) overflows a float; the cap is what the schedule asks for
+    assert alpha_at(ExponentialAlpha(1000, 7), 0.98) == 7
+    assert alpha_at(ExponentialAlpha(1000, 7), 0.0) == 1
+    assert alpha_at(ExponentialAlpha(-1000, 7), 1.0) == 1
+
+
 def test_parse_alpha():
     assert parse_alpha("1") == ConstantAlpha(1)
     assert parse_alpha("exp:2:7") == ExponentialAlpha(2.0, 7)
     for bad, message in [("exp:2", "must be exp:RATE:CAP"),
                          ("fast", "must be an integer"),
                          ("exp:2:0", "cap must be >= 1"),
+                         ("exp:nan:7", "rate must be finite, got nan"),
+                         ("exp:inf:7", "rate must be finite, got inf"),
                          ("0", "alpha must be >= 1")]:
         with pytest.raises(ValueError, match=message):
             parse_alpha(bad)
@@ -73,6 +85,13 @@ def test_hyperparameter_validation():
         qdlqa_hp(eta=-1.0)
     with pytest.raises(ValueError, match="seed"):
         qdlqa_hp(master_seed=-1)
+
+
+@pytest.mark.parametrize("name", ["gamma", "eta", "f", "f_tilde", "h"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_settings_are_rejected(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        qdlqa_hp(**{name: value})
 
 
 def test_qdlqa_solves_single_edge():
@@ -168,6 +187,44 @@ def test_exponential_alpha_step_total(queen55):
     rec = run_qdlqa(queen55, hp, 0)
     expected = sum(alpha_at(hp.alpha, i / n) for i in range(n))
     assert rec.steps_executed == expected
+
+
+def test_diverging_run_stops_and_is_marked(queen55):
+    # the first Adam step overflows the angles; the next cost is NaN
+    hp = qdgd_hp(num_colors=4, n_steps=50, eta=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = run_qdgd(queen55, hp, 0, record_trajectory=True)
+    assert rec.diverged
+    assert rec.steps_executed < 5
+    assert not np.isfinite(rec.trajectory.e_total[-1])
+    assert potts_energy(queen55, rec.best_coloring) == rec.best_energy
+    assert not run_qdgd(queen55, qdgd_hp(num_colors=4, n_steps=50), 0).diverged
+
+
+@pytest.mark.parametrize("method, settings", [
+    ("qdlqa", dict(num_colors=4, n_steps=40, alpha=ExponentialAlpha(2.0, 3))),
+    ("qdlqa", dict(num_colors=4, n_steps=40)),
+    ("qdgd", dict(num_colors=3, n_steps=1000, patience=10)),
+    ("qdgd", dict(num_colors=4, n_steps=50, eta=1e308)),
+], ids=["qdlqa-exp-alpha", "qdlqa-constant-alpha", "qdgd-early-stop",
+        "qdgd-diverged"])
+def test_one_forward_map_per_step(queen55, monkeypatch, method, settings):
+    original = gradient._forward
+    calls = []
+
+    def counting_forward(phi):
+        calls.append(1)
+        return original(phi)
+
+    monkeypatch.setattr(gradient, "_forward", counting_forward)
+    hp = Hyperparameters(method=method, n_runs=1, **settings)
+    for run_index in range(2):
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = run_one(queen55, hp, run_index)
+        assert len(calls) == rec.steps_executed + 1
+    if method == "qdgd":
+        assert rec.steps_executed < hp.n_steps  # stopped early
 
 
 def test_fix_strategy_none_parameterizes_all_nodes(k3):
