@@ -9,8 +9,8 @@ from a trivially minimized start cost (qdlqa) and direct gradient descent
 from .energy import (CostParams, energy_final, energy_initial, energy_total,
                      energy_weight, extract_coloring, potts_energy)
 from .gradient import CostWorkspace, check_gradient
-from .graph import (Graph, GraphParseError, load_graph, parse_dimacs,
-                    parse_edge_list, select_fixed_node, to_dimacs)
+from .graph import (Graph, GraphParseError, GraphWarning, load_graph,
+                    parse_dimacs, parse_edge_list, select_fixed_node, to_dimacs)
 from .harness import (BatchStats, SweepResult, run_batch, sweep_colors,
                       trajectory_stats)
 from .optimizer import Adam
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "AngularMomentumOps", "BatchStats", "ConstantAlpha", "CostParams",
     "CostWorkspace", "ExponentialAlpha", "Graph", "GraphParseError",
-    "Hyperparameters", "RunRecord", "SweepResult", "alpha_at",
+    "GraphWarning", "Hyperparameters", "RunRecord", "SweepResult", "alpha_at",
     "amplitudes_to_angles", "build_ops", "check_gradient", "energy_final",
     "energy_initial", "energy_total", "energy_weight", "extract_coloring",
     "init_qdgd_state", "init_qdlqa_state", "load_graph", "lx_ground_state",

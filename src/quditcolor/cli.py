@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+import warnings
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .energy import CostParams
 from .gradient import CostWorkspace, check_gradient
-from .graph import GraphParseError, load_graph, select_fixed_node
+from .graph import GraphParseError, GraphWarning, load_graph, select_fixed_node
 from .harness import (hp_to_dict, run_batch, stats_to_dict, sweep_colors,
                       write_trajectory_csv)
 from .qudits import build_ops
@@ -175,9 +177,19 @@ def _resolved_config_dict(config: RunConfig, hp: Hyperparameters) -> dict:
     return out
 
 
+def _read_graph(path, fmt):
+    """Load an instance, printing each of its ``GraphWarning``s on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", GraphWarning)
+        graph, original_ids = load_graph(path, fmt)
+    for warning in caught:
+        print(f"warning: {path}: {warning.message}", file=sys.stderr)
+    return graph, original_ids
+
+
 def _load_graph(config: RunConfig, hp: Hyperparameters):
     """Load the instance and check that its pinned node can be resolved."""
-    graph, original_ids = load_graph(config.graph, config.format)
+    graph, original_ids = _read_graph(config.graph, config.format)
     try:
         select_fixed_node(graph, hp.fix_strategy)
     except ValueError as exc:
@@ -262,9 +274,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    graph, _ = load_graph(args.graph, args.format)
-    workspace = CostWorkspace(graph, build_ops(args.colors),
-                              select_fixed_node(graph, "max_degree"))
+    if args.points < 1:
+        raise ConfigError(f"points must be >= 1, got {args.points}")
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"tol must be finite and > 0, got {args.tol!r}")
+    try:
+        ops = build_ops(args.colors)
+        # t = 0 stands in for the random per-point times, always in range
+        params = CostParams(gamma=args.gamma, h=args.h,
+                            t=0.0 if args.t is None else args.t)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    graph, _ = _read_graph(args.graph, args.format)
+    workspace = CostWorkspace(graph, ops, select_fixed_node(graph, "max_degree"))
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     flagged = 0
@@ -272,9 +294,11 @@ def _cmd_gradcheck(args) -> int:
         t = float(rng.uniform(0.0, 1.0)) if args.t is None else args.t
         angles = rng.uniform(-np.pi, np.pi,
                              size=(graph.num_nodes - 1, args.colors - 1))
-        params = CostParams(gamma=args.gamma, h=args.h, t=t)
-        report = check_gradient(workspace, angles, params,
-                                step=args.step, tol=args.tol, rng=rng)
+        try:
+            report = check_gradient(workspace, angles, replace(params, t=t),
+                                    step=args.step, tol=args.tol, rng=rng)
+        except ValueError as exc:  # a finite-difference step out of range
+            raise ConfigError(str(exc)) from None
         worst = max(worst, report.max_rel_error)
         flagged += int(report.clamp_flags.sum())
         if not report.passed:
@@ -287,7 +311,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    graph, _ = load_graph(args.graph, args.format)
+    graph, _ = _read_graph(args.graph, args.format)
     print(f"{Path(args.graph).name}: {graph.num_nodes} nodes, "
           f"{graph.num_edges} edges, density {100 * graph.density:.2f}%, "
           f"max degree {graph.max_degree} "

@@ -10,6 +10,7 @@ against these in the tests.  States enter as the (V, c) amplitude matrix
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,10 @@ class CostParams:
     t: float = 1.0
 
     def __post_init__(self):
+        for name in ("gamma", "h", "t"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if self.h < 0:
@@ -67,13 +72,25 @@ def energy_initial(psi: np.ndarray, ops: AngularMomentumOps) -> float:
     return float(-per_node.sum())
 
 
-def draw_couplings(graph: Graph, h: float, rng: np.random.Generator | None) -> np.ndarray:
-    """Per-edge coupling perturbations, i.i.d. uniform in [0, h)."""
+def draw_couplings(graph: Graph, h: float, rng: np.random.Generator | None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Per-edge coupling perturbations, i.i.d. uniform in [0, h), in edge
+    order.
+
+    Written into ``out`` (shape (E,)) when given, else into a new array.
+    The values and the generator's next state are those of
+    ``rng.uniform(0.0, h, E)``; ``h == 0`` gives zeros and draws nothing.
+    """
+    if out is None:
+        out = np.empty(graph.num_edges)
     if h == 0.0:
-        return np.zeros(graph.num_edges)
+        out.fill(0.0)
+        return out
     if rng is None:
         raise ValueError("h > 0 requires an rng (or pass frozen hvals)")
-    return rng.uniform(0.0, h, size=graph.num_edges)
+    rng.random(out=out)
+    out *= h
+    return out
 
 
 def energy_final(psi: np.ndarray, graph: Graph, params: CostParams,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .energy import (LOG_CLAMP, PLOGP_FLOOR, CostParams, draw_couplings,
                      energy_total, extract_coloring)
@@ -36,9 +36,12 @@ class Forward(NamedTuple):
 class CostWorkspace:
     """Per-(graph, dimension, fixed-node) buffers for fused cost+gradient.
 
-    Holds a CSR adjacency whose data slots are rewritten with the per-call
-    couplings, so the neighbor-probability accumulation is a single sparse
-    matmul.  Reusable across runs; owns no per-run state.
+    Holds the upper triangle of the adjacency in CSR form: row u lists the
+    neighbors v > u of u, so its slot e is edge e of ``graph.edges`` and
+    the per-call couplings 1 + h go into the data array in edge order.
+    The symmetric neighbor sum is two sparse products over that triangle,
+    read once column-wise and once row-wise.  Reusable across runs; owns no
+    per-run state.
 
     The angles are an (n_free, c-1) matrix, one row per node in ascending
     order with the pinned node (if any) left out; the pinned node's
@@ -49,24 +52,45 @@ class CostWorkspace:
 
     def __init__(self, graph: Graph, ops: AngularMomentumOps,
                  fixed_node: int | None):
+        n = graph.num_nodes
+        u, v = graph.edges[:, 0], graph.edges[:, 1]
+        # slot e of the triangle is edge e only for rows 0 <= u < v < n in
+        # strictly increasing (u, v) order, i.e. increasing u * n + v
+        if np.any((u < 0) | (u >= v) | (v >= n)) or np.any(np.diff(u * n + v) <= 0):
+            raise ValueError("graph edges must have 0 <= u < v < num_nodes in "
+                             "every row and be strictly increasing, as "
+                             "Graph.from_edges builds them")
         self.graph = graph
         self.ops = ops
         self.fixed_node = fixed_node
-        n = graph.num_nodes
         if fixed_node is None:
             self.free = np.arange(n)
         else:
             self.free = np.delete(np.arange(n), fixed_node)
-        u, v = graph.edges[:, 0], graph.edges[:, 1]
-        # data carries edge_id + 1 so conversion can never prune a slot as
-        # an explicit zero; the csr data array is overwritten on every call
-        edge_id = np.arange(1, graph.num_edges + 1)
-        coo = sp.coo_matrix(
-            (np.concatenate([edge_id, edge_id]).astype(np.float64),
-             (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(n, n))
-        self._adj = coo.tocsr()
-        self._slot_edge = self._adj.data.astype(np.intp) - 1
+        self._indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(u, minlength=n))]).astype(np.intp)
+        self._indices = v.astype(np.intp)
+        self._couplings = np.empty(graph.num_edges)
+
+    def _neighbor_sum(self, p: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+        """acc_i = sum_j J_ij p_j over both orientations of every edge.
+
+        Row i takes its neighbors j < i (the triangle read as CSC), then its
+        neighbors j > i (read as CSR), each in ascending order: the same
+        float operations, in the same order, as the symmetric CSR product.
+        """
+        n, c = p.shape
+        # the kernels index p and the couplings without bounds checks
+        if n != self.graph.num_nodes or couplings.shape != self._indices.shape:
+            raise ValueError(f"expected {self.graph.num_nodes} rows and "
+                             f"{self.graph.num_edges} couplings, got {n} rows "
+                             f"and {couplings.shape} couplings")
+        acc = np.zeros((n, c))
+        args = (n, n, c, self._indptr, self._indices, couplings, p.ravel(),
+                acc.ravel())
+        csc_matvecs(*args)
+        csr_matvecs(*args)
+        return acc
 
     def forward(self, angles: np.ndarray) -> Forward:
         """Map the free-node angle rows to amplitudes; every array is new."""
@@ -99,10 +123,8 @@ class CostWorkspace:
         p = psi ** 2
 
         # end cost: neighbor accumulation acc_i = sum_j J_ij p_j
-        data = self._adj.data
-        np.take(hvals, self._slot_edge, out=data)
-        data += 1.0
-        acc = self._adj @ p
+        couplings = np.add(hvals, 1.0, out=self._couplings)
+        acc = self._neighbor_sum(p, couplings)
         e_f = 0.5 * float(np.einsum("ij,ij->", p, acc))
 
         # one log serves both: floored for the value (as energy._plogp),

@@ -8,6 +8,7 @@ indices to ``[0, |V|)``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,10 @@ import numpy as np
 
 class GraphParseError(ValueError):
     """Raised when an instance file cannot be parsed."""
+
+
+class GraphWarning(UserWarning):
+    """Issued for an instance file that parses but contradicts itself."""
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,11 @@ def parse_dimacs(text: str) -> tuple[Graph, list[int]]:
     Expects comment lines ``c ...``, a single ``p edge <V> <E>`` header,
     and edge lines ``e <u> <v>`` with 1-based indices.  Returns the
     preprocessed graph and the list of original (1-based) node ids.
+    Issues a ``GraphWarning`` when the header's edge count differs from the
+    number of ``e`` lines (counted as written: many files list both
+    directions of an edge).
     """
-    declared_nodes = None
+    declared_nodes = declared_edges = None
     raw_edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -113,7 +121,7 @@ def parse_dimacs(text: str) -> tuple[Graph, list[int]]:
                 raise GraphParseError(f"line {lineno}: malformed header {line!r}")
             try:
                 declared_nodes = int(parts[2])
-                int(parts[3])
+                declared_edges = int(parts[3])
             except ValueError:
                 raise GraphParseError(f"line {lineno}: malformed header {line!r}") from None
         elif parts[0] == "e":
@@ -131,6 +139,9 @@ def parse_dimacs(text: str) -> tuple[Graph, list[int]]:
     for u, v in raw_edges:
         if not (1 <= u <= declared_nodes and 1 <= v <= declared_nodes):
             raise GraphParseError(f"edge ({u}, {v}) out of range 1..{declared_nodes}")
+    if declared_edges != len(raw_edges):
+        warnings.warn(f"header declares {declared_edges} edges, file lists "
+                      f"{len(raw_edges)}", GraphWarning, stacklevel=2)
     return compact_edges(raw_edges)
 
 

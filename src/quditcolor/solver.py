@@ -234,26 +234,30 @@ def _run(graph: Graph, hp: Hyperparameters, run_index: int, init_state,
     traj: list[tuple[int, float, float, int]] = []
     stalled = 0
     diverged = False
-    fwd = workspace.forward(angles)
-    for n, (params, inner) in enumerate(stages):
-        for _ in range(inner):
-            hvals = draw_couplings(graph, hp.h, rng)
-            value, gphi = workspace.value_and_grad(fwd, params, hvals)
-            if not math.isfinite(value):
-                diverged = True
+    hvals = np.empty(graph.num_edges)
+    # a diverging run overflows in Adam and maps NaN angles before its cost
+    # goes non-finite; it is reported by the diverged flag, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        fwd = workspace.forward(angles)
+        for n, (params, inner) in enumerate(stages):
+            for _ in range(inner):
+                draw_couplings(graph, hp.h, rng, out=hvals)
+                value, gphi = workspace.value_and_grad(fwd, params, hvals)
+                if not math.isfinite(value):
+                    diverged = True
+                    break
+                adam.step(flat, gphi.ravel())
+                fwd = workspace.forward(angles)
+            colors = workspace.coloring(fwd)
+            e_potts = potts_energy(graph, colors)
+            if e_potts < best:
+                best, best_coloring, stalled = e_potts, colors.copy(), 0
+            else:
+                stalled += 1
+            if record_trajectory:
+                traj.append((n, n / hp.n_steps, value, e_potts))
+            if diverged or best == 0 or stalled >= patience:
                 break
-            adam.step(flat, gphi.ravel())
-            fwd = workspace.forward(angles)
-        colors = workspace.coloring(fwd)
-        e_potts = potts_energy(graph, colors)
-        if e_potts < best:
-            best, best_coloring, stalled = e_potts, colors.copy(), 0
-        else:
-            stalled += 1
-        if record_trajectory:
-            traj.append((n, n / hp.n_steps, value, e_potts))
-        if diverged or best == 0 or stalled >= patience:
-            break
 
     trajectory = None
     if record_trajectory:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,36 @@ def test_gradcheck_command(queen55_col, capsys):
     assert "gradcheck OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--t", "nan"], "t must be finite, got nan"),
+    (["--t", "2"], "t must be in [0, 1]"),
+    (["--h", "-1"], "h must be >= 0"),
+    (["--gamma", "nan"], "gamma must be finite, got nan"),
+    (["--colors", "1"], "qudit dimension must be >= 2, got 1"),
+    (["--step", "0.5"], "finite-difference step must be in [1e-7, 1e-3]"),
+    (["--points", "0"], "points must be >= 1, got 0"),
+    (["--tol", "nan"], "tol must be finite and > 0, got nan"),
+    (["--tol", "0"], "tol must be finite and > 0, got 0.0"),
+])
+def test_gradcheck_bad_setting_is_config_error(queen55_col, capsys, flags,
+                                               message):
+    code = main(["gradcheck", "--graph", str(queen55_col), "--colors", "5",
+                 "--points", "2", *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_dimacs_edge_count_mismatch_warns(tmp_path, capsys):
+    col = tmp_path / "short.col"
+    col.write_text("p edge 4 5\ne 1 2\ne 2 3\ne 3 4\n")
+    assert main(["info", "--graph", str(col)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"warning: {col}: header declares 5 edges, file lists 3\n"
+    assert "4 nodes, 3 edges" in captured.out
+
+
 def test_workers_env_default(monkeypatch):
     from quditcolor.cli import RunConfig
     monkeypatch.setenv("QUDITCOLOR_WORKERS", "4")
@@ -335,8 +366,10 @@ def test_overflowing_alpha_rate_runs_at_the_cap(queen55_col, tmp_path):
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_diverged_runs_are_reported(queen55_col, tmp_path, capsys, command):
+    # numpy's overflow and invalid-value warnings would be errors here
     out = tmp_path / "d.json"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main([command, "--graph", str(queen55_col), "--colors", "4",
                      "--method", "qdgd", "--steps", "50", "--eta", "1e308",
                      "--runs", "2", "--quiet", "--out", str(out)])

@@ -21,7 +21,9 @@ def brute_force_conflicts(graph, coloring):
 
 def test_cost_params_validation():
     CostParams(gamma=0.0, h=0.0, t=0.5)
-    for bad in (dict(gamma=-1), dict(h=-0.1), dict(t=1.5), dict(t=-0.1)):
+    for bad in (dict(gamma=-1), dict(h=-0.1), dict(t=1.5), dict(t=-0.1),
+                dict(gamma=np.nan), dict(h=np.inf), dict(t=np.nan),
+                dict(t=-np.inf)):
         with pytest.raises(ValueError):
             CostParams(**bad)
 

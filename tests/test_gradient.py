@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,3 +209,62 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     again, grad_again = ws.value_and_grad(fwd, params, hvals)
     assert again == value
     np.testing.assert_array_equal(grad_again, grad)
+
+
+def test_workspace_rejects_edges_and_states_it_cannot_index():
+    # Graph.from_edges sorts; a Graph built directly need not be
+    for edges in ([[1, 2], [0, 1], [0, 2]], [[0, 1], [2, 1]],
+                  [[0, 1], [0, 1], [1, 2]], [[0, 1], [1, 3]], [[-1, 0], [1, 2]]):
+        g = Graph(num_nodes=3, edges=np.array(edges, dtype=np.int64),
+                  degrees=np.ones(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="u < v"):
+            CostWorkspace(g, build_ops(3), None)
+
+    # a state of another graph would be read out of bounds
+    ws = CostWorkspace(queen_graph(4, 4), build_ops(3), None)
+    small = CostWorkspace(triangle(), build_ops(3), None)
+    fwd = small.forward(random_angles(triangle(), 3, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="expected 16 rows"):
+        ws.value_and_grad(fwd, CostParams(), np.zeros(ws.graph.num_edges))
+
+
+@st.composite
+def _graphs(draw):
+    """A graph from ``Graph.from_edges``: a path through a random node order
+    (so no node is isolated) plus random extra edges."""
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(n)))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    return Graph.from_edges(n, list(zip(order, order[1:])) + extra)
+
+
+@settings(deadline=None, max_examples=80)
+@given(g=_graphs(), c=st.integers(2, 6), data=st.data())
+def test_neighbor_sum_equals_symmetric_csr_product(g, c, data):
+    fixed = data.draw(st.one_of(st.none(), st.integers(0, g.num_nodes - 1)))
+    ws = CostWorkspace(g, build_ops(c), fixed)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = rng.random((g.num_nodes, c)) * 10.0 ** rng.uniform(-3, 3, (g.num_nodes, 1))
+    couplings = 1.0 + rng.uniform(0.0, 3.0, g.num_edges)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    adj = sp.csr_matrix((np.concatenate([couplings, couplings]),
+                         (np.concatenate([u, v]), np.concatenate([v, u]))),
+                        shape=(g.num_nodes, g.num_nodes))
+    adj.sort_indices()
+    np.testing.assert_array_equal(ws._neighbor_sum(p, couplings), adj @ p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(g=_graphs(), h=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
+       seed=st.integers(0, 2**32 - 1))
+def test_draw_couplings_into_buffer_is_uniform_draw(g, h, seed):
+    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    buf = np.full(g.num_edges, np.nan)
+    drawn = draw_couplings(g, h, mine, out=buf)
+    assert drawn is buf
+    expected = ref.uniform(0.0, h, g.num_edges) if h else np.zeros(g.num_edges)
+    np.testing.assert_array_equal(buf, expected)
+    assert mine.random() == ref.random()  # same generator state afterwards
+    np.testing.assert_array_equal(draw_couplings(g, h, np.random.default_rng(seed)),
+                                  expected)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from quditcolor.graph import (Graph, GraphParseError, load_graph, parse_dimacs,
-                              parse_edge_list, select_fixed_node, to_dimacs)
+from quditcolor.graph import (Graph, GraphParseError, GraphWarning, load_graph,
+                              parse_dimacs, parse_edge_list, select_fixed_node,
+                              to_dimacs)
 
 from instances import (myciel_col_text, myciel_graph, path, queen_col_text,
                        queen_graph, star, triangle)
@@ -27,6 +30,25 @@ def test_parse_dimacs_drops_isolated_and_remaps():
     assert g.num_nodes == 3
     assert ids == [2, 4, 5]
     assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+
+def test_parse_dimacs_warns_on_edge_count_mismatch():
+    with pytest.warns(GraphWarning) as caught:
+        g, _ = parse_dimacs("p edge 4 5\ne 1 2\ne 2 3\ne 3 4\n")
+    assert [str(w.message) for w in caught] == \
+        ["header declares 5 edges, file lists 3"]
+    assert g.num_edges == 3
+
+
+@pytest.mark.parametrize("text", [
+    "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+    # both directions listed: the header counts lines, not unique edges
+    "p edge 3 4\ne 1 2\ne 2 1\ne 2 3\ne 3 2\n",
+])
+def test_parse_dimacs_matching_edge_count_is_silent(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_dimacs(text)
 
 
 @pytest.mark.parametrize("text,match", [

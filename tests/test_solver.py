@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,8 +192,10 @@ def test_exponential_alpha_step_total(queen55):
 
 def test_diverging_run_stops_and_is_marked(queen55):
     # the first Adam step overflows the angles; the next cost is NaN
+    # ... silently: numpy's floating-point warnings would be errors here
     hp = qdgd_hp(num_colors=4, n_steps=50, eta=1e308)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
         rec = run_qdgd(queen55, hp, 0, record_trajectory=True)
     assert rec.diverged
     assert rec.steps_executed < 5
