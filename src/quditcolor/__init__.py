@@ -11,8 +11,8 @@ from .energy import (CostParams, energy_final, energy_initial, energy_total,
 from .gradient import CostWorkspace, check_gradient
 from .graph import (Graph, GraphParseError, GraphWarning, load_graph,
                     parse_dimacs, parse_edge_list, select_fixed_node, to_dimacs)
-from .harness import (BatchStats, SweepResult, run_batch, sweep_colors,
-                      trajectory_stats)
+from .harness import (BatchStats, SweepResult, WorkerError, run_batch,
+                      sweep_colors, trajectory_stats)
 from .optimizer import Adam
 from .qudits import (AngularMomentumOps, amplitudes_to_angles, build_ops,
                      init_qdgd_state, init_qdlqa_state, lx_ground_state,
@@ -31,5 +31,5 @@ __all__ = [
     "init_qdgd_state", "init_qdlqa_state", "load_graph", "lx_ground_state",
     "parse_dimacs", "parse_edge_list", "potts_energy", "run_batch", "run_qdgd",
     "run_qdlqa", "select_fixed_node", "spherical_to_amplitudes",
-    "sweep_colors", "to_dimacs", "trajectory_stats",
+    "sweep_colors", "to_dimacs", "trajectory_stats", "WorkerError",
 ]

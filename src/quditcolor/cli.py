@@ -6,7 +6,7 @@ the color count until a conflict-free coloring appears), ``gradcheck``
 ``info`` (print parsed graph statistics).
 
 Exit codes: 0 success, 1 invalid configuration or failed check, 2 I/O or
-parse failure.
+parse failure, 3 a worker process died.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from .energy import CostParams
 from .gradient import CostWorkspace, check_gradient
 from .graph import GraphParseError, GraphWarning, load_graph, select_fixed_node
-from .harness import (hp_to_dict, run_batch, stats_to_dict, sweep_colors,
-                      write_trajectory_csv)
+from .harness import (WorkerError, hp_to_dict, run_batch, stats_to_dict,
+                      sweep_colors, write_trajectory_csv)
 from .qudits import build_ops
 from .solver import SETTING_NAMES, Hyperparameters, parse_alpha
 
@@ -403,6 +403,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -24,13 +24,14 @@ _LOG_OF_CLAMP = float(np.log(LOG_CLAMP))
 
 
 class Forward(NamedTuple):
-    """The spherical map of one angle matrix, as every consumer reads it."""
+    """The spherical map of one angle matrix, as every consumer reads it;
+    k runs stacked run after run (k = 1 for a single run)."""
 
-    psi: np.ndarray       # (V, c) amplitudes, pinned one-hot row included
-    psi_free: np.ndarray  # (n_free, c) rows of the free nodes
-    sin: np.ndarray       # (n_free, c-1) sines of the angles
-    cos: np.ndarray       # (n_free, c-1) cosines of the angles
-    prefix: np.ndarray    # (n_free, c) prefix sine products
+    psi: np.ndarray       # (k*V, c) amplitudes, pinned one-hot rows included
+    psi_free: np.ndarray  # (k*n_free, c) rows of the free nodes
+    sin: np.ndarray       # (k*n_free, c-1) sines of the angles
+    cos: np.ndarray       # (k*n_free, c-1) cosines of the angles
+    prefix: np.ndarray    # (k*n_free, c) prefix sine products
 
 
 class CostWorkspace:
@@ -43,15 +44,21 @@ class CostWorkspace:
     read once column-wise and once row-wise.  Reusable across runs; owns no
     per-run state.
 
-    The angles are an (n_free, c-1) matrix, one row per node in ascending
-    order with the pinned node (if any) left out; the pinned node's
-    amplitude vector is one-hot (1, 0, ..., 0), i.e. color 0.  A step maps
-    the angles once with ``forward`` and hands the result to both
-    ``value_and_grad`` and ``coloring``.
+    The triangle covers ``copies`` disjoint copies of the graph, one per
+    run of a group stepped together: copy r owns rows r*V..(r+1)*V - 1 and
+    slots r*E..(r+1)*E - 1, and a group of k <= copies runs uses the first
+    k copies.  Every run keeps its own row block, and each value is reduced
+    over that block alone, so a run's numbers do not depend on the group.
+
+    The angles are a (k*n_free, c-1) matrix, run after run, one row per
+    node in ascending order with the pinned node (if any) left out; the
+    pinned node's amplitude vector is one-hot (1, 0, ..., 0), i.e. color
+    0, in every copy.  A step maps the angles once with ``forward`` and
+    hands the result to both ``value_and_grad`` and ``coloring``.
     """
 
     def __init__(self, graph: Graph, ops: AngularMomentumOps,
-                 fixed_node: int | None):
+                 fixed_node: int | None, copies: int = 1):
         n = graph.num_nodes
         u, v = graph.edges[:, 0], graph.edges[:, 1]
         # slot e of the triangle is edge e only for rows 0 <= u < v < n in
@@ -60,17 +67,23 @@ class CostWorkspace:
             raise ValueError("graph edges must have 0 <= u < v < num_nodes in "
                              "every row and be strictly increasing, as "
                              "Graph.from_edges builds them")
+        if copies < 1:
+            raise ValueError(f"copies must be >= 1, got {copies}")
         self.graph = graph
         self.ops = ops
         self.fixed_node = fixed_node
+        self.copies = copies
         if fixed_node is None:
             self.free = np.arange(n)
         else:
             self.free = np.delete(np.arange(n), fixed_node)
+        offsets = n * np.arange(copies)[:, None]
+        self._free_rows = (offsets + self.free).ravel()
         self._indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(u, minlength=n))]).astype(np.intp)
-        self._indices = v.astype(np.intp)
-        self._couplings = np.empty(graph.num_edges)
+            [[0], np.cumsum(np.tile(np.bincount(u, minlength=n), copies))]
+        ).astype(np.intp)
+        self._indices = (offsets + v).ravel().astype(np.intp)
+        self._couplings = np.empty(copies * graph.num_edges)
 
     def _neighbor_sum(self, p: np.ndarray, couplings: np.ndarray) -> np.ndarray:
         """acc_i = sum_j J_ij p_j over both orientations of every edge.
@@ -80,14 +93,17 @@ class CostWorkspace:
         float operations, in the same order, as the symmetric CSR product.
         """
         n, c = p.shape
+        V, E = self.graph.num_nodes, self.graph.num_edges
+        runs = n // V
         # the kernels index p and the couplings without bounds checks
-        if n != self.graph.num_nodes or couplings.shape != self._indices.shape:
-            raise ValueError(f"expected {self.graph.num_nodes} rows and "
-                             f"{self.graph.num_edges} couplings, got {n} rows "
-                             f"and {couplings.shape} couplings")
+        if (n != runs * V or not 1 <= runs <= self.copies
+                or couplings.shape != (runs * E,)):
+            raise ValueError(f"expected {V} rows and {E} couplings per run for "
+                             f"1 to {self.copies} runs, got {n} rows and "
+                             f"{couplings.shape} couplings")
         acc = np.zeros((n, c))
-        args = (n, n, c, self._indptr, self._indices, couplings, p.ravel(),
-                acc.ravel())
+        args = (n, n, c, self._indptr[:n + 1], self._indices[:runs * E],
+                couplings, p.ravel(), acc.ravel())
         csc_matvecs(*args)
         csr_matvecs(*args)
         return acc
@@ -99,48 +115,60 @@ class CostWorkspace:
         if k is None:
             psi = psi_free
         else:
-            psi = np.empty((self.graph.num_nodes, psi_free.shape[1]))
-            psi[:k] = psi_free[:k]
-            psi[k] = 0.0
-            psi[k, 0] = 1.0
-            psi[k + 1:] = psi_free[k:]
+            n, c = self.graph.num_nodes, psi_free.shape[1]
+            free = psi_free.reshape(-1, n - 1, c)
+            psi = np.empty((free.shape[0], n, c))
+            psi[:, :k] = free[:, :k]
+            psi[:, k] = 0.0
+            psi[:, k, 0] = 1.0
+            psi[:, k + 1:] = free[:, k:]
+            psi = psi.reshape(-1, c)
         return Forward(psi, psi_free, s, u, r)
 
     def amplitudes(self, angles: np.ndarray) -> np.ndarray:
-        """(V, c) amplitude matrix for the given free-node angle rows."""
+        """(k*V, c) amplitude matrix for the given free-node angle rows."""
         return self.forward(angles).psi
 
     def coloring(self, fwd: Forward) -> np.ndarray:
+        """(k*V,) most probable color of every node, run after run."""
         return extract_coloring(fwd.psi)
 
     def value_and_grad(self, fwd: Forward, params: CostParams,
                        hvals: np.ndarray):
-        """Cost and its gradient w.r.t. the (n_free, c-1) angle matrix that
-        ``fwd`` maps."""
+        """Cost of each of the k runs that ``fwd`` maps, a list of k floats,
+        and the gradient w.r.t. their stacked (k*n_free, c-1) angle matrix.
+
+        ``hvals`` holds each run's couplings in its own (E,) slice."""
         ops = self.ops
         t, gamma = params.t, params.gamma
         psi, psi_free, s, u, r = fwd
+        runs = psi.shape[0] // self.graph.num_nodes
         p = psi ** 2
 
         # end cost: neighbor accumulation acc_i = sum_j J_ij p_j
-        couplings = np.add(hvals, 1.0, out=self._couplings)
+        couplings = np.add(hvals, 1.0, out=self._couplings[:hvals.size])
         acc = self._neighbor_sum(p, couplings)
-        e_f = 0.5 * float(np.einsum("ij,ij->", p, acc))
+        blocks = (runs, -1, p.shape[1])
+        e_f = np.einsum("rij,rij->r", p.reshape(blocks), acc.reshape(blocks))
 
         # one log serves both: floored for the value (as energy._plogp),
         # then clamped for the gradient (= log(max(p, LOG_CLAMP)))
         logp = np.log(np.maximum(p, PLOGP_FLOOR))
-        e_w = gamma * float((p * logp).sum())
+        e_w = (p * logp).reshape(runs, -1).sum(axis=1)
         np.maximum(logp, _LOG_OF_CLAMP, out=logp)
 
         off = ops.lx_offdiag
         cross = psi_free[:, :-1] * psi_free[:, 1:]
-        e_i = -2.0 * float((cross @ off).sum())
+        e_i = (cross @ off).reshape(runs, -1).sum(axis=1)
 
-        value = (1.0 - t) * e_i + t * (e_f + e_w)
+        # each run's terms combined in Python floats: the same operations
+        # as on numpy scalars, without a numpy call per term
+        values = [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
+                  for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i.tolist())]
 
         # dE/dpsi on free nodes
-        gpsi = (2.0 * t) * psi_free * (acc + gamma * (logp + 1.0))[self.free]
+        free = self._free_rows[:psi_free.shape[0]]
+        gpsi = (2.0 * t) * psi_free * (acc + gamma * (logp + 1.0))[free]
         lxpsi = np.zeros_like(psi_free)
         lxpsi[:, :-1] = off * psi_free[:, 1:]
         lxpsi[:, 1:] += off * psi_free[:, :-1]
@@ -153,7 +181,7 @@ class CostWorkspace:
         for a in range(cm1 - 2, -1, -1):
             back[:, a] = gpsi[:, a + 1] * u[:, a + 1] + s[:, a + 1] * back[:, a + 1]
         gphi = r[:, :cm1] * (u * back - gpsi[:, :cm1] * s)
-        return value, gphi
+        return values, gphi
 
 
 # Components of nodes whose smallest probability is below this are flagged

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,14 @@ def amplitudes_to_angles(psi: np.ndarray) -> np.ndarray:
     return phi[0] if single else phi
 
 
+@lru_cache(maxsize=None)
+def _ground_state_angles(c: int) -> np.ndarray:
+    """Angles of the -Lx ground state, computed once per c (read-only)."""
+    base = amplitudes_to_angles(lx_ground_state(c))
+    base.flags.writeable = False
+    return base
+
+
 def init_qdlqa_state(n_free: int, c: int, f: float,
                      rng: np.random.Generator) -> np.ndarray:
     """Annealing start: (n_free, c-1) angles near the -Lx ground state.
@@ -114,8 +123,7 @@ def init_qdlqa_state(n_free: int, c: int, f: float,
     """
     if f < 0:
         raise ValueError("perturbation f must be >= 0")
-    base = amplitudes_to_angles(lx_ground_state(c))
-    angles = np.tile(base, (n_free, 1))
+    angles = np.tile(_ground_state_angles(c), (n_free, 1))
     if f > 0:
         angles += rng.uniform(-f, f, size=angles.shape)
     return angles

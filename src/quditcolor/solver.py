@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
 
 from .energy import CostParams, draw_couplings, potts_energy
-from .gradient import CostWorkspace
+from .gradient import CostWorkspace, Forward
 from .graph import Graph, select_fixed_node
 from .optimizer import Adam
 from .qudits import build_ops, init_qdgd_state, init_qdlqa_state
@@ -155,12 +156,18 @@ class Trajectory:
     e_potts: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """Result of one run: the best conflict count seen and its coloring.
 
+    A batch keeps one record per run, so a record is kept small: slots, and
+    the coloring in the smallest signed integer type that holds the color
+    count (int8 up to 128 colors).
     A run whose cost goes non-finite stops there and is marked ``diverged``;
-    it keeps the best coloring read out up to that point.
+    it keeps the best coloring read out up to that point.  ``wall_time`` is
+    the run's attributed share of its group's time: each interval between
+    two runs leaving the group is split evenly among the runs active in
+    it, so the shares of a group add up to the group's wall time.
     """
 
     run_index: int
@@ -177,11 +184,12 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, run_index])
 
 
-def run_qdlqa(graph: Graph, hp: Hyperparameters, run_index: int, *,
-              record_trajectory: bool = False,
-              workspace: CostWorkspace | None = None) -> RunRecord:
+def run_qdlqa(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
+              *, record_trajectory: bool = False,
+              workspace: CostWorkspace | None = None) -> list[RunRecord]:
     """Annealing driver: sweep t from 0 toward 1, take alpha(t) optimizer
-    steps at each t, track the best conflict count, stop early at 0.
+    steps at each t, track each run's best conflict count, stop a run early
+    at 0.  Returns one record per run index, in the order given.
 
     By default t stops one increment short of 1 (loop guard t < 1);
     ``hp.include_t_end`` adds the final t = 1 stage.
@@ -190,93 +198,191 @@ def run_qdlqa(graph: Graph, hp: Hyperparameters, run_index: int, *,
     times = (n / hp.n_steps for n in range(n_outer))
     stages = ((CostParams(gamma=hp.gamma, h=hp.h, t=t), alpha_at(hp.alpha, t))
               for t in times)
-    return _run(graph, hp, run_index, init_qdlqa_state, hp.f, stages,
+    return _run(graph, hp, run_indices, init_qdlqa_state, hp.f, stages,
                 math.inf, record_trajectory, workspace)
 
 
-def run_qdgd(graph: Graph, hp: Hyperparameters, run_index: int, *,
-             record_trajectory: bool = False,
-             workspace: CostWorkspace | None = None) -> RunRecord:
+def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
+             *, record_trajectory: bool = False,
+             workspace: CostWorkspace | None = None) -> list[RunRecord]:
     """Direct driver: plain optimizer steps on the end cost (t = 1),
-    stopping at 0 conflicts or after ``patience`` steps without improving
-    the best conflict count."""
+    stopping a run at 0 conflicts or after ``patience`` steps without
+    improving its best conflict count.  Returns one record per run index,
+    in the order given."""
     stages = repeat((CostParams(gamma=hp.gamma, h=hp.h, t=1.0), 1), hp.n_steps)
-    return _run(graph, hp, run_index, init_qdgd_state, hp.f_tilde, stages,
+    return _run(graph, hp, run_indices, init_qdgd_state, hp.f_tilde, stages,
                 hp.patience, record_trajectory, workspace)
 
 
-def _run(graph: Graph, hp: Hyperparameters, run_index: int, init_state,
-         init_scale: float, stages, patience: float, record_trajectory: bool,
-         workspace: CostWorkspace | None) -> RunRecord:
-    """The optimizer loop shared by both drivers.
+def _keep_blocks(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The row blocks of ``a`` marked in ``keep``; ``a`` splits into
+    ``keep.size`` equal blocks, one per run of a group."""
+    return a.reshape(keep.size, -1, *a.shape[1:])[keep].reshape(-1, *a.shape[1:])
+
+
+class _Group:
+    """The runs a group still steps together, in group order.
+
+    Run j owns block j of every stacked array: its angle rows, Adam
+    moments, ``Forward`` rows and coupling slice.  A finished run is
+    recorded and compacted out of all of them.  The per-run bookkeeping is
+    kept in Python lists: a stage touches each entry once, which costs less
+    than a numpy call when a group holds few runs.
+    """
+
+    def __init__(self, run_indices, rngs, angles, num_colors, num_edges, eta,
+                 patience, record_trajectory, start):
+        k = len(run_indices)
+        self.size = k
+        self.run_indices = list(run_indices)
+        # each run's position in run_indices, and its generator
+        self.slots, self.rngs = list(range(k)), rngs
+        self.angles, self.flat = angles, angles.ravel()
+        self.adam = Adam(angles.size, eta)
+        self.fwd = None
+        # the couplings of the runs in the group, one (E,) slice per run
+        self.num_edges = num_edges
+        self._hvals = self.hvals = np.empty(k * num_edges)
+        self.slices = [self.hvals[j * num_edges:(j + 1) * num_edges]
+                       for j in range(k)]
+        self.best = [np.iinfo(np.int64).max] * k
+        self.best_colors: list[np.ndarray | None] = [None] * k
+        self.color_type = np.min_scalar_type(-num_colors)
+        self.improved_at = [0] * k  # stage of each run's last improvement
+        self.patience = patience
+        self.record_trajectory = record_trajectory
+        self.trajs = [[] for _ in range(k)]
+        self.records: list[RunRecord | None] = [None] * k
+        # wall time attributed to every run still in the group, and when
+        # that total was last brought up to date
+        self.share, self.mark = 0.0, start
+
+    def read_out(self, graph, workspace, n, t, values, runs=None) -> list[int]:
+        """Read out the colorings at stage n and track the best of each run
+        (of the runs at the positions ``runs`` only, if given); returns the
+        positions of the runs that are done, at 0 conflicts or out of
+        patience."""
+        colors = workspace.coloring(self.fwd).reshape(self.size, -1)
+        counts = potts_energy(graph, colors)
+        runs = range(self.size) if runs is None else runs
+        best, improved_at = self.best, self.improved_at
+        for j in runs:
+            if counts[j] < best[j]:
+                best[j], improved_at[j] = counts[j], n
+                self.best_colors[j] = colors[j].astype(self.color_type)
+        if self.record_trajectory:
+            for j in runs:
+                self.trajs[self.slots[j]].append((n, t, values[j], counts[j]))
+        return [j for j in runs
+                if best[j] == 0 or n - improved_at[j] >= self.patience]
+
+    def retire(self, done: list[int], diverged: bool = False) -> np.ndarray:
+        """Record the runs at the positions ``done`` and compact them out;
+        returns the mask of the runs kept."""
+        now = time.perf_counter()
+        self.share += (now - self.mark) / self.size
+        self.mark = now
+        for j in done:
+            slot = self.slots[j]
+            trajectory = None
+            if self.record_trajectory:
+                cols = list(zip(*self.trajs[slot]))
+                trajectory = Trajectory(step=np.array(cols[0], dtype=np.int64),
+                                        t=np.array(cols[1]),
+                                        e_total=np.array(cols[2]),
+                                        e_potts=np.array(cols[3], dtype=np.int64))
+            self.records[slot] = RunRecord(
+                run_index=self.run_indices[slot], best_energy=int(self.best[j]),
+                best_coloring=self.best_colors[j],
+                steps_executed=self.adam.step_count, wall_time=self.share,
+                trajectory=trajectory, diverged=diverged)
+        keep = np.ones(self.size, dtype=bool)
+        keep[done] = False
+        kept = np.flatnonzero(keep).tolist()
+        self.size = len(kept)
+        for name in ("slots", "rngs", "best", "best_colors", "improved_at"):
+            setattr(self, name, [getattr(self, name)[j] for j in kept])
+        self.angles = _keep_blocks(self.angles, keep)
+        self.flat = self.angles.ravel()
+        self.hvals = self._hvals[:self.size * self.num_edges]
+        adam = self.adam
+        adam.first_moment = _keep_blocks(adam.first_moment, keep)
+        adam.second_moment = _keep_blocks(adam.second_moment, keep)
+        self.fwd = Forward._make(_keep_blocks(a, keep) for a in self.fwd)
+        return keep
+
+
+def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
+         init_state, init_scale: float, stages, patience: float,
+         record_trajectory: bool,
+         workspace: CostWorkspace | None) -> list[RunRecord]:
+    """The optimizer loop shared by both drivers, over a group of runs
+    stepped in lockstep (a group of one is the same loop).
 
     Each stage is a ``(CostParams, inner_steps)`` pair: take that many Adam
-    steps on the stage's cost, then read out the coloring and track the best
-    conflict count.  Stops at 0 conflicts, after ``patience`` stages in a
-    row without improving the best, when the stages run out, or, marked as
-    diverged, at a non-finite cost (after reading out the angles reached).
-    The angles are mapped to amplitudes once per step: the forward map
-    taken after an Adam step serves both the stage's readout and the next
-    step's cost.  The trajectory's t column is n / n_steps for stage n.
+    steps on the stage's cost, then read out the colorings and track each
+    run's best conflict count.  A run stops at 0 conflicts, after
+    ``patience`` stages in a row without improving its best, when the
+    stages run out, or, marked as diverged, at a non-finite cost (read out
+    on the angles reached and removed before the others step).  Each run
+    draws its couplings from its own generator and keeps its own rows, so
+    its numbers do not depend on the group it is in.  The angles are mapped
+    to amplitudes once per step: the forward map taken after an Adam step
+    serves both the stage's readout and the next step's cost, and a
+    finished run is sliced out of it.  The trajectory's t column is
+    n / n_steps for stage n.
     """
     start = time.perf_counter()
-    rng = run_rng(hp.master_seed, run_index)
+    if not run_indices:
+        return []
     ops = build_ops(hp.num_colors)
     fixed = select_fixed_node(graph, hp.fix_strategy)
     n_free = graph.num_nodes - (fixed is not None)
-    angles = init_state(n_free, hp.num_colors, init_scale, rng)
-    if workspace is None or workspace.fixed_node != fixed:
-        workspace = CostWorkspace(graph, ops, fixed)
-    adam = Adam(angles.size, hp.eta)
-    flat = angles.ravel()
-
-    best, best_coloring = np.iinfo(np.int64).max, None
-    traj: list[tuple[int, float, float, int]] = []
-    stalled = 0
-    diverged = False
-    hvals = np.empty(graph.num_edges)
+    k = len(run_indices)
+    if workspace is None or workspace.fixed_node != fixed or workspace.copies < k:
+        workspace = CostWorkspace(graph, ops, fixed, copies=k)
+    rngs = [run_rng(hp.master_seed, i) for i in run_indices]
+    angles = np.concatenate([init_state(n_free, hp.num_colors, init_scale, rng)
+                             for rng in rngs])
+    group = _Group(run_indices, rngs, angles, hp.num_colors, graph.num_edges,
+                   hp.eta, patience, record_trajectory, start)
     # a diverging run overflows in Adam and maps NaN angles before its cost
     # goes non-finite; it is reported by the diverged flag, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        fwd = workspace.forward(angles)
+        group.fwd = workspace.forward(group.angles)
         for n, (params, inner) in enumerate(stages):
+            t = n / hp.n_steps
             for _ in range(inner):
-                draw_couplings(graph, hp.h, rng, out=hvals)
-                value, gphi = workspace.value_and_grad(fwd, params, hvals)
-                if not math.isfinite(value):
-                    diverged = True
-                    break
-                adam.step(flat, gphi.ravel())
-                fwd = workspace.forward(angles)
-            colors = workspace.coloring(fwd)
-            e_potts = potts_energy(graph, colors)
-            if e_potts < best:
-                best, best_coloring, stalled = e_potts, colors.copy(), 0
-            else:
-                stalled += 1
-            if record_trajectory:
-                traj.append((n, n / hp.n_steps, value, e_potts))
-            if diverged or best == 0 or stalled >= patience:
+                for rng, out in zip(group.rngs, group.slices):
+                    draw_couplings(graph, hp.h, rng, out=out)
+                values, gphi = workspace.value_and_grad(group.fwd, params,
+                                                        group.hvals)
+                diverged = [j for j, v in enumerate(values) if not math.isfinite(v)]
+                if diverged:
+                    group.read_out(graph, workspace, n, t, values, diverged)
+                    keep = group.retire(diverged, diverged=True)
+                    if not group.size:
+                        break
+                    values = [v for v, kept in zip(values, keep) if kept]
+                    gphi = _keep_blocks(gphi, keep)
+                group.adam.step(group.flat, gphi.ravel())
+                group.fwd = workspace.forward(group.angles)
+            if not group.size:
                 break
-
-    trajectory = None
-    if record_trajectory:
-        cols = list(zip(*traj))
-        trajectory = Trajectory(step=np.array(cols[0], dtype=np.int64),
-                                t=np.array(cols[1]),
-                                e_total=np.array(cols[2]),
-                                e_potts=np.array(cols[3], dtype=np.int64))
-    return RunRecord(run_index=run_index, best_energy=int(best),
-                     best_coloring=best_coloring,
-                     steps_executed=adam.step_count,
-                     wall_time=time.perf_counter() - start,
-                     trajectory=trajectory, diverged=diverged)
+            done = group.read_out(graph, workspace, n, t, values)
+            if done:
+                group.retire(done)
+                if not group.size:
+                    break
+        if group.size:
+            group.retire(list(range(group.size)))
+    return group.records
 
 
-def run_one(graph: Graph, hp: Hyperparameters, run_index: int, *,
+def run_one(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int], *,
             record_trajectory: bool = False,
-            workspace: CostWorkspace | None = None) -> RunRecord:
-    """Dispatch a single run by method."""
+            workspace: CostWorkspace | None = None) -> list[RunRecord]:
+    """Dispatch a group of runs by method."""
     runner = run_qdlqa if hp.method == "qdlqa" else run_qdgd
-    return runner(graph, hp, run_index, record_trajectory=record_trajectory,
+    return runner(graph, hp, run_indices, record_trajectory=record_trajectory,
                   workspace=workspace)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditcolor import solver
 from quditcolor.cli import (ConfigError, config_to_hp, load_config, main,
                             parse_fix, read_config_file)
 from quditcolor.harness import hp_to_dict
@@ -379,3 +381,20 @@ def test_diverged_runs_are_reported(queen55_col, tmp_path, capsys, command):
     if command == "solve":
         assert [run["diverged"] for run in json.loads(out.read_text())["per_run"]] \
             == [True, True]
+
+
+def _die(*args, **kwargs):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_dead_worker_is_one_error_line(queen55_col, capsys, monkeypatch, command):
+    # pool workers fork from this process and inherit the patch
+    monkeypatch.setattr(solver, "run_qdgd", _die)
+    code = main([command, "--graph", str(queen55_col), "--colors", "5",
+                 "--method", "qdgd", "--runs", "4", "--workers", "2", "--quiet"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: worker process failed: ")
+    assert captured.err.count("\n") == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditcolor.energy import (CostParams, energy_final, energy_initial,
                                energy_total, energy_weight, extract_coloring,
@@ -71,9 +73,29 @@ def test_potts_energy_color_permutation_invariance():
         assert potts_energy(g, coloring) == potts_energy(g, perm[coloring])
 
 
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), rows=st.integers(1, 6), c=st.integers(2, 6),
+       which=st.sampled_from(["triangle", "queen4-4", "queen11-11", "random"]))
+def test_potts_energy_of_a_stack_is_one_count_per_row(data, rows, c, which):
+    g = {"triangle": triangle, "queen4-4": lambda: queen_graph(4, 4),
+         "queen11-11": lambda: queen_graph(11, 11),
+         "random": lambda: random_graph(12, 0.3, np.random.default_rng(2))}[which]()
+    stack = np.array(data.draw(st.lists(st.integers(0, c - 1),
+                                        min_size=rows * g.num_nodes,
+                                        max_size=rows * g.num_nodes)))
+    stack = stack.reshape(rows, g.num_nodes)
+    counts = potts_energy(g, stack)
+    assert all(type(count) is int for count in counts)
+    assert counts == [potts_energy(g, row) for row in stack]
+
+
 def test_potts_energy_length_check(k3):
     with pytest.raises(ValueError):
         potts_energy(k3, np.array([0, 1]))
+    with pytest.raises(ValueError):
+        potts_energy(k3, np.zeros((2, 2), dtype=int))
+    with pytest.raises(ValueError):
+        potts_energy(k3, np.zeros((1, 1, 3), dtype=int))
 
 
 def test_energy_initial_ground_states():

@@ -11,7 +11,7 @@ from quditcolor.gradient import (CLAMP_FLAG_THRESHOLD, CostWorkspace,
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.qudits import amplitudes_to_angles, build_ops, init_qdlqa_state
 
-from instances import path, queen_graph, random_graph, star, triangle
+from instances import myciel_graph, path, queen_graph, random_graph, star, triangle
 
 
 def random_angles(graph, c, rng, fixed_node=None):
@@ -57,7 +57,7 @@ def test_gradient_zero_without_edges_or_regularizer():
     angles = random_angles(g, 4, np.random.default_rng(1))
     params = CostParams(gamma=0.0, h=2.0, t=1.0)
     hvals = draw_couplings(g, params.h, np.random.default_rng(0))
-    value, grad = ws.value_and_grad(ws.forward(angles), params, hvals)
+    (value,), grad = ws.value_and_grad(ws.forward(angles), params, hvals)
     assert value == 0.0
     assert np.abs(grad).max() == 0.0
 
@@ -69,7 +69,7 @@ def test_gradient_matches_finite_differences_on_queen55():
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
     params = CostParams(gamma=1.0, h=3.0, t=0.37)
     hvals = draw_couplings(g, params.h, rng)
-    value, grad = ws.value_and_grad(ws.forward(angles), params, hvals)
+    (value,), grad = ws.value_and_grad(ws.forward(angles), params, hvals)
     grad = grad.ravel()
     assert value == pytest.approx(
         energy_total(ws.amplitudes(angles), g, ws.ops, params, hvals=hvals),
@@ -163,11 +163,46 @@ def test_workspace_reuse_matches_fresh():
         angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
         params = CostParams(gamma=0.8, h=2.0, t=0.7)
         hvals = draw_couplings(g, params.h, rng)
-        v1, g1 = ws.value_and_grad(ws.forward(angles), params, hvals)
+        (v1,), g1 = ws.value_and_grad(ws.forward(angles), params, hvals)
         fresh = pinned_workspace(g, 5)
-        v2, g2 = fresh.value_and_grad(fresh.forward(angles), params, hvals)
+        (v2,), g2 = fresh.value_and_grad(fresh.forward(angles), params, hvals)
         assert v1 == v2
         np.testing.assert_array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("name, c", [("queen5-5", 5), ("myciel5", 6),
+                                     ("queen11-11", 11)])
+@pytest.mark.parametrize("runs", [1, 3, 10])
+@pytest.mark.parametrize("pinned", [True, False])
+def test_stacked_runs_match_single_runs_bit_for_bit(name, c, runs, pinned):
+    # a run's block of a group workspace gives the bits of a one-run one
+    g = {"queen5-5": lambda: queen_graph(5, 5), "myciel5": lambda: myciel_graph(5),
+         "queen11-11": lambda: queen_graph(11, 11)}[name]()
+    fixed = select_fixed_node(g, "max_degree") if pinned else None
+    single = CostWorkspace(g, build_ops(c), fixed)
+    group = CostWorkspace(g, build_ops(c), fixed, copies=10)
+    rng = np.random.default_rng(runs)
+    for _ in range(3):
+        angles = [random_angles(g, c, rng, fixed) for _ in range(runs)]
+        hvals = [draw_couplings(g, 3.0, rng) for _ in range(runs)]
+        params = CostParams(gamma=1.3, h=3.0, t=float(rng.uniform()))
+        fwd = group.forward(np.concatenate(angles))
+        values, grad = group.value_and_grad(fwd, params, np.concatenate(hvals))
+        colors = group.coloring(fwd).reshape(runs, -1)
+        rows = len(angles[0])
+        for r in range(runs):
+            one = single.forward(angles[r])
+            (value,), one_grad = single.value_and_grad(one, params, hvals[r])
+            assert values[r] == value
+            assert np.array_equal(grad[r * rows:(r + 1) * rows], one_grad)
+            assert np.array_equal(colors[r], single.coloring(one))
+    # more runs than copies would index past the triangle
+    with pytest.raises(ValueError):
+        group.value_and_grad(group.forward(np.concatenate([angles[0]] * 11)),
+                             params, np.concatenate([hvals[0]] * 11))
+    with pytest.raises(ValueError, match="1 to 10 runs"):
+        group.value_and_grad(group.forward(np.concatenate([angles[0]] * 11)),
+                             params, np.concatenate([hvals[0]] * 10))
 
 
 def test_clamp_threshold_is_documented_scale():
@@ -198,7 +233,7 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     np.testing.assert_array_equal(fwd.psi[ws.free], fwd.psi_free)
     if pinned:
         np.testing.assert_array_equal(fwd.psi[fixed], np.eye(c)[0])
-    value, grad = ws.value_and_grad(fwd, params, hvals)
+    (value,), grad = ws.value_and_grad(fwd, params, hvals)
     oracle = energy_total(fwd.psi, g, ws.ops, params, hvals=hvals)
     assert value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
     np.testing.assert_array_equal(ws.coloring(fwd),
@@ -206,7 +241,7 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
 
     # a later forward map leaves the one already held untouched
     ws.forward(angles + 1.0)
-    again, grad_again = ws.value_and_grad(fwd, params, hvals)
+    (again,), grad_again = ws.value_and_grad(fwd, params, hvals)
     assert again == value
     np.testing.assert_array_equal(grad_again, grad)
 

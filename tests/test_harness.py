@@ -1,13 +1,16 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
+from quditcolor import solver
 from quditcolor.cli import main
 from quditcolor.graph import to_dimacs
-from quditcolor.harness import (run_batch, stats_to_dict, sweep_colors,
-                                trajectory_stats, write_trajectory_csv)
+from quditcolor.harness import (WorkerError, group_size, run_batch,
+                                stats_to_dict, sweep_colors, trajectory_stats,
+                                write_trajectory_csv)
 from quditcolor.solver import Hyperparameters, RunRecord, Trajectory
 
 from instances import path, queen_graph, triangle
@@ -80,6 +83,36 @@ def test_worker_count_does_not_change_results(queen55):
         assert ra.run_index == rb.run_index
         assert ra.best_energy == rb.best_energy
         np.testing.assert_array_equal(ra.best_coloring, rb.best_coloring)
+
+
+def test_dead_worker_raises_worker_error(queen55, monkeypatch):
+    monkeypatch.setattr(solver, "run_qdlqa", lambda *args, **kwargs: os._exit(3))
+    with pytest.raises(WorkerError, match="^worker process failed: "):
+        run_batch(queen55, hp(n_runs=4), workers=2)
+
+
+def test_group_size_rule():
+    # about 10^4 angles per group: small graphs step many runs together,
+    # large ones one at a time
+    assert group_size(24, 5) == 104      # queen5-5, c = 5
+    assert group_size(120, 11) == 8      # queen11-11, c = 11
+    assert group_size(999, 8) == 1       # G(1000, 0.032), c = 8
+    assert group_size(10**6, 2) == 1
+
+
+def test_runs_are_split_into_near_equal_groups(queen55, monkeypatch):
+    groups = []
+    original = solver.run_qdgd
+
+    def recording(graph, hp, run_indices, **kwargs):
+        groups.append(list(run_indices))
+        return original(graph, hp, run_indices, **kwargs)
+
+    monkeypatch.setattr(solver, "run_qdgd", recording)
+    monkeypatch.setattr("quditcolor.harness.GROUP_ANGLES", 3 * 24 * 4)
+    stats = run_batch(queen55, hp("qdgd", num_colors=5, n_runs=10, n_steps=20))
+    assert groups == [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]
+    assert [r.run_index for r in stats.records] == list(range(10))
 
 
 def test_sweep_reports_upper_bound(k3):

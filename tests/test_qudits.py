@@ -142,6 +142,20 @@ def test_init_qdlqa_noise_bound():
     assert np.any(noisy != base)
 
 
+@pytest.mark.parametrize("c", [2, 3, 5, 8, 11])
+@pytest.mark.parametrize("f", [0.0, 0.1])
+def test_init_qdlqa_equals_uncached_formula(c, f):
+    # the ground-state angles are computed once per c; every call must give
+    # the bits of the formula, and must not be able to change the cache
+    for seed in range(3):
+        angles = init_qdlqa_state(7, c, f, np.random.default_rng(seed))
+        expected = np.tile(amplitudes_to_angles(lx_ground_state(c)), (7, 1))
+        if f > 0:
+            expected += np.random.default_rng(seed).uniform(-f, f, size=(7, c - 1))
+        assert angles.tobytes() == expected.tobytes()
+        angles += 1.0
+
+
 def test_init_qdlqa_no_fixed_node():
     # with no pinned node every node owns a row
     assert init_qdlqa_state(3, 3, 0.0, np.random.default_rng(0)).shape == (3, 2)

@@ -1,11 +1,16 @@
 import math
+import time
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditcolor import gradient
 from quditcolor.energy import extract_coloring, potts_energy
+from quditcolor.harness import run_batch
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
                                Hyperparameters, alpha_at, parse_alpha, run_one,
@@ -97,14 +102,14 @@ def test_non_finite_settings_are_rejected(name, value):
 
 def test_qdlqa_solves_single_edge():
     g = Graph.from_edges(2, [(0, 1)])
-    rec = run_qdlqa(g, qdlqa_hp(num_colors=2), 0)
+    rec = run_qdlqa(g, qdlqa_hp(num_colors=2), [0])[0]
     assert rec.best_energy == 0
     assert potts_energy(g, rec.best_coloring) == 0
     assert rec.steps_executed < 100  # early break well before the budget
 
 
 def test_qdgd_solves_triangle(k3):
-    rec = run_qdgd(k3, qdgd_hp(num_colors=3), 0)
+    rec = run_qdgd(k3, qdgd_hp(num_colors=3), [0])[0]
     assert rec.best_energy == 0
     assert potts_energy(k3, rec.best_coloring) == 0
 
@@ -127,7 +132,7 @@ def test_qdlqa_even_colors_initial_coloring():
 
 def test_best_energy_matches_trajectory_minimum(queen55):
     hp = qdlqa_hp(num_colors=4, n_steps=120)  # under-colored: stays positive
-    rec = run_qdlqa(queen55, hp, 3, record_trajectory=True)
+    rec = run_qdlqa(queen55, hp, [3], record_trajectory=True)[0]
     assert rec.best_energy == rec.trajectory.e_potts.min()
     assert potts_energy(queen55, rec.best_coloring) == rec.best_energy
     running_best = np.minimum.accumulate(rec.trajectory.e_potts)
@@ -136,7 +141,7 @@ def test_best_energy_matches_trajectory_minimum(queen55):
 
 def test_trajectory_grid_and_t_values(queen55):
     hp = qdlqa_hp(num_colors=4, n_steps=50)
-    rec = run_qdlqa(queen55, hp, 0, record_trajectory=True)
+    rec = run_qdlqa(queen55, hp, [0], record_trajectory=True)[0]
     assert rec.trajectory.step.tolist() == list(range(50))
     assert rec.trajectory.t[0] == 0.0
     assert rec.trajectory.t[-1] == pytest.approx(49 / 50)  # t < 1 loop guard
@@ -144,26 +149,26 @@ def test_trajectory_grid_and_t_values(queen55):
 
 def test_include_t_end_adds_final_stage(queen55):
     hp = qdlqa_hp(num_colors=4, n_steps=50, include_t_end=True)
-    rec = run_qdlqa(queen55, hp, 0, record_trajectory=True)
+    rec = run_qdlqa(queen55, hp, [0], record_trajectory=True)[0]
     assert len(rec.trajectory.t) == 51
     assert rec.trajectory.t[-1] == 1.0
 
 
 def test_run_determinism(queen55):
     hp = qdlqa_hp(num_colors=5, n_steps=150, master_seed=7)
-    a = run_qdlqa(queen55, hp, 2, record_trajectory=True)
-    b = run_qdlqa(queen55, hp, 2, record_trajectory=True)
+    a = run_qdlqa(queen55, hp, [2], record_trajectory=True)[0]
+    b = run_qdlqa(queen55, hp, [2], record_trajectory=True)[0]
     assert a.best_energy == b.best_energy
     np.testing.assert_array_equal(a.best_coloring, b.best_coloring)
     np.testing.assert_array_equal(a.trajectory.e_total, b.trajectory.e_total)
-    c = run_qdlqa(queen55, hp, 3, record_trajectory=True)
+    c = run_qdlqa(queen55, hp, [3], record_trajectory=True)[0]
     assert not np.array_equal(c.trajectory.e_total, a.trajectory.e_total)
 
 
 def test_qdgd_patience_stops_stalled_run(k3):
     # 2 colors on a triangle can never go below 1 conflict
     hp = qdgd_hp(num_colors=2, n_steps=1000, patience=25)
-    rec = run_qdgd(k3, hp, 0, record_trajectory=True)
+    rec = run_qdgd(k3, hp, [0], record_trajectory=True)[0]
     assert rec.best_energy == 1
     assert rec.steps_executed < 1000
     tail = rec.trajectory.e_potts[-25:]
@@ -172,20 +177,20 @@ def test_qdgd_patience_stops_stalled_run(k3):
 
 def test_qdgd_respects_step_budget(k3):
     hp = qdgd_hp(num_colors=2, n_steps=30, patience=1000)
-    rec = run_qdgd(k3, hp, 0)
+    rec = run_qdgd(k3, hp, [0])[0]
     assert rec.steps_executed == 30
 
 
 def test_alpha_schedule_multiplies_inner_steps(queen55):
     hp = qdlqa_hp(num_colors=4, n_steps=40, alpha=ConstantAlpha(3))
-    rec = run_qdlqa(queen55, hp, 0)
+    rec = run_qdlqa(queen55, hp, [0])[0]
     assert rec.steps_executed == 40 * 3
 
 
 def test_exponential_alpha_step_total(queen55):
     n = 40
     hp = qdlqa_hp(num_colors=4, n_steps=n, alpha=ExponentialAlpha(2.0, 7))
-    rec = run_qdlqa(queen55, hp, 0)
+    rec = run_qdlqa(queen55, hp, [0])[0]
     expected = sum(alpha_at(hp.alpha, i / n) for i in range(n))
     assert rec.steps_executed == expected
 
@@ -196,12 +201,12 @@ def test_diverging_run_stops_and_is_marked(queen55):
     hp = qdgd_hp(num_colors=4, n_steps=50, eta=1e308)
     with np.errstate(all="warn"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        rec = run_qdgd(queen55, hp, 0, record_trajectory=True)
+        rec = run_qdgd(queen55, hp, [0], record_trajectory=True)[0]
     assert rec.diverged
     assert rec.steps_executed < 5
     assert not np.isfinite(rec.trajectory.e_total[-1])
     assert potts_energy(queen55, rec.best_coloring) == rec.best_energy
-    assert not run_qdgd(queen55, qdgd_hp(num_colors=4, n_steps=50), 0).diverged
+    assert not run_qdgd(queen55, qdgd_hp(num_colors=4, n_steps=50), [0])[0].diverged
 
 
 @pytest.mark.parametrize("method, settings", [
@@ -221,25 +226,99 @@ def test_one_forward_map_per_step(queen55, monkeypatch, method, settings):
 
     monkeypatch.setattr(gradient, "_forward", counting_forward)
     hp = Hyperparameters(method=method, n_runs=1, **settings)
-    for run_index in range(2):
+    # a group of one, then groups that map once per step of their longest
+    # run: finished runs are sliced out of the last map, not mapped again
+    for group in ([0], [1], [0, 1, 2], [3, 4, 5, 6, 7]):
         calls.clear()
         with np.errstate(over="ignore", invalid="ignore"):
-            rec = run_one(queen55, hp, run_index)
-        assert len(calls) == rec.steps_executed + 1
+            recs = run_one(queen55, hp, group)
+        assert len(calls) == max(r.steps_executed for r in recs) + 1
     if method == "qdgd":
-        assert rec.steps_executed < hp.n_steps  # stopped early
+        assert recs[0].steps_executed < hp.n_steps  # stopped early
+
+
+# Settings under which a group's runs end in every way a run can end: at 0
+# conflicts, on patience, when the stages run out, and diverged, alone or
+# with others, at a stage end or in the middle of one.
+GROUP_CASES = {
+    "qdlqa-exp-alpha-t-end": dict(method="qdlqa", num_colors=4, n_steps=30, f=0.2,
+                                  alpha=ExponentialAlpha(2.0, 3),
+                                  include_t_end=True),
+    "qdlqa-unpinned": dict(method="qdlqa", num_colors=5, n_steps=60, f=0.1,
+                           fix_strategy=None),
+    "qdlqa-some-diverge-mid-stage": dict(method="qdlqa", num_colors=5, n_steps=14,
+                                         alpha=ConstantAlpha(3), eta=1e307),
+    "qdgd-patience": dict(method="qdgd", num_colors=5, n_steps=80, patience=15),
+    "qdgd-some-diverge": dict(method="qdgd", num_colors=5, n_steps=40,
+                              eta=1e307, patience=40),
+    "qdgd-eta-1e308": dict(method="qdgd", num_colors=4, n_steps=50, eta=1e308),
+}
+GROUP_RUNS = 6
+
+
+def run_result(rec):
+    """Everything a run reports, floats as exact hex."""
+    return (rec.run_index, rec.best_energy, rec.steps_executed, rec.diverged,
+            rec.best_coloring.tolist(),
+            [x.hex() for x in rec.trajectory.e_total.tolist()],
+            rec.trajectory.e_potts.tolist())
+
+
+@lru_cache(maxsize=None)
+def single_run_results(case):
+    hp = Hyperparameters(**GROUP_CASES[case], n_runs=GROUP_RUNS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [run_result(run_one(queen_graph(5, 5), hp, [i],
+                                   record_trajectory=True)[0])
+                for i in range(GROUP_RUNS)]
+
+
+@settings(deadline=None, max_examples=20)
+@given(case=st.sampled_from(sorted(GROUP_CASES)),
+       order=st.permutations(range(GROUP_RUNS)),
+       cuts=st.sets(st.integers(1, GROUP_RUNS - 1)))
+def test_grouping_does_not_change_any_run(case, order, cuts):
+    hp = Hyperparameters(**GROUP_CASES[case], n_runs=GROUP_RUNS)
+    bounds = [0, *sorted(cuts), GROUP_RUNS]
+    got = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        group = order[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            recs = run_one(queen_graph(5, 5), hp, group, record_trajectory=True)
+        assert [r.run_index for r in recs] == group
+        got.update((r.run_index, run_result(r)) for r in recs)
+    assert [got[i] for i in range(GROUP_RUNS)] == single_run_results(case)
+
+
+@pytest.mark.parametrize("case", sorted(GROUP_CASES))
+def test_batch_runs_match_single_runs_for_any_worker_count(queen55, case):
+    hp = Hyperparameters(**GROUP_CASES[case], n_runs=GROUP_RUNS)
+    for workers in (1, 2):
+        stats = run_batch(queen55, hp, workers=workers, record_trajectories=True)
+        assert [run_result(r) for r in stats.records] == single_run_results(case)
+
+
+def test_group_wall_time_shares_add_up(queen55):
+    # runs that stop early hold a smaller share than those that run on
+    hp = Hyperparameters(**GROUP_CASES["qdgd-patience"], n_runs=GROUP_RUNS)
+    start = time.perf_counter()
+    recs = run_qdgd(queen55, hp, range(GROUP_RUNS))
+    elapsed = time.perf_counter() - start
+    assert 0 < sum(r.wall_time for r in recs) <= elapsed
+    by_steps = sorted(recs, key=lambda r: r.steps_executed)
+    assert by_steps[0].wall_time < by_steps[-1].wall_time
 
 
 def test_fix_strategy_none_parameterizes_all_nodes(k3):
     hp = qdlqa_hp(num_colors=3, n_steps=60, fix_strategy=None)
-    rec = run_qdlqa(k3, hp, 0)
+    rec = run_qdlqa(k3, hp, [0])[0]
     assert rec.best_energy == 0
 
 
 def test_fix_strategy_degree_one():
     g = path(4)
     hp = qdgd_hp(num_colors=2, n_steps=300, fix_strategy="degree_one")
-    rec = run_qdgd(g, hp, 1)
+    rec = run_qdgd(g, hp, [1])[0]
     assert rec.best_energy == 0
     assert rec.best_coloring[0] == 0  # node 0 has degree 1 and is pinned
 
@@ -247,7 +326,7 @@ def test_fix_strategy_degree_one():
 @pytest.mark.slow
 def test_qdgd_solves_queen55_in_majority_of_runs(queen55):
     hp = Hyperparameters(method="qdgd", num_colors=5, n_runs=30, master_seed=1)
-    recs = [run_qdgd(queen55, hp, i) for i in range(hp.n_runs)]
+    recs = run_qdgd(queen55, hp, range(hp.n_runs))
     zeros = sum(r.best_energy == 0 for r in recs)
     assert zeros > hp.n_runs / 2
 
@@ -257,8 +336,8 @@ def test_qdlqa_average_conflicts_decrease_over_time(queen1111):
     # statistical trend: late-time conflicts sit below early-time conflicts
     hp = Hyperparameters(method="qdlqa", num_colors=11, f=0.1, n_runs=30,
                          master_seed=19)
-    trajs = [run_qdlqa(queen1111, hp, i, record_trajectory=True).trajectory
-             for i in range(hp.n_runs)]
+    trajs = [r.trajectory for r in run_qdlqa(queen1111, hp, range(hp.n_runs),
+                                             record_trajectory=True)]
     e = np.stack([tr.e_potts for tr in trajs]).astype(float)
     t_grid = trajs[0].t
     early = e[:, np.argmin(np.abs(t_grid - 0.2))].mean()
