@@ -53,12 +53,10 @@ def extract_coloring(psi: np.ndarray) -> np.ndarray:
     return np.argmax(np.abs(psi), axis=1)
 
 
-# A stack of colorings is counted with one node-major gather when it is
-# tall and its graph small; otherwise one coloring at a time, whose per-call
-# overhead is then the smaller cost (measured on queen5-5 to queen11-11 and
-# a 16k-edge graph).
-_GATHER_MIN_ROWS = 4
-_GATHER_MAX_EDGES = 1000
+# A stack of at least this many colorings is counted with one node-major
+# gather, a shorter one a coloring at a time: the two break even at about
+# 10 rows on queen5-5 to queen11-11 (160 to 1,980 edges).
+_GATHER_MIN_ROWS = 10
 
 
 def potts_energy(graph: Graph, coloring: np.ndarray) -> int | list[int]:
@@ -72,7 +70,7 @@ def potts_energy(graph: Graph, coloring: np.ndarray) -> int | list[int]:
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     if coloring.ndim == 1:
         return int(np.count_nonzero(coloring[u] == coloring[v]))
-    if len(coloring) < _GATHER_MIN_ROWS or graph.num_edges > _GATHER_MAX_EDGES:
+    if len(coloring) < _GATHER_MIN_ROWS:
         return [int(np.count_nonzero(row[u] == row[v])) for row in coloring]
     # node-major: one gather per endpoint serves every coloring
     by_node = np.ascontiguousarray(coloring.T)

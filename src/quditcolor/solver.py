@@ -10,6 +10,7 @@ held at t = 1 with one step per stage and a patience stop.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -333,6 +334,8 @@ def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     n / n_steps for stage n.
     """
     start = time.perf_counter()
+    # any sequence of integers: a list, a range, an integer array
+    run_indices = [operator.index(i) for i in run_indices]
     if not run_indices:
         return []
     ops = build_ops(hp.num_colors)

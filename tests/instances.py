@@ -8,6 +8,8 @@ diagonal.  The myciel family applies the triangle-free chromatic-number
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from quditcolor.gradient import CostWorkspace
@@ -104,3 +106,17 @@ def qdlqa_start(graph: Graph, c: int, f: float, rng: np.random.Generator):
     fixed = select_fixed_node(graph, "max_degree")
     angles = init_qdlqa_state(graph.num_nodes - 1, c, f, rng)
     return CostWorkspace(graph, build_ops(c), fixed).amplitudes(angles)
+
+
+class _DiesWhenUnpickled(Graph):
+    """A graph whose unpickled copy is a call to ``os._exit(3)``."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+def dies_in_worker(graph: Graph) -> Graph:
+    """``graph``, unchanged in this process, that ends any process which
+    unpickles it: a pool worker dies on receiving it under every start
+    method, since each worker unpickles its own arguments."""
+    return _DiesWhenUnpickled(graph.num_nodes, graph.edges, graph.degrees)

@@ -1,6 +1,5 @@
 import argparse
 import json
-import os
 import warnings
 
 import numpy as np
@@ -8,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcolor import solver
+from quditcolor import cli
 from quditcolor.cli import (ConfigError, config_to_hp, load_config, main,
                             parse_fix, read_config_file)
 from quditcolor.harness import hp_to_dict
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
                                Hyperparameters, parse_alpha)
 
-from instances import myciel_col_text, queen_col_text
+from instances import dies_in_worker, myciel_col_text, queen_col_text
 
 
 @pytest.fixture(scope="module")
@@ -383,14 +382,15 @@ def test_diverged_runs_are_reported(queen55_col, tmp_path, capsys, command):
             == [True, True]
 
 
-def _die(*args, **kwargs):
-    os._exit(3)
-
-
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_dead_worker_is_one_error_line(queen55_col, capsys, monkeypatch, command):
-    # pool workers fork from this process and inherit the patch
-    monkeypatch.setattr(solver, "run_qdgd", _die)
+    read = cli.load_graph
+
+    def load_graph(*args):
+        graph, ids = read(*args)
+        return dies_in_worker(graph), ids
+
+    monkeypatch.setattr(cli, "load_graph", load_graph)
     code = main([command, "--graph", str(queen55_col), "--colors", "5",
                  "--method", "qdgd", "--runs", "4", "--workers", "2", "--quiet"])
     assert code == 3

@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from quditcolor.harness import (WorkerError, group_size, run_batch,
                                 write_trajectory_csv)
 from quditcolor.solver import Hyperparameters, RunRecord, Trajectory
 
-from instances import path, queen_graph, triangle
+from instances import dies_in_worker, path, queen_graph, triangle
 
 
 def hp(method="qdlqa", **kw):
@@ -85,10 +84,9 @@ def test_worker_count_does_not_change_results(queen55):
         np.testing.assert_array_equal(ra.best_coloring, rb.best_coloring)
 
 
-def test_dead_worker_raises_worker_error(queen55, monkeypatch):
-    monkeypatch.setattr(solver, "run_qdlqa", lambda *args, **kwargs: os._exit(3))
+def test_dead_worker_raises_worker_error(queen55):
     with pytest.raises(WorkerError, match="^worker process failed: "):
-        run_batch(queen55, hp(n_runs=4), workers=2)
+        run_batch(dies_in_worker(queen55), hp(n_runs=4), workers=2)
 
 
 def test_group_size_rule():

@@ -165,6 +165,23 @@ def test_run_determinism(queen55):
     assert not np.array_equal(c.trajectory.e_total, a.trajectory.e_total)
 
 
+def test_run_indices_may_be_any_integer_sequence(queen55):
+    hp = qdgd_hp(num_colors=4, n_steps=30)
+    expected = [run_result(r)
+                for r in run_qdgd(queen55, hp, [1, 2, 3], record_trajectory=True)]
+    for indices in (np.arange(1, 4), range(1, 4), (1, 2, 3)):
+        recs = run_qdgd(queen55, hp, indices, record_trajectory=True)
+        assert [run_result(r) for r in recs] == expected
+        assert all(type(r.run_index) is int for r in recs)
+    assert run_qdgd(queen55, hp, np.arange(0)) == []
+
+
+@pytest.mark.parametrize("index", [0, 3, np.int64(3)])
+def test_a_single_run_index_is_rejected(queen55, index):
+    with pytest.raises(TypeError):
+        run_qdgd(queen55, qdgd_hp(num_colors=4, n_steps=30), index)
+
+
 def test_qdgd_patience_stops_stalled_run(k3):
     # 2 colors on a triangle can never go below 1 conflict
     hp = qdgd_hp(num_colors=2, n_steps=1000, patience=25)
