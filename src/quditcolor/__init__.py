@@ -15,8 +15,7 @@ from .harness import (BatchStats, SweepResult, WorkerError, run_batch,
                       sweep_colors, trajectory_stats)
 from .optimizer import Adam
 from .qudits import (AngularMomentumOps, amplitudes_to_angles, build_ops,
-                     init_qdgd_state, init_qdlqa_state, lx_ground_state,
-                     spherical_to_amplitudes)
+                     init_qdgd_state, init_qdlqa_state, lx_ground_state)
 from .solver import (ConstantAlpha, ExponentialAlpha, Hyperparameters,
                      RunRecord, alpha_at, run_qdgd, run_qdlqa)
 
@@ -30,6 +29,6 @@ __all__ = [
     "energy_initial", "energy_total", "energy_weight", "extract_coloring",
     "init_qdgd_state", "init_qdlqa_state", "load_graph", "lx_ground_state",
     "parse_dimacs", "parse_edge_list", "potts_energy", "run_batch", "run_qdgd",
-    "run_qdlqa", "select_fixed_node", "spherical_to_amplitudes",
-    "sweep_colors", "to_dimacs", "trajectory_stats", "WorkerError",
+    "run_qdlqa", "select_fixed_node", "sweep_colors", "to_dimacs",
+    "trajectory_stats", "WorkerError",
 ]

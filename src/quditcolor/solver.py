@@ -186,8 +186,7 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
 
 
 def run_qdlqa(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
-              *, record_trajectory: bool = False,
-              workspace: CostWorkspace | None = None) -> list[RunRecord]:
+              *, record_trajectory: bool = False) -> list[RunRecord]:
     """Annealing driver: sweep t from 0 toward 1, take alpha(t) optimizer
     steps at each t, track each run's best conflict count, stop a run early
     at 0.  Returns one record per run index, in the order given.
@@ -196,23 +195,26 @@ def run_qdlqa(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     ``hp.include_t_end`` adds the final t = 1 stage.
     """
     n_outer = hp.n_steps + 1 if hp.include_t_end else hp.n_steps
-    times = (n / hp.n_steps for n in range(n_outer))
-    stages = ((CostParams(gamma=hp.gamma, h=hp.h, t=t), alpha_at(hp.alpha, t))
-              for t in times)
+
+    def stages():
+        times = (n / hp.n_steps for n in range(n_outer))
+        return ((CostParams(gamma=hp.gamma, h=hp.h, t=t), alpha_at(hp.alpha, t))
+                for t in times)
+
     return _run(graph, hp, run_indices, init_qdlqa_state, hp.f, stages,
-                math.inf, record_trajectory, workspace)
+                math.inf, record_trajectory)
 
 
 def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
-             *, record_trajectory: bool = False,
-             workspace: CostWorkspace | None = None) -> list[RunRecord]:
+             *, record_trajectory: bool = False) -> list[RunRecord]:
     """Direct driver: plain optimizer steps on the end cost (t = 1),
     stopping a run at 0 conflicts or after ``patience`` steps without
     improving its best conflict count.  Returns one record per run index,
     in the order given."""
-    stages = repeat((CostParams(gamma=hp.gamma, h=hp.h, t=1.0), 1), hp.n_steps)
-    return _run(graph, hp, run_indices, init_qdgd_state, hp.f_tilde, stages,
-                hp.patience, record_trajectory, workspace)
+    stage = (CostParams(gamma=hp.gamma, h=hp.h, t=1.0), 1)
+    return _run(graph, hp, run_indices, init_qdgd_state, hp.f_tilde,
+                lambda: repeat(stage, hp.n_steps), hp.patience,
+                record_trajectory)
 
 
 def _keep_blocks(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -313,12 +315,44 @@ class _Group:
         return keep
 
 
+# Angles one lockstep group holds at most.  Below this a step is bound by
+# numpy's per-call overhead, which a group shares among its runs; above it
+# by the per-angle arithmetic, which grouping does not reduce.
+GROUP_ANGLES = 10_000
+
+
+def group_size(n_free: int, num_colors: int) -> int:
+    """Most runs to step together on n_free free nodes with c colors."""
+    return max(1, GROUP_ANGLES // (n_free * (num_colors - 1)))
+
+
 def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
          init_state, init_scale: float, stages, patience: float,
-         record_trajectory: bool,
-         workspace: CostWorkspace | None) -> list[RunRecord]:
-    """The optimizer loop shared by both drivers, over a group of runs
-    stepped in lockstep (a group of one is the same loop).
+         record_trajectory: bool) -> list[RunRecord]:
+    """The set-up both drivers share: resolve the operators and the pinned
+    node once, split the runs into near-equal lockstep groups of at most
+    ``group_size`` runs, and step each group in turn through one
+    workspace.  ``stages`` returns a fresh stage stream for each group."""
+    # any sequence of integers: a list, a range, an integer array
+    run_indices = [operator.index(i) for i in run_indices]
+    if not run_indices:
+        return []
+    ops = build_ops(hp.num_colors)
+    fixed = select_fixed_node(graph, hp.fix_strategy)
+    n_free = graph.num_nodes - (fixed is not None)
+    n_groups = -(-len(run_indices) // group_size(n_free, hp.num_colors))
+    groups = [g.tolist() for g in np.array_split(run_indices, n_groups)]
+    workspace = CostWorkspace(graph, ops, fixed, copies=len(groups[0]))
+    return [record for group in groups
+            for record in _run_group(workspace, hp, group, init_state,
+                                     init_scale, stages(), patience,
+                                     record_trajectory)]
+
+
+def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
+               run_indices: list[int], init_state, init_scale: float, stages,
+               patience: float, record_trajectory: bool) -> list[RunRecord]:
+    """Step one group of runs in lockstep (a group of one is the same loop).
 
     Each stage is a ``(CostParams, inner_steps)`` pair: take that many Adam
     steps on the stage's cost, then read out the colorings and track each
@@ -334,16 +368,7 @@ def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     n / n_steps for stage n.
     """
     start = time.perf_counter()
-    # any sequence of integers: a list, a range, an integer array
-    run_indices = [operator.index(i) for i in run_indices]
-    if not run_indices:
-        return []
-    ops = build_ops(hp.num_colors)
-    fixed = select_fixed_node(graph, hp.fix_strategy)
-    n_free = graph.num_nodes - (fixed is not None)
-    k = len(run_indices)
-    if workspace is None or workspace.fixed_node != fixed or workspace.copies < k:
-        workspace = CostWorkspace(graph, ops, fixed, copies=k)
+    graph, n_free = workspace.graph, workspace.free.size
     rngs = [run_rng(hp.master_seed, i) for i in run_indices]
     angles = np.concatenate([init_state(n_free, hp.num_colors, init_scale, rng)
                              for rng in rngs])
@@ -383,9 +408,7 @@ def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
 
 
 def run_one(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int], *,
-            record_trajectory: bool = False,
-            workspace: CostWorkspace | None = None) -> list[RunRecord]:
-    """Dispatch a group of runs by method."""
+            record_trajectory: bool = False) -> list[RunRecord]:
+    """Dispatch runs by method."""
     runner = run_qdlqa if hp.method == "qdlqa" else run_qdgd
-    return runner(graph, hp, run_indices, record_trajectory=record_trajectory,
-                  workspace=workspace)
+    return runner(graph, hp, run_indices, record_trajectory=record_trajectory)

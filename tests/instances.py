@@ -3,7 +3,10 @@
 Queen graphs connect chessboard squares that share a row, column, or
 diagonal.  The myciel family applies the triangle-free chromatic-number
 -raising construction repeatedly, starting from a single edge.
-``qdlqa_start`` gives the amplitudes of an annealing start on an instance.
+``qdlqa_start`` gives the amplitudes of an annealing start on an instance,
+``small_graphs`` draws graphs for property tests, and ``amplitudes`` and
+``lx_matrix`` give the spherical map and the dense Lx that the package
+keeps only in the forms its cost reads.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from hypothesis import strategies as st
 
 from quditcolor.gradient import CostWorkspace
 from quditcolor.graph import Graph, select_fixed_node
-from quditcolor.qudits import build_ops, init_qdlqa_state
+from quditcolor.qudits import _forward, build_ops, init_qdlqa_state
 
 
 def queen_edges(rows: int, cols: int) -> list[tuple[int, int]]:
@@ -101,6 +105,31 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+@st.composite
+def small_graphs(draw):
+    """A graph from ``Graph.from_edges``: a path through a random node order
+    (so no node is isolated) plus random extra edges."""
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(n)))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    return Graph.from_edges(n, list(zip(order, order[1:])) + extra)
+
+
+def amplitudes(phi) -> np.ndarray:
+    """The unit amplitude vector of an angle vector of length c-1, or the
+    (n, c) amplitudes of an (n, c-1) angle matrix."""
+    phi = np.asarray(phi, dtype=np.float64)
+    psi = _forward(np.atleast_2d(phi))[0]
+    return psi[0] if phi.ndim == 1 else psi
+
+
+def lx_matrix(c: int) -> np.ndarray:
+    """The dense (c, c) Lx, built from the superdiagonal the package keeps."""
+    off = build_ops(c).lx_offdiag
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
 def qdlqa_start(graph: Graph, c: int, f: float, rng: np.random.Generator):
     """(V, c) amplitudes of the annealing start, max-degree node pinned."""
     fixed = select_fixed_node(graph, "max_degree")
@@ -120,3 +149,25 @@ def dies_in_worker(graph: Graph) -> Graph:
     unpickles it: a pool worker dies on receiving it under every start
     method, since each worker unpickles its own arguments."""
     return _DiesWhenUnpickled(graph.num_nodes, graph.edges, graph.degrees)
+
+
+class _RaisingEdgeCount(Graph):
+    """A graph whose edge count raises ``ValueError``."""
+
+    @property
+    def num_edges(self) -> int:
+        raise ValueError("edge count unavailable")
+
+
+class _RaisesWhenUnpickled(Graph):
+    """A graph whose unpickled copy is a ``_RaisingEdgeCount``."""
+
+    def __reduce__(self):
+        return _RaisingEdgeCount, (self.num_nodes, self.edges, self.degrees)
+
+
+def raises_in_worker(graph: Graph) -> Graph:
+    """``graph``, unchanged in this process, whose unpickled copy raises
+    ``ValueError`` when its edge count is read: a pool worker receives it
+    intact under every start method, and the run there raises."""
+    return _RaisesWhenUnpickled(graph.num_nodes, graph.edges, graph.degrees)

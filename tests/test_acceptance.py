@@ -20,10 +20,11 @@ from quditcolor.energy import CostParams, energy_total, potts_energy
 from quditcolor.gradient import CostWorkspace, check_gradient
 from quditcolor.graph import load_graph, select_fixed_node
 from quditcolor.harness import run_batch, sweep_colors
-from quditcolor.qudits import build_ops, lx_ground_state, spherical_to_amplitudes
+from quditcolor.qudits import build_ops, lx_ground_state
 from quditcolor.solver import Hyperparameters
 
-from instances import myciel_graph, qdlqa_start, queen_graph, random_graph
+from instances import (amplitudes, lx_matrix, myciel_graph, qdlqa_start,
+                       queen_graph, random_graph)
 
 pytestmark = pytest.mark.acceptance
 
@@ -146,12 +147,12 @@ def test_criterion_7_invariant_suite():
     worst_norm = worst_simplex = worst_gs = 0.0
     for c in range(2, 71):
         phi = rng.uniform(-10, 10, size=(3, c - 1))
-        psi = spherical_to_amplitudes(phi)
+        psi = amplitudes(phi)
         worst_norm = max(worst_norm,
                          float(np.abs(np.linalg.norm(psi, axis=1) - 1).max()))
         worst_simplex = max(worst_simplex,
                             float(np.abs((psi ** 2).sum(axis=1) - 1).max()))
-        w, v = np.linalg.eigh(build_ops(c).lx)
+        w, v = np.linalg.eigh(lx_matrix(c))
         vec = v[:, np.argmax(w)]
         vec = vec if vec.sum() > 0 else -vec
         worst_gs = max(worst_gs, float(np.abs(vec - lx_ground_state(c)).max()))

@@ -14,7 +14,8 @@ from quditcolor.harness import hp_to_dict
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
                                Hyperparameters, parse_alpha)
 
-from instances import dies_in_worker, myciel_col_text, queen_col_text
+from instances import (dies_in_worker, myciel_col_text, queen_col_text,
+                       raises_in_worker)
 
 
 @pytest.fixture(scope="module")
@@ -398,3 +399,20 @@ def test_dead_worker_is_one_error_line(queen55_col, capsys, monkeypatch, command
     assert captured.out == ""
     assert captured.err.startswith("error: worker process failed: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_raising_worker_is_one_error_line(queen55_col, capsys, monkeypatch,
+                                          command):
+    read = cli.load_graph
+
+    def load_graph(*args):
+        graph, ids = read(*args)
+        return raises_in_worker(graph), ids
+
+    monkeypatch.setattr(cli, "load_graph", load_graph)
+    code = main([command, "--graph", str(queen55_col), "--colors", "5",
+                 "--method", "qdgd", "--runs", "4", "--workers", "2", "--quiet"])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "error: worker process raised ValueError: edge count unavailable\n")

@@ -8,9 +8,9 @@ from quditcolor.energy import (CostParams, energy_final, energy_initial,
                                energy_total, energy_weight, extract_coloring,
                                potts_energy)
 from quditcolor.graph import Graph, select_fixed_node
-from quditcolor.qudits import build_ops, spherical_to_amplitudes
+from quditcolor.qudits import build_ops
 
-from instances import qdlqa_start, queen_graph, random_graph, triangle
+from instances import amplitudes, qdlqa_start, queen_graph, random_graph, triangle
 
 
 def psi_from_probabilities(rows):
@@ -107,9 +107,9 @@ def test_energy_initial_ground_states():
 
 def test_energy_initial_basis_state_and_rotation():
     ops = build_ops(2)
-    one_hot = spherical_to_amplitudes(np.array([[np.pi / 2]]))  # (0, 1)
+    one_hot = amplitudes(np.array([[np.pi / 2]]))  # (0, 1)
     assert energy_initial(one_hot, ops) == pytest.approx(0.0, abs=1e-12)
-    rotated = spherical_to_amplitudes(np.array([[np.pi / 4]]))
+    rotated = amplitudes(np.array([[np.pi / 4]]))
     assert energy_initial(rotated, ops) == pytest.approx(-0.5)
 
 

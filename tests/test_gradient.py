@@ -11,7 +11,8 @@ from quditcolor.gradient import (CLAMP_FLAG_THRESHOLD, CostWorkspace,
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.qudits import amplitudes_to_angles, build_ops, init_qdlqa_state
 
-from instances import myciel_graph, path, queen_graph, random_graph, star, triangle
+from instances import (myciel_graph, path, queen_graph, random_graph,
+                       small_graphs, star, triangle)
 
 
 def random_angles(graph, c, rng, fixed_node=None):
@@ -246,6 +247,26 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     np.testing.assert_array_equal(grad_again, grad)
 
 
+@settings(deadline=None, max_examples=100)
+@given(g=small_graphs(), c=st.integers(2, 5), data=st.data())
+def test_gradient_at_poles_matches_finite_differences(g, c, data):
+    # about half the angles sit exactly at 0, pi/2 or pi, where sine
+    # products vanish; gamma = 0 keeps the log clamp out of the cost
+    fixed = data.draw(st.one_of(st.none(), st.integers(0, g.num_nodes - 1)))
+    ws = CostWorkspace(g, build_ops(c), fixed)
+    size = ws.free.size * (c - 1)
+    angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
+    angles = angles.reshape(-1, c - 1)
+    params = CostParams(gamma=0.0, h=data.draw(st.floats(0.0, 3.0)),
+                        t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+    hvals = draw_couplings(g, params.h,
+                           np.random.default_rng(data.draw(st.integers(0, 99))))
+    _, grad = ws.value_and_grad(ws.forward(angles), params, hvals)
+    np.testing.assert_allclose(grad.ravel(),
+                               finite_difference(ws, angles, params, hvals),
+                               rtol=0, atol=1e-6)
+
+
 def test_workspace_rejects_edges_and_states_it_cannot_index():
     # Graph.from_edges sorts; a Graph built directly need not be
     for edges in ([[1, 2], [0, 1], [0, 2]], [[0, 1], [2, 1]],
@@ -263,19 +284,8 @@ def test_workspace_rejects_edges_and_states_it_cannot_index():
         ws.value_and_grad(fwd, CostParams(), np.zeros(ws.graph.num_edges))
 
 
-@st.composite
-def _graphs(draw):
-    """A graph from ``Graph.from_edges``: a path through a random node order
-    (so no node is isolated) plus random extra edges."""
-    n = draw(st.integers(2, 12))
-    order = draw(st.permutations(range(n)))
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                          .filter(lambda e: e[0] != e[1]), max_size=3 * n))
-    return Graph.from_edges(n, list(zip(order, order[1:])) + extra)
-
-
 @settings(deadline=None, max_examples=80)
-@given(g=_graphs(), c=st.integers(2, 6), data=st.data())
+@given(g=small_graphs(), c=st.integers(2, 6), data=st.data())
 def test_neighbor_sum_equals_symmetric_csr_product(g, c, data):
     fixed = data.draw(st.one_of(st.none(), st.integers(0, g.num_nodes - 1)))
     ws = CostWorkspace(g, build_ops(c), fixed)
@@ -291,7 +301,7 @@ def test_neighbor_sum_equals_symmetric_csr_product(g, c, data):
 
 
 @settings(deadline=None, max_examples=60)
-@given(g=_graphs(), h=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
+@given(g=small_graphs(), h=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
        seed=st.integers(0, 2**32 - 1))
 def test_draw_couplings_into_buffer_is_uniform_draw(g, h, seed):
     mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)

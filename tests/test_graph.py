@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from quditcolor.graph import (Graph, GraphParseError, GraphWarning, load_graph,
                               parse_dimacs, parse_edge_list, select_fixed_node,
                               to_dimacs)
 
 from instances import (myciel_col_text, myciel_graph, path, queen_col_text,
-                       queen_graph, star, triangle)
+                       queen_graph, small_graphs, star, triangle)
 
 
 def test_parse_dimacs_triangle():
@@ -118,6 +119,17 @@ def test_serialization_round_trip():
         reparsed, _ = parse_dimacs(to_dimacs(g))
         assert reparsed.num_nodes == g.num_nodes
         assert np.array_equal(reparsed.edges, g.edges)
+
+
+@settings(deadline=None, max_examples=100)
+@given(g=small_graphs())
+def test_dimacs_round_trip_property(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GraphWarning)
+        reparsed, ids = parse_dimacs(to_dimacs(g))
+    assert reparsed.num_nodes == g.num_nodes
+    assert np.array_equal(reparsed.edges, g.edges)
+    assert ids == list(range(1, g.num_nodes + 1))
 
 
 def test_edges_are_canonical():

@@ -1,18 +1,22 @@
 import csv
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
-from quditcolor import solver
+from quditcolor import harness
 from quditcolor.cli import main
 from quditcolor.graph import to_dimacs
-from quditcolor.harness import (WorkerError, group_size, run_batch,
-                                stats_to_dict, sweep_colors, trajectory_stats,
+from quditcolor.harness import (WorkerError, run_batch, stats_to_dict,
+                                sweep_colors, trajectory_stats,
                                 write_trajectory_csv)
 from quditcolor.solver import Hyperparameters, RunRecord, Trajectory
 
-from instances import dies_in_worker, path, queen_graph, triangle
+from instances import (dies_in_worker, path, queen_graph, raises_in_worker,
+                       triangle)
 
 
 def hp(method="qdlqa", **kw):
@@ -89,28 +93,16 @@ def test_dead_worker_raises_worker_error(queen55):
         run_batch(dies_in_worker(queen55), hp(n_runs=4), workers=2)
 
 
-def test_group_size_rule():
-    # about 10^4 angles per group: small graphs step many runs together,
-    # large ones one at a time
-    assert group_size(24, 5) == 104      # queen5-5, c = 5
-    assert group_size(120, 11) == 8      # queen11-11, c = 11
-    assert group_size(999, 8) == 1       # G(1000, 0.032), c = 8
-    assert group_size(10**6, 2) == 1
-
-
-def test_runs_are_split_into_near_equal_groups(queen55, monkeypatch):
-    groups = []
-    original = solver.run_qdgd
-
-    def recording(graph, hp, run_indices, **kwargs):
-        groups.append(list(run_indices))
-        return original(graph, hp, run_indices, **kwargs)
-
-    monkeypatch.setattr(solver, "run_qdgd", recording)
-    monkeypatch.setattr("quditcolor.harness.GROUP_ANGLES", 3 * 24 * 4)
-    stats = run_batch(queen55, hp("qdgd", num_colors=5, n_runs=10, n_steps=20))
-    assert groups == [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]
-    assert [r.run_index for r in stats.records] == list(range(10))
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_raising_worker_raises_worker_error(queen55, monkeypatch, method):
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=context))
+    with pytest.raises(WorkerError) as info:
+        run_batch(raises_in_worker(queen55), hp(n_runs=4), workers=2)
+    assert str(info.value) == \
+        "worker process raised ValueError: edge count unavailable"
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_sweep_reports_upper_bound(k3):

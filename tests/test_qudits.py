@@ -4,16 +4,16 @@ import pytest
 from quditcolor.graph import select_fixed_node
 from quditcolor.qudits import (amplitudes_to_angles, build_ops,
                                init_qdgd_state, init_qdlqa_state,
-                               lx_ground_state, spherical_to_amplitudes)
+                               lx_ground_state)
 
-from instances import qdlqa_start
+from instances import amplitudes, lx_matrix, qdlqa_start
 
 SQ2 = np.sqrt(2) / 2
 
 
 def numeric_ground_state(c):
     """Independent oracle: dense eigendecomposition of the tridiagonal Lx."""
-    w, v = np.linalg.eigh(build_ops(c).lx)
+    w, v = np.linalg.eigh(lx_matrix(c))
     vec = v[:, np.argmax(w)]
     if vec.sum() < 0:
         vec = -vec
@@ -21,12 +21,12 @@ def numeric_ground_state(c):
 
 
 def test_spherical_map_small_cases():
-    np.testing.assert_allclose(spherical_to_amplitudes(np.zeros(3)), [1, 0, 0, 0],
+    np.testing.assert_allclose(amplitudes(np.zeros(3)), [1, 0, 0, 0],
                                atol=1e-15)
-    np.testing.assert_allclose(spherical_to_amplitudes(np.array([np.pi / 4])),
+    np.testing.assert_allclose(amplitudes(np.array([np.pi / 4])),
                                [SQ2, SQ2])
     np.testing.assert_allclose(
-        spherical_to_amplitudes(np.array([np.pi / 2, np.pi / 2])), [0, 0, 1],
+        amplitudes(np.array([np.pi / 2, np.pi / 2])), [0, 0, 1],
         atol=1e-15)
 
 
@@ -34,7 +34,7 @@ def test_spherical_map_normalization_property():
     rng = np.random.default_rng(0)
     for c in (2, 3, 5, 11, 24, 70):
         phi = rng.uniform(-12.0, 12.0, size=(40, c - 1))
-        psi = spherical_to_amplitudes(phi)
+        psi = amplitudes(phi)
         np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
 
 
@@ -47,7 +47,7 @@ def test_inverse_small_cases():
 
 def test_inverse_of_lx_ground_state():
     phi = amplitudes_to_angles(lx_ground_state(3))
-    np.testing.assert_allclose(spherical_to_amplitudes(phi), [0.5, SQ2, 0.5],
+    np.testing.assert_allclose(amplitudes(phi), [0.5, SQ2, 0.5],
                                atol=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_amplitude_round_trip_property():
     for c in (2, 3, 8, 31):
         psi = rng.normal(size=(60, c))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        back = spherical_to_amplitudes(amplitudes_to_angles(psi))
+        back = amplitudes(amplitudes_to_angles(psi))
         np.testing.assert_allclose(back, psi, atol=1e-10)
 
 
@@ -70,32 +70,29 @@ def test_angle_round_trip_on_canonical_domain():
     for c in (3, 6, 13):
         phi = rng.uniform(0.05, np.pi - 0.05, size=(30, c - 1))
         phi[:, -1] = rng.uniform(-np.pi + 0.05, np.pi - 0.05, size=30)
-        back = amplitudes_to_angles(spherical_to_amplitudes(phi))
+        back = amplitudes_to_angles(amplitudes(phi))
         np.testing.assert_allclose(back, phi, atol=1e-10)
 
 
 def test_degenerate_tail_maps_remaining_angles_to_zero():
     phi = amplitudes_to_angles(np.array([0.6, 0.8, 0.0, 0.0]))
     assert phi[2] == 0.0
-    np.testing.assert_allclose(spherical_to_amplitudes(phi), [0.6, 0.8, 0, 0],
+    np.testing.assert_allclose(amplitudes(phi), [0.6, 0.8, 0, 0],
                                atol=1e-15)
 
 
 def test_build_ops_small_cases():
-    ops = build_ops(2)
-    np.testing.assert_allclose(ops.lx, [[0, 0.5], [0.5, 0]])
+    np.testing.assert_allclose(lx_matrix(2), [[0, 0.5], [0.5, 0]])
     np.testing.assert_allclose(build_ops(3).lx_offdiag, [1 / np.sqrt(2)] * 2)
     with pytest.raises(ValueError):
         build_ops(1)
 
 
-def test_lz_diagonal_and_lx_symmetry():
+def test_lx_symmetry_and_top_eigenvalue():
     for c in (2, 3, 6, 70):
-        ops = build_ops(c)
-        l = (c - 1) / 2
-        np.testing.assert_allclose(np.diag(ops.lz), np.arange(c) - l)
-        np.testing.assert_array_equal(ops.lx, ops.lx.T)
-        assert np.linalg.eigvalsh(ops.lx)[-1] == pytest.approx(l, abs=1e-10)
+        lx = lx_matrix(c)
+        np.testing.assert_array_equal(lx, lx.T)
+        assert np.linalg.eigvalsh(lx)[-1] == pytest.approx((c - 1) / 2, abs=1e-10)
 
 
 def test_lx_matches_ladder_construction():
@@ -109,7 +106,7 @@ def test_lx_matches_ladder_construction():
             lplus[k + 1, k] = np.sqrt((l - m[k]) * (l + m[k] + 1))
         for k in range(1, c):
             lminus[k - 1, k] = np.sqrt((l + m[k]) * (l - m[k] + 1))
-        np.testing.assert_array_equal(build_ops(c).lx, 0.5 * (lplus + lminus))
+        np.testing.assert_array_equal(lx_matrix(c), 0.5 * (lplus + lminus))
 
 
 def test_ground_state_small_cases():
@@ -162,7 +159,7 @@ def test_init_qdlqa_no_fixed_node():
 
 
 def test_init_qdgd_unit_norm_nonnegative():
-    psi = spherical_to_amplitudes(init_qdgd_state(5, 4, 1.0, np.random.default_rng(9)))
+    psi = amplitudes(init_qdgd_state(5, 4, 1.0, np.random.default_rng(9)))
     np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
     assert (psi >= 0).all()
 
@@ -176,7 +173,7 @@ def test_init_qdgd_two_color_angle_is_arctan():
 def test_init_qdgd_mean_probability_statistics():
     # sampling oracle: uniform draws, normalized, squared -> mean 1/c per color
     angles = init_qdgd_state(10000, 3, 1.0, np.random.default_rng(123))
-    mean_p = (spherical_to_amplitudes(angles) ** 2).mean(axis=0)
+    mean_p = (amplitudes(angles) ** 2).mean(axis=0)
     np.testing.assert_allclose(mean_p, 1 / 3, atol=0.02)
 
 

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcolor import gradient
+from quditcolor import gradient, solver
 from quditcolor.energy import extract_coloring, potts_energy
 from quditcolor.harness import run_batch
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
-                               Hyperparameters, alpha_at, parse_alpha, run_one,
-                               run_qdgd, run_qdlqa)
+                               Hyperparameters, alpha_at, group_size,
+                               parse_alpha, run_one, run_qdgd, run_qdlqa)
 
 from instances import path, qdlqa_start, queen_graph, star, triangle
 
@@ -324,6 +324,44 @@ def test_group_wall_time_shares_add_up(queen55):
     assert 0 < sum(r.wall_time for r in recs) <= elapsed
     by_steps = sorted(recs, key=lambda r: r.steps_executed)
     assert by_steps[0].wall_time < by_steps[-1].wall_time
+
+
+def test_group_size_rule():
+    # about 10^4 angles per group: small graphs step many runs together,
+    # large ones one at a time
+    assert group_size(24, 5) == 104      # queen5-5, c = 5
+    assert group_size(120, 11) == 8      # queen11-11, c = 11
+    assert group_size(999, 8) == 1       # G(1000, 0.032), c = 8
+    assert group_size(10**6, 2) == 1
+
+
+def test_runs_are_split_into_near_equal_groups(queen55, monkeypatch):
+    groups, calls = [], []
+    original = solver._run_group
+
+    def recording(workspace, hp, run_indices, *args):
+        groups.append(list(run_indices))
+        return original(workspace, hp, run_indices, *args)
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(solver, "_run_group", recording)
+    for name in ("build_ops", "select_fixed_node"):
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    monkeypatch.setattr(gradient.CostWorkspace, "__init__",
+                        counting("CostWorkspace", gradient.CostWorkspace.__init__))
+    monkeypatch.setattr(solver, "GROUP_ANGLES", 3 * 24 * 4)
+    hp = Hyperparameters(method="qdgd", num_colors=5, n_runs=10, n_steps=20)
+    stats = run_batch(queen55, hp, workers=1)
+    assert groups == [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]
+    assert [r.run_index for r in stats.records] == list(range(10))
+    # the operators, the pinned node and the workspace are set up once
+    # for the batch, not once per group
+    assert sorted(calls) == ["CostWorkspace", "build_ops", "select_fixed_node"]
 
 
 def test_fix_strategy_none_parameterizes_all_nodes(k3):
