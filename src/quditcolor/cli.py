@@ -187,14 +187,15 @@ def _read_graph(path, fmt):
     return graph, original_ids
 
 
-def _load_graph(config: RunConfig, hp: Hyperparameters):
-    """Load the instance and check that its pinned node can be resolved."""
-    graph, original_ids = _read_graph(config.graph, config.format)
+def _load_graph(path, fmt, fix_strategy):
+    """Load an instance and resolve its pinned node; returns the graph, its
+    original node ids and the pinned node (None for none)."""
+    graph, original_ids = _read_graph(path, fmt)
     try:
-        select_fixed_node(graph, hp.fix_strategy)
+        fixed = select_fixed_node(graph, fix_strategy)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return graph, original_ids
+    return graph, original_ids, fixed
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -221,7 +222,8 @@ def _write_coloring(path, coloring, original_ids) -> None:
 def _cmd_solve(args) -> int:
     config = load_config(args)
     hp = config_to_hp(config, _colors_int(config))
-    graph, original_ids = _load_graph(config, hp)
+    graph, original_ids, _ = _load_graph(config.graph, config.format,
+                                         hp.fix_strategy)
     stats = run_batch(graph, hp, workers=config.workers,
                       record_trajectories=config.trajectories is not None)
     _warn_diverged(stats.records)
@@ -257,7 +259,7 @@ def _cmd_sweep(args) -> int:
     if c_hi < c_lo:
         raise ConfigError("sweep range must be ascending")
     hp = config_to_hp(config, c_lo)
-    graph, _ = _load_graph(config, hp)
+    graph, _, _ = _load_graph(config.graph, config.format, hp.fix_strategy)
     result = sweep_colors(graph, hp, range(c_lo, c_hi + 1),
                           force_full=args.force_full, workers=config.workers)
     _warn_diverged([r for s in result.batches.values() for r in s.records])
@@ -285,15 +287,15 @@ def _cmd_gradcheck(args) -> int:
                             t=0.0 if args.t is None else args.t)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    graph, _ = _read_graph(args.graph, args.format)
-    workspace = CostWorkspace(graph, ops, select_fixed_node(graph, "max_degree"))
+    graph, _, fixed = _load_graph(args.graph, args.format, parse_fix(args.fix))
+    workspace = CostWorkspace(graph, ops, fixed)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     flagged = 0
     for _ in range(args.points):
         t = float(rng.uniform(0.0, 1.0)) if args.t is None else args.t
         angles = rng.uniform(-np.pi, np.pi,
-                             size=(graph.num_nodes - 1, args.colors - 1))
+                             size=(workspace.free.size, args.colors - 1))
         try:
             report = check_gradient(workspace, angles, replace(params, t=t),
                                     step=args.step, tol=args.tol, rng=rng)
@@ -378,6 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--tol", type=float, default=1e-4)
     grad.add_argument("--gamma", type=float, default=1.0)
     grad.add_argument("--h", type=float, default=3.0)
+    grad.add_argument("--fix", default=Hyperparameters.fix_strategy,
+                      help="fixed node: max_degree|degree_one|none|INDEX "
+                           "(default %(default)s)")
     grad.add_argument("--t", type=float, default=None,
                       help="fix the annealing time (default: random per point)")
     grad.add_argument("--seed", type=int, default=0)

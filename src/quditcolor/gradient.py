@@ -138,7 +138,11 @@ class CostWorkspace:
         """Cost of each of the k runs that ``fwd`` maps, a list of k floats,
         and the gradient w.r.t. their stacked (k*n_free, c-1) angle matrix.
 
-        ``hvals`` holds each run's couplings in its own (E,) slice."""
+        ``hvals`` holds each run's couplings in its own (E,) slice.  At
+        t = 1 (every qdgd step) the start cost has weight 0, so it and its
+        gradient are not computed: the values are the same, and a gradient
+        entry can differ from the full formula only in the sign of a zero,
+        which Adam's zero-started first moment does not carry."""
         ops = self.ops
         t, gamma = params.t, params.gamma
         psi, psi_free, s, u, r = fwd
@@ -158,21 +162,25 @@ class CostWorkspace:
         np.maximum(logp, _LOG_OF_CLAMP, out=logp)
 
         off = ops.lx_offdiag
-        cross = psi_free[:, :-1] * psi_free[:, 1:]
-        e_i = (cross @ off).reshape(runs, -1).sum(axis=1)
+        if t < 1.0:
+            cross = psi_free[:, :-1] * psi_free[:, 1:]
+            e_i = (cross @ off).reshape(runs, -1).sum(axis=1).tolist()
+        else:
+            e_i = [0.0] * runs
 
         # each run's terms combined in Python floats: the same operations
         # as on numpy scalars, without a numpy call per term
         values = [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
-                  for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i.tolist())]
+                  for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i)]
 
         # dE/dpsi on free nodes
         free = self._free_rows[:psi_free.shape[0]]
         gpsi = (2.0 * t) * psi_free * (acc + gamma * (logp + 1.0))[free]
-        lxpsi = np.zeros_like(psi_free)
-        lxpsi[:, :-1] = off * psi_free[:, 1:]
-        lxpsi[:, 1:] += off * psi_free[:, :-1]
-        gpsi -= (2.0 * (1.0 - t)) * lxpsi
+        if t < 1.0:
+            lxpsi = np.zeros_like(psi_free)
+            lxpsi[:, :-1] = off * psi_free[:, 1:]
+            lxpsi[:, 1:] += off * psi_free[:, :-1]
+            gpsi -= (2.0 * (1.0 - t)) * lxpsi
 
         # chain rule to angles: backward recursion over the angle index
         cm1 = s.shape[1]

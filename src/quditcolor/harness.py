@@ -42,14 +42,41 @@ class WorkerError(RuntimeError):
     """A pool worker process died or raised before it returned its runs."""
 
 
+# The worker processes of the last pooled batch and their count, kept for
+# the next batch: starting a pool costs more than a small batch's runs.
+_pool: ProcessPoolExecutor | None = None
+_pool_size = 0
+
+
+def _worker_pool(processes: int) -> ProcessPoolExecutor:
+    """The kept pool, replaced by a new one of ``processes`` processes when
+    its count differs."""
+    global _pool, _pool_size
+    if _pool is None or _pool_size != processes:
+        # no fork while the old pool's threads run
+        _close_pool()
+        _pool, _pool_size = ProcessPoolExecutor(max_workers=processes), processes
+    return _pool
+
+
+def _close_pool() -> None:
+    """Shut the kept pool down, waiting for its processes, and forget it."""
+    global _pool, _pool_size
+    pool, _pool, _pool_size = _pool, None, 0
+    if pool is not None:
+        pool.shutdown(wait=True)
+
+
 def run_batch(graph: Graph, hp: Hyperparameters, *,
               record_trajectories: bool = False, workers: int = 1) -> BatchStats:
     """Execute hp.n_runs independent runs and aggregate.
 
     Each run's stream is derived from (master_seed, run index), so results
     do not depend on the worker count, the grouping or scheduling order.
-    A pool worker that dies, or a run in one that raises, ends in
-    ``WorkerError``.
+    With more than one worker the runs go to a process pool that is kept
+    for later batches with the same number of processes; it is replaced
+    when that number changes or when a worker dies.  A pool worker that
+    dies, or a run in one that raises, ends in ``WorkerError``.
     """
     indices = list(range(hp.n_runs))
     if workers <= 1 or hp.n_runs == 1:
@@ -59,9 +86,9 @@ def run_batch(graph: Graph, hp: Hyperparameters, *,
         chunks = [indices[w::workers] for w in range(workers)]
         task = partial(run_one, graph, hp, record_trajectory=record_trajectories)
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(task, chunks))
+            parts = list(_worker_pool(workers).map(task, chunks))
         except BrokenProcessPool as exc:
+            _close_pool()
             raise WorkerError(f"worker process failed: {exc}") from None
         except Exception as exc:
             raise WorkerError(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quditcolor import cli
 from quditcolor.cli import (ConfigError, config_to_hp, load_config, main,
                             parse_fix, read_config_file)
+from quditcolor.gradient import check_gradient
 from quditcolor.harness import hp_to_dict
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
                                Hyperparameters, parse_alpha)
@@ -264,6 +265,35 @@ def test_gradcheck_command(queen55_col, capsys):
                  "--points", "3", "--seed", "2"])
     assert code == 0
     assert "gradcheck OK" in capsys.readouterr().out
+
+
+# the default pins the max-degree node: the centre square, node 12
+@pytest.mark.parametrize("flags, fixed", [([], 12), (["--fix", "none"], None),
+                                          (["--fix", "3"], 3)])
+def test_gradcheck_honours_fix(queen55_col, capsys, monkeypatch, flags, fixed):
+    seen = []
+
+    def spy(workspace, angles, *args, **kwargs):
+        seen.append((workspace.fixed_node, angles.shape))
+        return check_gradient(workspace, angles, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_gradient", spy)
+    code = main(["gradcheck", "--graph", str(queen55_col), "--colors", "5",
+                 "--points", "2", *flags])
+    assert code == 0
+    assert "gradcheck OK" in capsys.readouterr().out
+    assert seen == [(fixed, (25 - (fixed is not None), 4))] * 2
+
+
+def test_gradcheck_unresolvable_fix_is_solve_error(queen55_col, capsys):
+    errors = []
+    for command in (["gradcheck"], ["solve", "--quiet"]):
+        code = main([*command, "--graph", str(queen55_col), "--colors", "5",
+                     "--fix", "degree_one"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        errors.append(captured.err)
+    assert errors == ["error: no degree-1 node in graph\n"] * 2
 
 
 @pytest.mark.parametrize("flags, message", [

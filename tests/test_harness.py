@@ -1,8 +1,14 @@
 import csv
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from pathlib import Path
+
+import quditcolor
 
 import numpy as np
 import pytest
@@ -88,21 +94,105 @@ def test_worker_count_does_not_change_results(queen55):
         np.testing.assert_array_equal(ra.best_coloring, rb.best_coloring)
 
 
+@pytest.fixture
+def fresh_pool():
+    """No kept worker pool when the test starts, and none left after it."""
+    harness._close_pool()
+    yield
+    harness._close_pool()
+
+
+def count_pools(monkeypatch, **kwargs):
+    """Make harness build its pools with ``kwargs``; returns the list of the
+    pools it builds."""
+    made = []
+
+    def counting(*args, **kw):
+        made.append(ProcessPoolExecutor(*args, **kw, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting)
+    return made
+
+
+def same_records(a, b):
+    assert [(r.run_index, r.best_energy, r.steps_executed) for r in a.records] == \
+        [(r.run_index, r.best_energy, r.steps_executed) for r in b.records]
+    for ra, rb in zip(a.records, b.records):
+        np.testing.assert_array_equal(ra.best_coloring, rb.best_coloring)
+
+
 def test_dead_worker_raises_worker_error(queen55):
     with pytest.raises(WorkerError, match="^worker process failed: "):
         run_batch(dies_in_worker(queen55), hp(n_runs=4), workers=2)
 
 
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
-def test_raising_worker_raises_worker_error(queen55, monkeypatch, method):
-    context = multiprocessing.get_context(method)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor",
-                        partial(ProcessPoolExecutor, mp_context=context))
+def test_raising_worker_raises_worker_error(queen55, monkeypatch, fresh_pool,
+                                            method):
+    made = count_pools(monkeypatch,
+                       mp_context=multiprocessing.get_context(method))
     with pytest.raises(WorkerError) as info:
         run_batch(raises_in_worker(queen55), hp(n_runs=4), workers=2)
     assert str(info.value) == \
         "worker process raised ValueError: edge count unavailable"
     assert isinstance(info.value.__cause__, ValueError)
+    # the runs went to a new pool of the requested start method, which a
+    # raising run leaves in place and usable
+    assert made == [harness._pool]
+    assert harness._pool._mp_context.get_start_method() == method
+    params = hp(n_runs=4, n_steps=60)
+    same_records(run_batch(queen55, params, workers=2), run_batch(queen55, params))
+    assert len(made) == 1
+
+
+def test_batches_share_one_pool(queen55, monkeypatch, fresh_pool):
+    made = count_pools(monkeypatch)
+    for seed in (1, 2):
+        params = hp(num_colors=5, n_runs=4, n_steps=60, master_seed=seed)
+        same_records(run_batch(queen55, params, workers=2), run_batch(queen55, params))
+    assert len(made) == 1
+    # another process count replaces the pool
+    run_batch(queen55, hp(n_runs=3, n_steps=60), workers=3)
+    assert len(made) == 2 and harness._pool is made[1]
+
+
+def test_dead_worker_pool_is_replaced(queen55, monkeypatch, fresh_pool):
+    made = count_pools(monkeypatch)
+    with pytest.raises(WorkerError, match="^worker process failed: "):
+        run_batch(dies_in_worker(queen55), hp(n_runs=4), workers=2)
+    assert harness._pool is None
+    params = hp(num_colors=5, n_runs=4, n_steps=60, master_seed=3)
+    same_records(run_batch(queen55, params, workers=2), run_batch(queen55, params))
+    assert len(made) == 2
+
+
+def test_sweep_shares_one_pool(k3, monkeypatch, fresh_pool):
+    made = count_pools(monkeypatch)
+    result = sweep_colors(k3, hp(n_runs=4), range(2, 5), force_full=True,
+                          workers=2)
+    assert sorted(result.batches) == [2, 3, 4]
+    assert len(made) == 1
+
+
+def test_interpreter_exits_cleanly_with_a_kept_pool():
+    script = textwrap.dedent("""
+        from quditcolor.graph import Graph
+        from quditcolor.harness import run_batch
+        from quditcolor.solver import Hyperparameters
+
+        graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        for seed in (0, 1):
+            run_batch(graph, Hyperparameters(method="qdgd", num_colors=3,
+                                             n_runs=4, n_steps=50,
+                                             master_seed=seed), workers=2)
+    """)
+    src = str(Path(quditcolor.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_sweep_reports_upper_bound(k3):
