@@ -11,8 +11,8 @@ from .energy import (CostParams, energy_final, energy_initial, energy_total,
 from .gradient import CostWorkspace, check_gradient
 from .graph import (Graph, GraphParseError, GraphWarning, load_graph,
                     parse_dimacs, parse_edge_list, select_fixed_node, to_dimacs)
-from .harness import (BatchStats, SweepResult, WorkerError, run_batch,
-                      sweep_colors, trajectory_stats)
+from .harness import (BatchStats, DivergedError, SweepResult, WorkerError,
+                      run_batch, sweep_colors, trajectory_stats)
 from .optimizer import Adam
 from .qudits import (AngularMomentumOps, amplitudes_to_angles, build_ops,
                      init_qdgd_state, init_qdlqa_state, lx_ground_state)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "AngularMomentumOps", "BatchStats", "ConstantAlpha", "CostParams",
-    "CostWorkspace", "ExponentialAlpha", "Graph", "GraphParseError",
+    "CostWorkspace", "DivergedError", "ExponentialAlpha", "Graph", "GraphParseError",
     "GraphWarning", "Hyperparameters", "RunRecord", "SweepResult", "alpha_at",
     "amplitudes_to_angles", "build_ops", "check_gradient", "energy_final",
     "energy_initial", "energy_total", "energy_weight", "extract_coloring",

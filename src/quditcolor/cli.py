@@ -5,8 +5,9 @@ the color count until a conflict-free coloring appears), ``gradcheck``
 (verify analytic gradients against finite differences on an instance), and
 ``info`` (print parsed graph statistics).
 
-Exit codes: 0 success, 1 invalid configuration or failed check, 2 I/O or
-parse failure, 3 a worker process died or raised.
+Exit codes: 0 success, 1 invalid configuration, failed check or a batch
+in which every run diverged, 2 I/O or parse failure, 3 a worker process
+died or raised.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from .energy import CostParams
 from .gradient import CostWorkspace, check_gradient
 from .graph import GraphParseError, GraphWarning, load_graph, select_fixed_node
-from .harness import (WorkerError, hp_to_dict, run_batch, stats_to_dict,
-                      sweep_colors, write_trajectory_csv)
+from .harness import (DivergedError, WorkerError, hp_to_dict, run_batch,
+                      stats_to_dict, sweep_colors, write_trajectory_csv)
 from .qudits import build_ops
 from .solver import SETTING_NAMES, Hyperparameters, parse_alpha
 
@@ -236,7 +237,8 @@ def _cmd_solve(args) -> int:
             # early-stopped runs leave unequal step grids; stats are still valid
             print(f"warning: trajectory CSV not written: {exc}", file=sys.stderr)
     if config.coloring:
-        best = min(stats.records, key=lambda r: r.best_energy)
+        best = min((r for r in stats.records if not r.diverged),
+                   key=lambda r: r.best_energy)
         _write_coloring(config.coloring, best.best_coloring, original_ids)
     if not args.quiet:
         print(f"best {stats.best_overall} in {stats.n_min}/{hp.n_runs} runs "
@@ -399,7 +401,7 @@ def main(argv=None) -> int:
                 "gradcheck": _cmd_gradcheck, "info": _cmd_info}
     try:
         return commands[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, DivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GraphParseError as exc:

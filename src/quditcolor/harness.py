@@ -21,11 +21,12 @@ from .solver import SETTING_NAMES, Hyperparameters, RunRecord, run_one
 
 @dataclass
 class BatchStats:
-    """Aggregates over the runs of one batch.
+    """Aggregates over the runs of one batch that did not diverge.
 
-    ``p_min`` is the fraction of runs that reached the batch's best energy;
-    ``normalized_error`` is that best divided by the edge count.  The
-    standard deviation is the population one (divide by N).
+    ``p_min`` is the fraction of all runs that reached the batch's best
+    energy, so a diverged run counts as a miss; ``normalized_error`` is
+    that best divided by the edge count.  The standard deviation is the
+    population one (divide by the number of runs that did not diverge).
     """
 
     records: list[RunRecord]
@@ -40,6 +41,10 @@ class BatchStats:
 
 class WorkerError(RuntimeError):
     """A pool worker process died or raised before it returned its runs."""
+
+
+class DivergedError(RuntimeError):
+    """Every run of a batch diverged, so the batch has no result."""
 
 
 # The worker processes of the last pooled batch and their count, kept for
@@ -75,8 +80,9 @@ def run_batch(graph: Graph, hp: Hyperparameters, *,
     do not depend on the worker count, the grouping or scheduling order.
     With more than one worker the runs go to a process pool that is kept
     for later batches with the same number of processes; it is replaced
-    when that number changes or when a worker dies.  A pool worker that
-    dies, or a run in one that raises, ends in ``WorkerError``.
+    when that number changes or when a worker dies.  A worker of a new pool
+    that dies, or a run in one that raises, ends in ``WorkerError``.  A
+    batch in which every run diverged raises ``DivergedError``.
     """
     indices = list(range(hp.n_runs))
     if workers <= 1 or hp.n_runs == 1:
@@ -86,9 +92,8 @@ def run_batch(graph: Graph, hp: Hyperparameters, *,
         chunks = [indices[w::workers] for w in range(workers)]
         task = partial(run_one, graph, hp, record_trajectory=record_trajectories)
         try:
-            parts = list(_worker_pool(workers).map(task, chunks))
+            parts = _map_in_pool(workers, task, chunks)
         except BrokenProcessPool as exc:
-            _close_pool()
             raise WorkerError(f"worker process failed: {exc}") from None
         except Exception as exc:
             raise WorkerError(
@@ -98,8 +103,26 @@ def run_batch(graph: Graph, hp: Hyperparameters, *,
     return collect_stats(graph, records)
 
 
+def _map_in_pool(workers: int, task, chunks) -> list:
+    """``task`` over ``chunks`` in the kept pool; a broken pool is closed.
+    A pool kept from an earlier batch may have lost a worker while it sat
+    idle, so the chunks then run once more on a new pool.  A new pool that
+    breaks raises ``BrokenProcessPool``."""
+    kept = _pool is not None and _pool_size == workers
+    try:
+        return list(_worker_pool(workers).map(task, chunks))
+    except BrokenProcessPool:
+        _close_pool()
+        if not kept:
+            raise
+    return _map_in_pool(workers, task, chunks)
+
+
 def collect_stats(graph: Graph, records: list[RunRecord]) -> BatchStats:
-    bests = np.array([r.best_energy for r in records])
+    bests = np.array([r.best_energy for r in records if not r.diverged])
+    if not bests.size:
+        raise DivergedError(
+            f"all {len(records)} runs diverged (non-finite cost)")
     best = int(bests.min())
     n_min = int((bests == best).sum())
     histogram = dict(sorted(Counter(int(b) for b in bests).items()))

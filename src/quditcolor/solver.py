@@ -1,8 +1,8 @@
 """The two solution drivers: annealed optimization over an interpolated cost
 (qdlqa) and direct gradient descent on the end cost (qdgd).
 
-Both run one optimizer loop over a stream of stages, each a cost (its
-annealing time t) and a number of Adam steps to take on it.  qdlqa steps t
+Both run one optimizer loop over a numbered sequence of stages, each a
+cost (its annealing time t) and a number of Adam steps to take on it.  qdlqa steps t
 through n / n_steps with alpha(t) steps per stage; qdgd is the same loop
 held at t = 1 with one step per stage and a patience stop.
 """
@@ -13,8 +13,7 @@ import math
 import operator
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from itertools import repeat
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -164,16 +163,18 @@ class RunRecord:
     A batch keeps one record per run, so a record is kept small: slots, and
     the coloring in the smallest signed integer type that holds the color
     count (int8 up to 128 colors).
-    A run whose cost goes non-finite stops there and is marked ``diverged``;
-    it keeps the best coloring read out up to that point.  ``wall_time`` is
-    the run's attributed share of its group's time: each interval between
-    two runs leaving the group is split evenly among the runs active in
-    it, so the shares of a group add up to the group's wall time.
+    A run whose angles go non-finite is marked ``diverged`` and stops at the
+    end of that stage (for qdgd, one step); that stage's readout is not
+    counted.  It keeps the best of its earlier readouts, or ``None`` as
+    best and coloring if it had none.  ``wall_time`` is the run's
+    attributed share of its group's time: each interval between two runs
+    leaving the group is split evenly among the runs active in it, so the
+    shares of a group add up to the group's wall time.
     """
 
     run_index: int
-    best_energy: int
-    best_coloring: np.ndarray
+    best_energy: int | None
+    best_coloring: np.ndarray | None
     steps_executed: int
     wall_time: float
     trajectory: Trajectory | None = None
@@ -194,15 +195,14 @@ def run_qdlqa(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     By default t stops one increment short of 1 (loop guard t < 1);
     ``hp.include_t_end`` adds the final t = 1 stage.
     """
-    n_outer = hp.n_steps + 1 if hp.include_t_end else hp.n_steps
+    n_stages = hp.n_steps + 1 if hp.include_t_end else hp.n_steps
 
-    def stages():
-        times = (n / hp.n_steps for n in range(n_outer))
-        return ((CostParams(gamma=hp.gamma, h=hp.h, t=t), alpha_at(hp.alpha, t))
-                for t in times)
+    def stage(n):
+        t = n / hp.n_steps
+        return CostParams(gamma=hp.gamma, h=hp.h, t=t), alpha_at(hp.alpha, t)
 
-    return _run(graph, hp, run_indices, init_qdlqa_state, hp.f, stages,
-                math.inf, record_trajectory)
+    return _run(graph, hp, run_indices, init_qdlqa_state, hp.f, n_stages,
+                stage, math.inf, record_trajectory)
 
 
 def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
@@ -213,8 +213,7 @@ def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     in the order given."""
     stage = (CostParams(gamma=hp.gamma, h=hp.h, t=1.0), 1)
     return _run(graph, hp, run_indices, init_qdgd_state, hp.f_tilde,
-                lambda: repeat(stage, hp.n_steps), hp.patience,
-                record_trajectory)
+                hp.n_steps, lambda n: stage, hp.patience, record_trajectory)
 
 
 def _keep_blocks(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -223,96 +222,29 @@ def _keep_blocks(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return a.reshape(keep.size, -1, *a.shape[1:])[keep].reshape(-1, *a.shape[1:])
 
 
-class _Group:
-    """The runs a group still steps together, in group order.
+@dataclass(slots=True)
+class _Run:
+    """One run of a lockstep group: its generator, its best conflict count
+    and coloring so far, the stage of its last improvement, its trajectory
+    rows (stage, t, cost, conflicts) and, once it has left, its record.
+    Plain Python values: a stage touches each once, which costs less than
+    a numpy call when a group holds few runs."""
 
-    Run j owns block j of every stacked array: its angle rows, Adam
-    moments, ``Forward`` rows and coupling slice.  A finished run is
-    recorded and compacted out of all of them.  The per-run bookkeeping is
-    kept in Python lists: a stage touches each entry once, which costs less
-    than a numpy call when a group holds few runs.
-    """
+    index: int
+    rng: np.random.Generator
+    best: int | None = None
+    coloring: np.ndarray | None = None
+    improved_at: int = 0
+    rows: list = field(default_factory=list)
+    record: RunRecord | None = None
 
-    def __init__(self, run_indices, rngs, angles, num_colors, num_edges, eta,
-                 patience, record_trajectory, start):
-        k = len(run_indices)
-        self.size = k
-        self.run_indices = list(run_indices)
-        # each run's position in run_indices, and its generator
-        self.slots, self.rngs = list(range(k)), rngs
-        self.angles, self.flat = angles, angles.ravel()
-        self.adam = Adam(angles.size, eta)
-        self.fwd = None
-        # the couplings of the runs in the group, one (E,) slice per run
-        self.num_edges = num_edges
-        self._hvals = self.hvals = np.empty(k * num_edges)
-        self.slices = [self.hvals[j * num_edges:(j + 1) * num_edges]
-                       for j in range(k)]
-        self.best = [np.iinfo(np.int64).max] * k
-        self.best_colors: list[np.ndarray | None] = [None] * k
-        self.color_type = np.min_scalar_type(-num_colors)
-        self.improved_at = [0] * k  # stage of each run's last improvement
-        self.patience = patience
-        self.record_trajectory = record_trajectory
-        self.trajs = [[] for _ in range(k)]
-        self.records: list[RunRecord | None] = [None] * k
-        # wall time attributed to every run still in the group, and when
-        # that total was last brought up to date
-        self.share, self.mark = 0.0, start
 
-    def read_out(self, graph, workspace, n, t, values, runs=None) -> list[int]:
-        """Read out the colorings at stage n and track the best of each run
-        (of the runs at the positions ``runs`` only, if given); returns the
-        positions of the runs that are done, at 0 conflicts or out of
-        patience."""
-        colors = workspace.coloring(self.fwd).reshape(self.size, -1)
-        counts = potts_energy(graph, colors)
-        runs = range(self.size) if runs is None else runs
-        best, improved_at = self.best, self.improved_at
-        for j in runs:
-            if counts[j] < best[j]:
-                best[j], improved_at[j] = counts[j], n
-                self.best_colors[j] = colors[j].astype(self.color_type)
-        if self.record_trajectory:
-            for j in runs:
-                self.trajs[self.slots[j]].append((n, t, values[j], counts[j]))
-        return [j for j in runs
-                if best[j] == 0 or n - improved_at[j] >= self.patience]
-
-    def retire(self, done: list[int], diverged: bool = False) -> np.ndarray:
-        """Record the runs at the positions ``done`` and compact them out;
-        returns the mask of the runs kept."""
-        now = time.perf_counter()
-        self.share += (now - self.mark) / self.size
-        self.mark = now
-        for j in done:
-            slot = self.slots[j]
-            trajectory = None
-            if self.record_trajectory:
-                cols = list(zip(*self.trajs[slot]))
-                trajectory = Trajectory(step=np.array(cols[0], dtype=np.int64),
-                                        t=np.array(cols[1]),
-                                        e_total=np.array(cols[2]),
-                                        e_potts=np.array(cols[3], dtype=np.int64))
-            self.records[slot] = RunRecord(
-                run_index=self.run_indices[slot], best_energy=int(self.best[j]),
-                best_coloring=self.best_colors[j],
-                steps_executed=self.adam.step_count, wall_time=self.share,
-                trajectory=trajectory, diverged=diverged)
-        keep = np.ones(self.size, dtype=bool)
-        keep[done] = False
-        kept = np.flatnonzero(keep).tolist()
-        self.size = len(kept)
-        for name in ("slots", "rngs", "best", "best_colors", "improved_at"):
-            setattr(self, name, [getattr(self, name)[j] for j in kept])
-        self.angles = _keep_blocks(self.angles, keep)
-        self.flat = self.angles.ravel()
-        self.hvals = self._hvals[:self.size * self.num_edges]
-        adam = self.adam
-        adam.first_moment = _keep_blocks(adam.first_moment, keep)
-        adam.second_moment = _keep_blocks(adam.second_moment, keep)
-        self.fwd = Forward._make(_keep_blocks(a, keep) for a in self.fwd)
-        return keep
+def _trajectory(rows: list) -> Trajectory:
+    step, t, e_total, e_potts = zip(*rows) if rows else ((),) * 4
+    return Trajectory(step=np.array(step, dtype=np.int64),
+                      t=np.array(t, dtype=float),
+                      e_total=np.array(e_total, dtype=float),
+                      e_potts=np.array(e_potts, dtype=np.int64))
 
 
 # Angles one lockstep group holds at most.  Below this a step is bound by
@@ -327,12 +259,12 @@ def group_size(n_free: int, num_colors: int) -> int:
 
 
 def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
-         init_state, init_scale: float, stages, patience: float,
+         init_state, init_scale: float, n_stages: int, stage, patience: float,
          record_trajectory: bool) -> list[RunRecord]:
     """The set-up both drivers share: resolve the operators and the pinned
     node once, split the runs into near-equal lockstep groups of at most
     ``group_size`` runs, and step each group in turn through one
-    workspace.  ``stages`` returns a fresh stage stream for each group."""
+    workspace."""
     # any sequence of integers: a list, a range, an integer array
     run_indices = [operator.index(i) for i in run_indices]
     if not run_indices:
@@ -345,66 +277,95 @@ def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     workspace = CostWorkspace(graph, ops, fixed, copies=len(groups[0]))
     return [record for group in groups
             for record in _run_group(workspace, hp, group, init_state,
-                                     init_scale, stages(), patience,
+                                     init_scale, n_stages, stage, patience,
                                      record_trajectory)]
 
 
 def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
-               run_indices: list[int], init_state, init_scale: float, stages,
-               patience: float, record_trajectory: bool) -> list[RunRecord]:
+               run_indices: list[int], init_state, init_scale: float,
+               n_stages: int, stage, patience: float,
+               record_trajectory: bool) -> list[RunRecord]:
     """Step one group of runs in lockstep (a group of one is the same loop).
 
-    Each stage is a ``(CostParams, inner_steps)`` pair: take that many Adam
-    steps on the stage's cost, then read out the colorings and track each
-    run's best conflict count.  A run stops at 0 conflicts, after
-    ``patience`` stages in a row without improving its best, when the
-    stages run out, or, marked as diverged, at a non-finite cost (read out
-    on the angles reached and removed before the others step).  Each run
-    draws its couplings from its own generator and keeps its own rows, so
-    its numbers do not depend on the group it is in.  The angles are mapped
-    to amplitudes once per step: the forward map taken after an Adam step
-    serves both the stage's readout and the next step's cost, and a
-    finished run is sliced out of it.  The trajectory's t column is
-    n / n_steps for stage n.
+    Stage n, for n < ``n_stages``, is the pair ``stage(n)`` of a
+    ``CostParams`` and a step count: take that many Adam steps on the
+    stage's cost, then read out the colorings and track each run's best
+    conflict count.  The readout is the one place where a run leaves the
+    group: at 0 conflicts, after ``patience`` stages in a row without
+    improving its best, after the last stage, or, marked as diverged, when
+    any of its angles is non-finite, in which case that readout is not
+    counted for it.  Until then a diverged run steps on with the others;
+    each run draws its couplings from its own generator and keeps its own
+    rows, coupling slice and Adam moments, and every value is reduced over
+    its own block, so no run's numbers depend on the group it is in.  The
+    angles are mapped to amplitudes once per step: the forward map taken
+    after an Adam step serves both the stage's readout and the next step's
+    cost, and a run that leaves is sliced out of it.  The trajectory's t
+    column is n / n_steps for stage n.
     """
-    start = time.perf_counter()
+    mark = time.perf_counter()
+    share = 0.0  # wall time attributed to every run still in the group
     graph, n_free = workspace.graph, workspace.free.size
-    rngs = [run_rng(hp.master_seed, i) for i in run_indices]
-    angles = np.concatenate([init_state(n_free, hp.num_colors, init_scale, rng)
-                             for rng in rngs])
-    group = _Group(run_indices, rngs, angles, hp.num_colors, graph.num_edges,
-                   hp.eta, patience, record_trajectory, start)
-    # a diverging run overflows in Adam and maps NaN angles before its cost
-    # goes non-finite; it is reported by the diverged flag, not by numpy
+    num_edges = graph.num_edges
+    members = [_Run(i, run_rng(hp.master_seed, i)) for i in run_indices]
+    runs = members
+    angles = np.concatenate([init_state(n_free, hp.num_colors, init_scale, run.rng)
+                             for run in runs])
+    adam = Adam(angles.size, hp.eta)
+    # each run's couplings in its own (E,) slice, in group order
+    couplings = np.empty(len(runs) * num_edges)
+    slices = [couplings[j * num_edges:(j + 1) * num_edges] for j in range(len(runs))]
+    color_type = np.min_scalar_type(-hp.num_colors)
+    # a diverging run overflows in Adam and then maps NaN angles; it is
+    # reported by the diverged flag, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        group.fwd = workspace.forward(group.angles)
-        for n, (params, inner) in enumerate(stages):
-            t = n / hp.n_steps
+        fwd = workspace.forward(angles)
+        for n in range(n_stages):
+            params, inner = stage(n)
             for _ in range(inner):
-                for rng, out in zip(group.rngs, group.slices):
-                    draw_couplings(graph, hp.h, rng, out=out)
-                values, gphi = workspace.value_and_grad(group.fwd, params,
-                                                        group.hvals)
-                diverged = [j for j, v in enumerate(values) if not math.isfinite(v)]
-                if diverged:
-                    group.read_out(graph, workspace, n, t, values, diverged)
-                    keep = group.retire(diverged, diverged=True)
-                    if not group.size:
-                        break
-                    values = [v for v, kept in zip(values, keep) if kept]
-                    gphi = _keep_blocks(gphi, keep)
-                group.adam.step(group.flat, gphi.ravel())
-                group.fwd = workspace.forward(group.angles)
-            if not group.size:
+                for run, out in zip(runs, slices):
+                    draw_couplings(graph, hp.h, run.rng, out=out)
+                values, gphi = workspace.value_and_grad(fwd, params, couplings)
+                adam.step(angles.ravel(), gphi.ravel())
+                fwd = workspace.forward(angles)
+            k = len(runs)
+            finite = np.isfinite(angles).reshape(k, -1).all(axis=1).tolist()
+            colors = workspace.coloring(fwd).reshape(k, -1)
+            counts = potts_energy(graph, colors)
+            t, last = n / hp.n_steps, n == n_stages - 1
+            stays = []
+            for j, run in enumerate(runs):
+                if finite[j]:
+                    if run.best is None or counts[j] < run.best:
+                        run.best, run.improved_at = counts[j], n
+                        run.coloring = colors[j].astype(color_type)
+                    if record_trajectory:
+                        run.rows.append((n, t, values[j], counts[j]))
+                stays.append(finite[j] and run.best > 0 and not last
+                             and n - run.improved_at < patience)
+            if all(stays):
+                continue
+            now = time.perf_counter()
+            share += (now - mark) / k
+            mark = now
+            for run, ok, stay in zip(runs, finite, stays):
+                if not stay:
+                    run.record = RunRecord(
+                        run_index=run.index, best_energy=run.best,
+                        best_coloring=run.coloring,
+                        steps_executed=adam.step_count, wall_time=share,
+                        trajectory=_trajectory(run.rows) if record_trajectory else None,
+                        diverged=not ok)
+            runs = [run for run, stay in zip(runs, stays) if stay]
+            if not runs:
                 break
-            done = group.read_out(graph, workspace, n, t, values)
-            if done:
-                group.retire(done)
-                if not group.size:
-                    break
-        if group.size:
-            group.retire(list(range(group.size)))
-    return group.records
+            keep = np.array(stays)
+            angles = _keep_blocks(angles, keep)
+            adam.first_moment = _keep_blocks(adam.first_moment, keep)
+            adam.second_moment = _keep_blocks(adam.second_moment, keep)
+            fwd = Forward._make(_keep_blocks(a, keep) for a in fwd)
+            couplings = couplings[:len(runs) * num_edges]
+    return [run.record for run in members]
 
 
 def run_one(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int], *,

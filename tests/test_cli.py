@@ -398,19 +398,49 @@ def test_overflowing_alpha_rate_runs_at_the_cap(queen55_col, tmp_path):
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_diverged_runs_are_reported(queen55_col, tmp_path, capsys, command):
-    # numpy's overflow and invalid-value warnings would be errors here
+    # every run diverges: the batch has no result, so no JSON is written
+    # ... and numpy's overflow and invalid-value warnings would be errors here
     out = tmp_path / "d.json"
     with np.errstate(all="warn"), warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([command, "--graph", str(queen55_col), "--colors", "4",
                      "--method", "qdgd", "--steps", "50", "--eta", "1e308",
                      "--runs", "2", "--quiet", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == \
+        ("", "error: all 2 runs diverged (non-finite cost)\n")
+    assert not out.exists()
+
+
+def test_diverged_runs_are_left_out_of_the_aggregates(queen55_col, tmp_path,
+                                                      capsys):
+    # the settings of the "qdgd-some-diverge" group case: 2 of 6 runs diverge
+    # after a first finite readout
+    out, coloring = tmp_path / "d.json", tmp_path / "d.col"
+    code = main(solve_args(queen55_col, "--colors", "5", "--method", "qdgd",
+                           "--steps", "40", "--eta", "1e307", "--patience", "40",
+                           "--runs", "6", "--out", str(out),
+                           "--coloring", str(coloring)))
     assert code == 0
     assert capsys.readouterr().err == \
-        "warning: 2 of 2 runs diverged (non-finite cost)\n"
-    if command == "solve":
-        assert [run["diverged"] for run in json.loads(out.read_text())["per_run"]] \
-            == [True, True]
+        "warning: 2 of 6 runs diverged (non-finite cost)\n"
+    payload = json.loads(out.read_text())
+    runs = payload["per_run"]
+    assert sum(run["diverged"] for run in runs) == 2
+    finite = [run["best"] for run in runs if not run["diverged"]]
+    best = min(finite)
+    assert payload["best_energy"] == best
+    assert payload["n_min"] == finite.count(best)
+    assert payload["p_min"] == finite.count(best) / 6
+    assert payload["mean_best"] == pytest.approx(np.mean(finite))
+    assert payload["std_best"] == pytest.approx(np.std(finite))
+    assert payload["histogram"] == {str(b): finite.count(b)
+                                    for b in sorted(set(finite))}
+    assert payload["normalized_error"] == best / 160
+    colors = dict(line.split() for line in coloring.read_text().splitlines())
+    edges = [line.split()[1:] for line in queen_col_text(5, 5).splitlines()
+             if line.startswith("e ")]
+    assert sum(colors[u] == colors[v] for u, v in edges) == best
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])

@@ -1,7 +1,9 @@
 import csv
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -16,9 +18,9 @@ import pytest
 from quditcolor import harness
 from quditcolor.cli import main
 from quditcolor.graph import to_dimacs
-from quditcolor.harness import (WorkerError, run_batch, stats_to_dict,
-                                sweep_colors, trajectory_stats,
-                                write_trajectory_csv)
+from quditcolor.harness import (DivergedError, WorkerError, collect_stats,
+                                run_batch, stats_to_dict, sweep_colors,
+                                trajectory_stats, write_trajectory_csv)
 from quditcolor.solver import Hyperparameters, RunRecord, Trajectory
 
 from instances import (dies_in_worker, path, queen_graph, raises_in_worker,
@@ -167,6 +169,19 @@ def test_dead_worker_pool_is_replaced(queen55, monkeypatch, fresh_pool):
     assert len(made) == 2
 
 
+def test_kept_pool_that_lost_a_worker_is_replaced(queen55, monkeypatch,
+                                                  fresh_pool):
+    made = count_pools(monkeypatch)
+    params = hp(num_colors=5, n_runs=4, n_steps=60, master_seed=3)
+    run_batch(queen55, params, workers=2)
+    # a worker of the idle pool dies between batches
+    worker = next(iter(harness._pool._processes.values()))
+    os.kill(worker.pid, signal.SIGKILL)
+    multiprocessing.connection.wait([worker.sentinel], timeout=30)
+    same_records(run_batch(queen55, params, workers=2), run_batch(queen55, params))
+    assert len(made) == 2 and harness._pool is made[1]
+
+
 def test_sweep_shares_one_pool(k3, monkeypatch, fresh_pool):
     made = count_pools(monkeypatch)
     result = sweep_colors(k3, hp(n_runs=4), range(2, 5), force_full=True,
@@ -241,6 +256,26 @@ def test_trajectory_stats_errors():
     bare = RunRecord(0, 0, np.zeros(2, dtype=int), 5, 0.0, None)
     with pytest.raises(ValueError, match="recording"):
         trajectory_stats([bare], "e_potts")
+
+
+def test_diverged_runs_stay_out_of_the_aggregates(k3):
+    def diverged(idx, best):
+        coloring = None if best is None else np.zeros(3, dtype=int)
+        return RunRecord(idx, best, coloring, 1, 0.0, diverged=True)
+
+    recs = [diverged(0, None), fake_record(1, 3, 9, [3]), diverged(2, 1),
+            fake_record(3, 5, 9, [5]), fake_record(4, 3, 9, [3])]
+    stats = collect_stats(k3, recs)
+    assert (stats.best_overall, stats.n_min, stats.p_min) == (3, 2, 2 / 5)
+    assert stats.histogram == {3: 2, 5: 1}
+    assert stats.mean_best == pytest.approx(11 / 3)
+    assert stats.std_best == pytest.approx(np.std([3, 5, 3]))
+    assert stats.normalized_error == 1.0
+    payload = json.loads(json.dumps(stats_to_dict(stats, k3, hp())))
+    assert [run["best"] for run in payload["per_run"]] == [None, 3, 1, 5, 3]
+    with pytest.raises(DivergedError,
+                       match=r"^all 2 runs diverged \(non-finite cost\)$"):
+        collect_stats(k3, [recs[0], recs[2]])
 
 
 def test_stats_json_round_trip(tmp_path, k3):

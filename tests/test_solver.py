@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quditcolor import gradient, solver
 from quditcolor.energy import extract_coloring, potts_energy
-from quditcolor.harness import run_batch
+from quditcolor.harness import DivergedError, run_batch
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
                                Hyperparameters, alpha_at, group_size,
@@ -213,16 +213,18 @@ def test_exponential_alpha_step_total(queen55):
 
 
 def test_diverging_run_stops_and_is_marked(queen55):
-    # the first Adam step overflows the angles; the next cost is NaN
+    # the first Adam step overflows the angles, so the first readout is of
+    # non-finite angles and is not counted: the run has no best at all
     # ... silently: numpy's floating-point warnings would be errors here
     hp = qdgd_hp(num_colors=4, n_steps=50, eta=1e308)
     with np.errstate(all="warn"), warnings.catch_warnings():
         warnings.simplefilter("error")
         rec = run_qdgd(queen55, hp, [0], record_trajectory=True)[0]
     assert rec.diverged
-    assert rec.steps_executed < 5
-    assert not np.isfinite(rec.trajectory.e_total[-1])
-    assert potts_energy(queen55, rec.best_coloring) == rec.best_energy
+    assert rec.steps_executed == 1
+    assert rec.best_energy is None and rec.best_coloring is None
+    assert rec.trajectory.step.dtype == np.int64 and rec.trajectory.step.size == 0
+    assert rec.trajectory.e_total.size == rec.trajectory.e_potts.size == 0
     assert not run_qdgd(queen55, qdgd_hp(num_colors=4, n_steps=50), [0])[0].diverged
 
 
@@ -256,7 +258,8 @@ def test_one_forward_map_per_step(queen55, monkeypatch, method, settings):
 
 # Settings under which a group's runs end in every way a run can end: at 0
 # conflicts, on patience, when the stages run out, and diverged, alone or
-# with others, at a stage end or in the middle of one.
+# with others, with angles that went non-finite at a stage's last step or
+# before it, and before or after a first finite readout.
 GROUP_CASES = {
     "qdlqa-exp-alpha-t-end": dict(method="qdlqa", num_colors=4, n_steps=30, f=0.2,
                                   alpha=ExponentialAlpha(2.0, 3),
@@ -275,8 +278,9 @@ GROUP_RUNS = 6
 
 def run_result(rec):
     """Everything a run reports, floats as exact hex."""
+    coloring = rec.best_coloring
     return (rec.run_index, rec.best_energy, rec.steps_executed, rec.diverged,
-            rec.best_coloring.tolist(),
+            None if coloring is None else coloring.tolist(),
             [x.hex() for x in rec.trajectory.e_total.tolist()],
             rec.trajectory.e_potts.tolist())
 
@@ -310,9 +314,33 @@ def test_grouping_does_not_change_any_run(case, order, cuts):
 @pytest.mark.parametrize("case", sorted(GROUP_CASES))
 def test_batch_runs_match_single_runs_for_any_worker_count(queen55, case):
     hp = Hyperparameters(**GROUP_CASES[case], n_runs=GROUP_RUNS)
+    expected = single_run_results(case)
     for workers in (1, 2):
+        if all(diverged for _, _, _, diverged, *_ in expected):
+            # a batch without one finite run has no result
+            with pytest.raises(DivergedError,
+                               match=f"^all {GROUP_RUNS} runs diverged"):
+                run_batch(queen55, hp, workers=workers)
+            continue
         stats = run_batch(queen55, hp, workers=workers, record_trajectories=True)
-        assert [run_result(r) for r in stats.records] == single_run_results(case)
+        assert [run_result(r) for r in stats.records] == expected
+
+
+@pytest.mark.parametrize("case", ["qdlqa-some-diverge-mid-stage",
+                                  "qdgd-some-diverge", "qdgd-eta-1e308"])
+def test_diverged_runs_keep_only_finite_readouts(queen55, case):
+    hp = Hyperparameters(**GROUP_CASES[case], n_runs=GROUP_RUNS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        recs = run_one(queen55, hp, range(GROUP_RUNS), record_trajectory=True)
+    assert any(r.diverged for r in recs)
+    for rec in recs:
+        if rec.best_coloring is None:
+            assert rec.diverged and rec.best_energy is None
+            assert rec.trajectory.e_potts.size == 0
+            continue
+        assert potts_energy(queen55, rec.best_coloring) == rec.best_energy
+        assert rec.best_energy == rec.trajectory.e_potts.min()
+        assert np.isfinite(rec.trajectory.e_total).all()
 
 
 def test_group_wall_time_shares_add_up(queen55):
