@@ -93,9 +93,11 @@ def draw_couplings(graph: Graph, h: float, rng: np.random.Generator | None,
     """Per-edge coupling perturbations, i.i.d. uniform in [0, h), in edge
     order.
 
-    Written into ``out`` (shape (E,)) when given, else into a new array.
-    The values and the generator's next state are those of
-    ``rng.uniform(0.0, h, E)``; ``h == 0`` gives zeros and draws nothing.
+    Written into ``out`` when given, else into a new (E,) array.  ``out``
+    may have any C-contiguous shape (..., E): a (B, E) buffer holds B
+    successive draws.  The values and the generator's next state are those
+    of ``rng.uniform(0.0, h, out.shape)``; ``h == 0`` gives zeros and draws
+    nothing.
     """
     if out is None:
         out = np.empty(graph.num_edges)

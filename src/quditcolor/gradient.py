@@ -138,7 +138,8 @@ class CostWorkspace:
         """Cost of each of the k runs that ``fwd`` maps, a list of k floats,
         and the gradient w.r.t. their stacked (k*n_free, c-1) angle matrix.
 
-        ``hvals`` holds each run's couplings in its own (E,) slice.  At
+        ``hvals`` holds each run's couplings, as (k, E) rows or as one
+        flat (k*E,) array of (E,) slices in run order.  At
         t = 1 (every qdgd step) the start cost has weight 0, so it and its
         gradient are not computed: the values are the same, and a gradient
         entry can differ from the full formula only in the sign of a zero,
@@ -150,7 +151,8 @@ class CostWorkspace:
         p = psi ** 2
 
         # end cost: neighbor accumulation acc_i = sum_j J_ij p_j
-        couplings = np.add(hvals, 1.0, out=self._couplings[:hvals.size])
+        couplings = self._couplings[:hvals.size]
+        np.add(hvals, 1.0, out=couplings.reshape(hvals.shape))
         acc = self._neighbor_sum(p, couplings)
         blocks = (runs, -1, p.shape[1])
         e_f = np.einsum("rij,rij->r", p.reshape(blocks), acc.reshape(blocks))

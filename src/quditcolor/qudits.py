@@ -9,6 +9,7 @@ eigenvalue m of the z angular-momentum matrix; color index = m + (c-1)/2.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,26 +67,34 @@ def _forward(phi: np.ndarray):
 
 
 def amplitudes_to_angles(psi: np.ndarray) -> np.ndarray:
-    """Invert the spherical map for a unit vector (or a batch of them).
+    """Invert the spherical map for a unit vector (c,), a batch of them
+    (n, c), or k batches stacked as (k, n, c); the angles keep the leading
+    shape, c-1 per vector.
 
     Uses phi_k = atan2(||tail||, psi_k) so all but the final angle land in
     [0, pi]; once the remaining tail norm drops below 1e-14 the rest of the
-    angles are set to 0.
+    angles are set to 0.  Each batch of a stack gets the bits of a call on
+    that batch alone: numpy's arctan2 rounds strided operands by their
+    shape, so it is taken batch by batch.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    single = psi.ndim == 1
-    rows = psi[None, :] if single else psi
+    c = psi.shape[-1]
+    batches = psi.reshape((1,) * (3 - psi.ndim) + psi.shape)
+    rows = batches.reshape(-1, c)
     norms = np.linalg.norm(rows, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValueError("amplitude vector is not unit-norm")
     # tail[:, k] = norm of components k..c-1; tail[:, k] is also the prefix
     # sine product multiplying component k in the forward map.
     tail = np.sqrt(np.cumsum(rows[:, ::-1] ** 2, axis=1))[:, ::-1]
-    phi = np.arctan2(tail[:, 1:], rows[:, :-1])
-    phi[:, -1] = np.arctan2(rows[:, -1], rows[:, -2])
+    phi = np.empty((rows.shape[0], c - 1))
+    for batch, batch_tail, out in zip(batches, tail.reshape(batches.shape),
+                                      phi.reshape(*batches.shape[:2], c - 1)):
+        out[:] = np.arctan2(batch_tail[:, 1:], batch[:, :-1])
+        out[:, -1] = np.arctan2(batch[:, -1], batch[:, -2])
     degenerate = tail[:, :-1] < _DEGENERATE_TAIL
     phi[degenerate] = 0.0
-    return phi[0] if single else phi
+    return phi.reshape(*psi.shape[:-1], c - 1)
 
 
 @lru_cache(maxsize=None)
@@ -97,33 +106,42 @@ def _ground_state_angles(c: int) -> np.ndarray:
 
 
 def init_qdlqa_state(n_free: int, c: int, f: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Annealing start: (n_free, c-1) angles near the -Lx ground state.
+                     rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Annealing start: (k*n_free, c-1) angles near the -Lx ground state,
+    one (n_free, c-1) row block per generator in ``rngs``, in order.
 
     Each angle is the ground-state angle plus i.i.d. uniform noise in
-    [-f, f).  The pinned node, if any, owns no row.
+    [-f, f), drawn from its block's generator.  The pinned node, if any,
+    owns no row.
     """
     if f < 0:
         raise ValueError("perturbation f must be >= 0")
-    angles = np.tile(_ground_state_angles(c), (n_free, 1))
+    angles = np.tile(_ground_state_angles(c), (len(rngs) * n_free, 1))
     if f > 0:
-        angles += rng.uniform(-f, f, size=angles.shape)
+        angles += np.concatenate([rng.uniform(-f, f, size=(n_free, c - 1))
+                                  for rng in rngs])
     return angles
 
 
 def init_qdgd_state(n_free: int, c: int, f_tilde: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Gradient-descent start: (n_free, c-1) angles of random amplitudes.
+                    rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Gradient-descent start: (k*n_free, c-1) angles of random amplitudes,
+    one (n_free, c-1) row block per generator in ``rngs``, in order.
 
     Per row, c entries are drawn uniformly from [0, f_tilde) and the vector
-    is normalized (all-zero draws are redrawn).
+    is normalized; each block's all-zero draws are redrawn from its own
+    generator.
     """
     if f_tilde <= 0:
         raise ValueError("init scale f_tilde must be > 0")
-    draws = rng.uniform(0.0, f_tilde, size=(n_free, c))
+    draws = np.concatenate([rng.uniform(0.0, f_tilde, size=(n_free, c))
+                            for rng in rngs])
     norms = np.linalg.norm(draws, axis=1)
-    while np.any(norms == 0.0):
-        zero = norms == 0.0
-        draws[zero] = rng.uniform(0.0, f_tilde, size=(int(zero.sum()), c))
+    while not norms.all():
+        zeros = (norms == 0.0).reshape(len(rngs), n_free)
+        for rows, zero, rng in zip(draws.reshape(len(rngs), n_free, c), zeros, rngs):
+            if zero.any():
+                rows[zero] = rng.uniform(0.0, f_tilde, size=(int(zero.sum()), c))
         norms = np.linalg.norm(draws, axis=1)
-    return amplitudes_to_angles(draws / norms[:, None])
+    psi = (draws / norms[:, None]).reshape(len(rngs), n_free, c)
+    return amplitudes_to_angles(psi).reshape(-1, c - 1)

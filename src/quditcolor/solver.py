@@ -258,6 +258,14 @@ def group_size(n_free: int, num_colors: int) -> int:
     return max(1, GROUP_ANGLES // (n_free * (num_colors - 1)))
 
 
+# Coupling values a group draws ahead at most (256 KiB of float64).  Each
+# run fills its couplings for a block of DRAW_BUDGET // (k*E) steps, at
+# least one, in one generator call, which shares the call's overhead among
+# the steps of the block.  A larger buffer gained no more in measurement
+# and added its size to the peak memory.
+DRAW_BUDGET = 32_768
+
+
 def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
          init_state, init_scale: float, n_stages: int, stage, patience: float,
          record_trajectory: bool) -> list[RunRecord]:
@@ -300,8 +308,11 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     its own block, so no run's numbers depend on the group it is in.  The
     angles are mapped to amplitudes once per step: the forward map taken
     after an Adam step serves both the stage's readout and the next step's
-    cost, and a run that leaves is sliced out of it.  The trajectory's t
-    column is n / n_steps for stage n.
+    cost, and a run that leaves is sliced out of it.  Each run draws its
+    couplings a block of steps ahead into its own rows of one buffer, which
+    takes its generator through the same stream as one draw per step; a run
+    that leaves mid-block leaves its unused rows behind.  The trajectory's
+    t column is n / n_steps for stage n.
     """
     mark = time.perf_counter()
     share = 0.0  # wall time attributed to every run still in the group
@@ -309,12 +320,13 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     num_edges = graph.num_edges
     members = [_Run(i, run_rng(hp.master_seed, i)) for i in run_indices]
     runs = members
-    angles = np.concatenate([init_state(n_free, hp.num_colors, init_scale, run.rng)
-                             for run in runs])
+    angles = init_state(n_free, hp.num_colors, init_scale, [run.rng for run in runs])
     adam = Adam(angles.size, hp.eta)
-    # each run's couplings in its own (E,) slice, in group order
-    couplings = np.empty(len(runs) * num_edges)
-    slices = [couplings[j * num_edges:(j + 1) * num_edges] for j in range(len(runs))]
+    buffer = np.empty(max(DRAW_BUDGET, len(runs) * num_edges))
+    # the next step reads row `at` of each run's (block, E) rows in `drawn`;
+    # once a run has left since the refill, `kept` picks the others' rows
+    block = at = 0
+    kept = None
     color_type = np.min_scalar_type(-hp.num_colors)
     # a diverging run overflows in Adam and then maps NaN angles; it is
     # reported by the diverged flag, not by numpy
@@ -323,9 +335,16 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
         for n in range(n_stages):
             params, inner = stage(n)
             for _ in range(inner):
-                for run, out in zip(runs, slices):
-                    draw_couplings(graph, hp.h, run.rng, out=out)
-                values, gphi = workspace.value_and_grad(fwd, params, couplings)
+                if at == block:
+                    k = len(runs)
+                    block = max(1, DRAW_BUDGET // max(1, k * num_edges))
+                    drawn = buffer[:k * block * num_edges].reshape(k, block, num_edges)
+                    for run, out in zip(runs, drawn):
+                        draw_couplings(graph, hp.h, run.rng, out=out)
+                    at, kept = 0, None
+                hvals = drawn[:, at] if kept is None else drawn[kept, at]
+                at += 1
+                values, gphi = workspace.value_and_grad(fwd, params, hvals)
                 adam.step(angles.ravel(), gphi.ravel())
                 fwd = workspace.forward(angles)
             k = len(runs)
@@ -364,7 +383,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
             adam.first_moment = _keep_blocks(adam.first_moment, keep)
             adam.second_moment = _keep_blocks(adam.second_moment, keep)
             fwd = Forward._make(_keep_blocks(a, keep) for a in fwd)
-            couplings = couplings[:len(runs) * num_edges]
+            kept = np.flatnonzero(keep) if kept is None else kept[keep]
     return [run.record for run in members]
 
 

@@ -44,7 +44,7 @@ def finite_difference(ws, angles, params, hvals, step=1e-6):
 
 def test_gradient_zero_at_annealing_start():
     g = Graph.from_edges(2, [(0, 1)])
-    angles = init_qdlqa_state(1, 3, 0.0, np.random.default_rng(0))
+    angles = init_qdlqa_state(1, 3, 0.0, [np.random.default_rng(0)])
     ws = pinned_workspace(g, 3)
     _, grad = ws.value_and_grad(
         ws.forward(angles), CostParams(gamma=1.0, h=0.0, t=0.0), np.zeros(1))
@@ -370,3 +370,17 @@ def test_draw_couplings_into_buffer_is_uniform_draw(g, h, seed):
     assert mine.random() == ref.random()  # same generator state afterwards
     np.testing.assert_array_equal(draw_couplings(g, h, np.random.default_rng(seed)),
                                   expected)
+
+
+@settings(deadline=None, max_examples=60)
+@given(g=small_graphs(), h=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
+       block=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_draw_couplings_into_block_is_successive_draws(g, h, block, seed):
+    # a run draws a block of steps in one call: the rows must be the draws
+    # one call per step would give, and leave the generator where they would
+    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    buf = np.full((block, g.num_edges), np.nan)
+    assert draw_couplings(g, h, mine, out=buf) is buf
+    expected = [draw_couplings(g, h, ref) for _ in range(block)]
+    np.testing.assert_array_equal(buf, np.reshape(expected, buf.shape))
+    assert mine.random() == ref.random()

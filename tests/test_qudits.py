@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from quditcolor.graph import select_fixed_node
 from quditcolor.qudits import (amplitudes_to_angles, build_ops,
@@ -74,6 +76,17 @@ def test_angle_round_trip_on_canonical_domain():
         np.testing.assert_allclose(back, phi, atol=1e-10)
 
 
+def test_inverse_of_a_stack_is_each_batch_inverted():
+    # two two-row batches on which one arctan2 over the stack would round
+    # an angle differently from a call on its batch
+    draws = np.stack([np.random.default_rng(seed).uniform(0.0, 1.0, (2, 3))
+                      for seed in (0, 1)])
+    psi = draws / np.linalg.norm(draws, axis=2, keepdims=True)
+    phi = amplitudes_to_angles(psi)
+    assert phi.shape == (2, 2, 2)
+    assert phi.tobytes() == np.stack([amplitudes_to_angles(b) for b in psi]).tobytes()
+
+
 def test_degenerate_tail_maps_remaining_angles_to_zero():
     phi = amplitudes_to_angles(np.array([0.6, 0.8, 0.0, 0.0]))
     assert phi[2] == 0.0
@@ -123,7 +136,7 @@ def test_ground_state_matches_eigensolver():
 
 
 def test_init_qdlqa_unperturbed(k3):
-    angles = init_qdlqa_state(2, 3, 0.0, np.random.default_rng(0))
+    angles = init_qdlqa_state(2, 3, 0.0, [np.random.default_rng(0)])
     assert angles.shape == (2, 2)
     p = qdlqa_start(k3, 3, 0.0, np.random.default_rng(0)) ** 2
     fixed = select_fixed_node(k3, "max_degree")
@@ -133,8 +146,8 @@ def test_init_qdlqa_unperturbed(k3):
 
 
 def test_init_qdlqa_noise_bound():
-    base = init_qdlqa_state(2, 4, 0.0, np.random.default_rng(0))
-    noisy = init_qdlqa_state(2, 4, 0.1, np.random.default_rng(5))
+    base = init_qdlqa_state(2, 4, 0.0, [np.random.default_rng(0)])
+    noisy = init_qdlqa_state(2, 4, 0.1, [np.random.default_rng(5)])
     assert np.abs(noisy - base).max() < 0.1
     assert np.any(noisy != base)
 
@@ -145,7 +158,7 @@ def test_init_qdlqa_equals_uncached_formula(c, f):
     # the ground-state angles are computed once per c; every call must give
     # the bits of the formula, and must not be able to change the cache
     for seed in range(3):
-        angles = init_qdlqa_state(7, c, f, np.random.default_rng(seed))
+        angles = init_qdlqa_state(7, c, f, [np.random.default_rng(seed)])
         expected = np.tile(amplitudes_to_angles(lx_ground_state(c)), (7, 1))
         if f > 0:
             expected += np.random.default_rng(seed).uniform(-f, f, size=(7, c - 1))
@@ -155,28 +168,80 @@ def test_init_qdlqa_equals_uncached_formula(c, f):
 
 def test_init_qdlqa_no_fixed_node():
     # with no pinned node every node owns a row
-    assert init_qdlqa_state(3, 3, 0.0, np.random.default_rng(0)).shape == (3, 2)
+    assert init_qdlqa_state(3, 3, 0.0, [np.random.default_rng(0)]).shape == (3, 2)
 
 
 def test_init_qdgd_unit_norm_nonnegative():
-    psi = amplitudes(init_qdgd_state(5, 4, 1.0, np.random.default_rng(9)))
+    psi = amplitudes(init_qdgd_state(5, 4, 1.0, [np.random.default_rng(9)]))
     np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
     assert (psi >= 0).all()
 
 
 def test_init_qdgd_two_color_angle_is_arctan():
-    angles = init_qdgd_state(1, 2, 1.0, np.random.default_rng(21))
+    angles = init_qdgd_state(1, 2, 1.0, [np.random.default_rng(21)])
     a, b = np.random.default_rng(21).uniform(0.0, 1.0, size=(1, 2))[0]
     assert angles[0, 0] == pytest.approx(np.arctan2(b, a))
 
 
 def test_init_qdgd_mean_probability_statistics():
     # sampling oracle: uniform draws, normalized, squared -> mean 1/c per color
-    angles = init_qdgd_state(10000, 3, 1.0, np.random.default_rng(123))
+    angles = init_qdgd_state(10000, 3, 1.0, [np.random.default_rng(123)])
     mean_p = (amplitudes(angles) ** 2).mean(axis=0)
     np.testing.assert_allclose(mean_p, 1 / 3, atol=0.02)
 
 
 def test_init_qdgd_requires_positive_scale():
     with pytest.raises(ValueError):
-        init_qdgd_state(2, 3, 0.0, np.random.default_rng(0))
+        init_qdgd_state(2, 3, 0.0, [np.random.default_rng(0)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(init=st.sampled_from([init_qdlqa_state, init_qdgd_state]),
+       n_free=st.integers(0, 8), c=st.integers(2, 12),
+       scale=st.sampled_from([0.0, 0.1, 1.0, 2.5]),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+# one arctan2 over these stacked two-row blocks rounds one angle differently
+@example(init=init_qdgd_state, n_free=2, c=3, scale=1.0, seeds=[0, 1])
+def test_grouped_init_is_the_single_calls_stacked(init, n_free, c, scale, seeds):
+    # a group is set up in one call; each run's row block must be the bits
+    # of a call with its generator alone, which it must leave in the same state
+    assume(init is init_qdlqa_state or scale > 0)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    refs = [np.random.default_rng(seed) for seed in seeds]
+    stacked = init(n_free, c, scale, rngs)
+    singles = [init(n_free, c, scale, [ref]) for ref in refs]
+    assert stacked.shape == (len(seeds) * n_free, c - 1)
+    assert stacked.tobytes() == np.concatenate(singles).tobytes()
+    assert [g.random() for g in rngs] == [g.random() for g in refs]
+
+
+class ZeroFirstRow:
+    """A generator whose first uniform draw has an all-zero first row."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def uniform(self, low, high, size):
+        out = self.rng.uniform(low, high, size)
+        if self.calls == 0:
+            out[0] = 0.0
+        self.calls += 1
+        return out
+
+
+def test_init_qdgd_redraws_all_zero_rows_from_their_own_generator():
+    rngs = [np.random.default_rng(1), ZeroFirstRow(2), np.random.default_rng(3),
+            ZeroFirstRow(4)]
+    stacked = init_qdgd_state(5, 4, 1.0, rngs)
+    assert [g.calls for g in rngs[1::2]] == [2, 2]
+    singles = [init_qdgd_state(5, 4, 1.0, [g]) for g in
+               (np.random.default_rng(1), ZeroFirstRow(2), np.random.default_rng(3),
+                ZeroFirstRow(4))]
+    assert stacked.tobytes() == np.concatenate(singles).tobytes()
+    # the zero row of run 1 is its generator's next draw, normalized
+    ref = np.random.default_rng(2)
+    ref.uniform(0.0, 1.0, (5, 4))
+    redraw = ref.uniform(0.0, 1.0, (1, 4))[0]
+    np.testing.assert_allclose(amplitudes(stacked[5]), redraw / np.linalg.norm(redraw),
+                               atol=1e-12)

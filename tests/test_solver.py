@@ -2,6 +2,7 @@ import math
 import time
 import warnings
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -259,7 +260,8 @@ def test_one_forward_map_per_step(queen55, monkeypatch, method, settings):
 # Settings under which a group's runs end in every way a run can end: at 0
 # conflicts, on patience, when the stages run out, and diverged, alone or
 # with others, with angles that went non-finite at a stage's last step or
-# before it, and before or after a first finite readout.
+# before it, and before or after a first finite readout; and with h = 0,
+# no coupling noise to draw.
 GROUP_CASES = {
     "qdlqa-exp-alpha-t-end": dict(method="qdlqa", num_colors=4, n_steps=30, f=0.2,
                                   alpha=ExponentialAlpha(2.0, 3),
@@ -272,6 +274,7 @@ GROUP_CASES = {
     "qdgd-some-diverge": dict(method="qdgd", num_colors=5, n_steps=40,
                               eta=1e307, patience=40),
     "qdgd-eta-1e308": dict(method="qdgd", num_colors=4, n_steps=50, eta=1e308),
+    "qdgd-h0": dict(method="qdgd", num_colors=5, n_steps=60, h=0.0, patience=20),
 }
 GROUP_RUNS = 6
 
@@ -287,25 +290,33 @@ def run_result(rec):
 
 @lru_cache(maxsize=None)
 def single_run_results(case):
+    """Each run alone, drawing its couplings one step at a time."""
     hp = Hyperparameters(**GROUP_CASES[case], n_runs=GROUP_RUNS)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch.object(solver, "DRAW_BUDGET", 1):
         return [run_result(run_one(queen_graph(5, 5), hp, [i],
                                    record_trajectory=True)[0])
                 for i in range(GROUP_RUNS)]
 
 
-@settings(deadline=None, max_examples=20)
+@settings(deadline=None, max_examples=30)
 @given(case=st.sampled_from(sorted(GROUP_CASES)),
        order=st.permutations(range(GROUP_RUNS)),
-       cuts=st.sets(st.integers(1, GROUP_RUNS - 1)))
-def test_grouping_does_not_change_any_run(case, order, cuts):
+       cuts=st.sets(st.integers(1, GROUP_RUNS - 1)),
+       block=st.integers(1, 80))
+def test_grouping_does_not_change_any_run(case, order, cuts, block):
+    # a group's first coupling block is `block` steps, from one step to
+    # past the longest run (72 steps); blocks grow as runs leave
     hp = Hyperparameters(**GROUP_CASES[case], n_runs=GROUP_RUNS)
+    graph = queen_graph(5, 5)
     bounds = [0, *sorted(cuts), GROUP_RUNS]
     got = {}
     for lo, hi in zip(bounds, bounds[1:]):
         group = order[lo:hi]
-        with np.errstate(over="ignore", invalid="ignore"):
-            recs = run_one(queen_graph(5, 5), hp, group, record_trajectory=True)
+        budget = block * len(group) * graph.num_edges
+        with np.errstate(over="ignore", invalid="ignore"), \
+                mock.patch.object(solver, "DRAW_BUDGET", budget):
+            recs = run_one(graph, hp, group, record_trajectory=True)
         assert [r.run_index for r in recs] == group
         got.update((r.run_index, run_result(r)) for r in recs)
     assert [got[i] for i in range(GROUP_RUNS)] == single_run_results(case)
@@ -390,6 +401,35 @@ def test_runs_are_split_into_near_equal_groups(queen55, monkeypatch):
     # the operators, the pinned node and the workspace are set up once
     # for the batch, not once per group
     assert sorted(calls) == ["CostWorkspace", "build_ops", "select_fixed_node"]
+
+
+@pytest.mark.parametrize("method", ["qdlqa", "qdgd"])
+def test_solver_calls_its_layers_by_module_name(queen55, monkeypatch, method):
+    # the bench tracer patches these names in the solver module, so the
+    # solver must look them up there at call time; per group there is one
+    # init call, one draw per run per coupling block and one Potts count
+    # per stage
+    calls = {}
+
+    def counting(name):
+        function = getattr(solver, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args, **kwargs)
+        return counted
+
+    init = f"init_{method}_state"
+    for name in (init, "draw_couplings", "potts_energy"):
+        monkeypatch.setattr(solver, name, counting(name))
+    # 4 colors cannot color queen5-5, so every run takes all 30 steps
+    hp = Hyperparameters(method=method, num_colors=4, n_steps=30, patience=30,
+                         n_runs=3)
+    monkeypatch.setattr(solver, "DRAW_BUDGET", 7 * 3 * queen55.num_edges)
+    recs = run_one(queen55, hp, range(3))
+    assert [r.steps_executed for r in recs] == [30] * 3
+    assert calls == {init: 1, "draw_couplings": 3 * math.ceil(30 / 7),
+                     "potts_energy": 30}
 
 
 def test_fix_strategy_none_parameterizes_all_nodes(k3):
