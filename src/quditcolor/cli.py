@@ -291,13 +291,15 @@ def _cmd_gradcheck(args) -> int:
         raise ConfigError(str(exc)) from None
     graph, _, fixed = _load_graph(args.graph, args.format, parse_fix(args.fix))
     workspace = CostWorkspace(graph, ops, fixed)
+    n_free = graph.num_nodes - (fixed is not None)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     flagged = 0
     for _ in range(args.points):
         t = float(rng.uniform(0.0, 1.0)) if args.t is None else args.t
-        angles = rng.uniform(-np.pi, np.pi,
-                             size=(workspace.free.size, args.colors - 1))
+        angles = rng.uniform(-np.pi, np.pi, size=(n_free, args.colors - 1))
+        if fixed is not None:  # the pinned node's row is all zeros
+            angles = np.insert(angles, fixed, 0.0, axis=0)
         try:
             report = check_gradient(workspace, angles, replace(params, t=t),
                                     step=args.step, tol=args.tol, rng=rng)

@@ -1,5 +1,5 @@
-"""Exact gradients of the interpolated cost with respect to all free angles,
-plus a central-finite-difference verifier.
+"""Exact gradients of the interpolated cost with respect to every node's
+angles, plus a central-finite-difference verifier.
 
 The chain rule through the spherical parametrization is evaluated with a
 backward recursion over angle index (O(c) per node, no divisions), so it is
@@ -25,13 +25,12 @@ _LOG_OF_CLAMP = float(np.log(LOG_CLAMP))
 
 class Forward(NamedTuple):
     """The spherical map of one angle matrix, as every consumer reads it;
-    k runs stacked run after run (k = 1 for a single run)."""
+    k runs stacked run after run (k = 1 for a single run), V rows each."""
 
-    psi: np.ndarray       # (k*V, c) amplitudes, pinned one-hot rows included
-    psi_free: np.ndarray  # (k*n_free, c) rows of the free nodes
-    sin: np.ndarray       # (k*n_free, c-1) sines of the angles
-    cos: np.ndarray       # (k*n_free, c-1) cosines of the angles
-    prefix: np.ndarray    # (k*n_free, c) prefix sine products
+    psi: np.ndarray       # (k*V, c) amplitudes, one row per node
+    sin: np.ndarray       # (k*V, c-1) sines of the angles
+    cos: np.ndarray       # (k*V, c-1) cosines of the angles
+    prefix: np.ndarray    # (k*V, c) prefix sine products
 
 
 class CostWorkspace:
@@ -50,11 +49,13 @@ class CostWorkspace:
     k copies.  Every run keeps its own row block, and each value is reduced
     over that block alone, so a run's numbers do not depend on the group.
 
-    The angles are a (k*n_free, c-1) matrix, run after run, one row per
-    node in ascending order with the pinned node (if any) left out; the
-    pinned node's amplitude vector is one-hot (1, 0, ..., 0), i.e. color
-    0, in every copy.  A step maps the angles once with ``forward`` and
-    hands the result to both ``value_and_grad`` and ``coloring``.
+    The angles are a (k*V, c-1) matrix, run after run, one row per node in
+    ascending order.  The pinned node's row (if any) is all zeros, which
+    the spherical map sends to exactly (1, 0, ..., 0), i.e. color 0;
+    ``value_and_grad`` gives that row a gradient of exactly 0 in every
+    copy, so Adam never moves it.  A step maps the angles once with
+    ``forward`` and hands the result to both ``value_and_grad`` and
+    ``coloring``.
     """
 
     def __init__(self, graph: Graph, ops: AngularMomentumOps,
@@ -73,12 +74,7 @@ class CostWorkspace:
         self.ops = ops
         self.fixed_node = fixed_node
         self.copies = copies
-        if fixed_node is None:
-            self.free = np.arange(n)
-        else:
-            self.free = np.delete(np.arange(n), fixed_node)
         offsets = n * np.arange(copies)[:, None]
-        self._free_rows = (offsets + self.free).ravel()
         self._indptr = np.concatenate(
             [[0], np.cumsum(np.tile(np.bincount(u, minlength=n), copies))]
         ).astype(np.intp)
@@ -109,24 +105,11 @@ class CostWorkspace:
         return acc
 
     def forward(self, angles: np.ndarray) -> Forward:
-        """Map the free-node angle rows to amplitudes; every array is new."""
-        psi_free, s, u, r = _forward(angles)
-        k = self.fixed_node
-        if k is None:
-            psi = psi_free
-        else:
-            n, c = self.graph.num_nodes, psi_free.shape[1]
-            free = psi_free.reshape(-1, n - 1, c)
-            psi = np.empty((free.shape[0], n, c))
-            psi[:, :k] = free[:, :k]
-            psi[:, k] = 0.0
-            psi[:, k, 0] = 1.0
-            psi[:, k + 1:] = free[:, k:]
-            psi = psi.reshape(-1, c)
-        return Forward(psi, psi_free, s, u, r)
+        """Map the angle rows to amplitudes; every array is new."""
+        return Forward(*_forward(angles))
 
     def amplitudes(self, angles: np.ndarray) -> np.ndarray:
-        """(k*V, c) amplitude matrix for the given free-node angle rows."""
+        """(k*V, c) amplitude matrix of the given angle rows."""
         return self.forward(angles).psi
 
     def coloring(self, fwd: Forward) -> np.ndarray:
@@ -136,7 +119,8 @@ class CostWorkspace:
     def value_and_grad(self, fwd: Forward, params: CostParams,
                        hvals: np.ndarray):
         """Cost of each of the k runs that ``fwd`` maps, a list of k floats,
-        and the gradient w.r.t. their stacked (k*n_free, c-1) angle matrix.
+        and the gradient w.r.t. their stacked (k*V, c-1) angle matrix, with
+        the pinned node's rows exactly 0.
 
         ``hvals`` holds each run's couplings, as (k, E) rows or as one
         flat (k*E,) array of (E,) slices in run order.  At
@@ -146,7 +130,7 @@ class CostWorkspace:
         which Adam's zero-started first moment does not carry."""
         ops = self.ops
         t, gamma = params.t, params.gamma
-        psi, psi_free, s, u, r = fwd
+        psi, s, u, r = fwd
         runs = psi.shape[0] // self.graph.num_nodes
         p = psi ** 2
 
@@ -165,7 +149,7 @@ class CostWorkspace:
 
         off = ops.lx_offdiag
         if t < 1.0:
-            cross = psi_free[:, :-1] * psi_free[:, 1:]
+            cross = psi[:, :-1] * psi[:, 1:]
             e_i = (cross @ off).reshape(runs, -1).sum(axis=1).tolist()
         else:
             e_i = [0.0] * runs
@@ -175,13 +159,12 @@ class CostWorkspace:
         values = [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
                   for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i)]
 
-        # dE/dpsi on free nodes
-        free = self._free_rows[:psi_free.shape[0]]
-        gpsi = (2.0 * t) * psi_free * (acc + gamma * (logp + 1.0))[free]
+        # dE/dpsi
+        gpsi = (2.0 * t) * psi * (acc + gamma * (logp + 1.0))
         if t < 1.0:
-            lxpsi = np.zeros_like(psi_free)
-            lxpsi[:, :-1] = off * psi_free[:, 1:]
-            lxpsi[:, 1:] += off * psi_free[:, :-1]
+            lxpsi = np.zeros_like(psi)
+            lxpsi[:, :-1] = off * psi[:, 1:]
+            lxpsi[:, 1:] += off * psi[:, :-1]
             gpsi -= (2.0 * (1.0 - t)) * lxpsi
 
         # chain rule to angles: backward recursion over the angle index
@@ -191,6 +174,8 @@ class CostWorkspace:
         for a in range(cm1 - 2, -1, -1):
             back[:, a] = gpsi[:, a + 1] * u[:, a + 1] + s[:, a + 1] * back[:, a + 1]
         gphi = r[:, :cm1] * (u * back - gpsi[:, :cm1] * s)
+        if self.fixed_node is not None:
+            gphi.reshape(runs, -1, cm1)[:, self.fixed_node] = 0.0
         return values, gphi
 
 
@@ -219,26 +204,30 @@ class GradientCheckReport:
 def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
                    params: CostParams, step: float = 1e-5, tol: float = 1e-4,
                    rng: np.random.Generator | None = None) -> GradientCheckReport:
-    """Compare the analytic gradient at ``angles`` against central finite
-    differences of the ``energy_total`` oracle.
+    """Compare the analytic gradient at the (V, c-1) ``angles`` against
+    central finite differences of the ``energy_total`` oracle.
 
-    The coupling noise is frozen internally so both sides see the same
-    cost.  Components belonging to nodes with a near-zero probability are
-    flagged rather than failed (the log clamp makes them incomparable).
+    Only the free nodes' angles are compared: the pinned node's row (if
+    any) is held at its zeros, and ``rel_errors`` and ``clamp_flags`` list
+    the free nodes' angles in row order.  The coupling noise is frozen
+    internally so both sides see the same cost.  Components belonging to
+    nodes with a near-zero probability are flagged rather than failed (the
+    log clamp makes them incomparable).
     """
     if not 1e-7 <= step <= 1e-3:
         raise ValueError("finite-difference step must be in [1e-7, 1e-3]")
     if rng is None:
         rng = np.random.default_rng(0)
     graph, ops = workspace.graph, workspace.ops
+    free = [i for i in range(graph.num_nodes) if i != workspace.fixed_node]
     hvals = draw_couplings(graph, params.h, rng)
     _, gphi = workspace.value_and_grad(workspace.forward(angles), params, hvals)
-    analytic = gphi.ravel()
+    analytic = gphi[free].ravel()
 
     angles = np.array(angles, dtype=np.float64)  # perturbed below
     flat = angles.ravel()
     fd = np.empty_like(analytic)
-    for k in range(flat.size):
+    for j, k in enumerate(np.arange(flat.size).reshape(angles.shape)[free].ravel()):
         saved = flat[k]
         flat[k] = saved + step
         e_plus = energy_total(workspace.amplitudes(angles), graph, ops, params,
@@ -247,12 +236,12 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
         e_minus = energy_total(workspace.amplitudes(angles), graph, ops, params,
                                hvals=hvals)
         flat[k] = saved
-        fd[k] = (e_plus - e_minus) / (2.0 * step)
+        fd[j] = (e_plus - e_minus) / (2.0 * step)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), _REL_FLOOR)
     rel = np.abs(analytic - fd) / denom
 
-    p_min = (workspace.amplitudes(angles)[workspace.free] ** 2).min(axis=1)
+    p_min = (workspace.amplitudes(angles)[free] ** 2).min(axis=1)
     clamp_flags = np.repeat(p_min < CLAMP_FLAG_THRESHOLD, angles.shape[1])
     clean = rel[~clamp_flags]
     max_rel = float(clean.max()) if clean.size else 0.0

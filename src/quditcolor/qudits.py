@@ -112,7 +112,7 @@ def init_qdlqa_state(n_free: int, c: int, f: float,
 
     Each angle is the ground-state angle plus i.i.d. uniform noise in
     [-f, f), drawn from its block's generator.  The pinned node, if any,
-    owns no row.
+    owns no row here; the solver inserts its row of zeros.
     """
     if f < 0:
         raise ValueError("perturbation f must be >= 0")

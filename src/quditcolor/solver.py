@@ -196,13 +196,10 @@ def run_qdlqa(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     ``hp.include_t_end`` adds the final t = 1 stage.
     """
     n_stages = hp.n_steps + 1 if hp.include_t_end else hp.n_steps
-
-    def stage(n):
-        t = n / hp.n_steps
-        return CostParams(gamma=hp.gamma, h=hp.h, t=t), alpha_at(hp.alpha, t)
-
-    return _run(graph, hp, run_indices, init_qdlqa_state, hp.f, n_stages,
-                stage, math.inf, record_trajectory)
+    stages = [(CostParams(gamma=hp.gamma, h=hp.h, t=t), alpha_at(hp.alpha, t))
+              for t in (n / hp.n_steps for n in range(n_stages))]
+    return _run(graph, hp, run_indices, init_qdlqa_state, hp.f, stages,
+                math.inf, record_trajectory)
 
 
 def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
@@ -211,9 +208,9 @@ def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     stopping a run at 0 conflicts or after ``patience`` steps without
     improving its best conflict count.  Returns one record per run index,
     in the order given."""
-    stage = (CostParams(gamma=hp.gamma, h=hp.h, t=1.0), 1)
-    return _run(graph, hp, run_indices, init_qdgd_state, hp.f_tilde,
-                hp.n_steps, lambda n: stage, hp.patience, record_trajectory)
+    stages = [(CostParams(gamma=hp.gamma, h=hp.h, t=1.0), 1)] * hp.n_steps
+    return _run(graph, hp, run_indices, init_qdgd_state, hp.f_tilde, stages,
+                hp.patience, record_trajectory)
 
 
 def _keep_blocks(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -253,21 +250,23 @@ def _trajectory(rows: list) -> Trajectory:
 GROUP_ANGLES = 10_000
 
 
-def group_size(n_free: int, num_colors: int) -> int:
-    """Most runs to step together on n_free free nodes with c colors."""
-    return max(1, GROUP_ANGLES // (n_free * (num_colors - 1)))
+def group_size(num_nodes: int, num_colors: int) -> int:
+    """Most runs to step together on V nodes with c colors: a run holds
+    V*(c-1) angles, the pinned node's included."""
+    return max(1, GROUP_ANGLES // (num_nodes * (num_colors - 1)))
 
 
 # Coupling values a group draws ahead at most (256 KiB of float64).  Each
 # run fills its couplings for a block of DRAW_BUDGET // (k*E) steps, at
-# least one, in one generator call, which shares the call's overhead among
-# the steps of the block.  A larger buffer gained no more in measurement
-# and added its size to the peak memory.
+# least one and at most the steps the group can still take, in one
+# generator call, which shares the call's overhead among the steps of the
+# block.  A larger buffer gained no more in measurement and added its size
+# to the peak memory.
 DRAW_BUDGET = 32_768
 
 
 def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
-         init_state, init_scale: float, n_stages: int, stage, patience: float,
+         init_state, init_scale: float, stages: list, patience: float,
          record_trajectory: bool) -> list[RunRecord]:
     """The set-up both drivers share: resolve the operators and the pinned
     node once, split the runs into near-equal lockstep groups of at most
@@ -279,26 +278,24 @@ def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
         return []
     ops = build_ops(hp.num_colors)
     fixed = select_fixed_node(graph, hp.fix_strategy)
-    n_free = graph.num_nodes - (fixed is not None)
-    n_groups = -(-len(run_indices) // group_size(n_free, hp.num_colors))
+    n_groups = -(-len(run_indices) // group_size(graph.num_nodes, hp.num_colors))
     groups = [g.tolist() for g in np.array_split(run_indices, n_groups)]
     workspace = CostWorkspace(graph, ops, fixed, copies=len(groups[0]))
     return [record for group in groups
             for record in _run_group(workspace, hp, group, init_state,
-                                     init_scale, n_stages, stage, patience,
+                                     init_scale, stages, patience,
                                      record_trajectory)]
 
 
 def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
                run_indices: list[int], init_state, init_scale: float,
-               n_stages: int, stage, patience: float,
+               stages: list, patience: float,
                record_trajectory: bool) -> list[RunRecord]:
     """Step one group of runs in lockstep (a group of one is the same loop).
 
-    Stage n, for n < ``n_stages``, is the pair ``stage(n)`` of a
-    ``CostParams`` and a step count: take that many Adam steps on the
-    stage's cost, then read out the colorings and track each run's best
-    conflict count.  The readout is the one place where a run leaves the
+    Stage n is the pair ``stages[n]`` of a ``CostParams`` and a step
+    count: take that many Adam steps on the stage's cost, then read out
+    the colorings and track each run's best conflict count.  The readout is the one place where a run leaves the
     group: at 0 conflicts, after ``patience`` stages in a row without
     improving its best, after the last stage, or, marked as diverged, when
     any of its angles is non-finite, in which case that readout is not
@@ -310,17 +307,25 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     after an Adam step serves both the stage's readout and the next step's
     cost, and a run that leaves is sliced out of it.  Each run draws its
     couplings a block of steps ahead into its own rows of one buffer, which
-    takes its generator through the same stream as one draw per step; a run
-    that leaves mid-block leaves its unused rows behind.  The trajectory's
-    t column is n / n_steps for stage n.
+    takes its generator through the same stream as one draw per step; a
+    block never holds more steps than the stages have left, and a run that
+    leaves mid-block leaves its unused rows behind.  The angles hold a row
+    for every node; the pinned node's row is inserted as zeros into each
+    run's start angles and stays there, since its gradient is 0.  The
+    trajectory's t column is n / n_steps for stage n.
     """
     mark = time.perf_counter()
     share = 0.0  # wall time attributed to every run still in the group
-    graph, n_free = workspace.graph, workspace.free.size
+    graph, fixed = workspace.graph, workspace.fixed_node
     num_edges = graph.num_edges
+    total_steps = sum(inner for _, inner in stages)
     members = [_Run(i, run_rng(hp.master_seed, i)) for i in run_indices]
     runs = members
+    n_free, cm1 = graph.num_nodes - (fixed is not None), hp.num_colors - 1
     angles = init_state(n_free, hp.num_colors, init_scale, [run.rng for run in runs])
+    if fixed is not None:
+        angles = np.insert(angles.reshape(len(runs), n_free, cm1), fixed, 0.0,
+                           axis=1).reshape(-1, cm1)
     adam = Adam(angles.size, hp.eta)
     buffer = np.empty(max(DRAW_BUDGET, len(runs) * num_edges))
     # the next step reads row `at` of each run's (block, E) rows in `drawn`;
@@ -332,12 +337,12 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     # reported by the diverged flag, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         fwd = workspace.forward(angles)
-        for n in range(n_stages):
-            params, inner = stage(n)
+        for n, (params, inner) in enumerate(stages):
             for _ in range(inner):
                 if at == block:
                     k = len(runs)
-                    block = max(1, DRAW_BUDGET // max(1, k * num_edges))
+                    block = min(max(1, DRAW_BUDGET // max(1, k * num_edges)),
+                                total_steps - adam.step_count)
                     drawn = buffer[:k * block * num_edges].reshape(k, block, num_edges)
                     for run, out in zip(runs, drawn):
                         draw_couplings(graph, hp.h, run.rng, out=out)
@@ -351,7 +356,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
             finite = np.isfinite(angles).reshape(k, -1).all(axis=1).tolist()
             colors = workspace.coloring(fwd).reshape(k, -1)
             counts = potts_energy(graph, colors)
-            t, last = n / hp.n_steps, n == n_stages - 1
+            t, last = n / hp.n_steps, n == len(stages) - 1
             stays = []
             for j, run in enumerate(runs):
                 if finite[j]:

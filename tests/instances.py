@@ -133,7 +133,8 @@ def lx_matrix(c: int) -> np.ndarray:
 def qdlqa_start(graph: Graph, c: int, f: float, rng: np.random.Generator):
     """(V, c) amplitudes of the annealing start, max-degree node pinned."""
     fixed = select_fixed_node(graph, "max_degree")
-    angles = init_qdlqa_state(graph.num_nodes - 1, c, f, [rng])
+    angles = np.insert(init_qdlqa_state(graph.num_nodes - 1, c, f, [rng]),
+                       fixed, 0.0, axis=0)
     return CostWorkspace(graph, build_ops(c), fixed).amplitudes(angles)
 
 

@@ -104,9 +104,11 @@ def test_criterion_5_gradient_correctness():
     worst = 0.0
     checked = 0
     for graph, c, points in cases:
-        ws = CostWorkspace(graph, build_ops(c), select_fixed_node(graph, "max_degree"))
+        fixed = select_fixed_node(graph, "max_degree")
+        ws = CostWorkspace(graph, build_ops(c), fixed)
         for _ in range(points):
             angles = rng.uniform(-np.pi, np.pi, size=(graph.num_nodes - 1, c - 1))
+            angles = np.insert(angles, fixed, 0.0, axis=0)  # the pinned row
             params = CostParams(gamma=1.0, h=3.0, t=float(rng.uniform(0, 1)))
             rep = check_gradient(ws, angles, params, step=1e-5, tol=1e-4, rng=rng)
             worst = max(worst, rep.max_rel_error)

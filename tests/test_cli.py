@@ -274,7 +274,8 @@ def test_gradcheck_honours_fix(queen55_col, capsys, monkeypatch, flags, fixed):
     seen = []
 
     def spy(workspace, angles, *args, **kwargs):
-        seen.append((workspace.fixed_node, angles.shape))
+        zero_rows = np.flatnonzero(~angles.any(axis=1)).tolist()
+        seen.append((workspace.fixed_node, angles.shape, zero_rows))
         return check_gradient(workspace, angles, *args, **kwargs)
 
     monkeypatch.setattr(cli, "check_gradient", spy)
@@ -282,7 +283,8 @@ def test_gradcheck_honours_fix(queen55_col, capsys, monkeypatch, flags, fixed):
                  "--points", "2", *flags])
     assert code == 0
     assert "gradcheck OK" in capsys.readouterr().out
-    assert seen == [(fixed, (25 - (fixed is not None), 4))] * 2
+    # every node has a row; the pinned one, and only it, is all zeros
+    assert seen == [(fixed, (25, 4), [] if fixed is None else [fixed])] * 2
 
 
 def test_gradcheck_unresolvable_fix_is_solve_error(queen55_col, capsys):

@@ -9,6 +9,7 @@ from quditcolor.energy import (LOG_CLAMP, PLOGP_FLOOR, CostParams,
 from quditcolor.gradient import (CLAMP_FLAG_THRESHOLD, CostWorkspace,
                                  check_gradient)
 from quditcolor.graph import Graph, select_fixed_node
+from quditcolor.optimizer import Adam
 from quditcolor.qudits import amplitudes_to_angles, build_ops, init_qdlqa_state
 
 from instances import (myciel_graph, path, queen_graph, random_graph,
@@ -16,8 +17,13 @@ from instances import (myciel_graph, path, queen_graph, random_graph,
 
 
 def random_angles(graph, c, rng, fixed_node=None):
+    """(V, c-1) angles, uniform in [-pi, pi) but for the pinned node's
+    row of zeros; the free rows are drawn as one (n_free, c-1) block."""
     n_free = graph.num_nodes - (fixed_node is not None)
-    return rng.uniform(-np.pi, np.pi, size=(n_free, c - 1))
+    angles = rng.uniform(-np.pi, np.pi, size=(n_free, c - 1))
+    if fixed_node is None:
+        return angles
+    return np.insert(angles, fixed_node, 0.0, axis=0)
 
 
 def pinned_workspace(graph, c):
@@ -26,10 +32,21 @@ def pinned_workspace(graph, c):
     return CostWorkspace(graph, build_ops(c), select_fixed_node(graph, "max_degree"))
 
 
+def zero_pinned_rows(ws, angles):
+    """``angles``, a stack of (V, c-1) blocks, with the pinned node's row
+    of every block set to 0 in place."""
+    if ws.fixed_node is not None:
+        angles.reshape(-1, ws.graph.num_nodes, angles.shape[-1])[:, ws.fixed_node] = 0.0
+    return angles
+
+
 def finite_difference(ws, angles, params, hvals, step=1e-6):
+    """Central differences of the oracle in every free angle; the pinned
+    node's row is held fixed and its entries are 0."""
     flat = angles.ravel()
-    out = np.empty(flat.size)
-    for k in range(flat.size):
+    out = np.zeros(flat.size)
+    free = zero_pinned_rows(ws, np.ones(angles.shape)).ravel()
+    for k in np.flatnonzero(free):
         saved = flat[k]
         flat[k] = saved + step
         plus = energy_total(ws.amplitudes(angles), ws.graph, ws.ops, params,
@@ -44,8 +61,9 @@ def finite_difference(ws, angles, params, hvals, step=1e-6):
 
 def test_gradient_zero_at_annealing_start():
     g = Graph.from_edges(2, [(0, 1)])
-    angles = init_qdlqa_state(1, 3, 0.0, [np.random.default_rng(0)])
     ws = pinned_workspace(g, 3)
+    angles = np.insert(init_qdlqa_state(1, 3, 0.0, [np.random.default_rng(0)]),
+                       ws.fixed_node, 0.0, axis=0)
     _, grad = ws.value_and_grad(
         ws.forward(angles), CostParams(gamma=1.0, h=0.0, t=0.0), np.zeros(1))
     assert np.abs(grad).max() < 1e-9
@@ -81,14 +99,14 @@ def test_gradient_matches_finite_differences_on_queen55():
     assert rel.max() < 1e-5
 
 
-def test_gradient_layout_excludes_fixed_node():
+def test_gradient_layout_freezes_fixed_node():
     g = triangle()
     ws = CostWorkspace(g, build_ops(4), 1)
     angles = random_angles(g, 4, np.random.default_rng(0), fixed_node=1)
     _, grad = ws.value_and_grad(ws.forward(angles), CostParams(h=0.0, t=0.6),
                                 np.zeros(3))
-    assert grad.shape == (g.num_nodes - 1, 3)
-    assert ws.free.tolist() == [0, 2]
+    assert grad.shape == (g.num_nodes, 3)
+    assert (grad[1] == 0.0).all() and (grad[[0, 2]] != 0.0).all()
     np.testing.assert_array_equal(ws.amplitudes(angles)[1], [1, 0, 0, 0])
 
 
@@ -222,17 +240,16 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     g = queen_graph(3, 3)
     fixed = data.draw(st.integers(0, g.num_nodes - 1)) if pinned else None
     ws = CostWorkspace(g, build_ops(c), fixed)
-    n_free = g.num_nodes - pinned
-    angles = np.array(data.draw(st.lists(_ANGLES, min_size=n_free * (c - 1),
-                                         max_size=n_free * (c - 1))))
-    angles = angles.reshape(n_free, c - 1)
+    angles = np.array(data.draw(st.lists(_ANGLES, min_size=g.num_nodes * (c - 1),
+                                         max_size=g.num_nodes * (c - 1))))
+    angles = zero_pinned_rows(ws, angles.reshape(g.num_nodes, c - 1))
     params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
                         h=3.0, t=data.draw(st.floats(0.0, 1.0)))
     hvals = draw_couplings(g, params.h,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
 
     fwd = ws.forward(angles)
-    np.testing.assert_array_equal(fwd.psi[ws.free], fwd.psi_free)
+    assert len(fwd) == 4
     if pinned:
         np.testing.assert_array_equal(fwd.psi[fixed], np.eye(c)[0])
     (value,), grad = ws.value_and_grad(fwd, params, hvals)
@@ -255,9 +272,9 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
     # products vanish; gamma = 0 keeps the log clamp out of the cost
     fixed = data.draw(st.one_of(st.none(), st.integers(0, g.num_nodes - 1)))
     ws = CostWorkspace(g, build_ops(c), fixed)
-    size = ws.free.size * (c - 1)
+    size = g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
-    angles = angles.reshape(-1, c - 1)
+    angles = zero_pinned_rows(ws, angles.reshape(-1, c - 1))
     params = CostParams(gamma=0.0, h=data.draw(st.floats(0.0, 3.0)),
                         t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
     hvals = draw_couplings(g, params.h,
@@ -272,7 +289,7 @@ def _full_cost_and_grad(ws, fwd, params, hvals):
     """``value_and_grad`` written out with the start cost always computed:
     the reference for its t = 1 path."""
     t, gamma, off = params.t, params.gamma, ws.ops.lx_offdiag
-    psi, psi_free, s, u, r = fwd
+    psi, s, u, r = fwd
     runs = psi.shape[0] // ws.graph.num_nodes
     p = psi ** 2
     acc = ws._neighbor_sum(p, hvals + 1.0)
@@ -281,22 +298,21 @@ def _full_cost_and_grad(ws, fwd, params, hvals):
     logp = np.log(np.maximum(p, PLOGP_FLOOR))
     e_w = (p * logp).reshape(runs, -1).sum(axis=1)
     np.maximum(logp, np.log(LOG_CLAMP), out=logp)
-    cross = psi_free[:, :-1] * psi_free[:, 1:]
+    cross = psi[:, :-1] * psi[:, 1:]
     e_i = (cross @ off).reshape(runs, -1).sum(axis=1)
     values = [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
               for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i.tolist())]
-    free = ws._free_rows[:psi_free.shape[0]]
-    gpsi = (2.0 * t) * psi_free * (acc + gamma * (logp + 1.0))[free]
-    lxpsi = np.zeros_like(psi_free)
-    lxpsi[:, :-1] = off * psi_free[:, 1:]
-    lxpsi[:, 1:] += off * psi_free[:, :-1]
+    gpsi = (2.0 * t) * psi * (acc + gamma * (logp + 1.0))
+    lxpsi = np.zeros_like(psi)
+    lxpsi[:, :-1] = off * psi[:, 1:]
+    lxpsi[:, 1:] += off * psi[:, :-1]
     gpsi -= (2.0 * (1.0 - t)) * lxpsi
     cm1 = s.shape[1]
     back = np.empty_like(s)
     back[:, cm1 - 1] = gpsi[:, cm1]
     for a in range(cm1 - 2, -1, -1):
         back[:, a] = gpsi[:, a + 1] * u[:, a + 1] + s[:, a + 1] * back[:, a + 1]
-    return values, r[:, :cm1] * (u * back - gpsi[:, :cm1] * s)
+    return values, zero_pinned_rows(ws, r[:, :cm1] * (u * back - gpsi[:, :cm1] * s))
 
 
 @settings(deadline=None, max_examples=100)
@@ -311,17 +327,47 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
     # +0.0 + (-0.0) is +0.0, and the second moment squares the entry.
     fixed = data.draw(st.one_of(st.none(), st.integers(0, g.num_nodes - 1)))
     ws = CostWorkspace(g, build_ops(c), fixed, copies=runs)
-    size = runs * ws.free.size * (c - 1)
+    size = runs * g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
+    angles = zero_pinned_rows(ws, angles.reshape(-1, c - 1))
     params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
                         h=data.draw(st.floats(0.0, 3.0)), t=1.0)
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
     hvals = np.concatenate([draw_couplings(g, params.h, rng) for _ in range(runs)])
-    fwd = ws.forward(angles.reshape(-1, c - 1))
+    fwd = ws.forward(angles)
     values, grad = ws.value_and_grad(fwd, params, hvals)
     full_values, full_grad = _full_cost_and_grad(ws, fwd, params, hvals)
     assert values == full_values
     assert np.array_equal(grad, full_grad)
+
+
+@settings(deadline=None, max_examples=100)
+@given(g=small_graphs(), c=st.integers(2, 5), copies=st.integers(1, 3),
+       data=st.data())
+def test_pinned_rows_stay_frozen_in_every_copy(g, c, copies, data):
+    # a row of zero angles maps to exactly (1, 0, ..., 0); the pinned
+    # node's rows get a gradient of exactly 0 in every copy, so an Adam
+    # step leaves them at exactly 0
+    fixed = data.draw(st.one_of(st.none(), st.integers(0, g.num_nodes - 1)))
+    ws = CostWorkspace(g, build_ops(c), fixed, copies=copies)
+    size = copies * g.num_nodes * (c - 1)
+    angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
+    angles = zero_pinned_rows(ws, angles.reshape(-1, c - 1))
+    params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
+                        h=data.draw(st.floats(0.0, 3.0)),
+                        t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+    hvals = np.concatenate([draw_couplings(g, params.h, rng) for _ in range(copies)])
+    fwd = ws.forward(angles)
+    zero = ~angles.any(axis=1)
+    np.testing.assert_array_equal(fwd.psi[zero], np.eye(c)[[0] * zero.sum()])
+    _, grad = ws.value_and_grad(fwd, params, hvals)
+    if fixed is None:
+        return
+    assert (grad.reshape(copies, g.num_nodes, c - 1)[:, fixed] == 0.0).all()
+    Adam(angles.size, 0.5).step(angles.ravel(), grad.ravel())
+    pinned = angles.reshape(copies, g.num_nodes, c - 1)[:, fixed]
+    assert not np.signbit(pinned).any() and (pinned == 0.0).all()
 
 
 def test_workspace_rejects_edges_and_states_it_cannot_index():

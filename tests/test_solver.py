@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcolor import gradient, solver
-from quditcolor.energy import extract_coloring, potts_energy
+from quditcolor.energy import draw_couplings, extract_coloring, potts_energy
 from quditcolor.harness import DivergedError, run_batch
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
@@ -368,9 +368,9 @@ def test_group_wall_time_shares_add_up(queen55):
 def test_group_size_rule():
     # about 10^4 angles per group: small graphs step many runs together,
     # large ones one at a time
-    assert group_size(24, 5) == 104      # queen5-5, c = 5
-    assert group_size(120, 11) == 8      # queen11-11, c = 11
-    assert group_size(999, 8) == 1       # G(1000, 0.032), c = 8
+    assert group_size(25, 5) == 100      # queen5-5, c = 5
+    assert group_size(121, 11) == 8      # queen11-11, c = 11
+    assert group_size(1000, 8) == 1      # G(1000, 0.032), c = 8
     assert group_size(10**6, 2) == 1
 
 
@@ -393,7 +393,7 @@ def test_runs_are_split_into_near_equal_groups(queen55, monkeypatch):
         monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     monkeypatch.setattr(gradient.CostWorkspace, "__init__",
                         counting("CostWorkspace", gradient.CostWorkspace.__init__))
-    monkeypatch.setattr(solver, "GROUP_ANGLES", 3 * 24 * 4)
+    monkeypatch.setattr(solver, "GROUP_ANGLES", 3 * 25 * 4)
     hp = Hyperparameters(method="qdgd", num_colors=5, n_runs=10, n_steps=20)
     stats = run_batch(queen55, hp, workers=1)
     assert groups == [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]
@@ -430,6 +430,28 @@ def test_solver_calls_its_layers_by_module_name(queen55, monkeypatch, method):
     assert [r.steps_executed for r in recs] == [30] * 3
     assert calls == {init: 1, "draw_couplings": 3 * math.ceil(30 / 7),
                      "potts_energy": 30}
+
+
+@pytest.mark.parametrize("graph, hp", [
+    (triangle(), Hyperparameters(method="qdgd", num_colors=2, n_steps=60,
+                                 patience=60, n_runs=1)),
+    (queen_graph(5, 5), Hyperparameters(method="qdgd", num_colors=4, n_steps=5,
+                                        n_runs=100)),
+], ids=["one-run-3-edges", "queen5-5-100-runs"])
+def test_coupling_draws_stop_at_the_step_budget(monkeypatch, graph, hp):
+    # a block of draws is never longer than the steps its group has left:
+    # a run draws at most one row of couplings per step it may take
+    rows = {}
+
+    def counting(graph, h, rng, out=None):
+        rows[id(rng)] = rows.get(id(rng), 0) + out.size // graph.num_edges
+        return draw_couplings(graph, h, rng, out=out)
+
+    monkeypatch.setattr(solver, "draw_couplings", counting)
+    recs = run_one(graph, hp, range(hp.n_runs))
+    assert len(rows) == hp.n_runs
+    assert max(rows.values()) <= hp.n_steps
+    assert max(r.steps_executed for r in recs) == hp.n_steps
 
 
 def test_fix_strategy_none_parameterizes_all_nodes(k3):
