@@ -49,8 +49,8 @@ class CostParams:
 
 def extract_coloring(psi: np.ndarray) -> np.ndarray:
     """Assign each node its most probable color, the largest |amplitude|
-    (ties: lowest index)."""
-    return np.argmax(np.abs(psi), axis=1)
+    over the last axis (ties: lowest index)."""
+    return np.argmax(np.abs(psi), axis=-1)
 
 
 # A stack of at least this many colorings is counted with one node-major

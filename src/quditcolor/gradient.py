@@ -24,13 +24,13 @@ _LOG_OF_CLAMP = float(np.log(LOG_CLAMP))
 
 
 class Forward(NamedTuple):
-    """The spherical map of one angle matrix, as every consumer reads it;
-    k runs stacked run after run (k = 1 for a single run), V rows each."""
+    """The spherical map of a stack of k runs' angles, as every consumer
+    reads it (k = 1 for a single run), V rows each."""
 
-    psi: np.ndarray       # (k*V, c) amplitudes, one row per node
-    sin: np.ndarray       # (k*V, c-1) sines of the angles
-    cos: np.ndarray       # (k*V, c-1) cosines of the angles
-    prefix: np.ndarray    # (k*V, c) prefix sine products
+    psi: np.ndarray       # (k, V, c) amplitudes, one row per node
+    sin: np.ndarray       # (k, V, c-1) sines of the angles
+    cos: np.ndarray       # (k, V, c-1) cosines of the angles
+    prefix: np.ndarray    # (k, V, c) prefix sine products
 
 
 class CostWorkspace:
@@ -44,16 +44,15 @@ class CostWorkspace:
     per-run state.
 
     The triangle covers ``copies`` disjoint copies of the graph, one per
-    run of a group stepped together: copy r owns rows r*V..(r+1)*V - 1 and
-    slots r*E..(r+1)*E - 1, and a group of k <= copies runs uses the first
-    k copies.  Every run keeps its own row block, and each value is reduced
-    over that block alone, so a run's numbers do not depend on the group.
+    run of a group stepped together, and a group of k <= copies runs uses
+    the first k copies.  Each value is reduced over its own run alone, so
+    a run's numbers do not depend on the group.
 
-    The angles are a (k*V, c-1) matrix, run after run, one row per node in
-    ascending order.  The pinned node's row (if any) is all zeros, which
-    the spherical map sends to exactly (1, 0, ..., 0), i.e. color 0;
-    ``value_and_grad`` gives that row a gradient of exactly 0 in every
-    copy, so Adam never moves it.  A step maps the angles once with
+    The angles are a (k, V, c-1) stack, one (V, c-1) matrix per run with a
+    row per node in ascending order.  The pinned node's row (if any) is all
+    zeros, which the spherical map sends to exactly (1, 0, ..., 0), i.e.
+    color 0; ``value_and_grad`` gives that row a gradient of exactly 0 in
+    every run, so Adam never moves it.  A step maps the angles once with
     ``forward`` and hands the result to both ``value_and_grad`` and
     ``coloring``.
     """
@@ -88,58 +87,56 @@ class CostWorkspace:
         neighbors j > i (read as CSR), each in ascending order: the same
         float operations, in the same order, as the symmetric CSR product.
         """
-        n, c = p.shape
         V, E = self.graph.num_nodes, self.graph.num_edges
-        runs = n // V
         # the kernels index p and the couplings without bounds checks
-        if (n != runs * V or not 1 <= runs <= self.copies
-                or couplings.shape != (runs * E,)):
+        if (p.ndim != 3 or p.shape[1] != V or not 1 <= len(p) <= self.copies
+                or couplings.shape != (len(p), E)):
             raise ValueError(f"expected {V} rows and {E} couplings per run for "
-                             f"1 to {self.copies} runs, got {n} rows and "
-                             f"{couplings.shape} couplings")
-        acc = np.zeros((n, c))
-        args = (n, n, c, self._indptr[:n + 1], self._indices[:runs * E],
-                couplings, p.ravel(), acc.ravel())
+                             f"1 to {self.copies} runs, as (runs, {V}, c) and "
+                             f"(runs, {E}) stacks; got {p.shape} and "
+                             f"{couplings.shape}")
+        n, c = len(p) * V, p.shape[2]
+        acc = np.zeros(p.shape)
+        args = (n, n, c, self._indptr[:n + 1], self._indices[:couplings.size],
+                couplings.ravel(), p.ravel(), acc.ravel())
         csc_matvecs(*args)
         csr_matvecs(*args)
         return acc
 
     def forward(self, angles: np.ndarray) -> Forward:
-        """Map the angle rows to amplitudes; every array is new."""
+        """Map a (k, V, c-1) angle stack to amplitudes; every array is new."""
         return Forward(*_forward(angles))
 
     def amplitudes(self, angles: np.ndarray) -> np.ndarray:
-        """(k*V, c) amplitude matrix of the given angle rows."""
+        """Amplitudes of the given angles, c per row of c-1 angles."""
         return self.forward(angles).psi
 
     def coloring(self, fwd: Forward) -> np.ndarray:
-        """(k*V,) most probable color of every node, run after run."""
+        """(k, V) most probable color of every node of every run."""
         return extract_coloring(fwd.psi)
 
     def value_and_grad(self, fwd: Forward, params: CostParams,
                        hvals: np.ndarray):
         """Cost of each of the k runs that ``fwd`` maps, a list of k floats,
-        and the gradient w.r.t. their stacked (k*V, c-1) angle matrix, with
-        the pinned node's rows exactly 0.
+        and the gradient w.r.t. their (k, V, c-1) angle stack, with the
+        pinned node's rows exactly 0.
 
-        ``hvals`` holds each run's couplings, as (k, E) rows or as one
-        flat (k*E,) array of (E,) slices in run order.  At
-        t = 1 (every qdgd step) the start cost has weight 0, so it and its
+        ``hvals`` holds each run's couplings as (k, E) rows.  At t = 1
+        (every qdgd step) the start cost has weight 0, so it and its
         gradient are not computed: the values are the same, and a gradient
         entry can differ from the full formula only in the sign of a zero,
         which Adam's zero-started first moment does not carry."""
         ops = self.ops
         t, gamma = params.t, params.gamma
         psi, s, u, r = fwd
-        runs = psi.shape[0] // self.graph.num_nodes
+        runs = len(psi)
         p = psi ** 2
 
         # end cost: neighbor accumulation acc_i = sum_j J_ij p_j
-        couplings = self._couplings[:hvals.size]
-        np.add(hvals, 1.0, out=couplings.reshape(hvals.shape))
+        couplings = np.add(hvals, 1.0,
+                           out=self._couplings[:hvals.size].reshape(hvals.shape))
         acc = self._neighbor_sum(p, couplings)
-        blocks = (runs, -1, p.shape[1])
-        e_f = np.einsum("rij,rij->r", p.reshape(blocks), acc.reshape(blocks))
+        e_f = np.einsum("rij,rij->r", p, acc)
 
         # one log serves both: floored for the value (as energy._plogp),
         # then clamped for the gradient (= log(max(p, LOG_CLAMP)))
@@ -147,9 +144,9 @@ class CostWorkspace:
         e_w = (p * logp).reshape(runs, -1).sum(axis=1)
         np.maximum(logp, _LOG_OF_CLAMP, out=logp)
 
-        off = ops.lx_offdiag
+        off, cm1 = ops.lx_offdiag, s.shape[-1]
         if t < 1.0:
-            cross = psi[:, :-1] * psi[:, 1:]
+            cross = (psi[..., :-1] * psi[..., 1:]).reshape(-1, cm1)
             e_i = (cross @ off).reshape(runs, -1).sum(axis=1).tolist()
         else:
             e_i = [0.0] * runs
@@ -163,19 +160,19 @@ class CostWorkspace:
         gpsi = (2.0 * t) * psi * (acc + gamma * (logp + 1.0))
         if t < 1.0:
             lxpsi = np.zeros_like(psi)
-            lxpsi[:, :-1] = off * psi[:, 1:]
-            lxpsi[:, 1:] += off * psi[:, :-1]
+            lxpsi[..., :-1] = off * psi[..., 1:]
+            lxpsi[..., 1:] += off * psi[..., :-1]
             gpsi -= (2.0 * (1.0 - t)) * lxpsi
 
         # chain rule to angles: backward recursion over the angle index
-        cm1 = s.shape[1]
         back = np.empty_like(s)
-        back[:, cm1 - 1] = gpsi[:, cm1]
+        back[..., cm1 - 1] = gpsi[..., cm1]
         for a in range(cm1 - 2, -1, -1):
-            back[:, a] = gpsi[:, a + 1] * u[:, a + 1] + s[:, a + 1] * back[:, a + 1]
-        gphi = r[:, :cm1] * (u * back - gpsi[:, :cm1] * s)
+            back[..., a] = (gpsi[..., a + 1] * u[..., a + 1]
+                            + s[..., a + 1] * back[..., a + 1])
+        gphi = r[..., :cm1] * (u * back - gpsi[..., :cm1] * s)
         if self.fixed_node is not None:
-            gphi.reshape(runs, -1, cm1)[:, self.fixed_node] = 0.0
+            gphi[:, self.fixed_node] = 0.0
         return values, gphi
 
 
@@ -220,11 +217,12 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
         rng = np.random.default_rng(0)
     graph, ops = workspace.graph, workspace.ops
     free = [i for i in range(graph.num_nodes) if i != workspace.fixed_node]
-    hvals = draw_couplings(graph, params.h, rng)
-    _, gphi = workspace.value_and_grad(workspace.forward(angles), params, hvals)
-    analytic = gphi[free].ravel()
-
     angles = np.array(angles, dtype=np.float64)  # perturbed below
+    hvals = draw_couplings(graph, params.h, rng)
+    _, gphi = workspace.value_and_grad(workspace.forward(angles[None]), params,
+                                       hvals[None])
+    analytic = gphi[0, free].ravel()
+
     flat = angles.ravel()
     fd = np.empty_like(analytic)
     for j, k in enumerate(np.arange(flat.size).reshape(angles.shape)[free].ravel()):

@@ -143,8 +143,7 @@ class SweepResult:
 
 
 def sweep_colors(graph: Graph, hp: Hyperparameters, c_range, *,
-                 force_full: bool = False, workers: int = 1,
-                 record_trajectories: bool = False) -> SweepResult:
+                 force_full: bool = False, workers: int = 1) -> SweepResult:
     """Batch per color count; the smallest c reaching 0 conflicts is the
     chromatic upper bound.  Stops at the first zero unless forced on."""
     c_values = list(c_range)
@@ -153,8 +152,7 @@ def sweep_colors(graph: Graph, hp: Hyperparameters, c_range, *,
     batches: dict[int, BatchStats] = {}
     chi_upper = None
     for c in c_values:
-        stats = run_batch(graph, replace(hp, num_colors=c), workers=workers,
-                          record_trajectories=record_trajectories)
+        stats = run_batch(graph, replace(hp, num_colors=c), workers=workers)
         batches[c] = stats
         if stats.best_overall == 0 and chi_upper is None:
             chi_upper = c

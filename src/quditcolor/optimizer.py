@@ -1,26 +1,27 @@
-"""Self-contained Adam optimizer over the flat angle-parameter vector."""
+"""Self-contained Adam optimizer over an array of angle parameters."""
 
 from __future__ import annotations
 
 import numpy as np
 
+# The standard Adam decay rates of the two moments, and the denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Standard bias-corrected Adam.
 
-    Moments are zero-initialized and persist for the lifetime of the
-    instance; every run must create a fresh one.
+    Moments are zero-initialized, of the parameters' shape, and persist for
+    the lifetime of the instance; every run must create a fresh one.
     """
 
-    def __init__(self, n_params: int, eta: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, shape: int | tuple[int, ...], eta: float):
         self.eta = eta
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
-        self.first_moment = np.zeros(n_params)
-        self.second_moment = np.zeros(n_params)
+        self.first_moment = np.zeros(shape)
+        self.second_moment = np.zeros(shape)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Update ``params`` in place from ``grad``; returns ``params``."""
@@ -30,11 +31,11 @@ class Adam:
                 f"moments {self.first_moment.shape}")
         self.step_count += 1
         m, v = self.first_moment, self.second_moment
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad ** 2
-        m_hat = m / (1.0 - self.beta1 ** self.step_count)
-        v_hat = v / (1.0 - self.beta2 ** self.step_count)
-        params -= self.eta * m_hat / (np.sqrt(v_hat) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad ** 2
+        m_hat = m / (1.0 - BETA1 ** self.step_count)
+        v_hat = v / (1.0 - BETA2 ** self.step_count)
+        params -= self.eta * m_hat / (np.sqrt(v_hat) + EPS)
         return params

@@ -25,7 +25,6 @@ class AngularMomentumOps:
     """Angular-momentum operator of a c-dimensional qudit (l = (c-1)/2):
     Lx, symmetric tridiagonal in the Lz basis, held as its superdiagonal."""
 
-    dim: int
     lx_offdiag: np.ndarray  # superdiagonal of Lx, length c-1
 
 
@@ -37,7 +36,7 @@ def build_ops(c: int) -> AngularMomentumOps:
     m = np.arange(c) - l
     # <m+1| Lx |m> = sqrt((l - m)(l + m + 1)) / 2
     off = 0.5 * np.sqrt((l - m[:-1]) * (l + m[:-1] + 1.0))
-    return AngularMomentumOps(dim=c, lx_offdiag=off)
+    return AngularMomentumOps(lx_offdiag=off)
 
 
 def lx_ground_state(c: int) -> np.ndarray:
@@ -53,16 +52,17 @@ def lx_ground_state(c: int) -> np.ndarray:
 
 
 def _forward(phi: np.ndarray):
-    """Batched spherical map; returns (psi, sin, cos, prefix sine products)."""
-    n, _ = phi.shape
+    """Spherical map over the last axis of the (..., c-1) angles ``phi``;
+    returns (psi, sin, cos, prefix sine products), psi and the prefix
+    products with c entries on that axis."""
     s = np.sin(phi)
     u = np.cos(phi)
-    r = np.empty((n, phi.shape[1] + 1))
-    r[:, 0] = 1.0
-    np.cumprod(s, axis=1, out=r[:, 1:])
+    r = np.empty((*phi.shape[:-1], phi.shape[-1] + 1))
+    r[..., 0] = 1.0
+    np.cumprod(s, axis=-1, out=r[..., 1:])
     psi = np.empty_like(r)
-    np.multiply(r[:, :-1], u, out=psi[:, :-1])
-    psi[:, -1] = r[:, -1]
+    np.multiply(r[..., :-1], u, out=psi[..., :-1])
+    psi[..., -1] = r[..., -1]
     return psi, s, u, r
 
 
@@ -107,8 +107,8 @@ def _ground_state_angles(c: int) -> np.ndarray:
 
 def init_qdlqa_state(n_free: int, c: int, f: float,
                      rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Annealing start: (k*n_free, c-1) angles near the -Lx ground state,
-    one (n_free, c-1) row block per generator in ``rngs``, in order.
+    """Annealing start: (k, n_free, c-1) angles near the -Lx ground state,
+    one (n_free, c-1) block per generator in ``rngs``, in order.
 
     Each angle is the ground-state angle plus i.i.d. uniform noise in
     [-f, f), drawn from its block's generator.  The pinned node, if any,
@@ -116,17 +116,17 @@ def init_qdlqa_state(n_free: int, c: int, f: float,
     """
     if f < 0:
         raise ValueError("perturbation f must be >= 0")
-    angles = np.tile(_ground_state_angles(c), (len(rngs) * n_free, 1))
+    angles = np.tile(_ground_state_angles(c), (len(rngs), n_free, 1))
     if f > 0:
-        angles += np.concatenate([rng.uniform(-f, f, size=(n_free, c - 1))
-                                  for rng in rngs])
+        angles += np.stack([rng.uniform(-f, f, size=(n_free, c - 1))
+                            for rng in rngs])
     return angles
 
 
 def init_qdgd_state(n_free: int, c: int, f_tilde: float,
                     rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Gradient-descent start: (k*n_free, c-1) angles of random amplitudes,
-    one (n_free, c-1) row block per generator in ``rngs``, in order.
+    """Gradient-descent start: (k, n_free, c-1) angles of random amplitudes,
+    one (n_free, c-1) block per generator in ``rngs``, in order.
 
     Per row, c entries are drawn uniformly from [0, f_tilde) and the vector
     is normalized; each block's all-zero draws are redrawn from its own
@@ -134,14 +134,11 @@ def init_qdgd_state(n_free: int, c: int, f_tilde: float,
     """
     if f_tilde <= 0:
         raise ValueError("init scale f_tilde must be > 0")
-    draws = np.concatenate([rng.uniform(0.0, f_tilde, size=(n_free, c))
-                            for rng in rngs])
-    norms = np.linalg.norm(draws, axis=1)
+    draws = np.stack([rng.uniform(0.0, f_tilde, size=(n_free, c)) for rng in rngs])
+    norms = np.linalg.norm(draws, axis=-1)
     while not norms.all():
-        zeros = (norms == 0.0).reshape(len(rngs), n_free)
-        for rows, zero, rng in zip(draws.reshape(len(rngs), n_free, c), zeros, rngs):
+        for rows, zero, rng in zip(draws, norms == 0.0, rngs):
             if zero.any():
                 rows[zero] = rng.uniform(0.0, f_tilde, size=(int(zero.sum()), c))
-        norms = np.linalg.norm(draws, axis=1)
-    psi = (draws / norms[:, None]).reshape(len(rngs), n_free, c)
-    return amplitudes_to_angles(psi).reshape(-1, c - 1)
+        norms = np.linalg.norm(draws, axis=-1)
+    return amplitudes_to_angles(draws / norms[..., None])

@@ -213,12 +213,6 @@ def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
                 hp.patience, record_trajectory)
 
 
-def _keep_blocks(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The row blocks of ``a`` marked in ``keep``; ``a`` splits into
-    ``keep.size`` equal blocks, one per run of a group."""
-    return a.reshape(keep.size, -1, *a.shape[1:])[keep].reshape(-1, *a.shape[1:])
-
-
 @dataclass(slots=True)
 class _Run:
     """One run of a lockstep group: its generator, its best conflict count
@@ -260,7 +254,7 @@ def group_size(num_nodes: int, num_colors: int) -> int:
 # run fills its couplings for a block of DRAW_BUDGET // (k*E) steps, at
 # least one and at most the steps the group can still take, in one
 # generator call, which shares the call's overhead among the steps of the
-# block.  A larger buffer gained no more in measurement and added its size
+# block.  A larger budget gained no more in measurement and added its size
 # to the peak memory.
 DRAW_BUDGET = 32_768
 
@@ -295,24 +289,29 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
 
     Stage n is the pair ``stages[n]`` of a ``CostParams`` and a step
     count: take that many Adam steps on the stage's cost, then read out
-    the colorings and track each run's best conflict count.  The readout is the one place where a run leaves the
-    group: at 0 conflicts, after ``patience`` stages in a row without
-    improving its best, after the last stage, or, marked as diverged, when
-    any of its angles is non-finite, in which case that readout is not
-    counted for it.  Until then a diverged run steps on with the others;
-    each run draws its couplings from its own generator and keeps its own
-    rows, coupling slice and Adam moments, and every value is reduced over
-    its own block, so no run's numbers depend on the group it is in.  The
-    angles are mapped to amplitudes once per step: the forward map taken
-    after an Adam step serves both the stage's readout and the next step's
-    cost, and a run that leaves is sliced out of it.  Each run draws its
-    couplings a block of steps ahead into its own rows of one buffer, which
-    takes its generator through the same stream as one draw per step; a
-    block never holds more steps than the stages have left, and a run that
-    leaves mid-block leaves its unused rows behind.  The angles hold a row
-    for every node; the pinned node's row is inserted as zeros into each
-    run's start angles and stays there, since its gradient is 0.  The
-    trajectory's t column is n / n_steps for stage n.
+    the colorings and track each run's best conflict count.  The readout
+    is the one place where a run leaves the group: at 0 conflicts, after
+    ``patience`` stages in a row without improving its best, after the
+    last stage, or, marked as diverged, when any of its angles is
+    non-finite, in which case that readout is not counted for it.  Until
+    then a diverged run steps on with the others; each run draws its
+    couplings from its own generator and keeps its own angles, couplings
+    and Adam moments, and every value is reduced over its own run, so no
+    run's numbers depend on the group it is in.
+
+    Every per-run array is a stack with the run as its first axis: the
+    angles (k, V, c-1), Adam's two moments, the four ``Forward`` arrays
+    and the couplings drawn ahead (k, block, E), and a run that leaves is
+    dropped from each of them with the same mask.  The angles are mapped
+    to amplitudes once per step: the forward map taken after an Adam step
+    serves both the stage's readout and the next step's cost.  Each run
+    draws its couplings a block of steps ahead in one call, which takes
+    its generator through the same stream as one draw per step, and the
+    steps consume the block from its front; a block never holds more
+    steps than the stages have left.  The angles hold a row for every
+    node; the pinned node's row is inserted as zeros into each run's start
+    angles and stays there, since its gradient is 0.  The trajectory's t
+    column is the stage's annealing time.
     """
     mark = time.perf_counter()
     share = 0.0  # wall time attributed to every run still in the group
@@ -321,17 +320,12 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     total_steps = sum(inner for _, inner in stages)
     members = [_Run(i, run_rng(hp.master_seed, i)) for i in run_indices]
     runs = members
-    n_free, cm1 = graph.num_nodes - (fixed is not None), hp.num_colors - 1
+    n_free = graph.num_nodes - (fixed is not None)
     angles = init_state(n_free, hp.num_colors, init_scale, [run.rng for run in runs])
     if fixed is not None:
-        angles = np.insert(angles.reshape(len(runs), n_free, cm1), fixed, 0.0,
-                           axis=1).reshape(-1, cm1)
-    adam = Adam(angles.size, hp.eta)
-    buffer = np.empty(max(DRAW_BUDGET, len(runs) * num_edges))
-    # the next step reads row `at` of each run's (block, E) rows in `drawn`;
-    # once a run has left since the refill, `kept` picks the others' rows
-    block = at = 0
-    kept = None
+        angles = np.insert(angles, fixed, 0.0, axis=1)
+    adam = Adam(angles.shape, hp.eta)
+    drawn = np.empty((len(runs), 0, num_edges))  # the steps' couplings ahead
     color_type = np.min_scalar_type(-hp.num_colors)
     # a diverging run overflows in Adam and then maps NaN angles; it is
     # reported by the diverged flag, not by numpy
@@ -339,24 +333,20 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
         fwd = workspace.forward(angles)
         for n, (params, inner) in enumerate(stages):
             for _ in range(inner):
-                if at == block:
-                    k = len(runs)
-                    block = min(max(1, DRAW_BUDGET // max(1, k * num_edges)),
+                if not drawn.shape[1]:
+                    block = min(max(1, DRAW_BUDGET // max(1, len(runs) * num_edges)),
                                 total_steps - adam.step_count)
-                    drawn = buffer[:k * block * num_edges].reshape(k, block, num_edges)
+                    drawn = np.empty((len(runs), block, num_edges))
                     for run, out in zip(runs, drawn):
                         draw_couplings(graph, hp.h, run.rng, out=out)
-                    at, kept = 0, None
-                hvals = drawn[:, at] if kept is None else drawn[kept, at]
-                at += 1
-                values, gphi = workspace.value_and_grad(fwd, params, hvals)
-                adam.step(angles.ravel(), gphi.ravel())
+                values, gphi = workspace.value_and_grad(fwd, params, drawn[:, 0])
+                drawn = drawn[:, 1:]
+                adam.step(angles, gphi)
                 fwd = workspace.forward(angles)
-            k = len(runs)
-            finite = np.isfinite(angles).reshape(k, -1).all(axis=1).tolist()
-            colors = workspace.coloring(fwd).reshape(k, -1)
+            finite = np.isfinite(angles).all(axis=(1, 2)).tolist()
+            colors = workspace.coloring(fwd)
             counts = potts_energy(graph, colors)
-            t, last = n / hp.n_steps, n == len(stages) - 1
+            last = n == len(stages) - 1
             stays = []
             for j, run in enumerate(runs):
                 if finite[j]:
@@ -364,13 +354,13 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
                         run.best, run.improved_at = counts[j], n
                         run.coloring = colors[j].astype(color_type)
                     if record_trajectory:
-                        run.rows.append((n, t, values[j], counts[j]))
+                        run.rows.append((n, params.t, values[j], counts[j]))
                 stays.append(finite[j] and run.best > 0 and not last
                              and n - run.improved_at < patience)
             if all(stays):
                 continue
             now = time.perf_counter()
-            share += (now - mark) / k
+            share += (now - mark) / len(runs)
             mark = now
             for run, ok, stay in zip(runs, finite, stays):
                 if not stay:
@@ -384,11 +374,10 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
             if not runs:
                 break
             keep = np.array(stays)
-            angles = _keep_blocks(angles, keep)
-            adam.first_moment = _keep_blocks(adam.first_moment, keep)
-            adam.second_moment = _keep_blocks(adam.second_moment, keep)
-            fwd = Forward._make(_keep_blocks(a, keep) for a in fwd)
-            kept = np.flatnonzero(keep) if kept is None else kept[keep]
+            angles, drawn = angles[keep], drawn[keep]
+            adam.first_moment = adam.first_moment[keep]
+            adam.second_moment = adam.second_moment[keep]
+            fwd = Forward._make(a[keep] for a in fwd)
     return [run.record for run in members]
 
 

@@ -118,10 +118,8 @@ def small_graphs(draw):
 
 def amplitudes(phi) -> np.ndarray:
     """The unit amplitude vector of an angle vector of length c-1, or the
-    (n, c) amplitudes of an (n, c-1) angle matrix."""
-    phi = np.asarray(phi, dtype=np.float64)
-    psi = _forward(np.atleast_2d(phi))[0]
-    return psi[0] if phi.ndim == 1 else psi
+    (..., c) amplitudes of a (..., c-1) angle array."""
+    return _forward(np.asarray(phi, dtype=np.float64))[0]
 
 
 def lx_matrix(c: int) -> np.ndarray:
@@ -133,7 +131,7 @@ def lx_matrix(c: int) -> np.ndarray:
 def qdlqa_start(graph: Graph, c: int, f: float, rng: np.random.Generator):
     """(V, c) amplitudes of the annealing start, max-degree node pinned."""
     fixed = select_fixed_node(graph, "max_degree")
-    angles = np.insert(init_qdlqa_state(graph.num_nodes - 1, c, f, [rng]),
+    angles = np.insert(init_qdlqa_state(graph.num_nodes - 1, c, f, [rng])[0],
                        fixed, 0.0, axis=0)
     return CostWorkspace(graph, build_ops(c), fixed).amplitudes(angles)
 

@@ -33,16 +33,17 @@ def pinned_workspace(graph, c):
 
 
 def zero_pinned_rows(ws, angles):
-    """``angles``, a stack of (V, c-1) blocks, with the pinned node's row
-    of every block set to 0 in place."""
+    """``angles``, a (V, c-1) matrix or a (k, V, c-1) stack, with the
+    pinned node's row of every run set to 0 in place."""
     if ws.fixed_node is not None:
         angles.reshape(-1, ws.graph.num_nodes, angles.shape[-1])[:, ws.fixed_node] = 0.0
     return angles
 
 
 def finite_difference(ws, angles, params, hvals, step=1e-6):
-    """Central differences of the oracle in every free angle; the pinned
-    node's row is held fixed and its entries are 0."""
+    """Central differences of the oracle in every free angle of one run's
+    (V, c-1) angles; the pinned node's row is held fixed and its entries
+    are 0."""
     flat = angles.ravel()
     out = np.zeros(flat.size)
     free = zero_pinned_rows(ws, np.ones(angles.shape)).ravel()
@@ -63,9 +64,9 @@ def test_gradient_zero_at_annealing_start():
     g = Graph.from_edges(2, [(0, 1)])
     ws = pinned_workspace(g, 3)
     angles = np.insert(init_qdlqa_state(1, 3, 0.0, [np.random.default_rng(0)]),
-                       ws.fixed_node, 0.0, axis=0)
+                       ws.fixed_node, 0.0, axis=1)
     _, grad = ws.value_and_grad(
-        ws.forward(angles), CostParams(gamma=1.0, h=0.0, t=0.0), np.zeros(1))
+        ws.forward(angles), CostParams(gamma=1.0, h=0.0, t=0.0), np.zeros((1, 1)))
     assert np.abs(grad).max() < 1e-9
 
 
@@ -77,7 +78,7 @@ def test_gradient_zero_without_edges_or_regularizer():
     angles = random_angles(g, 4, np.random.default_rng(1))
     params = CostParams(gamma=0.0, h=2.0, t=1.0)
     hvals = draw_couplings(g, params.h, np.random.default_rng(0))
-    (value,), grad = ws.value_and_grad(ws.forward(angles), params, hvals)
+    (value,), grad = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
     assert value == 0.0
     assert np.abs(grad).max() == 0.0
 
@@ -89,7 +90,7 @@ def test_gradient_matches_finite_differences_on_queen55():
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
     params = CostParams(gamma=1.0, h=3.0, t=0.37)
     hvals = draw_couplings(g, params.h, rng)
-    (value,), grad = ws.value_and_grad(ws.forward(angles), params, hvals)
+    (value,), grad = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
     grad = grad.ravel()
     assert value == pytest.approx(
         energy_total(ws.amplitudes(angles), g, ws.ops, params, hvals=hvals),
@@ -103,10 +104,10 @@ def test_gradient_layout_freezes_fixed_node():
     g = triangle()
     ws = CostWorkspace(g, build_ops(4), 1)
     angles = random_angles(g, 4, np.random.default_rng(0), fixed_node=1)
-    _, grad = ws.value_and_grad(ws.forward(angles), CostParams(h=0.0, t=0.6),
-                                np.zeros(3))
-    assert grad.shape == (g.num_nodes, 3)
-    assert (grad[1] == 0.0).all() and (grad[[0, 2]] != 0.0).all()
+    _, grad = ws.value_and_grad(ws.forward(angles[None]), CostParams(h=0.0, t=0.6),
+                                np.zeros((1, 3)))
+    assert grad.shape == (1, g.num_nodes, 3)
+    assert (grad[0, 1] == 0.0).all() and (grad[0, [0, 2]] != 0.0).all()
     np.testing.assert_array_equal(ws.amplitudes(angles)[1], [1, 0, 0, 0])
 
 
@@ -119,7 +120,7 @@ def test_gradient_linearity_in_t():
     grads = {}
     for t in (0.0, 0.35, 1.0):
         _, grads[t] = ws.value_and_grad(
-            ws.forward(angles), CostParams(gamma=1.2, h=3.0, t=t), hvals)
+            ws.forward(angles[None]), CostParams(gamma=1.2, h=3.0, t=t), hvals[None])
     combo = 0.65 * grads[0.0] + 0.35 * grads[1.0]
     np.testing.assert_allclose(grads[0.35], combo, atol=1e-10)
 
@@ -183,9 +184,10 @@ def test_workspace_reuse_matches_fresh():
         angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
         params = CostParams(gamma=0.8, h=2.0, t=0.7)
         hvals = draw_couplings(g, params.h, rng)
-        (v1,), g1 = ws.value_and_grad(ws.forward(angles), params, hvals)
+        (v1,), g1 = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
         fresh = pinned_workspace(g, 5)
-        (v2,), g2 = fresh.value_and_grad(fresh.forward(angles), params, hvals)
+        (v2,), g2 = fresh.value_and_grad(fresh.forward(angles[None]), params,
+                                         hvals[None])
         assert v1 == v2
         np.testing.assert_array_equal(g1, g2)
 
@@ -206,23 +208,22 @@ def test_stacked_runs_match_single_runs_bit_for_bit(name, c, runs, pinned):
         angles = [random_angles(g, c, rng, fixed) for _ in range(runs)]
         hvals = [draw_couplings(g, 3.0, rng) for _ in range(runs)]
         params = CostParams(gamma=1.3, h=3.0, t=float(rng.uniform()))
-        fwd = group.forward(np.concatenate(angles))
-        values, grad = group.value_and_grad(fwd, params, np.concatenate(hvals))
-        colors = group.coloring(fwd).reshape(runs, -1)
-        rows = len(angles[0])
+        fwd = group.forward(np.stack(angles))
+        values, grad = group.value_and_grad(fwd, params, np.stack(hvals))
+        colors = group.coloring(fwd)
         for r in range(runs):
-            one = single.forward(angles[r])
-            (value,), one_grad = single.value_and_grad(one, params, hvals[r])
+            one = single.forward(angles[r][None])
+            (value,), one_grad = single.value_and_grad(one, params, hvals[r][None])
             assert values[r] == value
-            assert np.array_equal(grad[r * rows:(r + 1) * rows], one_grad)
-            assert np.array_equal(colors[r], single.coloring(one))
+            assert np.array_equal(grad[r], one_grad[0])
+            assert np.array_equal(colors[r], single.coloring(one)[0])
     # more runs than copies would index past the triangle
     with pytest.raises(ValueError):
-        group.value_and_grad(group.forward(np.concatenate([angles[0]] * 11)),
-                             params, np.concatenate([hvals[0]] * 11))
+        group.value_and_grad(group.forward(np.stack([angles[0]] * 11)),
+                             params, np.stack([hvals[0]] * 11))
     with pytest.raises(ValueError, match="1 to 10 runs"):
-        group.value_and_grad(group.forward(np.concatenate([angles[0]] * 11)),
-                             params, np.concatenate([hvals[0]] * 10))
+        group.value_and_grad(group.forward(np.stack([angles[0]] * 11)),
+                             params, np.stack([hvals[0]] * 10))
 
 
 def test_clamp_threshold_is_documented_scale():
@@ -248,19 +249,19 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     hvals = draw_couplings(g, params.h,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
 
-    fwd = ws.forward(angles)
+    fwd = ws.forward(angles[None])
     assert len(fwd) == 4
     if pinned:
-        np.testing.assert_array_equal(fwd.psi[fixed], np.eye(c)[0])
-    (value,), grad = ws.value_and_grad(fwd, params, hvals)
-    oracle = energy_total(fwd.psi, g, ws.ops, params, hvals=hvals)
+        np.testing.assert_array_equal(fwd.psi[0, fixed], np.eye(c)[0])
+    (value,), grad = ws.value_and_grad(fwd, params, hvals[None])
+    oracle = energy_total(fwd.psi[0], g, ws.ops, params, hvals=hvals)
     assert value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
     np.testing.assert_array_equal(ws.coloring(fwd),
-                                  extract_coloring(ws.amplitudes(angles)))
+                                  [extract_coloring(ws.amplitudes(angles))])
 
     # a later forward map leaves the one already held untouched
-    ws.forward(angles + 1.0)
-    (again,), grad_again = ws.value_and_grad(fwd, params, hvals)
+    ws.forward(angles[None] + 1.0)
+    (again,), grad_again = ws.value_and_grad(fwd, params, hvals[None])
     assert again == value
     np.testing.assert_array_equal(grad_again, grad)
 
@@ -279,7 +280,7 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
                         t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
     hvals = draw_couplings(g, params.h,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
-    _, grad = ws.value_and_grad(ws.forward(angles), params, hvals)
+    _, grad = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
     np.testing.assert_allclose(grad.ravel(),
                                finite_difference(ws, angles, params, hvals),
                                rtol=0, atol=1e-6)
@@ -290,29 +291,28 @@ def _full_cost_and_grad(ws, fwd, params, hvals):
     the reference for its t = 1 path."""
     t, gamma, off = params.t, params.gamma, ws.ops.lx_offdiag
     psi, s, u, r = fwd
-    runs = psi.shape[0] // ws.graph.num_nodes
+    runs, cm1 = len(psi), off.size
     p = psi ** 2
     acc = ws._neighbor_sum(p, hvals + 1.0)
-    blocks = (runs, -1, p.shape[1])
-    e_f = np.einsum("rij,rij->r", p.reshape(blocks), acc.reshape(blocks))
+    e_f = np.einsum("rij,rij->r", p, acc)
     logp = np.log(np.maximum(p, PLOGP_FLOOR))
     e_w = (p * logp).reshape(runs, -1).sum(axis=1)
     np.maximum(logp, np.log(LOG_CLAMP), out=logp)
-    cross = psi[:, :-1] * psi[:, 1:]
+    cross = (psi[..., :-1] * psi[..., 1:]).reshape(-1, cm1)
     e_i = (cross @ off).reshape(runs, -1).sum(axis=1)
     values = [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
               for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i.tolist())]
     gpsi = (2.0 * t) * psi * (acc + gamma * (logp + 1.0))
     lxpsi = np.zeros_like(psi)
-    lxpsi[:, :-1] = off * psi[:, 1:]
-    lxpsi[:, 1:] += off * psi[:, :-1]
+    lxpsi[..., :-1] = off * psi[..., 1:]
+    lxpsi[..., 1:] += off * psi[..., :-1]
     gpsi -= (2.0 * (1.0 - t)) * lxpsi
-    cm1 = s.shape[1]
     back = np.empty_like(s)
-    back[:, cm1 - 1] = gpsi[:, cm1]
+    back[..., cm1 - 1] = gpsi[..., cm1]
     for a in range(cm1 - 2, -1, -1):
-        back[:, a] = gpsi[:, a + 1] * u[:, a + 1] + s[:, a + 1] * back[:, a + 1]
-    return values, zero_pinned_rows(ws, r[:, :cm1] * (u * back - gpsi[:, :cm1] * s))
+        back[..., a] = (gpsi[..., a + 1] * u[..., a + 1]
+                        + s[..., a + 1] * back[..., a + 1])
+    return values, zero_pinned_rows(ws, r[..., :cm1] * (u * back - gpsi[..., :cm1] * s))
 
 
 @settings(deadline=None, max_examples=100)
@@ -329,11 +329,11 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
     ws = CostWorkspace(g, build_ops(c), fixed, copies=runs)
     size = runs * g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
-    angles = zero_pinned_rows(ws, angles.reshape(-1, c - 1))
+    angles = zero_pinned_rows(ws, angles.reshape(runs, -1, c - 1))
     params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
                         h=data.draw(st.floats(0.0, 3.0)), t=1.0)
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-    hvals = np.concatenate([draw_couplings(g, params.h, rng) for _ in range(runs)])
+    hvals = np.stack([draw_couplings(g, params.h, rng) for _ in range(runs)])
     fwd = ws.forward(angles)
     values, grad = ws.value_and_grad(fwd, params, hvals)
     full_values, full_grad = _full_cost_and_grad(ws, fwd, params, hvals)
@@ -352,21 +352,21 @@ def test_pinned_rows_stay_frozen_in_every_copy(g, c, copies, data):
     ws = CostWorkspace(g, build_ops(c), fixed, copies=copies)
     size = copies * g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
-    angles = zero_pinned_rows(ws, angles.reshape(-1, c - 1))
+    angles = zero_pinned_rows(ws, angles.reshape(copies, -1, c - 1))
     params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
                         h=data.draw(st.floats(0.0, 3.0)),
                         t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-    hvals = np.concatenate([draw_couplings(g, params.h, rng) for _ in range(copies)])
+    hvals = np.stack([draw_couplings(g, params.h, rng) for _ in range(copies)])
     fwd = ws.forward(angles)
-    zero = ~angles.any(axis=1)
+    zero = ~angles.any(axis=-1)
     np.testing.assert_array_equal(fwd.psi[zero], np.eye(c)[[0] * zero.sum()])
     _, grad = ws.value_and_grad(fwd, params, hvals)
     if fixed is None:
         return
-    assert (grad.reshape(copies, g.num_nodes, c - 1)[:, fixed] == 0.0).all()
-    Adam(angles.size, 0.5).step(angles.ravel(), grad.ravel())
-    pinned = angles.reshape(copies, g.num_nodes, c - 1)[:, fixed]
+    assert (grad[:, fixed] == 0.0).all()
+    Adam(angles.shape, 0.5).step(angles, grad)
+    pinned = angles[:, fixed]
     assert not np.signbit(pinned).any() and (pinned == 0.0).all()
 
 
@@ -382,9 +382,32 @@ def test_workspace_rejects_edges_and_states_it_cannot_index():
     # a state of another graph would be read out of bounds
     ws = CostWorkspace(queen_graph(4, 4), build_ops(3), None)
     small = CostWorkspace(triangle(), build_ops(3), None)
-    fwd = small.forward(random_angles(triangle(), 3, np.random.default_rng(0)))
+    fwd = small.forward(random_angles(triangle(), 3, np.random.default_rng(0))[None])
     with pytest.raises(ValueError, match="expected 16 rows"):
-        ws.value_and_grad(fwd, CostParams(), np.zeros(ws.graph.num_edges))
+        ws.value_and_grad(fwd, CostParams(), np.zeros((1, ws.graph.num_edges)))
+
+
+@pytest.mark.parametrize("runs, nodes, couplings", [
+    (2, None, lambda e: (2, e)),
+    (2, 9, lambda e: (2, e)),
+    (3, 16, lambda e: (3, e)),
+    (2, 16, lambda e: (2, e - 1)),
+    (2, 16, lambda e: (2 * e,)),
+], ids=["flat-rows", "other-V", "more-runs-than-copies", "short-couplings",
+        "flat-couplings"])
+def test_unchecked_kernels_are_guarded_by_shape(runs, nodes, couplings):
+    # csc_matvecs and csr_matvecs index without bounds checks: every shape
+    # they could read or write past must end in ValueError before them
+    g = queen_graph(4, 4)
+    ws = CostWorkspace(g, build_ops(3), None, copies=2)
+    shape = (runs * g.num_nodes,) if nodes is None else (runs, nodes)
+    angles = np.random.default_rng(0).uniform(-np.pi, np.pi, (*shape, 2))
+    p = ws.amplitudes(angles) ** 2
+    hvals = np.zeros(couplings(g.num_edges))
+    with pytest.raises(ValueError, match="expected 16 rows"):
+        ws._neighbor_sum(p, hvals + 1.0)
+    with pytest.raises(ValueError):
+        ws.value_and_grad(ws.forward(angles), CostParams(), hvals)
 
 
 @settings(deadline=None, max_examples=80)
@@ -400,7 +423,8 @@ def test_neighbor_sum_equals_symmetric_csr_product(g, c, data):
                          (np.concatenate([u, v]), np.concatenate([v, u]))),
                         shape=(g.num_nodes, g.num_nodes))
     adj.sort_indices()
-    np.testing.assert_array_equal(ws._neighbor_sum(p, couplings), adj @ p)
+    np.testing.assert_array_equal(ws._neighbor_sum(p[None], couplings[None])[0],
+                                  adj @ p)
 
 
 @settings(deadline=None, max_examples=60)

@@ -137,7 +137,7 @@ def test_ground_state_matches_eigensolver():
 
 def test_init_qdlqa_unperturbed(k3):
     angles = init_qdlqa_state(2, 3, 0.0, [np.random.default_rng(0)])
-    assert angles.shape == (2, 2)
+    assert angles.shape == (1, 2, 2)
     p = qdlqa_start(k3, 3, 0.0, np.random.default_rng(0)) ** 2
     fixed = select_fixed_node(k3, "max_degree")
     np.testing.assert_allclose(np.delete(p, fixed, axis=0),
@@ -159,20 +159,21 @@ def test_init_qdlqa_equals_uncached_formula(c, f):
     # the bits of the formula, and must not be able to change the cache
     for seed in range(3):
         angles = init_qdlqa_state(7, c, f, [np.random.default_rng(seed)])
-        expected = np.tile(amplitudes_to_angles(lx_ground_state(c)), (7, 1))
+        expected = np.tile(amplitudes_to_angles(lx_ground_state(c)), (1, 7, 1))
         if f > 0:
             expected += np.random.default_rng(seed).uniform(-f, f, size=(7, c - 1))
+        assert angles.shape == expected.shape
         assert angles.tobytes() == expected.tobytes()
         angles += 1.0
 
 
 def test_init_qdlqa_no_fixed_node():
     # with no pinned node every node owns a row
-    assert init_qdlqa_state(3, 3, 0.0, [np.random.default_rng(0)]).shape == (3, 2)
+    assert init_qdlqa_state(3, 3, 0.0, [np.random.default_rng(0)]).shape == (1, 3, 2)
 
 
 def test_init_qdgd_unit_norm_nonnegative():
-    psi = amplitudes(init_qdgd_state(5, 4, 1.0, [np.random.default_rng(9)]))
+    psi = amplitudes(init_qdgd_state(5, 4, 1.0, [np.random.default_rng(9)])[0])
     np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
     assert (psi >= 0).all()
 
@@ -180,12 +181,12 @@ def test_init_qdgd_unit_norm_nonnegative():
 def test_init_qdgd_two_color_angle_is_arctan():
     angles = init_qdgd_state(1, 2, 1.0, [np.random.default_rng(21)])
     a, b = np.random.default_rng(21).uniform(0.0, 1.0, size=(1, 2))[0]
-    assert angles[0, 0] == pytest.approx(np.arctan2(b, a))
+    assert angles[0, 0, 0] == pytest.approx(np.arctan2(b, a))
 
 
 def test_init_qdgd_mean_probability_statistics():
     # sampling oracle: uniform draws, normalized, squared -> mean 1/c per color
-    angles = init_qdgd_state(10000, 3, 1.0, [np.random.default_rng(123)])
+    angles = init_qdgd_state(10000, 3, 1.0, [np.random.default_rng(123)])[0]
     mean_p = (amplitudes(angles) ** 2).mean(axis=0)
     np.testing.assert_allclose(mean_p, 1 / 3, atol=0.02)
 
@@ -210,7 +211,7 @@ def test_grouped_init_is_the_single_calls_stacked(init, n_free, c, scale, seeds)
     refs = [np.random.default_rng(seed) for seed in seeds]
     stacked = init(n_free, c, scale, rngs)
     singles = [init(n_free, c, scale, [ref]) for ref in refs]
-    assert stacked.shape == (len(seeds) * n_free, c - 1)
+    assert stacked.shape == (len(seeds), n_free, c - 1)
     assert stacked.tobytes() == np.concatenate(singles).tobytes()
     assert [g.random() for g in rngs] == [g.random() for g in refs]
 
@@ -243,5 +244,5 @@ def test_init_qdgd_redraws_all_zero_rows_from_their_own_generator():
     ref = np.random.default_rng(2)
     ref.uniform(0.0, 1.0, (5, 4))
     redraw = ref.uniform(0.0, 1.0, (1, 4))[0]
-    np.testing.assert_allclose(amplitudes(stacked[5]), redraw / np.linalg.norm(redraw),
+    np.testing.assert_allclose(amplitudes(stacked[1, 0]), redraw / np.linalg.norm(redraw),
                                atol=1e-12)

@@ -148,6 +148,14 @@ def test_trajectory_grid_and_t_values(queen55):
     assert rec.trajectory.t[-1] == pytest.approx(49 / 50)  # t < 1 loop guard
 
 
+def test_qdgd_trajectory_t_is_the_end_time(queen55):
+    # every qdgd stage steps on the end cost, t = 1
+    hp = qdgd_hp(num_colors=4, n_steps=30)
+    for rec in run_qdgd(queen55, hp, [0, 1, 2], record_trajectory=True):
+        assert rec.trajectory.t.size == rec.steps_executed
+        assert (rec.trajectory.t == 1.0).all()
+
+
 def test_include_t_end_adds_final_stage(queen55):
     hp = qdlqa_hp(num_colors=4, n_steps=50, include_t_end=True)
     rec = run_qdlqa(queen55, hp, [0], record_trajectory=True)[0]
