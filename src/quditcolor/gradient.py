@@ -117,10 +117,12 @@ class CostWorkspace:
 
     def value_and_grad(self, fwd: Forward, params: CostParams,
                        hvals: np.ndarray):
-        """Cost of each of the k runs that ``fwd`` maps, a list of k floats,
-        and the gradient w.r.t. their (k, V, c-1) angle stack, with the
-        pinned node's rows exactly 0.
+        """Cost of each of the k runs that ``fwd`` maps, as a function that
+        returns a list of k floats when called, and the gradient w.r.t.
+        their (k, V, c-1) angle stack, with the pinned node's rows exactly 0.
 
+        Adam reads only the gradient, so the costs are computed only when
+        the returned function is called; each call returns the same list.
         ``hvals`` holds each run's couplings as (k, E) rows.  At t = 1
         (every qdgd step) the start cost has weight 0, so it and its
         gradient are not computed: the values are the same, and a gradient
@@ -136,28 +138,29 @@ class CostWorkspace:
         couplings = np.add(hvals, 1.0,
                            out=self._couplings[:hvals.size].reshape(hvals.shape))
         acc = self._neighbor_sum(p, couplings)
-        e_f = np.einsum("rij,rij->r", p, acc)
 
-        # one log serves both: floored for the value (as energy._plogp),
-        # then clamped for the gradient (= log(max(p, LOG_CLAMP)))
+        # one log serves both: floored for the values (as energy._plogp),
+        # which read it later, and clamped into a new array for the
+        # gradient (= log(max(p, LOG_CLAMP)))
         logp = np.log(np.maximum(p, PLOGP_FLOOR))
-        e_w = (p * logp).reshape(runs, -1).sum(axis=1)
-        np.maximum(logp, _LOG_OF_CLAMP, out=logp)
-
+        logc = np.maximum(logp, _LOG_OF_CLAMP)
         off, cm1 = ops.lx_offdiag, s.shape[-1]
-        if t < 1.0:
-            cross = (psi[..., :-1] * psi[..., 1:]).reshape(-1, cm1)
-            e_i = (cross @ off).reshape(runs, -1).sum(axis=1).tolist()
-        else:
-            e_i = [0.0] * runs
 
-        # each run's terms combined in Python floats: the same operations
-        # as on numpy scalars, without a numpy call per term
-        values = [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
-                  for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i)]
+        def values():
+            e_f = np.einsum("rij,rij->r", p, acc)
+            e_w = (p * logp).reshape(runs, -1).sum(axis=1)
+            if t < 1.0:
+                cross = (psi[..., :-1] * psi[..., 1:]).reshape(-1, cm1)
+                e_i = (cross @ off).reshape(runs, -1).sum(axis=1).tolist()
+            else:
+                e_i = [0.0] * runs
+            # each run's terms combined in Python floats: the same operations
+            # as on numpy scalars, without a numpy call per term
+            return [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
+                    for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i)]
 
         # dE/dpsi
-        gpsi = (2.0 * t) * psi * (acc + gamma * (logp + 1.0))
+        gpsi = (2.0 * t) * psi * (acc + gamma * (logc + 1.0))
         if t < 1.0:
             lxpsi = np.zeros_like(psi)
             lxpsi[..., :-1] = off * psi[..., 1:]

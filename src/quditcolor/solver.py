@@ -311,7 +311,8 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     steps than the stages have left.  The angles hold a row for every
     node; the pinned node's row is inserted as zeros into each run's start
     angles and stays there, since its gradient is 0.  The trajectory's t
-    column is the stage's annealing time.
+    column is the stage's annealing time and its cost the one taken at the
+    stage's last step, computed only when a trajectory is recorded.
     """
     mark = time.perf_counter()
     share = 0.0  # wall time attributed to every run still in the group
@@ -347,6 +348,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
             colors = workspace.coloring(fwd)
             counts = potts_energy(graph, colors)
             last = n == len(stages) - 1
+            costs = values() if record_trajectory else None
             stays = []
             for j, run in enumerate(runs):
                 if finite[j]:
@@ -354,7 +356,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
                         run.best, run.improved_at = counts[j], n
                         run.coloring = colors[j].astype(color_type)
                     if record_trajectory:
-                        run.rows.append((n, params.t, values[j], counts[j]))
+                        run.rows.append((n, params.t, costs[j], counts[j]))
                 stays.append(finite[j] and run.best > 0 and not last
                              and n - run.improved_at < patience)
             if all(stays):

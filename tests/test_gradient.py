@@ -78,7 +78,8 @@ def test_gradient_zero_without_edges_or_regularizer():
     angles = random_angles(g, 4, np.random.default_rng(1))
     params = CostParams(gamma=0.0, h=2.0, t=1.0)
     hvals = draw_couplings(g, params.h, np.random.default_rng(0))
-    (value,), grad = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
+    values, grad = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
+    (value,) = values()
     assert value == 0.0
     assert np.abs(grad).max() == 0.0
 
@@ -90,7 +91,8 @@ def test_gradient_matches_finite_differences_on_queen55():
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
     params = CostParams(gamma=1.0, h=3.0, t=0.37)
     hvals = draw_couplings(g, params.h, rng)
-    (value,), grad = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
+    values, grad = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
+    (value,) = values()
     grad = grad.ravel()
     assert value == pytest.approx(
         energy_total(ws.amplitudes(angles), g, ws.ops, params, hvals=hvals),
@@ -184,11 +186,11 @@ def test_workspace_reuse_matches_fresh():
         angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
         params = CostParams(gamma=0.8, h=2.0, t=0.7)
         hvals = draw_couplings(g, params.h, rng)
-        (v1,), g1 = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
+        v1, g1 = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
         fresh = pinned_workspace(g, 5)
-        (v2,), g2 = fresh.value_and_grad(fresh.forward(angles[None]), params,
-                                         hvals[None])
-        assert v1 == v2
+        v2, g2 = fresh.value_and_grad(fresh.forward(angles[None]), params,
+                                      hvals[None])
+        assert v1() == v2()
         np.testing.assert_array_equal(g1, g2)
 
 
@@ -210,11 +212,12 @@ def test_stacked_runs_match_single_runs_bit_for_bit(name, c, runs, pinned):
         params = CostParams(gamma=1.3, h=3.0, t=float(rng.uniform()))
         fwd = group.forward(np.stack(angles))
         values, grad = group.value_and_grad(fwd, params, np.stack(hvals))
+        costs = values()
         colors = group.coloring(fwd)
         for r in range(runs):
             one = single.forward(angles[r][None])
-            (value,), one_grad = single.value_and_grad(one, params, hvals[r][None])
-            assert values[r] == value
+            value, one_grad = single.value_and_grad(one, params, hvals[r][None])
+            assert [costs[r]] == value()
             assert np.array_equal(grad[r], one_grad[0])
             assert np.array_equal(colors[r], single.coloring(one)[0])
     # more runs than copies would index past the triangle
@@ -253,7 +256,8 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     assert len(fwd) == 4
     if pinned:
         np.testing.assert_array_equal(fwd.psi[0, fixed], np.eye(c)[0])
-    (value,), grad = ws.value_and_grad(fwd, params, hvals[None])
+    values, grad = ws.value_and_grad(fwd, params, hvals[None])
+    (value,) = values()
     oracle = energy_total(fwd.psi[0], g, ws.ops, params, hvals=hvals)
     assert value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
     np.testing.assert_array_equal(ws.coloring(fwd),
@@ -261,8 +265,8 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
 
     # a later forward map leaves the one already held untouched
     ws.forward(angles[None] + 1.0)
-    (again,), grad_again = ws.value_and_grad(fwd, params, hvals[None])
-    assert again == value
+    again, grad_again = ws.value_and_grad(fwd, params, hvals[None])
+    assert again() == [value]
     np.testing.assert_array_equal(grad_again, grad)
 
 
@@ -325,19 +329,42 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
     # +0.0 at pole angles, and no other bit differed), which array_equal
     # ignores.  Adam absorbs it: its first moment starts at +0.0,
     # +0.0 + (-0.0) is +0.0, and the second moment squares the entry.
+    # Below t = 1 as at it, the values are computed only when asked for,
+    # give the full formula's bits on every call and leave the gradient be.
     fixed = data.draw(st.one_of(st.none(), st.integers(0, g.num_nodes - 1)))
     ws = CostWorkspace(g, build_ops(c), fixed, copies=runs)
     size = runs * g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
     angles = zero_pinned_rows(ws, angles.reshape(runs, -1, c - 1))
     params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
-                        h=data.draw(st.floats(0.0, 3.0)), t=1.0)
+                        h=data.draw(st.floats(0.0, 3.0)),
+                        t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
     hvals = np.stack([draw_couplings(g, params.h, rng) for _ in range(runs)])
     fwd = ws.forward(angles)
     values, grad = ws.value_and_grad(fwd, params, hvals)
     full_values, full_grad = _full_cost_and_grad(ws, fwd, params, hvals)
-    assert values == full_values
+    before = grad.copy()
+    assert values() == full_values
+    assert values() == full_values
+    assert grad.tobytes() == before.tobytes()
+    assert np.array_equal(grad, full_grad)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_values_read_the_floored_log_below_the_clamp(t):
+    # node 0's first angle of 1e-7 puts its other two probabilities near
+    # 1e-14, under LOG_CLAMP: the gradient reads log(LOG_CLAMP) there, and
+    # a value read from that clamped log would differ from the cost
+    g = triangle()
+    ws = CostWorkspace(g, build_ops(3), None)
+    fwd = ws.forward(np.array([[[1e-7, 0.4], [1.0, 2.0], [0.5, 1.3]]]))
+    assert 0 < (fwd.psi[0, 0, 1:] ** 2).max() < LOG_CLAMP
+    params = CostParams(gamma=1.0, h=0.0, t=t)
+    hvals = np.zeros((1, g.num_edges))
+    values, grad = ws.value_and_grad(fwd, params, hvals)
+    full_values, full_grad = _full_cost_and_grad(ws, fwd, params, hvals)
+    assert values() == full_values
     assert np.array_equal(grad, full_grad)
 
 

@@ -462,6 +462,41 @@ def test_coupling_draws_stop_at_the_step_budget(monkeypatch, graph, hp):
     assert max(r.steps_executed for r in recs) == hp.n_steps
 
 
+def test_costs_are_evaluated_only_for_trajectory_rows(queen55, monkeypatch):
+    # Adam reads only the gradient: a step's cost is computed only for a
+    # trajectory row, once per stage, from the stage's last step
+    hp = Hyperparameters(method="qdlqa", num_colors=4, n_steps=20, f=0.2,
+                         alpha=ExponentialAlpha(2.0, 3), include_t_end=True,
+                         n_runs=3)
+    expected = [[x.hex() for x in r.trajectory.e_total.tolist()]
+                for r in run_one(queen55, hp, range(3), record_trajectory=True)]
+    steps, evaluated = [], []
+    original = gradient.CostWorkspace.value_and_grad
+
+    def counting(self, *args):
+        values, grad = original(self, *args)
+        step = len(steps)
+        steps.append(step)
+
+        def counted():
+            evaluated.append(step)
+            return values()
+        return counted, grad
+
+    monkeypatch.setattr(gradient.CostWorkspace, "value_and_grad", counting)
+    for batch in (hp, Hyperparameters(method="qdgd", num_colors=5, n_steps=40)):
+        run_batch(queen55, batch)
+        assert steps and not evaluated
+    steps.clear()
+    recs = run_one(queen55, hp, range(3), record_trajectory=True)
+    inner = [alpha_at(hp.alpha, n / hp.n_steps) for n in range(hp.n_steps + 1)]
+    assert max(inner) > 1
+    assert evaluated == (np.cumsum(inner) - 1).tolist()
+    for rec, e_total in zip(recs, expected):
+        assert rec.trajectory.step.size == len(evaluated)
+        assert [x.hex() for x in rec.trajectory.e_total.tolist()] == e_total
+
+
 def test_fix_strategy_none_parameterizes_all_nodes(k3):
     hp = qdlqa_hp(num_colors=3, n_steps=60, fix_strategy=None)
     rec = run_qdlqa(k3, hp, [0])[0]
