@@ -14,7 +14,7 @@ from .graph import (Graph, GraphParseError, GraphWarning, load_graph,
 from .harness import (BatchStats, DivergedError, SweepResult, WorkerError,
                       run_batch, sweep_colors, trajectory_stats)
 from .optimizer import Adam
-from .qudits import (AngularMomentumOps, amplitudes_to_angles, build_ops,
+from .qudits import (Forward, amplitudes_to_angles, build_ops, forward,
                      init_qdgd_state, init_qdlqa_state, lx_ground_state)
 from .solver import (ConstantAlpha, ExponentialAlpha, Hyperparameters,
                      RunRecord, alpha_at, run_qdgd, run_qdlqa)
@@ -22,13 +22,13 @@ from .solver import (ConstantAlpha, ExponentialAlpha, Hyperparameters,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "AngularMomentumOps", "BatchStats", "ConstantAlpha", "CostParams",
-    "CostWorkspace", "DivergedError", "ExponentialAlpha", "Graph", "GraphParseError",
+    "Adam", "BatchStats", "ConstantAlpha", "CostParams", "CostWorkspace",
+    "DivergedError", "ExponentialAlpha", "Forward", "Graph", "GraphParseError",
     "GraphWarning", "Hyperparameters", "RunRecord", "SweepResult", "alpha_at",
     "amplitudes_to_angles", "build_ops", "check_gradient", "energy_final",
     "energy_initial", "energy_total", "energy_weight", "extract_coloring",
-    "init_qdgd_state", "init_qdlqa_state", "load_graph", "lx_ground_state",
-    "parse_dimacs", "parse_edge_list", "potts_energy", "run_batch", "run_qdgd",
-    "run_qdlqa", "select_fixed_node", "sweep_colors", "to_dimacs",
-    "trajectory_stats", "WorkerError",
+    "forward", "init_qdgd_state", "init_qdlqa_state", "load_graph",
+    "lx_ground_state", "parse_dimacs", "parse_edge_list", "potts_energy",
+    "run_batch", "run_qdgd", "run_qdlqa", "select_fixed_node", "sweep_colors",
+    "to_dimacs", "trajectory_stats", "WorkerError",
 ]

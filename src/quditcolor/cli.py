@@ -25,7 +25,8 @@ import numpy as np
 
 from .energy import CostParams
 from .gradient import CostWorkspace, check_gradient
-from .graph import GraphParseError, GraphWarning, load_graph, select_fixed_node
+from .graph import (GraphParseError, GraphWarning, load_graph, parse_fix,
+                    select_fixed_node)
 from .harness import (DivergedError, WorkerError, hp_to_dict, run_batch,
                       stats_to_dict, sweep_colors, write_trajectory_csv)
 from .qudits import build_ops
@@ -81,17 +82,6 @@ class RunConfig:
     trajectories: str | None = None
     coloring: str | None = None
     settings: dict = field(default_factory=dict)  # setting name -> value
-
-
-def parse_fix(text: str):
-    if text in ("max_degree", "degree_one", "none"):
-        return None if text == "none" else text
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(
-            f"fix must be max_degree, degree_one, none, or a node index, got {text!r}"
-        ) from None
 
 
 def read_config_file(path) -> dict:
@@ -283,14 +273,15 @@ def _cmd_gradcheck(args) -> int:
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"tol must be finite and > 0, got {args.tol!r}")
     try:
-        ops = build_ops(args.colors)
+        lx_offdiag = build_ops(args.colors)
         # t = 0 stands in for the random per-point times, always in range
         params = CostParams(gamma=args.gamma, h=args.h,
                             t=0.0 if args.t is None else args.t)
+        fix_strategy = parse_fix(args.fix)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    graph, _, fixed = _load_graph(args.graph, args.format, parse_fix(args.fix))
-    workspace = CostWorkspace(graph, ops, fixed)
+    graph, _, fixed = _load_graph(args.graph, args.format, fix_strategy)
+    workspace = CostWorkspace(graph, lx_offdiag, fixed)
     n_free = graph.num_nodes - (fixed is not None)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -382,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--points", type=int, default=20)
     grad.add_argument("--step", type=float, default=1e-5)
     grad.add_argument("--tol", type=float, default=1e-4)
-    grad.add_argument("--gamma", type=float, default=1.0)
-    grad.add_argument("--h", type=float, default=3.0)
+    grad.add_argument("--gamma", type=float, default=Hyperparameters.gamma)
+    grad.add_argument("--h", type=float, default=Hyperparameters.h)
     grad.add_argument("--fix", default=Hyperparameters.fix_strategy,
                       help="fixed node: max_degree|degree_one|none|INDEX "
                            "(default %(default)s)")

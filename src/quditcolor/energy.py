@@ -3,9 +3,11 @@ the entropy-style regularizer, and their time interpolation.
 
 These are the direct, readable implementations; the fused value+gradient
 path used by the solvers lives in the gradient module and is cross-checked
-against these in the tests.  States enter as the (V, c) amplitude matrix
-``psi`` with the pinned node's one-hot row included; see
-``CostWorkspace.amplitudes``.
+against these in the tests.  States enter as one run's (V, c) amplitude
+matrix ``psi``, ``qudits.forward(angles).psi`` with the pinned node's
+one-hot row included; Lx as the superdiagonal that ``qudits.build_ops``
+returns; and the couplings as the (E,) noise values h_ij that
+``draw_couplings`` returns.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .qudits import AngularMomentumOps
 
 # Probabilities are clamped at this value inside gradient logarithms; the
 # cost value itself uses the 0*log(0) = 0 convention, flooring p at
@@ -78,17 +79,17 @@ def potts_energy(graph: Graph, coloring: np.ndarray) -> int | list[int]:
     return same.sum(axis=0).tolist()
 
 
-def energy_initial(psi: np.ndarray, ops: AngularMomentumOps) -> float:
+def energy_initial(psi: np.ndarray, lx_offdiag: np.ndarray) -> float:
     """Start cost: minus the summed x angular momentum of the free nodes.
 
     Sums over every row; a pinned one-hot row contributes exactly zero.
     """
     # psi^T Lx psi = 2 * sum_m off[m] psi[m] psi[m+1] for tridiagonal Lx
-    per_node = 2.0 * (psi[:, :-1] * psi[:, 1:]) @ ops.lx_offdiag
+    per_node = 2.0 * (psi[:, :-1] * psi[:, 1:]) @ lx_offdiag
     return float(-per_node.sum())
 
 
-def draw_couplings(graph: Graph, h: float, rng: np.random.Generator | None,
+def draw_couplings(graph: Graph, h: float, rng: np.random.Generator,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Per-edge coupling perturbations, i.i.d. uniform in [0, h), in edge
     order.
@@ -104,24 +105,14 @@ def draw_couplings(graph: Graph, h: float, rng: np.random.Generator | None,
     if h == 0.0:
         out.fill(0.0)
         return out
-    if rng is None:
-        raise ValueError("h > 0 requires an rng (or pass frozen hvals)")
     rng.random(out=out)
     out *= h
     return out
 
 
-def energy_final(psi: np.ndarray, graph: Graph, params: CostParams,
-                 rng: np.random.Generator | None = None, *,
-                 hvals: np.ndarray | None = None) -> float:
-    """End cost: coupling-weighted overlap of probability vectors over edges.
-
-    The per-edge couplings 1 + h_ij are redrawn on every call unless frozen
-    values are passed via ``hvals`` (the deterministic mode used by the
-    gradient checker).
-    """
-    if hvals is None:
-        hvals = draw_couplings(graph, params.h, rng)
+def energy_final(psi: np.ndarray, graph: Graph, hvals: np.ndarray) -> float:
+    """End cost: overlap of probability vectors over edges, edge ij weighted
+    by its coupling 1 + h_ij for the (E,) noise values ``hvals``."""
     p = psi ** 2
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     overlaps = np.einsum("ij,ij->i", p[u], p[v])
@@ -142,11 +133,10 @@ def energy_weight(psi: np.ndarray, params: CostParams) -> float:
     return float(params.gamma * _plogp(psi ** 2).sum())
 
 
-def energy_total(psi: np.ndarray, graph: Graph, ops: AngularMomentumOps,
-                 params: CostParams, rng: np.random.Generator | None = None, *,
-                 hvals: np.ndarray | None = None) -> float:
+def energy_total(psi: np.ndarray, graph: Graph, lx_offdiag: np.ndarray,
+                 params: CostParams, hvals: np.ndarray) -> float:
     """Annealing interpolation: (1-t) * initial + t * (final + regularizer)."""
-    e_i = energy_initial(psi, ops)
-    e_f = energy_final(psi, graph, params, rng, hvals=hvals)
+    e_i = energy_initial(psi, lx_offdiag)
+    e_f = energy_final(psi, graph, hvals)
     e_w = energy_weight(psi, params)
     return (1.0 - params.t) * e_i + params.t * (e_f + e_w)

@@ -9,7 +9,6 @@ stable at the coordinate poles where sine products vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
@@ -17,24 +16,15 @@ from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 from .energy import (LOG_CLAMP, PLOGP_FLOOR, CostParams, draw_couplings,
                      energy_total, extract_coloring)
 from .graph import Graph
-from .qudits import AngularMomentumOps, _forward
+from .qudits import Forward, forward
 
 
 _LOG_OF_CLAMP = float(np.log(LOG_CLAMP))
 
 
-class Forward(NamedTuple):
-    """The spherical map of a stack of k runs' angles, as every consumer
-    reads it (k = 1 for a single run), V rows each."""
-
-    psi: np.ndarray       # (k, V, c) amplitudes, one row per node
-    sin: np.ndarray       # (k, V, c-1) sines of the angles
-    cos: np.ndarray       # (k, V, c-1) cosines of the angles
-    prefix: np.ndarray    # (k, V, c) prefix sine products
-
-
 class CostWorkspace:
-    """Per-(graph, dimension, fixed-node) buffers for fused cost+gradient.
+    """Per-(graph, dimension, fixed-node) buffers for fused cost+gradient;
+    ``lx_offdiag`` is the superdiagonal of Lx that ``build_ops`` returns.
 
     Holds the upper triangle of the adjacency in CSR form: row u lists the
     neighbors v > u of u, so its slot e is edge e of ``graph.edges`` and
@@ -53,11 +43,11 @@ class CostWorkspace:
     zeros, which the spherical map sends to exactly (1, 0, ..., 0), i.e.
     color 0; ``value_and_grad`` gives that row a gradient of exactly 0 in
     every run, so Adam never moves it.  A step maps the angles once with
-    ``forward`` and hands the result to both ``value_and_grad`` and
+    ``qudits.forward`` and hands the result to both ``value_and_grad`` and
     ``coloring``.
     """
 
-    def __init__(self, graph: Graph, ops: AngularMomentumOps,
+    def __init__(self, graph: Graph, lx_offdiag: np.ndarray,
                  fixed_node: int | None, copies: int = 1):
         n = graph.num_nodes
         u, v = graph.edges[:, 0], graph.edges[:, 1]
@@ -70,7 +60,7 @@ class CostWorkspace:
         if copies < 1:
             raise ValueError(f"copies must be >= 1, got {copies}")
         self.graph = graph
-        self.ops = ops
+        self.lx_offdiag = lx_offdiag
         self.fixed_node = fixed_node
         self.copies = copies
         offsets = n * np.arange(copies)[:, None]
@@ -103,14 +93,6 @@ class CostWorkspace:
         csr_matvecs(*args)
         return acc
 
-    def forward(self, angles: np.ndarray) -> Forward:
-        """Map a (k, V, c-1) angle stack to amplitudes; every array is new."""
-        return Forward(*_forward(angles))
-
-    def amplitudes(self, angles: np.ndarray) -> np.ndarray:
-        """Amplitudes of the given angles, c per row of c-1 angles."""
-        return self.forward(angles).psi
-
     def coloring(self, fwd: Forward) -> np.ndarray:
         """(k, V) most probable color of every node of every run."""
         return extract_coloring(fwd.psi)
@@ -128,7 +110,6 @@ class CostWorkspace:
         gradient are not computed: the values are the same, and a gradient
         entry can differ from the full formula only in the sign of a zero,
         which Adam's zero-started first moment does not carry."""
-        ops = self.ops
         t, gamma = params.t, params.gamma
         psi, s, u, r = fwd
         runs = len(psi)
@@ -144,7 +125,7 @@ class CostWorkspace:
         # gradient (= log(max(p, LOG_CLAMP)))
         logp = np.log(np.maximum(p, PLOGP_FLOOR))
         logc = np.maximum(logp, _LOG_OF_CLAMP)
-        off, cm1 = ops.lx_offdiag, s.shape[-1]
+        off, cm1 = self.lx_offdiag, s.shape[-1]
 
         def values():
             e_f = np.einsum("rij,rij->r", p, acc)
@@ -218,12 +199,11 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
         raise ValueError("finite-difference step must be in [1e-7, 1e-3]")
     if rng is None:
         rng = np.random.default_rng(0)
-    graph, ops = workspace.graph, workspace.ops
+    graph, off = workspace.graph, workspace.lx_offdiag
     free = [i for i in range(graph.num_nodes) if i != workspace.fixed_node]
     angles = np.array(angles, dtype=np.float64)  # perturbed below
     hvals = draw_couplings(graph, params.h, rng)
-    _, gphi = workspace.value_and_grad(workspace.forward(angles[None]), params,
-                                       hvals[None])
+    _, gphi = workspace.value_and_grad(forward(angles[None]), params, hvals[None])
     analytic = gphi[0, free].ravel()
 
     flat = angles.ravel()
@@ -231,18 +211,16 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
     for j, k in enumerate(np.arange(flat.size).reshape(angles.shape)[free].ravel()):
         saved = flat[k]
         flat[k] = saved + step
-        e_plus = energy_total(workspace.amplitudes(angles), graph, ops, params,
-                              hvals=hvals)
+        e_plus = energy_total(forward(angles).psi, graph, off, params, hvals)
         flat[k] = saved - step
-        e_minus = energy_total(workspace.amplitudes(angles), graph, ops, params,
-                               hvals=hvals)
+        e_minus = energy_total(forward(angles).psi, graph, off, params, hvals)
         flat[k] = saved
         fd[j] = (e_plus - e_minus) / (2.0 * step)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), _REL_FLOOR)
     rel = np.abs(analytic - fd) / denom
 
-    p_min = (workspace.amplitudes(angles)[free] ** 2).min(axis=1)
+    p_min = (forward(angles).psi[free] ** 2).min(axis=1)
     clamp_flags = np.repeat(p_min < CLAMP_FLAG_THRESHOLD, angles.shape[1])
     clean = rel[~clamp_flags]
     max_rel = float(clean.max()) if clean.size else 0.0

@@ -192,13 +192,39 @@ def load_graph(path, fmt: str | None = None) -> tuple[Graph, list[int]]:
     return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
 
 
-def select_fixed_node(graph: Graph, strategy) -> int | None:
-    """Resolve the node to pin to a single color.
+def check_fix(strategy):
+    """Return ``strategy`` if it has the form of a fix strategy, else raise
+    ``ValueError``.
 
     Strategies: "max_degree" (lowest-index node of maximal degree),
-    "degree_one" (lowest-index node of degree 1), an explicit int index,
-    or "none"/None (no node fixed; every node is parameterized).
+    "degree_one" (lowest-index node of degree 1), an explicit node index
+    >= 0, or "none"/None (no node fixed; every node is parameterized).
+    Whether the graph can honour one is up to ``select_fixed_node``.
     """
+    named = isinstance(strategy, str) and strategy in ("max_degree", "degree_one", "none")
+    index = isinstance(strategy, (int, np.integer)) and strategy >= 0
+    if strategy is None or named or index:
+        return strategy
+    raise ValueError("fix must be max_degree, degree_one, none, or a node "
+                     f"index, got {strategy!r}")
+
+
+def parse_fix(text: str):
+    """The fix strategy that a setting's text names: None for "none", an
+    int for a node index."""
+    if text == "none":
+        return None
+    try:
+        text = int(text)
+    except ValueError:
+        pass
+    return check_fix(text)
+
+
+def select_fixed_node(graph: Graph, strategy) -> int | None:
+    """Resolve the node to pin to a single color under a fix ``strategy``
+    (see ``check_fix``)."""
+    check_fix(strategy)
     if strategy is None or strategy == "none":
         return None
     if strategy == "max_degree":
@@ -208,9 +234,6 @@ def select_fixed_node(graph: Graph, strategy) -> int | None:
         if ones.size == 0:
             raise ValueError("no degree-1 node in graph")
         return int(ones[0])
-    if isinstance(strategy, (int, np.integer)):
-        index = int(strategy)
-        if not 0 <= index < graph.num_nodes:
-            raise ValueError(f"fixed node {index} out of range [0, {graph.num_nodes})")
-        return index
-    raise ValueError(f"unknown fix strategy {strategy!r}")
+    if strategy >= graph.num_nodes:
+        raise ValueError(f"fixed node {strategy} out of range [0, {graph.num_nodes})")
+    return int(strategy)

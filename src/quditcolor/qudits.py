@@ -1,5 +1,6 @@
-"""Per-node qudit states: hyperspherical angles, the angular-momentum
-operator Lx, and the initial-state constructions for both solution strategies.
+"""Per-node qudit states: hyperspherical angles and their spherical map to
+amplitudes, the angular-momentum operator Lx, and the initial-state
+constructions for both solution strategies.
 
 Each node carries a real unit vector of length c (one component per color),
 parameterized by c-1 unconstrained angles.  Basis ordering is by ascending
@@ -10,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,23 +21,15 @@ import numpy as np
 _DEGENERATE_TAIL = 1e-14
 
 
-@dataclass(frozen=True)
-class AngularMomentumOps:
-    """Angular-momentum operator of a c-dimensional qudit (l = (c-1)/2):
-    Lx, symmetric tridiagonal in the Lz basis, held as its superdiagonal."""
-
-    lx_offdiag: np.ndarray  # superdiagonal of Lx, length c-1
-
-
-def build_ops(c: int) -> AngularMomentumOps:
-    """Build the superdiagonal of Lx in the Lz basis m = -l..l."""
+def build_ops(c: int) -> np.ndarray:
+    """Lx of a c-dimensional qudit (l = (c-1)/2), symmetric tridiagonal in
+    the Lz basis m = -l..l, as its (c-1,) superdiagonal."""
     if c < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {c}")
     l = (c - 1) / 2.0
     m = np.arange(c) - l
     # <m+1| Lx |m> = sqrt((l - m)(l + m + 1)) / 2
-    off = 0.5 * np.sqrt((l - m[:-1]) * (l + m[:-1] + 1.0))
-    return AngularMomentumOps(lx_offdiag=off)
+    return 0.5 * np.sqrt((l - m[:-1]) * (l + m[:-1] + 1.0))
 
 
 def lx_ground_state(c: int) -> np.ndarray:
@@ -51,10 +44,20 @@ def lx_ground_state(c: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _forward(phi: np.ndarray):
+class Forward(NamedTuple):
+    """The spherical map of a stack of k runs' angles, as every consumer
+    reads it (k = 1 for a single run), V rows each."""
+
+    psi: np.ndarray       # (k, V, c) amplitudes, one row per node
+    sin: np.ndarray       # (k, V, c-1) sines of the angles
+    cos: np.ndarray       # (k, V, c-1) cosines of the angles
+    prefix: np.ndarray    # (k, V, c) prefix sine products
+
+
+def forward(phi: np.ndarray) -> Forward:
     """Spherical map over the last axis of the (..., c-1) angles ``phi``;
-    returns (psi, sin, cos, prefix sine products), psi and the prefix
-    products with c entries on that axis."""
+    psi and the prefix products have c entries on that axis.  Every array
+    is new."""
     s = np.sin(phi)
     u = np.cos(phi)
     r = np.empty((*phi.shape[:-1], phi.shape[-1] + 1))
@@ -63,7 +66,7 @@ def _forward(phi: np.ndarray):
     psi = np.empty_like(r)
     np.multiply(r[..., :-1], u, out=psi[..., :-1])
     psi[..., -1] = r[..., -1]
-    return psi, s, u, r
+    return Forward(psi, s, u, r)
 
 
 def amplitudes_to_angles(psi: np.ndarray) -> np.ndarray:

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .energy import CostParams, draw_couplings, potts_energy
-from .gradient import CostWorkspace, Forward
-from .graph import Graph, select_fixed_node
+from .gradient import CostWorkspace
+from .graph import Graph, check_fix, select_fixed_node
 from .optimizer import Adam
-from .qudits import build_ops, init_qdgd_state, init_qdlqa_state
+from .qudits import (Forward, build_ops, forward, init_qdgd_state,
+                     init_qdlqa_state)
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,7 @@ class Hyperparameters:
             raise ValueError("patience must be >= 1 for qdgd")
         if self.master_seed < 0:
             raise ValueError("seed must be >= 0")
+        check_fix(self.fix_strategy)
 
 
 # Each Hyperparameters field by its name as a setting (config-file key, flag
@@ -148,7 +150,12 @@ SETTING_NAMES = {f.name: {"num_colors": "colors", "n_steps": "steps",
 
 @dataclass
 class Trajectory:
-    """Per-outer-step record of a single run."""
+    """Per-outer-step record of a single run: one row per stage.
+
+    ``e_potts`` is the conflict count read out after the stage's last Adam
+    step; ``e_total`` is the cost that step descended, at the angles before
+    it, so the two are one step apart.
+    """
 
     step: np.ndarray
     t: np.ndarray
@@ -270,11 +277,11 @@ def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     run_indices = [operator.index(i) for i in run_indices]
     if not run_indices:
         return []
-    ops = build_ops(hp.num_colors)
+    lx_offdiag = build_ops(hp.num_colors)
     fixed = select_fixed_node(graph, hp.fix_strategy)
     n_groups = -(-len(run_indices) // group_size(graph.num_nodes, hp.num_colors))
     groups = [g.tolist() for g in np.array_split(run_indices, n_groups)]
-    workspace = CostWorkspace(graph, ops, fixed, copies=len(groups[0]))
+    workspace = CostWorkspace(graph, lx_offdiag, fixed, copies=len(groups[0]))
     return [record for group in groups
             for record in _run_group(workspace, hp, group, init_state,
                                      init_scale, stages, patience,
@@ -331,7 +338,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     # a diverging run overflows in Adam and then maps NaN angles; it is
     # reported by the diverged flag, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        fwd = workspace.forward(angles)
+        fwd = forward(angles)
         for n, (params, inner) in enumerate(stages):
             for _ in range(inner):
                 if not drawn.shape[1]:
@@ -343,7 +350,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
                 values, gphi = workspace.value_and_grad(fwd, params, drawn[:, 0])
                 drawn = drawn[:, 1:]
                 adam.step(angles, gphi)
-                fwd = workspace.forward(angles)
+                fwd = forward(angles)
             finite = np.isfinite(angles).all(axis=(1, 2)).tolist()
             colors = workspace.coloring(fwd)
             counts = potts_energy(graph, colors)

@@ -4,9 +4,9 @@ Queen graphs connect chessboard squares that share a row, column, or
 diagonal.  The myciel family applies the triangle-free chromatic-number
 -raising construction repeatedly, starting from a single edge.
 ``qdlqa_start`` gives the amplitudes of an annealing start on an instance,
-``small_graphs`` draws graphs for property tests, and ``amplitudes`` and
-``lx_matrix`` give the spherical map and the dense Lx that the package
-keeps only in the forms its cost reads.
+``small_graphs`` draws graphs for property tests, ``amplitudes`` gives the
+amplitudes of any angle array, and ``lx_matrix`` the dense Lx that the
+package keeps only as its superdiagonal.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import os
 import numpy as np
 from hypothesis import strategies as st
 
-from quditcolor.gradient import CostWorkspace
 from quditcolor.graph import Graph, select_fixed_node
-from quditcolor.qudits import _forward, build_ops, init_qdlqa_state
+from quditcolor.qudits import build_ops, forward, init_qdlqa_state
 
 
 def queen_edges(rows: int, cols: int) -> list[tuple[int, int]]:
@@ -119,12 +118,12 @@ def small_graphs(draw):
 def amplitudes(phi) -> np.ndarray:
     """The unit amplitude vector of an angle vector of length c-1, or the
     (..., c) amplitudes of a (..., c-1) angle array."""
-    return _forward(np.asarray(phi, dtype=np.float64))[0]
+    return forward(np.asarray(phi, dtype=np.float64)).psi
 
 
 def lx_matrix(c: int) -> np.ndarray:
     """The dense (c, c) Lx, built from the superdiagonal the package keeps."""
-    off = build_ops(c).lx_offdiag
+    off = build_ops(c)
     return np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -133,7 +132,7 @@ def qdlqa_start(graph: Graph, c: int, f: float, rng: np.random.Generator):
     fixed = select_fixed_node(graph, "max_degree")
     angles = np.insert(init_qdlqa_state(graph.num_nodes - 1, c, f, [rng])[0],
                        fixed, 0.0, axis=0)
-    return CostWorkspace(graph, build_ops(c), fixed).amplitudes(angles)
+    return forward(angles).psi
 
 
 class _DiesWhenUnpickled(Graph):

@@ -166,10 +166,10 @@ def test_criterion_7_invariant_suite():
         failures.append(f"ground state {worst_gs:.1e}")
 
     graph = queen_graph(5, 5)
-    ops = build_ops(5)
+    off, hvals = build_ops(5), np.zeros(graph.num_edges)
     psi = qdlqa_start(graph, 5, 1.0, rng)
-    values = {t: energy_total(psi, graph, ops,
-                              CostParams(gamma=1.1, h=0.0, t=t))
+    values = {t: energy_total(psi, graph, off,
+                              CostParams(gamma=1.1, h=0.0, t=t), hvals)
               for t in (0.0, 0.5, 1.0)}
     if abs(values[0.5] - (values[0.0] + values[1.0]) / 2) > 1e-12:
         failures.append("affinity in t")

@@ -1,6 +1,7 @@
 import argparse
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcolor import cli
-from quditcolor.cli import (ConfigError, config_to_hp, load_config, main,
-                            parse_fix, read_config_file)
+from quditcolor.cli import (ConfigError, build_parser, config_to_hp,
+                            load_config, main, read_config_file)
 from quditcolor.gradient import check_gradient
+from quditcolor.graph import parse_fix
 from quditcolor.harness import hp_to_dict
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
                                Hyperparameters, parse_alpha)
@@ -41,8 +43,31 @@ def test_parse_fix():
     assert parse_fix("max_degree") == "max_degree"
     assert parse_fix("none") is None
     assert parse_fix("12") == 12
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_fix("center")
+
+
+@pytest.mark.parametrize("fix", ["center", -1])
+def test_malformed_fix_strategy_raises_at_construction(queen55_col, capsys, fix):
+    # the form of a strategy needs no graph: the API raises when the
+    # settings are built, and every command ends in the same error line
+    message = ("fix must be max_degree, degree_one, none, or a node index, "
+               f"got {fix!r}")
+    with pytest.raises(ValueError) as caught:
+        Hyperparameters(method="qdlqa", num_colors=3, fix_strategy=fix)
+    assert str(caught.value) == message
+    for command in (["solve", "--quiet"], ["sweep"], ["gradcheck"]):
+        code = main([*command, "--graph", str(queen55_col), "--colors", "5",
+                     "--fix", str(fix)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+def test_gradcheck_defaults_are_the_settings_defaults():
+    args = build_parser().parse_args(["gradcheck", "--colors", "3"])
+    defaults = {f.name: f.default for f in fields(Hyperparameters)}
+    assert (args.gamma, args.h, args.fix) == \
+        (defaults["gamma"], defaults["h"], defaults["fix_strategy"])
 
 
 def test_info_command(myciel5_col, capsys):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcolor import energy
-from quditcolor.energy import (CostParams, energy_final, energy_initial,
-                               energy_total, energy_weight, extract_coloring,
-                               potts_energy)
+from quditcolor.energy import (CostParams, draw_couplings, energy_final,
+                               energy_initial, energy_total, energy_weight,
+                               extract_coloring, potts_energy)
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.qudits import build_ops
 
@@ -100,50 +100,40 @@ def test_potts_energy_length_check(k3):
 
 def test_energy_initial_ground_states():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    ops = build_ops(3)
+    off = build_ops(3)
     psi = qdlqa_start(g, 3, 0.0, np.random.default_rng(0))
-    assert energy_initial(psi, ops) == pytest.approx(-3.0, abs=1e-12)
+    assert energy_initial(psi, off) == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_energy_initial_basis_state_and_rotation():
-    ops = build_ops(2)
+    off = build_ops(2)
     one_hot = amplitudes(np.array([[np.pi / 2]]))  # (0, 1)
-    assert energy_initial(one_hot, ops) == pytest.approx(0.0, abs=1e-12)
+    assert energy_initial(one_hot, off) == pytest.approx(0.0, abs=1e-12)
     rotated = amplitudes(np.array([[np.pi / 4]]))
-    assert energy_initial(rotated, ops) == pytest.approx(-0.5)
+    assert energy_initial(rotated, off) == pytest.approx(-0.5)
 
 
 def test_energy_final_orthogonal_and_identical():
     g = Graph.from_edges(2, [(0, 1)])
     rng = np.random.default_rng(0)
     apart = psi_from_probabilities([[1, 0, 0], [0, 1, 0]])
-    assert energy_final(apart, g, CostParams(h=5.0), rng) == pytest.approx(0.0)
+    assert energy_final(apart, g, draw_couplings(g, 5.0, rng)) == pytest.approx(0.0)
     together = psi_from_probabilities([[0, 1, 0], [0, 1, 0]])
-    assert energy_final(together, g, CostParams(h=0.0)) == pytest.approx(1.0)
+    assert energy_final(together, g, np.zeros(g.num_edges)) == pytest.approx(1.0)
 
 
 def test_energy_final_uniform_triangle(k3):
     psi = psi_from_probabilities([[1 / 3] * 3] * 3)
-    assert energy_final(psi, k3, CostParams(h=0.0)) == pytest.approx(1.0)
-
-
-def test_energy_final_draws_change_per_call(k3):
-    psi = psi_from_probabilities([[1 / 3] * 3] * 3)
-    rng = np.random.default_rng(0)
-    params = CostParams(h=3.0)
-    values = {energy_final(psi, k3, params, rng) for _ in range(5)}
-    assert len(values) == 5
-    with pytest.raises(ValueError, match="rng"):
-        energy_final(psi, k3, params)
+    assert energy_final(psi, k3, np.zeros(k3.num_edges)) == pytest.approx(1.0)
 
 
 def test_energy_final_bounds():
     rng = np.random.default_rng(5)
     g = random_graph(8, 0.5, rng)
-    params = CostParams(h=0.0)
+    hvals = np.zeros(g.num_edges)
     for seed in range(10):
         psi = qdlqa_start(g, 3, 2.0, np.random.default_rng(seed))
-        value = energy_final(psi, g, params)
+        value = energy_final(psi, g, hvals)
         assert 0.0 <= value <= g.num_edges
 
 
@@ -165,32 +155,32 @@ def test_energy_weight_bounds_and_fixed_node_inclusion(k3):
 
 
 def test_energy_total_boundaries(k3):
-    ops = build_ops(3)
+    off, hvals = build_ops(3), np.zeros(k3.num_edges)
     psi = qdlqa_start(k3, 3, 0.2, np.random.default_rng(3))
     p0 = CostParams(gamma=1.0, h=0.0, t=0.0)
-    assert energy_total(psi, k3, ops, p0) == pytest.approx(
-        energy_initial(psi, ops), abs=1e-14)
+    assert energy_total(psi, k3, off, p0, hvals) == pytest.approx(
+        energy_initial(psi, off), abs=1e-14)
     p1 = CostParams(gamma=1.0, h=0.0, t=1.0)
-    expected = energy_final(psi, k3, p1) + energy_weight(psi, p1)
-    assert energy_total(psi, k3, ops, p1) == pytest.approx(expected, abs=1e-14)
+    expected = energy_final(psi, k3, hvals) + energy_weight(psi, p1)
+    assert energy_total(psi, k3, off, p1, hvals) == pytest.approx(expected, abs=1e-14)
 
 
 def test_energy_total_affine_in_t(k3):
-    ops = build_ops(4)
+    off, hvals = build_ops(4), np.zeros(k3.num_edges)
     psi = qdlqa_start(k3, 4, 1.0, np.random.default_rng(8))
-    values = {t: energy_total(psi, k3, ops, CostParams(gamma=0.9, h=0.0, t=t))
+    values = {t: energy_total(psi, k3, off, CostParams(gamma=0.9, h=0.0, t=t), hvals)
               for t in (0.0, 0.5, 1.0)}
     assert values[0.5] == pytest.approx((values[0.0] + values[1.0]) / 2, abs=1e-12)
     # three-point collinearity at an off-center t as well
     t = 0.3
-    v = energy_total(psi, k3, ops, CostParams(gamma=0.9, h=0.0, t=t))
+    v = energy_total(psi, k3, off, CostParams(gamma=0.9, h=0.0, t=t), hvals)
     assert v == pytest.approx((1 - t) * values[0.0] + t * values[1.0], abs=1e-12)
 
 
 def test_energy_final_zero_iff_disjoint_supports():
     g = Graph.from_edges(2, [(0, 1)])
-    params = CostParams(h=0.0)
+    hvals = np.zeros(g.num_edges)
     disjoint = psi_from_probabilities([[0.5, 0.5, 0], [0, 0, 1]])
-    assert energy_final(disjoint, g, params) == pytest.approx(0.0, abs=1e-15)
+    assert energy_final(disjoint, g, hvals) == pytest.approx(0.0, abs=1e-15)
     overlapping = psi_from_probabilities([[0.5, 0.5, 0], [0, 0.5, 0.5]])
-    assert energy_final(overlapping, g, params) > 0.0
+    assert energy_final(overlapping, g, hvals) > 0.0

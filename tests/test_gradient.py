@@ -10,7 +10,8 @@ from quditcolor.gradient import (CLAMP_FLAG_THRESHOLD, CostWorkspace,
                                  check_gradient)
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.optimizer import Adam
-from quditcolor.qudits import amplitudes_to_angles, build_ops, init_qdlqa_state
+from quditcolor.qudits import (amplitudes_to_angles, build_ops, forward,
+                               init_qdlqa_state)
 
 from instances import (myciel_graph, path, queen_graph, random_graph,
                        small_graphs, star, triangle)
@@ -50,11 +51,11 @@ def finite_difference(ws, angles, params, hvals, step=1e-6):
     for k in np.flatnonzero(free):
         saved = flat[k]
         flat[k] = saved + step
-        plus = energy_total(ws.amplitudes(angles), ws.graph, ws.ops, params,
-                            hvals=hvals)
+        plus = energy_total(forward(angles).psi, ws.graph, ws.lx_offdiag, params,
+                            hvals)
         flat[k] = saved - step
-        minus = energy_total(ws.amplitudes(angles), ws.graph, ws.ops, params,
-                             hvals=hvals)
+        minus = energy_total(forward(angles).psi, ws.graph, ws.lx_offdiag, params,
+                             hvals)
         flat[k] = saved
         out[k] = (plus - minus) / (2 * step)
     return out
@@ -66,7 +67,7 @@ def test_gradient_zero_at_annealing_start():
     angles = np.insert(init_qdlqa_state(1, 3, 0.0, [np.random.default_rng(0)]),
                        ws.fixed_node, 0.0, axis=1)
     _, grad = ws.value_and_grad(
-        ws.forward(angles), CostParams(gamma=1.0, h=0.0, t=0.0), np.zeros((1, 1)))
+        forward(angles), CostParams(gamma=1.0, h=0.0, t=0.0), np.zeros((1, 1)))
     assert np.abs(grad).max() < 1e-9
 
 
@@ -78,7 +79,7 @@ def test_gradient_zero_without_edges_or_regularizer():
     angles = random_angles(g, 4, np.random.default_rng(1))
     params = CostParams(gamma=0.0, h=2.0, t=1.0)
     hvals = draw_couplings(g, params.h, np.random.default_rng(0))
-    values, grad = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
+    values, grad = ws.value_and_grad(forward(angles[None]), params, hvals[None])
     (value,) = values()
     assert value == 0.0
     assert np.abs(grad).max() == 0.0
@@ -91,11 +92,11 @@ def test_gradient_matches_finite_differences_on_queen55():
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
     params = CostParams(gamma=1.0, h=3.0, t=0.37)
     hvals = draw_couplings(g, params.h, rng)
-    values, grad = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
+    values, grad = ws.value_and_grad(forward(angles[None]), params, hvals[None])
     (value,) = values()
     grad = grad.ravel()
     assert value == pytest.approx(
-        energy_total(ws.amplitudes(angles), g, ws.ops, params, hvals=hvals),
+        energy_total(forward(angles).psi, g, ws.lx_offdiag, params, hvals),
         rel=1e-12)
     fd = finite_difference(ws, angles, params, hvals, step=1e-5)
     rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-2)
@@ -106,11 +107,11 @@ def test_gradient_layout_freezes_fixed_node():
     g = triangle()
     ws = CostWorkspace(g, build_ops(4), 1)
     angles = random_angles(g, 4, np.random.default_rng(0), fixed_node=1)
-    _, grad = ws.value_and_grad(ws.forward(angles[None]), CostParams(h=0.0, t=0.6),
+    _, grad = ws.value_and_grad(forward(angles[None]), CostParams(h=0.0, t=0.6),
                                 np.zeros((1, 3)))
     assert grad.shape == (1, g.num_nodes, 3)
     assert (grad[0, 1] == 0.0).all() and (grad[0, [0, 2]] != 0.0).all()
-    np.testing.assert_array_equal(ws.amplitudes(angles)[1], [1, 0, 0, 0])
+    np.testing.assert_array_equal(forward(angles).psi[1], [1, 0, 0, 0])
 
 
 def test_gradient_linearity_in_t():
@@ -122,7 +123,7 @@ def test_gradient_linearity_in_t():
     grads = {}
     for t in (0.0, 0.35, 1.0):
         _, grads[t] = ws.value_and_grad(
-            ws.forward(angles[None]), CostParams(gamma=1.2, h=3.0, t=t), hvals[None])
+            forward(angles[None]), CostParams(gamma=1.2, h=3.0, t=t), hvals[None])
     combo = 0.65 * grads[0.0] + 0.35 * grads[1.0]
     np.testing.assert_allclose(grads[0.35], combo, atol=1e-10)
 
@@ -186,9 +187,9 @@ def test_workspace_reuse_matches_fresh():
         angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
         params = CostParams(gamma=0.8, h=2.0, t=0.7)
         hvals = draw_couplings(g, params.h, rng)
-        v1, g1 = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
+        v1, g1 = ws.value_and_grad(forward(angles[None]), params, hvals[None])
         fresh = pinned_workspace(g, 5)
-        v2, g2 = fresh.value_and_grad(fresh.forward(angles[None]), params,
+        v2, g2 = fresh.value_and_grad(forward(angles[None]), params,
                                       hvals[None])
         assert v1() == v2()
         np.testing.assert_array_equal(g1, g2)
@@ -210,22 +211,22 @@ def test_stacked_runs_match_single_runs_bit_for_bit(name, c, runs, pinned):
         angles = [random_angles(g, c, rng, fixed) for _ in range(runs)]
         hvals = [draw_couplings(g, 3.0, rng) for _ in range(runs)]
         params = CostParams(gamma=1.3, h=3.0, t=float(rng.uniform()))
-        fwd = group.forward(np.stack(angles))
+        fwd = forward(np.stack(angles))
         values, grad = group.value_and_grad(fwd, params, np.stack(hvals))
         costs = values()
         colors = group.coloring(fwd)
         for r in range(runs):
-            one = single.forward(angles[r][None])
+            one = forward(angles[r][None])
             value, one_grad = single.value_and_grad(one, params, hvals[r][None])
             assert [costs[r]] == value()
             assert np.array_equal(grad[r], one_grad[0])
             assert np.array_equal(colors[r], single.coloring(one)[0])
     # more runs than copies would index past the triangle
     with pytest.raises(ValueError):
-        group.value_and_grad(group.forward(np.stack([angles[0]] * 11)),
+        group.value_and_grad(forward(np.stack([angles[0]] * 11)),
                              params, np.stack([hvals[0]] * 11))
     with pytest.raises(ValueError, match="1 to 10 runs"):
-        group.value_and_grad(group.forward(np.stack([angles[0]] * 11)),
+        group.value_and_grad(forward(np.stack([angles[0]] * 11)),
                              params, np.stack([hvals[0]] * 10))
 
 
@@ -252,19 +253,19 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     hvals = draw_couplings(g, params.h,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
 
-    fwd = ws.forward(angles[None])
+    fwd = forward(angles[None])
     assert len(fwd) == 4
     if pinned:
         np.testing.assert_array_equal(fwd.psi[0, fixed], np.eye(c)[0])
     values, grad = ws.value_and_grad(fwd, params, hvals[None])
     (value,) = values()
-    oracle = energy_total(fwd.psi[0], g, ws.ops, params, hvals=hvals)
+    oracle = energy_total(fwd.psi[0], g, ws.lx_offdiag, params, hvals)
     assert value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
     np.testing.assert_array_equal(ws.coloring(fwd),
-                                  [extract_coloring(ws.amplitudes(angles))])
+                                  [extract_coloring(forward(angles).psi)])
 
     # a later forward map leaves the one already held untouched
-    ws.forward(angles[None] + 1.0)
+    forward(angles[None] + 1.0)
     again, grad_again = ws.value_and_grad(fwd, params, hvals[None])
     assert again() == [value]
     np.testing.assert_array_equal(grad_again, grad)
@@ -284,7 +285,7 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
                         t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
     hvals = draw_couplings(g, params.h,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
-    _, grad = ws.value_and_grad(ws.forward(angles[None]), params, hvals[None])
+    _, grad = ws.value_and_grad(forward(angles[None]), params, hvals[None])
     np.testing.assert_allclose(grad.ravel(),
                                finite_difference(ws, angles, params, hvals),
                                rtol=0, atol=1e-6)
@@ -293,7 +294,7 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
 def _full_cost_and_grad(ws, fwd, params, hvals):
     """``value_and_grad`` written out with the start cost always computed:
     the reference for its t = 1 path."""
-    t, gamma, off = params.t, params.gamma, ws.ops.lx_offdiag
+    t, gamma, off = params.t, params.gamma, ws.lx_offdiag
     psi, s, u, r = fwd
     runs, cm1 = len(psi), off.size
     p = psi ** 2
@@ -341,7 +342,7 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
                         t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
     hvals = np.stack([draw_couplings(g, params.h, rng) for _ in range(runs)])
-    fwd = ws.forward(angles)
+    fwd = forward(angles)
     values, grad = ws.value_and_grad(fwd, params, hvals)
     full_values, full_grad = _full_cost_and_grad(ws, fwd, params, hvals)
     before = grad.copy()
@@ -358,7 +359,7 @@ def test_values_read_the_floored_log_below_the_clamp(t):
     # a value read from that clamped log would differ from the cost
     g = triangle()
     ws = CostWorkspace(g, build_ops(3), None)
-    fwd = ws.forward(np.array([[[1e-7, 0.4], [1.0, 2.0], [0.5, 1.3]]]))
+    fwd = forward(np.array([[[1e-7, 0.4], [1.0, 2.0], [0.5, 1.3]]]))
     assert 0 < (fwd.psi[0, 0, 1:] ** 2).max() < LOG_CLAMP
     params = CostParams(gamma=1.0, h=0.0, t=t)
     hvals = np.zeros((1, g.num_edges))
@@ -385,7 +386,7 @@ def test_pinned_rows_stay_frozen_in_every_copy(g, c, copies, data):
                         t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
     hvals = np.stack([draw_couplings(g, params.h, rng) for _ in range(copies)])
-    fwd = ws.forward(angles)
+    fwd = forward(angles)
     zero = ~angles.any(axis=-1)
     np.testing.assert_array_equal(fwd.psi[zero], np.eye(c)[[0] * zero.sum()])
     _, grad = ws.value_and_grad(fwd, params, hvals)
@@ -409,7 +410,7 @@ def test_workspace_rejects_edges_and_states_it_cannot_index():
     # a state of another graph would be read out of bounds
     ws = CostWorkspace(queen_graph(4, 4), build_ops(3), None)
     small = CostWorkspace(triangle(), build_ops(3), None)
-    fwd = small.forward(random_angles(triangle(), 3, np.random.default_rng(0))[None])
+    fwd = forward(random_angles(triangle(), 3, np.random.default_rng(0))[None])
     with pytest.raises(ValueError, match="expected 16 rows"):
         ws.value_and_grad(fwd, CostParams(), np.zeros((1, ws.graph.num_edges)))
 
@@ -429,12 +430,12 @@ def test_unchecked_kernels_are_guarded_by_shape(runs, nodes, couplings):
     ws = CostWorkspace(g, build_ops(3), None, copies=2)
     shape = (runs * g.num_nodes,) if nodes is None else (runs, nodes)
     angles = np.random.default_rng(0).uniform(-np.pi, np.pi, (*shape, 2))
-    p = ws.amplitudes(angles) ** 2
+    p = forward(angles).psi ** 2
     hvals = np.zeros(couplings(g.num_edges))
     with pytest.raises(ValueError, match="expected 16 rows"):
         ws._neighbor_sum(p, hvals + 1.0)
     with pytest.raises(ValueError):
-        ws.value_and_grad(ws.forward(angles), CostParams(), hvals)
+        ws.value_and_grad(forward(angles), CostParams(), hvals)
 
 
 @settings(deadline=None, max_examples=80)

@@ -96,7 +96,7 @@ def test_degenerate_tail_maps_remaining_angles_to_zero():
 
 def test_build_ops_small_cases():
     np.testing.assert_allclose(lx_matrix(2), [[0, 0.5], [0.5, 0]])
-    np.testing.assert_allclose(build_ops(3).lx_offdiag, [1 / np.sqrt(2)] * 2)
+    np.testing.assert_allclose(build_ops(3), [1 / np.sqrt(2)] * 2)
     with pytest.raises(ValueError):
         build_ops(1)
 

@@ -245,14 +245,14 @@ def test_diverging_run_stops_and_is_marked(queen55):
 ], ids=["qdlqa-exp-alpha", "qdlqa-constant-alpha", "qdgd-early-stop",
         "qdgd-diverged"])
 def test_one_forward_map_per_step(queen55, monkeypatch, method, settings):
-    original = gradient._forward
+    original = solver.forward
     calls = []
 
     def counting_forward(phi):
         calls.append(1)
         return original(phi)
 
-    monkeypatch.setattr(gradient, "_forward", counting_forward)
+    monkeypatch.setattr(solver, "forward", counting_forward)
     hp = Hyperparameters(method=method, n_runs=1, **settings)
     # a group of one, then groups that map once per step of their longest
     # run: finished runs are sliced out of the last map, not mapped again
