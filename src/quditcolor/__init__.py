@@ -17,14 +17,14 @@ from .optimizer import Adam
 from .qudits import (Forward, amplitudes_to_angles, build_ops, forward,
                      init_qdgd_state, init_qdlqa_state, lx_ground_state)
 from .solver import (ConstantAlpha, ExponentialAlpha, Hyperparameters,
-                     RunRecord, alpha_at, run_qdgd, run_qdlqa)
+                     RunRecord, run_qdgd, run_qdlqa)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "BatchStats", "ConstantAlpha", "CostParams", "CostWorkspace",
     "DivergedError", "ExponentialAlpha", "Forward", "Graph", "GraphParseError",
-    "GraphWarning", "Hyperparameters", "RunRecord", "SweepResult", "alpha_at",
+    "GraphWarning", "Hyperparameters", "RunRecord", "SweepResult",
     "amplitudes_to_angles", "build_ops", "check_gradient", "energy_final",
     "energy_initial", "energy_total", "energy_weight", "extract_coloring",
     "forward", "init_qdgd_state", "init_qdlqa_state", "load_graph",

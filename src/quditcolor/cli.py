@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import CostParams
+from .energy import CostParams, draw_couplings
 from .gradient import CostWorkspace, check_gradient
 from .graph import (GraphParseError, GraphWarning, load_graph, parse_fix,
                     select_fixed_node)
@@ -222,7 +222,7 @@ def _cmd_solve(args) -> int:
                 config.out)
     if config.trajectories:
         try:
-            write_trajectory_csv(config.trajectories, stats.records, "e_potts")
+            write_trajectory_csv(config.trajectories, stats.records)
         except ValueError as exc:
             # early-stopped runs leave unequal step grids; stats are still valid
             print(f"warning: trajectory CSV not written: {exc}", file=sys.stderr)
@@ -275,8 +275,11 @@ def _cmd_gradcheck(args) -> int:
     try:
         lx_offdiag = build_ops(args.colors)
         # t = 0 stands in for the random per-point times, always in range
-        params = CostParams(gamma=args.gamma, h=args.h,
-                            t=0.0 if args.t is None else args.t)
+        params = CostParams(gamma=args.gamma, t=0.0 if args.t is None else args.t)
+        if not math.isfinite(args.h):
+            raise ValueError(f"h must be finite, got {args.h!r}")
+        if args.h < 0:
+            raise ValueError("h must be >= 0")
         fix_strategy = parse_fix(args.fix)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -291,9 +294,10 @@ def _cmd_gradcheck(args) -> int:
         angles = rng.uniform(-np.pi, np.pi, size=(n_free, args.colors - 1))
         if fixed is not None:  # the pinned node's row is all zeros
             angles = np.insert(angles, fixed, 0.0, axis=0)
+        hvals = draw_couplings(graph, args.h, rng)
         try:
             report = check_gradient(workspace, angles, replace(params, t=t),
-                                    step=args.step, tol=args.tol, rng=rng)
+                                    hvals, step=args.step, tol=args.tol)
         except ValueError as exc:  # a finite-difference step out of range
             raise ConfigError(str(exc)) from None
         worst = max(worst, report.max_rel_error)

@@ -6,8 +6,8 @@ path used by the solvers lives in the gradient module and is cross-checked
 against these in the tests.  States enter as one run's (V, c) amplitude
 matrix ``psi``, ``qudits.forward(angles).psi`` with the pinned node's
 one-hot row included; Lx as the superdiagonal that ``qudits.build_ops``
-returns; and the couplings as the (E,) noise values h_ij that
-``draw_couplings`` returns.
+returns; and the couplings as the (E,) noise values h_ij that the caller
+drew with ``draw_couplings``.
 """
 
 from __future__ import annotations
@@ -28,22 +28,19 @@ PLOGP_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class CostParams:
-    """Knobs of the interpolated cost: regularizer weight, coupling-noise
-    cap, and annealing time."""
+    """Knobs of the interpolated cost: regularizer weight and annealing
+    time.  Its couplings are drawn by the caller, who passes them along."""
 
     gamma: float = 1.0
-    h: float = 3.0
     t: float = 1.0
 
     def __post_init__(self):
-        for name in ("gamma", "h", "t"):
+        for name in ("gamma", "t"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if self.h < 0:
-            raise ValueError("h must be >= 0")
         if not 0.0 <= self.t <= 1.0:
             raise ValueError("t must be in [0, 1]")
 

@@ -193,18 +193,21 @@ def load_graph(path, fmt: str | None = None) -> tuple[Graph, list[int]]:
 
 
 def check_fix(strategy):
-    """Return ``strategy`` if it has the form of a fix strategy, else raise
-    ``ValueError``.
+    """``strategy`` as None, a strategy name or an int; ``ValueError`` if
+    it has the form of no fix strategy.
 
     Strategies: "max_degree" (lowest-index node of maximal degree),
-    "degree_one" (lowest-index node of degree 1), an explicit node index
-    >= 0, or "none"/None (no node fixed; every node is parameterized).
+    "degree_one" (lowest-index node of degree 1), a node index >= 0 (not a
+    bool), or "none"/None (no node fixed; every node is parameterized).
     Whether the graph can honour one is up to ``select_fixed_node``.
     """
-    named = isinstance(strategy, str) and strategy in ("max_degree", "degree_one", "none")
-    index = isinstance(strategy, (int, np.integer)) and strategy >= 0
-    if strategy is None or named or index:
+    if strategy is None or strategy == "none":
+        return None
+    if isinstance(strategy, str) and strategy in ("max_degree", "degree_one"):
         return strategy
+    if (isinstance(strategy, (int, np.integer)) and not isinstance(strategy, bool)
+            and strategy >= 0):
+        return int(strategy)
     raise ValueError("fix must be max_degree, degree_one, none, or a node "
                      f"index, got {strategy!r}")
 
@@ -212,8 +215,6 @@ def check_fix(strategy):
 def parse_fix(text: str):
     """The fix strategy that a setting's text names: None for "none", an
     int for a node index."""
-    if text == "none":
-        return None
     try:
         text = int(text)
     except ValueError:
@@ -224,8 +225,8 @@ def parse_fix(text: str):
 def select_fixed_node(graph: Graph, strategy) -> int | None:
     """Resolve the node to pin to a single color under a fix ``strategy``
     (see ``check_fix``)."""
-    check_fix(strategy)
-    if strategy is None or strategy == "none":
+    strategy = check_fix(strategy)
+    if strategy is None:
         return None
     if strategy == "max_degree":
         return int(np.argmax(graph.degrees))
@@ -236,4 +237,4 @@ def select_fixed_node(graph: Graph, strategy) -> int | None:
         return int(ones[0])
     if strategy >= graph.num_nodes:
         raise ValueError(f"fixed node {strategy} out of range [0, {graph.num_nodes})")
-    return int(strategy)
+    return strategy

@@ -161,14 +161,13 @@ def sweep_colors(graph: Graph, hp: Hyperparameters, c_range, *,
     return SweepResult(batches=batches, chi_upper=chi_upper)
 
 
-def trajectory_stats(records: list[RunRecord], quantity: str):
-    """Per-step sample mean and population std across run trajectories.
+def trajectory_stats(records: list[RunRecord]):
+    """Per-step sample mean and population std of the conflict count
+    ``e_potts`` across run trajectories.
 
-    ``quantity`` is "e_total" or "e_potts".  All trajectories must share
-    the same step grid (no early-stopped stragglers).
+    All trajectories must share the same step grid (no early-stopped
+    stragglers).
     """
-    if quantity not in ("e_total", "e_potts"):
-        raise ValueError(f"unknown quantity {quantity!r}")
     trajs = [r.trajectory for r in records]
     if any(tr is None for tr in trajs):
         raise ValueError("records lack trajectories; rerun with recording on")
@@ -176,7 +175,7 @@ def trajectory_stats(records: list[RunRecord], quantity: str):
     for tr in trajs[1:]:
         if not np.array_equal(tr.step, grid):
             raise ValueError("trajectories have mismatched step grids")
-    values = np.stack([getattr(tr, quantity) for tr in trajs]).astype(float)
+    values = np.stack([tr.e_potts for tr in trajs]).astype(float)
     return grid.copy(), trajs[0].t.copy(), values.mean(axis=0), values.std(axis=0)
 
 
@@ -212,8 +211,8 @@ def hp_to_dict(hp: Hyperparameters) -> dict:
     return out
 
 
-def write_trajectory_csv(path, records: list[RunRecord], quantity: str) -> None:
-    step, t, mean, std = trajectory_stats(records, quantity)
+def write_trajectory_csv(path, records: list[RunRecord]) -> None:
+    step, t, mean, std = trajectory_stats(records)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "t", "mean", "std"])

@@ -35,6 +35,10 @@ class ConstantAlpha:
         if self.steps < 1:
             raise ValueError("alpha must be >= 1")
 
+    def steps_at(self, t: float) -> int:
+        """Number of optimizer steps to take at annealing time t."""
+        return self.steps
+
     @property
     def spec(self) -> int:
         """The alpha setting that ``parse_alpha`` reads back to this schedule."""
@@ -53,6 +57,13 @@ class ExponentialAlpha:
             raise ValueError(f"alpha rate must be finite, got {self.rate!r}")
         if self.cap < 1:
             raise ValueError("alpha cap must be >= 1")
+
+    def steps_at(self, t: float) -> int:
+        """Number of optimizer steps to take at annealing time t."""
+        # past log(cap) + 1 the steps are capped anyway; clamping there keeps
+        # math.exp from overflowing
+        exponent = min(self.rate * t, math.log(self.cap) + 1.0)
+        return max(1, min(int(round(math.exp(exponent))), self.cap))
 
     @property
     def spec(self) -> str:
@@ -82,18 +93,6 @@ def parse_alpha(text) -> ConstantAlpha | ExponentialAlpha:
     return ConstantAlpha(steps)
 
 
-def alpha_at(schedule, t: float) -> int:
-    """Number of optimizer steps to take at annealing time t."""
-    if isinstance(schedule, ConstantAlpha):
-        return schedule.steps
-    if isinstance(schedule, ExponentialAlpha):
-        # past log(cap) + 1 the steps are capped anyway; clamping there keeps
-        # math.exp from overflowing
-        exponent = min(schedule.rate * t, math.log(schedule.cap) + 1.0)
-        return max(1, min(int(round(math.exp(exponent))), schedule.cap))
-    raise TypeError(f"unknown alpha schedule {schedule!r}")
-
-
 @dataclass(frozen=True)
 class Hyperparameters:
     """Everything a batch needs; defaults are the values that work well on
@@ -110,7 +109,7 @@ class Hyperparameters:
     h: float = 3.0
     n_runs: int = 100
     patience: int = 100
-    fix_strategy: object = "max_degree"
+    fix_strategy: str | int | None = "max_degree"
     master_seed: int = 0
     include_t_end: bool = False
 
@@ -137,7 +136,10 @@ class Hyperparameters:
             raise ValueError("patience must be >= 1 for qdgd")
         if self.master_seed < 0:
             raise ValueError("seed must be >= 0")
-        check_fix(self.fix_strategy)
+        if not isinstance(self.alpha, (ConstantAlpha, ExponentialAlpha)):
+            raise ValueError("alpha must be a ConstantAlpha or ExponentialAlpha "
+                             f"schedule, got {self.alpha!r}")
+        object.__setattr__(self, "fix_strategy", check_fix(self.fix_strategy))
 
 
 # Each Hyperparameters field by its name as a setting (config-file key, flag
@@ -203,7 +205,7 @@ def run_qdlqa(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     ``hp.include_t_end`` adds the final t = 1 stage.
     """
     n_stages = hp.n_steps + 1 if hp.include_t_end else hp.n_steps
-    stages = [(CostParams(gamma=hp.gamma, h=hp.h, t=t), alpha_at(hp.alpha, t))
+    stages = [(CostParams(gamma=hp.gamma, t=t), hp.alpha.steps_at(t))
               for t in (n / hp.n_steps for n in range(n_stages))]
     return _run(graph, hp, run_indices, init_qdlqa_state, hp.f, stages,
                 math.inf, record_trajectory)
@@ -215,7 +217,7 @@ def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     stopping a run at 0 conflicts or after ``patience`` steps without
     improving its best conflict count.  Returns one record per run index,
     in the order given."""
-    stages = [(CostParams(gamma=hp.gamma, h=hp.h, t=1.0), 1)] * hp.n_steps
+    stages = [(CostParams(gamma=hp.gamma, t=1.0), 1)] * hp.n_steps
     return _run(graph, hp, run_indices, init_qdgd_state, hp.f_tilde, stages,
                 hp.patience, record_trajectory)
 

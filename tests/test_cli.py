@@ -5,14 +5,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditcolor import cli
 from quditcolor.cli import (ConfigError, build_parser, config_to_hp,
                             load_config, main, read_config_file)
 from quditcolor.gradient import check_gradient
-from quditcolor.graph import parse_fix
+from quditcolor.graph import parse_fix, select_fixed_node
 from quditcolor.harness import hp_to_dict
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
                                Hyperparameters, parse_alpha)
@@ -181,17 +181,37 @@ _finite = dict(allow_nan=False, allow_infinity=False)
     h=st.floats(0.0, 1e3, **_finite),
     n_runs=st.integers(1, 10**4),
     patience=st.integers(1, 10**4),
-    fix_strategy=st.one_of(st.none(), st.sampled_from(["max_degree", "degree_one"]),
-                           st.integers(0, 10**6)),
+    fix_strategy=st.one_of(st.none(),
+                           st.sampled_from(["max_degree", "degree_one", "none"]),
+                           st.integers(0, 10**6),
+                           st.integers(0, 10**6).map(np.int64),
+                           st.integers(0, 255).map(np.uint8)),
     master_seed=st.integers(0, 2**32),
     include_t_end=st.booleans(),
 ))
+@example(Hyperparameters(method="qdgd", num_colors=3, fix_strategy="none"))
+@example(Hyperparameters(method="qdgd", num_colors=3, fix_strategy=np.int64(3)))
 def test_recorded_settings_read_back(tmp_path_factory, hp):
-    # the JSON config block, written as a config file, reproduces the run
+    # the JSON config block, written as a config file, reproduces the run;
+    # the fix strategy is stored as None, a strategy name or an int
+    assert type(hp.fix_strategy) in (type(None), str, int)
+    recorded = json.loads(json.dumps(hp_to_dict(hp)))
     cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in hp_to_dict(hp).items()))
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in recorded.items()))
     config = load_config(argparse.Namespace(config=str(cfg), graph="g.col"))
     assert config_to_hp(config, int(config.colors)) == hp
+
+
+@pytest.mark.parametrize("fix", [True, False, np.bool_(True)])
+def test_bool_fix_strategy_is_rejected(queen55, fix):
+    # True == 1, but a bool names no node
+    message = ("fix must be max_degree, degree_one, none, or a node index, "
+               f"got {fix!r}")
+    with pytest.raises(ValueError) as caught:
+        Hyperparameters(method="qdlqa", num_colors=3, fix_strategy=fix)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError, match="^fix must be"):
+        select_fixed_node(queen55, fix)
 
 
 def test_method_specific_field_warning(queen55_col, tmp_path, capsys):
@@ -292,6 +312,26 @@ def test_gradcheck_command(queen55_col, capsys):
     assert "gradcheck OK" in capsys.readouterr().out
 
 
+# Each point draws its time, then its angles, then its couplings from the
+# one seeded generator, so these lines move if any draw moves.
+@pytest.mark.parametrize("flags, line", [
+    (["--colors", "5", "--points", "4"],
+     "4 points, max relative error 2.082e-07 "
+     "(tol 0.0001, 8 clamp-flagged components excluded)"),
+    (["--colors", "3", "--points", "3", "--fix", "none", "--seed", "7"],
+     "3 points, max relative error 4.996e-08 "
+     "(tol 0.0001, 0 clamp-flagged components excluded)"),
+    (["--colors", "4", "--points", "2", "--t", "0.3", "--gamma", "0.5",
+      "--h", "1.5", "--fix", "3"],
+     "2 points, max relative error 3.241e-08 "
+     "(tol 0.0001, 3 clamp-flagged components excluded)"),
+])
+def test_gradcheck_prints_pinned_line(queen55_col, capsys, flags, line):
+    assert main(["gradcheck", "--graph", str(queen55_col), *flags]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (f"gradcheck OK: {line}\n", "")
+
+
 # the default pins the max-degree node: the centre square, node 12
 @pytest.mark.parametrize("flags, fixed", [([], 12), (["--fix", "none"], None),
                                           (["--fix", "3"], 3)])
@@ -333,6 +373,7 @@ def test_gradcheck_unresolvable_fix_is_solve_error(queen55_col, capsys):
     (["--points", "0"], "points must be >= 1, got 0"),
     (["--tol", "nan"], "tol must be finite and > 0, got nan"),
     (["--tol", "0"], "tol must be finite and > 0, got 0.0"),
+    (["--h", "nan"], "h must be finite, got nan"),
 ])
 def test_gradcheck_bad_setting_is_config_error(queen55_col, capsys, flags,
                                                message):

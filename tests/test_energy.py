@@ -23,10 +23,9 @@ def brute_force_conflicts(graph, coloring):
 
 
 def test_cost_params_validation():
-    CostParams(gamma=0.0, h=0.0, t=0.5)
-    for bad in (dict(gamma=-1), dict(h=-0.1), dict(t=1.5), dict(t=-0.1),
-                dict(gamma=np.nan), dict(h=np.inf), dict(t=np.nan),
-                dict(t=-np.inf)):
+    CostParams(gamma=0.0, t=0.5)
+    for bad in (dict(gamma=-1), dict(t=1.5), dict(t=-0.1), dict(gamma=np.nan),
+                dict(gamma=np.inf), dict(t=np.nan), dict(t=-np.inf)):
         with pytest.raises(ValueError):
             CostParams(**bad)
 
@@ -157,10 +156,10 @@ def test_energy_weight_bounds_and_fixed_node_inclusion(k3):
 def test_energy_total_boundaries(k3):
     off, hvals = build_ops(3), np.zeros(k3.num_edges)
     psi = qdlqa_start(k3, 3, 0.2, np.random.default_rng(3))
-    p0 = CostParams(gamma=1.0, h=0.0, t=0.0)
+    p0 = CostParams(gamma=1.0, t=0.0)
     assert energy_total(psi, k3, off, p0, hvals) == pytest.approx(
         energy_initial(psi, off), abs=1e-14)
-    p1 = CostParams(gamma=1.0, h=0.0, t=1.0)
+    p1 = CostParams(gamma=1.0, t=1.0)
     expected = energy_final(psi, k3, hvals) + energy_weight(psi, p1)
     assert energy_total(psi, k3, off, p1, hvals) == pytest.approx(expected, abs=1e-14)
 
@@ -168,12 +167,12 @@ def test_energy_total_boundaries(k3):
 def test_energy_total_affine_in_t(k3):
     off, hvals = build_ops(4), np.zeros(k3.num_edges)
     psi = qdlqa_start(k3, 4, 1.0, np.random.default_rng(8))
-    values = {t: energy_total(psi, k3, off, CostParams(gamma=0.9, h=0.0, t=t), hvals)
+    values = {t: energy_total(psi, k3, off, CostParams(gamma=0.9, t=t), hvals)
               for t in (0.0, 0.5, 1.0)}
     assert values[0.5] == pytest.approx((values[0.0] + values[1.0]) / 2, abs=1e-12)
     # three-point collinearity at an off-center t as well
     t = 0.3
-    v = energy_total(psi, k3, off, CostParams(gamma=0.9, h=0.0, t=t), hvals)
+    v = energy_total(psi, k3, off, CostParams(gamma=0.9, t=t), hvals)
     assert v == pytest.approx((1 - t) * values[0.0] + t * values[1.0], abs=1e-12)
 
 

@@ -67,7 +67,7 @@ def test_gradient_zero_at_annealing_start():
     angles = np.insert(init_qdlqa_state(1, 3, 0.0, [np.random.default_rng(0)]),
                        ws.fixed_node, 0.0, axis=1)
     _, grad = ws.value_and_grad(
-        forward(angles), CostParams(gamma=1.0, h=0.0, t=0.0), np.zeros((1, 1)))
+        forward(angles), CostParams(gamma=1.0, t=0.0), np.zeros((1, 1)))
     assert np.abs(grad).max() < 1e-9
 
 
@@ -77,8 +77,8 @@ def test_gradient_zero_without_edges_or_regularizer():
               degrees=np.zeros(3, dtype=np.int64))
     ws = CostWorkspace(g, build_ops(4), None)
     angles = random_angles(g, 4, np.random.default_rng(1))
-    params = CostParams(gamma=0.0, h=2.0, t=1.0)
-    hvals = draw_couplings(g, params.h, np.random.default_rng(0))
+    params = CostParams(gamma=0.0, t=1.0)
+    hvals = draw_couplings(g, 2.0, np.random.default_rng(0))
     values, grad = ws.value_and_grad(forward(angles[None]), params, hvals[None])
     (value,) = values()
     assert value == 0.0
@@ -90,8 +90,8 @@ def test_gradient_matches_finite_differences_on_queen55():
     ws = pinned_workspace(g, 5)
     rng = np.random.default_rng(42)
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
-    params = CostParams(gamma=1.0, h=3.0, t=0.37)
-    hvals = draw_couplings(g, params.h, rng)
+    params = CostParams(gamma=1.0, t=0.37)
+    hvals = draw_couplings(g, 3.0, rng)
     values, grad = ws.value_and_grad(forward(angles[None]), params, hvals[None])
     (value,) = values()
     grad = grad.ravel()
@@ -107,7 +107,7 @@ def test_gradient_layout_freezes_fixed_node():
     g = triangle()
     ws = CostWorkspace(g, build_ops(4), 1)
     angles = random_angles(g, 4, np.random.default_rng(0), fixed_node=1)
-    _, grad = ws.value_and_grad(forward(angles[None]), CostParams(h=0.0, t=0.6),
+    _, grad = ws.value_and_grad(forward(angles[None]), CostParams(t=0.6),
                                 np.zeros((1, 3)))
     assert grad.shape == (1, g.num_nodes, 3)
     assert (grad[0, 1] == 0.0).all() and (grad[0, [0, 2]] != 0.0).all()
@@ -123,7 +123,7 @@ def test_gradient_linearity_in_t():
     grads = {}
     for t in (0.0, 0.35, 1.0):
         _, grads[t] = ws.value_and_grad(
-            forward(angles[None]), CostParams(gamma=1.2, h=3.0, t=t), hvals[None])
+            forward(angles[None]), CostParams(gamma=1.2, t=t), hvals[None])
     combo = 0.65 * grads[0.0] + 0.35 * grads[1.0]
     np.testing.assert_allclose(grads[0.35], combo, atol=1e-10)
 
@@ -134,8 +134,8 @@ def test_check_gradient_passes_at_boundaries(t):
     ws = pinned_workspace(g, 5)
     rng = np.random.default_rng(int(t * 10) + 1)
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
-    report = check_gradient(ws, angles, CostParams(gamma=1.0, h=3.0, t=t),
-                            step=1e-5, tol=1e-4, rng=rng)
+    report = check_gradient(ws, angles, CostParams(gamma=1.0, t=t),
+                            draw_couplings(g, 3.0, rng), step=1e-5, tol=1e-4)
     assert report.passed, report.max_rel_error
 
 
@@ -148,10 +148,10 @@ def test_check_gradient_random_points_suite():
             ws = pinned_workspace(g, c)
             for _ in range(8):
                 angles = random_angles(g, c, rng, fixed_node=ws.fixed_node)
-                params = CostParams(gamma=float(rng.uniform(0, 2)),
-                                    h=float(rng.uniform(0, 4)),
-                                    t=float(rng.uniform(0, 1)))
-                report = check_gradient(ws, angles, params, rng=rng)
+                gamma, h = float(rng.uniform(0, 2)), float(rng.uniform(0, 4))
+                params = CostParams(gamma=gamma, t=float(rng.uniform(0, 1)))
+                report = check_gradient(ws, angles, params,
+                                        draw_couplings(g, h, rng))
                 assert report.passed, (g.num_nodes, c, report.max_rel_error)
 
 
@@ -164,7 +164,7 @@ def test_check_gradient_flags_clamped_components():
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     ws = CostWorkspace(g, build_ops(3), None)
     report = check_gradient(ws, amplitudes_to_angles(amps),
-                            CostParams(gamma=1.0, h=0.0, t=1.0))
+                            CostParams(gamma=1.0, t=1.0), np.zeros(g.num_edges))
     flagged_nodes = report.clamp_flags.reshape(3, 2).any(axis=1)
     assert flagged_nodes[0]
     assert not flagged_nodes[1]
@@ -176,7 +176,7 @@ def test_check_gradient_rejects_bad_step():
     angles = random_angles(g, 3, np.random.default_rng(0))
     with pytest.raises(ValueError, match="step"):
         check_gradient(CostWorkspace(g, build_ops(3), None), angles, CostParams(),
-                       step=0.5)
+                       np.zeros(g.num_edges), step=0.5)
 
 
 def test_workspace_reuse_matches_fresh():
@@ -185,8 +185,8 @@ def test_workspace_reuse_matches_fresh():
     ws = pinned_workspace(g, 5)
     for _ in range(3):
         angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
-        params = CostParams(gamma=0.8, h=2.0, t=0.7)
-        hvals = draw_couplings(g, params.h, rng)
+        params = CostParams(gamma=0.8, t=0.7)
+        hvals = draw_couplings(g, 2.0, rng)
         v1, g1 = ws.value_and_grad(forward(angles[None]), params, hvals[None])
         fresh = pinned_workspace(g, 5)
         v2, g2 = fresh.value_and_grad(forward(angles[None]), params,
@@ -210,7 +210,7 @@ def test_stacked_runs_match_single_runs_bit_for_bit(name, c, runs, pinned):
     for _ in range(3):
         angles = [random_angles(g, c, rng, fixed) for _ in range(runs)]
         hvals = [draw_couplings(g, 3.0, rng) for _ in range(runs)]
-        params = CostParams(gamma=1.3, h=3.0, t=float(rng.uniform()))
+        params = CostParams(gamma=1.3, t=float(rng.uniform()))
         fwd = forward(np.stack(angles))
         values, grad = group.value_and_grad(fwd, params, np.stack(hvals))
         costs = values()
@@ -249,8 +249,8 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
                                          max_size=g.num_nodes * (c - 1))))
     angles = zero_pinned_rows(ws, angles.reshape(g.num_nodes, c - 1))
     params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
-                        h=3.0, t=data.draw(st.floats(0.0, 1.0)))
-    hvals = draw_couplings(g, params.h,
+                        t=data.draw(st.floats(0.0, 1.0)))
+    hvals = draw_couplings(g, 3.0,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
 
     fwd = forward(angles[None])
@@ -281,9 +281,9 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
     size = g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
     angles = zero_pinned_rows(ws, angles.reshape(-1, c - 1))
-    params = CostParams(gamma=0.0, h=data.draw(st.floats(0.0, 3.0)),
-                        t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
-    hvals = draw_couplings(g, params.h,
+    h = data.draw(st.floats(0.0, 3.0))
+    params = CostParams(gamma=0.0, t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+    hvals = draw_couplings(g, h,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
     _, grad = ws.value_and_grad(forward(angles[None]), params, hvals[None])
     np.testing.assert_allclose(grad.ravel(),
@@ -337,11 +337,10 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
     size = runs * g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
     angles = zero_pinned_rows(ws, angles.reshape(runs, -1, c - 1))
-    params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
-                        h=data.draw(st.floats(0.0, 3.0)),
-                        t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+    gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
+    params = CostParams(gamma=gamma, t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-    hvals = np.stack([draw_couplings(g, params.h, rng) for _ in range(runs)])
+    hvals = np.stack([draw_couplings(g, h, rng) for _ in range(runs)])
     fwd = forward(angles)
     values, grad = ws.value_and_grad(fwd, params, hvals)
     full_values, full_grad = _full_cost_and_grad(ws, fwd, params, hvals)
@@ -361,7 +360,7 @@ def test_values_read_the_floored_log_below_the_clamp(t):
     ws = CostWorkspace(g, build_ops(3), None)
     fwd = forward(np.array([[[1e-7, 0.4], [1.0, 2.0], [0.5, 1.3]]]))
     assert 0 < (fwd.psi[0, 0, 1:] ** 2).max() < LOG_CLAMP
-    params = CostParams(gamma=1.0, h=0.0, t=t)
+    params = CostParams(gamma=1.0, t=t)
     hvals = np.zeros((1, g.num_edges))
     values, grad = ws.value_and_grad(fwd, params, hvals)
     full_values, full_grad = _full_cost_and_grad(ws, fwd, params, hvals)
@@ -381,11 +380,10 @@ def test_pinned_rows_stay_frozen_in_every_copy(g, c, copies, data):
     size = copies * g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
     angles = zero_pinned_rows(ws, angles.reshape(copies, -1, c - 1))
-    params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
-                        h=data.draw(st.floats(0.0, 3.0)),
-                        t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+    gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
+    params = CostParams(gamma=gamma, t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-    hvals = np.stack([draw_couplings(g, params.h, rng) for _ in range(copies)])
+    hvals = np.stack([draw_couplings(g, h, rng) for _ in range(copies)])
     fwd = forward(angles)
     zero = ~angles.any(axis=-1)
     np.testing.assert_array_equal(fwd.psi[zero], np.eye(c)[[0] * zero.sum()])

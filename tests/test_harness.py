@@ -237,12 +237,12 @@ def test_sweep_requires_ascending_range(k3):
 
 def test_trajectory_stats_identical_and_simple_cases():
     recs = [fake_record(0, 0, 3, [5, 3, 0]), fake_record(1, 0, 3, [5, 3, 0])]
-    step, t, mean, std = trajectory_stats(recs, "e_potts")
+    step, t, mean, std = trajectory_stats(recs)
     np.testing.assert_array_equal(mean, [5, 3, 0])
     np.testing.assert_array_equal(std, [0, 0, 0])
 
     recs = [fake_record(0, 0, 2, [0, 0]), fake_record(1, 2, 2, [2, 2])]
-    _, _, mean, std = trajectory_stats(recs, "e_potts")
+    _, _, mean, std = trajectory_stats(recs)
     np.testing.assert_array_equal(mean, [1, 1])
     np.testing.assert_array_equal(std, [1, 1])  # population convention
 
@@ -250,12 +250,10 @@ def test_trajectory_stats_identical_and_simple_cases():
 def test_trajectory_stats_errors():
     recs = [fake_record(0, 0, 3, [1, 2, 3]), fake_record(1, 0, 2, [1, 2])]
     with pytest.raises(ValueError, match="mismatched"):
-        trajectory_stats(recs, "e_potts")
-    with pytest.raises(ValueError, match="unknown quantity"):
-        trajectory_stats(recs[:1], "conflicts")
+        trajectory_stats(recs)
     bare = RunRecord(0, 0, np.zeros(2, dtype=int), 5, 0.0, None)
     with pytest.raises(ValueError, match="recording"):
-        trajectory_stats([bare], "e_potts")
+        trajectory_stats([bare])
 
 
 def test_diverged_runs_stay_out_of_the_aggregates(k3):
@@ -296,7 +294,7 @@ def test_stats_json_round_trip(tmp_path, k3):
 def test_trajectory_csv(tmp_path):
     recs = [fake_record(0, 0, 3, [4, 2, 0]), fake_record(1, 0, 3, [2, 2, 2])]
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(out, recs, "e_potts")
+    write_trajectory_csv(out, recs)
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["step", "t", "mean", "std"]
     assert rows[1][0] == "0"
@@ -312,6 +310,6 @@ def test_larger_coupling_noise_leaves_more_conflicts(queen1111):
         params = Hyperparameters(method="qdlqa", num_colors=11, f=0.0, h=h,
                                  n_runs=30, master_seed=23)
         stats = run_batch(queen1111, params, record_trajectories=True)
-        _, _, mean, _ = trajectory_stats(stats.records, "e_potts")
+        _, _, mean, _ = trajectory_stats(stats.records)
         means[h] = mean[-1]
     assert means[10.0] >= means[3.0]

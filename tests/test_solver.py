@@ -14,7 +14,7 @@ from quditcolor.energy import draw_couplings, extract_coloring, potts_energy
 from quditcolor.harness import DivergedError, run_batch
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
-                               Hyperparameters, alpha_at, group_size,
+                               Hyperparameters, group_size,
                                parse_alpha, run_one, run_qdgd, run_qdlqa)
 
 from instances import path, qdlqa_start, queen_graph, star, triangle
@@ -33,23 +33,32 @@ def qdgd_hp(**kw):
 
 
 def test_alpha_schedules():
-    assert alpha_at(ConstantAlpha(1), 0.0) == 1
-    assert alpha_at(ConstantAlpha(4), 0.77) == 4
+    assert ConstantAlpha(1).steps_at(0.0) == 1
+    assert ConstantAlpha(4).steps_at(0.77) == 4
     exp = ExponentialAlpha(rate=2.0, cap=7)
-    assert alpha_at(exp, 0.0) == 1
-    assert alpha_at(exp, 0.5) == 3  # e ~ 2.72 rounds up
-    assert alpha_at(exp, 1.0) == 7  # e^2 ~ 7.39 rounds down to the cap
+    assert exp.steps_at(0.0) == 1
+    assert exp.steps_at(0.5) == 3  # e ~ 2.72 rounds up
+    assert exp.steps_at(1.0) == 7  # e^2 ~ 7.39 rounds down to the cap
     with pytest.raises(ValueError):
         ConstantAlpha(0)
-    with pytest.raises(TypeError):
-        alpha_at(3, 0.5)
 
 
 def test_alpha_at_caps_an_overflowing_exponent():
     # exp(980) overflows a float; the cap is what the schedule asks for
-    assert alpha_at(ExponentialAlpha(1000, 7), 0.98) == 7
-    assert alpha_at(ExponentialAlpha(1000, 7), 0.0) == 1
-    assert alpha_at(ExponentialAlpha(-1000, 7), 1.0) == 1
+    assert ExponentialAlpha(1000, 7).steps_at(0.98) == 7
+    assert ExponentialAlpha(1000, 7).steps_at(0.0) == 1
+    assert ExponentialAlpha(-1000, 7).steps_at(1.0) == 1
+
+
+@pytest.mark.parametrize("method", ["qdlqa", "qdgd"])
+@pytest.mark.parametrize("alpha", [3, "exp:2:7"])
+def test_alpha_that_is_no_schedule_raises_at_construction(method, alpha):
+    # for qdgd, which never reads alpha, too: it would go into the stats JSON
+    message = ("alpha must be a ConstantAlpha or ExponentialAlpha schedule, "
+               f"got {alpha!r}")
+    with pytest.raises(ValueError) as caught:
+        Hyperparameters(method=method, num_colors=3, alpha=alpha)
+    assert str(caught.value) == message
 
 
 def test_parse_alpha():
@@ -217,7 +226,7 @@ def test_exponential_alpha_step_total(queen55):
     n = 40
     hp = qdlqa_hp(num_colors=4, n_steps=n, alpha=ExponentialAlpha(2.0, 7))
     rec = run_qdlqa(queen55, hp, [0])[0]
-    expected = sum(alpha_at(hp.alpha, i / n) for i in range(n))
+    expected = sum(hp.alpha.steps_at(i / n) for i in range(n))
     assert rec.steps_executed == expected
 
 
@@ -489,7 +498,7 @@ def test_costs_are_evaluated_only_for_trajectory_rows(queen55, monkeypatch):
         assert steps and not evaluated
     steps.clear()
     recs = run_one(queen55, hp, range(3), record_trajectory=True)
-    inner = [alpha_at(hp.alpha, n / hp.n_steps) for n in range(hp.n_steps + 1)]
+    inner = [hp.alpha.steps_at(n / hp.n_steps) for n in range(hp.n_steps + 1)]
     assert max(inner) > 1
     assert evaluated == (np.cumsum(inner) - 1).tolist()
     for rec, e_total in zip(recs, expected):
