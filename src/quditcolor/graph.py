@@ -4,10 +4,24 @@ Two input formats are supported: DIMACS .col files and whitespace edge
 lists with ``#`` comments (the SNAP convention).  Preprocessing removes
 duplicate edges, self-loops, and isolated nodes, and compacts node
 indices to ``[0, |V|)``.
+
+A file in the plain syntax is read in whole-text passes, with no Python
+work per line: node ids of at most 18 ASCII digits, separated by spaces
+and tabs, lines ending in LF or CRLF, and whole-line comments (``c`` in
+DIMACS) or trailing ones (``#`` in an edge list).  One regex strips the
+comments, one anchored search rejects the first line outside the plain
+syntax, and ``np.fromstring`` reads every id at once.  Any other text
+(signs, ``_`` in a number, non-ASCII digits or spaces, other line breaks
+such as form feeds, malformed lines, out-of-range ids) goes through the
+line reader, which accepts the same texts as ``int`` and ``str.split`` do
+and names the first bad line.  Both readers give the same graph, ids and
+warnings.  Duplicate edges are dropped by sorting one int64 key
+``lo * |V| + hi`` per edge.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,20 +76,37 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if np.any(pairs[:, 0] == pairs[:, 1]):
             raise ValueError("self-loop not allowed")
-        pairs = _canonical_edges(pairs)
+        key = np.minimum(pairs[:, 0], pairs[:, 1])
+        key *= num_nodes
+        key += np.maximum(pairs[:, 0], pairs[:, 1])
+        pairs = _canonical_edges(key, num_nodes)
         degrees = np.bincount(pairs.ravel(), minlength=num_nodes)
         if num_nodes and degrees.min() == 0:
             raise ValueError("isolated node present; preprocess with compact_edges first")
         return cls(num_nodes=num_nodes, edges=pairs, degrees=degrees)
 
 
-def _canonical_edges(pairs: np.ndarray) -> np.ndarray:
-    """Sort endpoints within rows, drop duplicates, sort lexicographically."""
-    if pairs.size == 0:
-        return pairs.reshape(0, 2)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+def _canonical_edges(key: np.ndarray, num_nodes: int) -> np.ndarray:
+    """The (E, 2) rows ``(lo, hi)`` of the edge keys ``lo * num_nodes + hi``
+    (lo < hi), duplicates dropped, sorted lexicographically.
+
+    The key orders edges as ``(lo, hi)`` does, so one sort of E int64s
+    replaces a row sort; it fits in int64 for any graph whose degree array
+    fits in memory.  Sorts ``key`` in place.
+    """
+    key.sort()
+    key = _drop_repeats(key)
+    edges = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, num_nodes, out=(edges[:, 0], edges[:, 1]))
+    return edges
+
+
+def _drop_repeats(values: np.ndarray) -> np.ndarray:
+    """A sorted 1-D array without its repeated values (itself if none)."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values if first.all() else values[first]
 
 
 def compact_edges(pairs) -> tuple[Graph, list[int]]:
@@ -88,27 +119,111 @@ def compact_edges(pairs) -> tuple[Graph, list[int]]:
     """
     pairs = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                        dtype=np.int64).reshape(-1, 2)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    if pairs.shape[0] == 0:
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    # The parsers pass their ids as a temporary, so this frees them; from
+    # here on the peak stays at about two copies of them.
+    del pairs
+    not_loop = lo != hi
+    if not not_loop.all():
+        lo = lo[not_loop]
+        hi = hi[not_loop]
+    if lo.size == 0:
         raise GraphParseError("empty graph after preprocessing")
-    labels = np.unique(pairs)
-    remapped = np.searchsorted(labels, pairs)
-    graph = Graph.from_edges(len(labels), remapped)
+    labels, lo, hi = _relabel(lo, hi)
+    num_nodes = labels.size
+    lo *= num_nodes
+    lo += hi
+    del hi
+    edges = _canonical_edges(lo, num_nodes)
+    graph = Graph(num_nodes, edges, np.bincount(edges.ravel(), minlength=num_nodes))
     return graph, labels.tolist()
 
 
-def parse_dimacs(text: str) -> tuple[Graph, list[int]]:
-    """Parse a DIMACS .col instance.
+def _relabel(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ids of ``lo`` and ``hi`` in ascending order, and both
+    arrays with each id replaced by its index among them."""
+    top = int(hi.max()) + 1
+    if lo.min() >= 0 and top <= 2 * lo.size:  # a lookup table no longer than the ids
+        present = np.zeros(top, dtype=bool)
+        present[lo] = True
+        present[hi] = True
+        index = np.cumsum(present) - 1
+        return np.flatnonzero(present), index[lo], index[hi]
+    labels = np.concatenate((lo, hi))
+    labels.sort()
+    labels = _drop_repeats(labels)
+    return labels, np.searchsorted(labels, lo), np.searchsorted(labels, hi)
 
-    Expects comment lines ``c ...``, a single ``p edge <V> <E>`` header,
-    and edge lines ``e <u> <v>`` with 1-based indices.  Returns the
-    preprocessed graph and the list of original (1-based) node ids.
-    Issues a ``GraphWarning`` when the header's edge count differs from the
-    number of ``e`` lines (counted as written: many files list both
-    directions of an edge).
-    """
+
+# Plain syntax.  Each pattern finds a line by the "\n" before it (the
+# readers put one before the text), which re searches for much faster than
+# for a "^" at every position.  The line reader's str.splitlines also ends
+# a line at the other characters in _LINE_BREAKS, so a comment stops at
+# any of them and the line check rejects any left outside a comment.
+_LINE_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_ID = "[0-9]{1,18}"  # fits in int64
+_PAIR = rf"{_ID}[ \t]+{_ID}[ \t]*"
+_EDGE_LIST_COMMENT = re.compile(rf"#[^{_LINE_BREAKS}]*")
+_BAD_EDGE_LIST_LINE = re.compile(rf"\n(?![ \t]*(?:{_PAIR})?\r?$)", re.M)
+_DIMACS_COMMENT = re.compile(rf"\n[ \t]*c[^{_LINE_BREAKS}]*")
+_DIMACS_HEADER = re.compile(
+    rf"\n[ \t]*p[ \t]+(?:edges?|col)[ \t]+({_ID})[ \t]+({_ID})[ \t]*\r?$", re.M)
+_BAD_DIMACS_LINE = re.compile(rf"\n(?![ \t]*(?:e[ \t]+{_PAIR})?\r?$)", re.M)
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _read_ids(body: str) -> np.ndarray:
+    """Every id in a text of ids and whitespace, as one int64 array."""
+    if body.isspace():  # np.fromstring reads whitespace alone as [0]
+        return np.empty(0, dtype=np.int64)
+    return np.fromstring(body, dtype=np.int64, sep=" ")
+
+
+def _plain_dimacs(text: str) -> tuple[int, np.ndarray] | None:
+    """(declared edge count, (E, 2) 1-based pairs) of a DIMACS text in the
+    plain syntax with one header and every id in range; None for any other
+    text."""
+    body = _DIMACS_COMMENT.sub("\n", "\n" + text)
+    header = _DIMACS_HEADER.search(body)
+    if header is None:
+        return None
+    body = body[:header.start()] + body[header.end():]
+    if _BAD_DIMACS_LINE.search(body):
+        return None
+    pairs = _read_ids(body.replace("e", " ")).reshape(-1, 2)
+    if pairs.size and (pairs.min() < 1 or pairs.max() > int(header[1])):
+        return None
+    return int(header[2]), pairs
+
+
+def _plain_edge_list(text: str) -> np.ndarray | None:
+    """The (E, 2) pairs of an edge list in the plain syntax; None for any
+    other text."""
+    body = _EDGE_LIST_COMMENT.sub("", "\n" + text)
+    if _BAD_EDGE_LIST_LINE.search(body):
+        return None
+    return _read_ids(body).reshape(-1, 2)
+
+
+def _check_int64(too_big: tuple[int, int] | None) -> None:
+    """Reject the first node id that int64 cannot hold, as (line, id).
+
+    The readers raise this only after every other check, so a file with
+    another error as well reports that error as it always did."""
+    if too_big is not None:
+        lineno, node = too_big
+        raise GraphParseError(f"line {lineno}: node id {node} is larger than {_INT64_MAX}")
+
+
+def _dimacs_lines(text: str) -> tuple[int, np.ndarray]:
+    """The line reader behind ``parse_dimacs``: (declared edge count,
+    (E, 2) 1-based pairs), or ``GraphParseError`` naming the first bad
+    line."""
     declared_nodes = declared_edges = None
     raw_edges: list[tuple[int, int]] = []
+    too_big = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -131,6 +246,8 @@ def parse_dimacs(text: str) -> tuple[Graph, list[int]]:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphParseError(f"line {lineno}: malformed edge line {line!r}") from None
+            if too_big is None and max(u, v) > _INT64_MAX:
+                too_big = lineno, u if u > _INT64_MAX else v
             raw_edges.append((u, v))
         else:
             raise GraphParseError(f"line {lineno}: unrecognized line {line!r}")
@@ -139,19 +256,15 @@ def parse_dimacs(text: str) -> tuple[Graph, list[int]]:
     for u, v in raw_edges:
         if not (1 <= u <= declared_nodes and 1 <= v <= declared_nodes):
             raise GraphParseError(f"edge ({u}, {v}) out of range 1..{declared_nodes}")
-    if declared_edges != len(raw_edges):
-        warnings.warn(f"header declares {declared_edges} edges, file lists "
-                      f"{len(raw_edges)}", GraphWarning, stacklevel=2)
-    return compact_edges(raw_edges)
+    _check_int64(too_big)
+    return declared_edges, np.array(raw_edges, dtype=np.int64).reshape(-1, 2)
 
 
-def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
-    """Parse a whitespace-separated edge list (SNAP convention).
-
-    ``#`` starts a comment; node ids are arbitrary non-negative integers
-    and get compacted to 0..|V|-1.  Returns (graph, original node ids).
-    """
+def _edge_list_lines(text: str) -> np.ndarray:
+    """The line reader behind ``parse_edge_list``: the (E, 2) pairs, or
+    ``GraphParseError`` naming the first bad line."""
     raw_edges: list[tuple[int, int]] = []
+    too_big = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -165,8 +278,55 @@ def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
             raise GraphParseError(f"line {lineno}: non-integer token in {line!r}") from None
         if u < 0 or v < 0:
             raise GraphParseError(f"line {lineno}: negative node id in {line!r}")
+        if too_big is None and max(u, v) > _INT64_MAX:
+            too_big = lineno, u if u > _INT64_MAX else v
         raw_edges.append((u, v))
-    return compact_edges(raw_edges)
+    _check_int64(too_big)
+    return np.array(raw_edges, dtype=np.int64).reshape(-1, 2)
+
+
+def parse_dimacs(text: str) -> tuple[Graph, list[int]]:
+    """Parse a DIMACS .col instance.
+
+    Expects comment lines ``c ...``, a single ``p edge <V> <E>`` header,
+    and edge lines ``e <u> <v>`` with 1-based indices.  Returns the
+    preprocessed graph and the list of original (1-based) node ids.
+    Issues a ``GraphWarning`` when the header's edge count differs from the
+    number of ``e`` lines (counted as written: many files list both
+    directions of an edge).  A text in the plain syntax (see the module
+    docstring) is read without a Python loop over its lines; any other
+    goes through the line reader, with the same result.
+    """
+    return compact_edges(_dimacs_pairs(text))
+
+
+def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
+    """Parse a whitespace-separated edge list (SNAP convention).
+
+    ``#`` starts a comment; node ids are arbitrary non-negative integers
+    below 2^63 and get compacted to 0..|V|-1.  Returns (graph, original
+    node ids).  A text in the plain syntax (see the module docstring) is
+    read without a Python loop over its lines; any other goes through the
+    line reader, with the same result.
+    """
+    return compact_edges(_edge_list_pairs(text))
+
+
+def _dimacs_pairs(text: str) -> np.ndarray:
+    """The (E, 2) 1-based pairs of a DIMACS text, warning on a header
+    whose edge count differs."""
+    parsed = _plain_dimacs(text)
+    declared_edges, pairs = _dimacs_lines(text) if parsed is None else parsed
+    if declared_edges != len(pairs):
+        warnings.warn(f"header declares {declared_edges} edges, file lists "
+                      f"{len(pairs)}", GraphWarning, stacklevel=3)
+    return pairs
+
+
+def _edge_list_pairs(text: str) -> np.ndarray:
+    """The (E, 2) pairs of an edge list."""
+    pairs = _plain_edge_list(text)
+    return _edge_list_lines(text) if pairs is None else pairs
 
 
 def to_dimacs(graph: Graph) -> str:
@@ -181,14 +341,22 @@ def load_graph(path, fmt: str | None = None) -> tuple[Graph, list[int]]:
     """Load an instance file, auto-detecting the format by extension.
 
     ``.col`` files parse as DIMACS, everything else as an edge list;
-    pass ``fmt`` ("dimacs" or "edgelist") to override.
+    pass ``fmt`` ("dimacs" or "edgelist") to override.  The file must be
+    UTF-8; ``GraphParseError`` names the line of its first other byte.
     """
     path = Path(path)
     if fmt is None:
         fmt = "dimacs" if path.suffix.lower() == ".col" else "edgelist"
     if fmt not in ("dimacs", "edgelist"):
         raise ValueError(f"unknown format {fmt!r}")
-    text = path.read_text()
+    data = path.read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        # The "?" stands for the bad byte, so the count includes its line.
+        lineno = len((data[:exc.start].decode() + "?").splitlines())
+        raise GraphParseError(f"line {lineno}: byte 0x{data[exc.start]:02x} "
+                              "is not UTF-8") from None
     return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
 
 

@@ -115,6 +115,19 @@ def test_parse_failure_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,data,line", [
+    ("big.txt", b"0 99999999999999999999\n1 2\n",
+     "line 1: node id 99999999999999999999 is larger than 9223372036854775807"),
+    ("bad.txt", b"0 1\n1 2\xff\n", "line 2: byte 0xff is not UTF-8"),
+    ("bad.col", b"p edge 2 1\ne 1 2\xff\n", "line 2: byte 0xff is not UTF-8"),
+])
+def test_unreadable_instance_is_one_parse_error_line(tmp_path, capsys, name, data, line):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["info", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {line}\n"
+
+
 def test_config_file_and_flag_precedence(queen55_col, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults for this instance\n"

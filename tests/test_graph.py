@@ -1,12 +1,16 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quditcolor.graph import (Graph, GraphParseError, GraphWarning, load_graph,
-                              parse_dimacs, parse_edge_list, select_fixed_node,
-                              to_dimacs)
+from quditcolor import graph
+from quditcolor.graph import (Graph, GraphParseError, GraphWarning, compact_edges,
+                              load_graph, parse_dimacs, parse_edge_list,
+                              select_fixed_node, to_dimacs)
 
 from instances import (myciel_col_text, myciel_graph, path, queen_col_text,
                        queen_graph, small_graphs, star, triangle)
@@ -188,3 +192,248 @@ def test_load_graph_format_detection(tmp_path):
 def test_graph_properties(queen55):
     assert queen55.max_degree == int(queen55.degrees.max())
     assert queen55.density == pytest.approx(2 * 160 / (25 * 24))
+
+
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_edge_list, "0 99999999999999999999\n1 2\n",
+     "line 1: node id 99999999999999999999 is larger than 9223372036854775807"),
+    (parse_edge_list, "0 1\n9223372036854775808 9223372036854775809\n",
+     "line 2: node id 9223372036854775808 is larger than 9223372036854775807"),
+    # every other error still comes first, as before
+    (parse_edge_list, "0 99999999999999999999\n1 2 3\n",
+     "line 2: expected two node ids, got '1 2 3'"),
+    (parse_dimacs, "p edge 99999999999999999999 1\ne 1 99999999999999999999\n",
+     "line 2: node id 99999999999999999999 is larger than 9223372036854775807"),
+    (parse_dimacs, "p edge 5 1\ne 1 99999999999999999999\n",
+     "edge (1, 99999999999999999999) out of range 1..5"),
+])
+def test_node_id_past_int64_is_a_parse_error(parse, text, message):
+    with pytest.raises(GraphParseError) as caught:
+        parse(text)
+    assert str(caught.value) == message
+
+
+def test_int64_max_node_id_parses():
+    _, ids = parse_edge_list("9223372036854775807 0\n")
+    assert ids == [0, 2**63 - 1]
+
+
+@pytest.mark.parametrize("name", ["bad.txt", "bad.col"])
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"p edge 2 1\ne 1 2\xff\n" if name.endswith(".col")
+                     else b"0 1\r1 2\xff\n")
+    with pytest.raises(GraphParseError, match=r"^line 2: byte 0xff is not UTF-8$"):
+        load_graph(path)
+
+
+def test_load_graph_reads_crlf_and_cr_line_ends(tmp_path):
+    for ending in ("\r\n", "\r"):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(ending.join(["# c", "0 1", "1 2", ""]).encode())
+        g, ids = load_graph(path)
+        assert (g.num_edges, ids) == (2, [0, 1, 2])
+
+
+# Tokens, gaps, indents and line ends as (text, in the plain syntax).  Each
+# odd one parses with int() and str.split() or fails the same way in both
+# readers.
+_PLAIN_IDS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(1, 4), st.integers(0, 12)),
+    st.integers(10**17, 10**18 - 1).map(str),
+)
+_ODD_IDS = st.one_of(
+    st.sampled_from(["+3", "-0", "1_0", "\uff12", "-4", "x", "3.0", "0x1"]),
+    st.integers(10**18, 2 * 10**19).map(str),  # 19 or 20 digits, past int64 or not
+)
+_GAPS = [(" ", True), ("\t", True), (" \t ", True), ("\xa0", False)]
+_INDENTS = [("", True), (" ", True), ("\t", True), ("\u3000", False)]
+_ENDS = [("\n", True), ("\r\n", True), ("\x0c", False), ("\r", False), ("\u2028", False)]
+
+
+def _pick(draw, options, odd):
+    """One (text, plain) option; only plain ones unless ``odd``."""
+    return draw(st.sampled_from([o for o in options if odd or o[1]]))
+
+
+def _pick_id(draw, odd, plain_ids=_PLAIN_IDS):
+    if odd and draw(st.booleans()):
+        return draw(_ODD_IDS), False
+    return draw(plain_ids), True
+
+
+def _join(draw, lines, odd):
+    """The lines of (text, plain) joined by drawn line ends, with or without
+    one after the last line; returns (text, plain)."""
+    text, plain = "", True
+    for i, (line, line_plain) in enumerate(lines):
+        end, end_plain = _pick(draw, _ENDS, odd)
+        if i == len(lines) - 1 and draw(st.booleans()):
+            end, end_plain = "", True
+        text += line + end
+        plain = plain and line_plain and end_plain
+    return text, plain
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """(text, whether it is in the plain syntax) of an edge list with
+    comments, blank lines and, in half the texts, odd tokens, odd line ends
+    and malformed lines."""
+    odd = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["pair", "pair", "pair", "blank", "comment", "bad"]))
+        if kind == "pair":
+            parts = [_pick(draw, _INDENTS, odd), _pick_id(draw, odd),
+                     _pick(draw, _GAPS, odd), _pick_id(draw, odd),
+                     _pick(draw, [("", True), (" ", True), ("\t# note", True),
+                                  ("#x\u2029y", False)], odd)]
+            lines.append(("".join(t for t, _ in parts), all(p for _, p in parts)))
+        elif kind == "blank":
+            lines.append((draw(st.sampled_from(["", "  ", "\t"])), True))
+        elif kind == "comment":
+            lines.append((draw(st.sampled_from(["# c", "#", " # \xe9 \uff12 #"])), True))
+        elif odd:
+            lines.append((draw(st.sampled_from(["1", "1 2 3", "a b", "-"])), False))
+    return _join(draw, lines, odd)
+
+
+@st.composite
+def _dimacs_texts(draw):
+    """(text, whether it is in the plain syntax with one header and every id
+    in range) of a DIMACS file with the same kinds of odd content, plus
+    missing, repeated and malformed headers and ids out of range."""
+    odd = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    in_range = st.one_of(st.integers(1, n).map(str), st.integers(1, n).map(lambda i: f"00{i}"))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "blank", "comment", "bad"]))
+        if kind == "edge":
+            gap = _pick(draw, _GAPS, odd)
+            parts = [_pick(draw, _INDENTS, odd), ("e", True), gap,
+                     _pick_id(draw, odd, in_range), gap, _pick_id(draw, odd, in_range)]
+            if odd and draw(st.integers(0, 9)) == 0:
+                parts[3] = draw(st.sampled_from(["0", str(n + 1)])), False
+            lines.append(("".join(t for t, _ in parts), all(p for _, p in parts)))
+        elif kind == "blank":
+            lines.append((draw(st.sampled_from(["", "  "])), True))
+        elif kind == "comment":
+            lines.append((draw(st.sampled_from(["c note", "c", " col 3", "c \xe9"])), True))
+        elif odd:
+            lines.append((draw(st.sampled_from(["q 1 2", "e 1", "e1 2", "p", "p foo 3 3"])),
+                          False))
+    headers = draw(st.integers(0, 2)) if odd else 1
+    for _ in range(headers):
+        gap = _pick(draw, _GAPS, odd)
+        declared = _pick(draw, [(str(n), True), (f"0{n}", True), (f"+{n}", False),
+                                ("x", False)], odd)
+        words = ["p", draw(st.sampled_from(["edge", "edges", "col"])), declared[0],
+                 str(draw(st.integers(0, 8)))]
+        lines.insert(draw(st.integers(0, len(lines))),
+                     (gap[0].join(words), gap[1] and declared[1]))
+    text, plain = _join(draw, lines, odd)
+    return text, plain and headers == 1
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the graph and ids, or the error,
+    plus every warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g, ids = parse(text)
+        except GraphParseError as exc:
+            result = (type(exc), str(exc))
+        else:
+            assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+            assert g.degrees.dtype == np.int64
+            assert all(type(i) is int for i in ids)
+            result = (g.num_nodes, g.edges.tolist(), g.degrees.tolist(), ids)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_edge_list_texts())
+def test_plain_edge_list_reader_matches_line_reader(case):
+    text, plain = case
+    if plain:
+        assert graph._plain_edge_list(text) is not None
+    with mock.patch.object(graph, "_plain_edge_list", lambda text: None):
+        expected = _outcome(parse_edge_list, text)
+    assert _outcome(parse_edge_list, text) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_dimacs_texts())
+def test_plain_dimacs_reader_matches_line_reader(case):
+    text, plain = case
+    if plain:
+        assert graph._plain_dimacs(text) is not None
+    with mock.patch.object(graph, "_plain_dimacs", lambda text: None):
+        expected = _outcome(parse_dimacs, text)
+    assert _outcome(parse_dimacs, text) == expected
+
+
+def test_standard_instances_take_the_plain_reader():
+    assert graph._plain_dimacs(queen_col_text(5, 5)) is not None
+    assert graph._plain_dimacs(myciel_col_text(4)) is not None
+    snap = "# FromNodeId\tToNodeId\r\n0\t4\r\n0\t40\r\n"
+    assert graph._plain_edge_list(snap).tolist() == [[0, 4], [0, 40]]
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(2, 40), data=st.data())
+def test_from_edges_matches_a_row_unique(n, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=4 * n))
+    pairs = np.array(pairs + [(i, i + 1) for i in range(n - 1)], dtype=np.int64)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    g = Graph.from_edges(n, pairs)
+    expected = np.unique(np.stack([lo, hi], 1), axis=0)
+    assert g.edges.flags.c_contiguous and g.edges.dtype == np.int64
+    assert np.array_equal(g.edges, expected)
+    assert np.array_equal(g.degrees, np.bincount(expected.ravel(), minlength=n))
+
+
+@settings(deadline=None, max_examples=200)
+@given(pairs=st.lists(st.tuples(*2 * [st.one_of(st.integers(0, 9), st.integers(-3, 3),
+                                                  st.integers(0, 2**63 - 1))]),
+                      min_size=1, max_size=12))
+def test_compact_edges_matches_unique_and_searchsorted(pairs):
+    """Both relabelings (a lookup table for small ids, a sort for others)
+    give the labels and edges of np.unique and np.searchsorted."""
+    pairs = np.array(pairs, dtype=np.int64)
+    kept = pairs[pairs[:, 0] != pairs[:, 1]]
+    if kept.size == 0:
+        with pytest.raises(GraphParseError, match="empty graph"):
+            compact_edges(pairs)
+        return
+    labels = np.unique(kept)
+    remapped = np.searchsorted(labels, kept)
+    expected = np.unique(np.sort(remapped, axis=1), axis=0)
+    g, ids = compact_edges(pairs)
+    assert ids == labels.tolist()
+    assert g.num_nodes == labels.size
+    assert np.array_equal(g.edges, expected)
+
+
+def test_plain_parse_memory_stays_within_four_times_the_text():
+    """A whole-text regex over the lines would keep several hundred bytes
+    per line.  The plain reader's peak is about 32 bytes per edge: the
+    int64 ids, then two int64 endpoint arrays.  A SNAP-style line of two
+    5-digit ids, as a graph of 10^5 edges on 2 * 10^4 nodes has, is about 11
+    bytes."""
+    rng = np.random.default_rng(0)
+    pairs = rng.integers(0, 20_000, size=(100_000, 2)).tolist()
+    text = "# Nodes: 20000 Edges: 100000\n" + "".join(f"{u}\t{v}\n" for u, v in pairs)
+    tracemalloc.start()
+    try:
+        g, _ = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_nodes == 20_000
+    assert peak < 4 * len(text)
