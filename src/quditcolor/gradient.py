@@ -46,6 +46,10 @@ class CostWorkspace:
     every run, so Adam never moves it.  A step maps the angles once with
     ``qudits.forward`` and hands the result to both ``value_and_grad`` and
     ``coloring``.
+
+    Lx psi is taken on each run's amplitudes as one flat V*c row, in one
+    ufunc pass: ``_lx_band`` is Lx's superdiagonal per node with a 0 after
+    each.  A row never spans runs, so a diverged run's NaN stays in it.
     """
 
     def __init__(self, graph: Graph, lx_offdiag: np.ndarray,
@@ -70,6 +74,9 @@ class CostWorkspace:
         ).astype(np.intp)
         self._indices = (offsets + v).ravel().astype(np.intp)
         self._couplings = np.empty(copies * graph.num_edges)
+        band = np.zeros((n, lx_offdiag.size + 1))
+        band[:, :-1] = lx_offdiag
+        self._lx_band = band.ravel()[:-1]
 
     def _neighbor_sum(self, p: np.ndarray, couplings: np.ndarray) -> np.ndarray:
         """acc_i = sum_j J_ij p_j over both orientations of every edge.
@@ -110,7 +117,9 @@ class CostWorkspace:
         (every qdgd step) the start cost has weight 0, so it and its
         gradient are not computed: the values are the same, and a gradient
         entry can differ from the full formula only in the sign of a zero,
-        which Adam's zero-started first moment does not carry."""
+        which Adam's zero-started first moment does not carry.  Flat Lx rows
+        (see the class) can flip such a zero sign at a node's first or last
+        color, or set NaN there in a run with a non-finite amplitude."""
         t, gamma = params.t, params.gamma
         psi, s, u, r = fwd
         runs = len(psi)
@@ -141,13 +150,18 @@ class CostWorkspace:
             return [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
                     for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i)]
 
-        # dE/dpsi
-        gpsi = (2.0 * t) * psi * (acc + gamma * (logc + 1.0))
+        # dE/dpsi = 2t psi (acc + gamma (logc + 1)), in logc: values() never reads it
+        gpsi = np.add(logc, 1.0, out=logc)
+        gpsi *= gamma
+        gpsi += acc
+        gpsi *= (2.0 * t) * psi
         if t < 1.0:
-            lxpsi = np.zeros_like(psi)
-            lxpsi[..., :-1] = off * psi[..., 1:]
-            lxpsi[..., 1:] += off * psi[..., :-1]
-            gpsi -= (2.0 * (1.0 - t)) * lxpsi
+            flat, lxpsi = psi.reshape(runs, -1), np.empty((runs, psi[0].size))
+            np.multiply(self._lx_band, flat[:, 1:], out=lxpsi[:, :-1])
+            lxpsi[:, -1] = 0.0
+            lxpsi[:, 1:] += self._lx_band * flat[:, :-1]
+            lxpsi *= 2.0 * (1.0 - t)
+            gpsi -= lxpsi.reshape(psi.shape)
 
         # chain rule to angles: backward recursion over the angle index
         back = np.empty_like(s)

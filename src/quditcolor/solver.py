@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -204,11 +204,16 @@ def run_qdlqa(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     By default t stops one increment short of 1 (loop guard t < 1);
     ``hp.include_t_end`` adds the final t = 1 stage.
     """
+    if hp.method != "qdlqa":
+        raise ValueError(f"run_qdlqa needs method 'qdlqa', got {hp.method!r}")
     n_stages = hp.n_steps + 1 if hp.include_t_end else hp.n_steps
-    stages = [(CostParams(gamma=hp.gamma, t=t), hp.alpha.steps_at(t))
-              for t in (n / hp.n_steps for n in range(n_stages))]
-    return _run(graph, hp, run_indices, init_qdlqa_state, hp.f, stages,
-                math.inf, record_trajectory)
+    def stage(n: int) -> tuple[CostParams, int]:
+        t = n / hp.n_steps
+        return CostParams(gamma=hp.gamma, t=t), hp.alpha.steps_at(t)
+    total = (hp.alpha.steps * n_stages if isinstance(hp.alpha, ConstantAlpha)
+             else sum(hp.alpha.steps_at(n / hp.n_steps) for n in range(n_stages)))
+    return _run(graph, hp, run_indices, init_qdlqa_state, hp.f,
+                _Stages(n_stages, total, stage), math.inf, record_trajectory)
 
 
 def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
@@ -217,9 +222,21 @@ def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     stopping a run at 0 conflicts or after ``patience`` steps without
     improving its best conflict count.  Returns one record per run index,
     in the order given."""
-    stages = [(CostParams(gamma=hp.gamma, t=1.0), 1)] * hp.n_steps
-    return _run(graph, hp, run_indices, init_qdgd_state, hp.f_tilde, stages,
-                hp.patience, record_trajectory)
+    if hp.method != "qdgd":
+        raise ValueError(f"run_qdgd needs method 'qdgd', got {hp.method!r}")
+    shared = (CostParams(gamma=hp.gamma, t=1.0), 1)
+    return _run(graph, hp, run_indices, init_qdgd_state, hp.f_tilde,
+                _Stages(hp.n_steps, hp.n_steps, lambda n: shared), hp.patience,
+                record_trajectory)
+
+
+@dataclass(frozen=True)
+class _Stages:
+    """Stage n < ``count`` is ``stage(n)``, built when reached; ``total_steps`` in all."""
+
+    count: int
+    total_steps: int
+    stage: Callable[[int], tuple[CostParams, int]]
 
 
 @dataclass(slots=True)
@@ -269,7 +286,7 @@ DRAW_BUDGET = 32_768
 
 
 def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
-         init_state, init_scale: float, stages: list, patience: float,
+         init_state, init_scale: float, stages: _Stages, patience: float,
          record_trajectory: bool) -> list[RunRecord]:
     """The set-up both drivers share: resolve the operators and the pinned
     node once, split the runs into near-equal lockstep groups of at most
@@ -292,11 +309,11 @@ def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
 
 def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
                run_indices: list[int], init_state, init_scale: float,
-               stages: list, patience: float,
+               stages: _Stages, patience: float,
                record_trajectory: bool) -> list[RunRecord]:
     """Step one group of runs in lockstep (a group of one is the same loop).
 
-    Stage n is the pair ``stages[n]`` of a ``CostParams`` and a step
+    Stage n, built as the loop reaches it, is a ``CostParams`` and a step
     count: take that many Adam steps on the stage's cost, then read out
     the colorings and track each run's best conflict count.  The readout
     is the one place where a run leaves the group: at 0 conflicts, after
@@ -327,7 +344,6 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     share = 0.0  # wall time attributed to every run still in the group
     graph, fixed = workspace.graph, workspace.fixed_node
     num_edges = graph.num_edges
-    total_steps = sum(inner for _, inner in stages)
     members = [_Run(i, run_rng(hp.master_seed, i)) for i in run_indices]
     runs = members
     n_free = graph.num_nodes - (fixed is not None)
@@ -341,11 +357,11 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     # reported by the diverged flag, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         fwd = forward(angles)
-        for n, (params, inner) in enumerate(stages):
+        for n, (params, inner) in enumerate(map(stages.stage, range(stages.count))):
             for _ in range(inner):
                 if not drawn.shape[1]:
                     block = min(max(1, DRAW_BUDGET // max(1, len(runs) * num_edges)),
-                                total_steps - adam.step_count)
+                                stages.total_steps - adam.step_count)
                     drawn = np.empty((len(runs), block, num_edges))
                     for run, out in zip(runs, drawn):
                         draw_couplings(graph, hp.h, run.rng, out=out)
@@ -356,7 +372,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
             finite = np.isfinite(angles).all(axis=(1, 2)).tolist()
             colors = workspace.coloring(fwd)
             counts = potts_energy(graph, colors)
-            last = n == len(stages) - 1
+            last = n == stages.count - 1
             costs = values() if record_trajectory else None
             stays = []
             for j, run in enumerate(runs):

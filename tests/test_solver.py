@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from functools import lru_cache
 from unittest import mock
@@ -504,6 +505,67 @@ def test_costs_are_evaluated_only_for_trajectory_rows(queen55, monkeypatch):
     for rec, e_total in zip(recs, expected):
         assert rec.trajectory.step.size == len(evaluated)
         assert [x.hex() for x in rec.trajectory.e_total.tolist()] == e_total
+
+
+@pytest.mark.parametrize("runner, method, other",
+                         [(run_qdlqa, "qdlqa", "qdgd"), (run_qdgd, "qdgd", "qdlqa")])
+def test_drivers_reject_the_other_method(k3, runner, method, other):
+    # a driver that ran its own method anyway would leave the other one's
+    # name in the stats JSON
+    hp = Hyperparameters(method=other, num_colors=3, n_steps=50)
+    with pytest.raises(ValueError) as caught:
+        runner(k3, hp, [0])
+    assert str(caught.value) == f"run_{method} needs method {method!r}, got {other!r}"
+
+
+@pytest.mark.parametrize("method, colors, n_steps", [("qdgd", 2, 10**6),
+                                                     ("qdlqa", 3, 10**5)])
+def test_stages_are_built_as_the_loop_reaches_them(k3, method, colors, n_steps):
+    # a run that stops after a few dozen steps pays for those, not for its
+    # whole budget: no list of all stages, no draw block past 256 KiB
+    hp = Hyperparameters(method=method, num_colors=colors, n_steps=n_steps,
+                         patience=20)
+    tracemalloc.start()
+    try:
+        rec = run_one(k3, hp, [0])[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.steps_executed < 30
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("alpha", [ConstantAlpha(1), ConstantAlpha(3),
+                                   parse_alpha("exp:2:7")],
+                         ids=["1", "3", "exp:2:7"])
+@pytest.mark.parametrize("include_t_end", [False, True])
+def test_stages_on_demand_equal_the_stage_list(monkeypatch, k3, alpha,
+                                               include_t_end):
+    seen = {}
+
+    def capture(graph, hp, indices, init_state, init_scale, stages, *rest):
+        seen["stages"] = stages
+
+    monkeypatch.setattr(solver, "_run", capture)
+    hp = qdlqa_hp(n_steps=1000, gamma=0.7, alpha=alpha, include_t_end=include_t_end)
+    run_qdlqa(k3, hp, [0])
+    stages = seen.pop("stages")
+    built = [stages.stage(n) for n in range(stages.count)]
+    # the list the drivers built before the first step
+    n_stages = hp.n_steps + 1 if include_t_end else hp.n_steps
+    expected = [(t, alpha.steps_at(t))
+                for t in (n / hp.n_steps for n in range(n_stages))]
+    assert [(params.t, inner) for params, inner in built] == expected
+    assert {params.gamma for params, _ in built} == {0.7}
+    assert stages.total_steps == sum(inner for _, inner in expected)
+
+    run_qdgd(k3, qdgd_hp(n_steps=1000, gamma=0.7), [0])
+    stages = seen.pop("stages")
+    built = [stages.stage(n) for n in range(stages.count)]
+    assert {id(params) for params, _ in built} == {id(built[0][0])}
+    assert (built[0][0].t, built[0][0].gamma) == (1.0, 0.7)
+    assert [inner for _, inner in built] == [1] * 1000
+    assert stages.total_steps == 1000
 
 
 def test_fix_strategy_none_parameterizes_all_nodes(k3):
