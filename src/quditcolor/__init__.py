@@ -6,8 +6,8 @@ from a trivially minimized start cost (qdlqa) and direct gradient descent
 (qdgd).
 """
 
-from .energy import (CostParams, energy_final, energy_initial, energy_total,
-                     energy_weight, extract_coloring, potts_energy)
+from .energy import (energy_final, energy_initial, energy_total, energy_weight,
+                     extract_coloring, potts_energy)
 from .gradient import CostWorkspace, check_gradient
 from .graph import (Graph, GraphParseError, GraphWarning, load_graph,
                     parse_dimacs, parse_edge_list, select_fixed_node, to_dimacs)
@@ -22,13 +22,13 @@ from .solver import (ConstantAlpha, ExponentialAlpha, Hyperparameters,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "BatchStats", "ConstantAlpha", "CostParams", "CostWorkspace",
-    "DivergedError", "ExponentialAlpha", "Forward", "Graph", "GraphParseError",
-    "GraphWarning", "Hyperparameters", "RunRecord", "SweepResult",
-    "amplitudes_to_angles", "build_ops", "check_gradient", "energy_final",
-    "energy_initial", "energy_total", "energy_weight", "extract_coloring",
-    "forward", "init_qdgd_state", "init_qdlqa_state", "load_graph",
-    "lx_ground_state", "parse_dimacs", "parse_edge_list", "potts_energy",
-    "run_batch", "run_qdgd", "run_qdlqa", "select_fixed_node", "sweep_colors",
-    "to_dimacs", "trajectory_stats", "WorkerError",
+    "Adam", "BatchStats", "ConstantAlpha", "CostWorkspace", "DivergedError",
+    "ExponentialAlpha", "Forward", "Graph", "GraphParseError", "GraphWarning",
+    "Hyperparameters", "RunRecord", "SweepResult", "amplitudes_to_angles",
+    "build_ops", "check_gradient", "energy_final", "energy_initial",
+    "energy_total", "energy_weight", "extract_coloring", "forward",
+    "init_qdgd_state", "init_qdlqa_state", "load_graph", "lx_ground_state",
+    "parse_dimacs", "parse_edge_list", "potts_energy", "run_batch", "run_qdgd",
+    "run_qdlqa", "select_fixed_node", "sweep_colors", "to_dimacs",
+    "trajectory_stats", "WorkerError",
 ]

@@ -18,12 +18,12 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .energy import CostParams, draw_couplings
+from .energy import draw_couplings
 from .gradient import CostWorkspace, check_gradient
 from .graph import (GraphParseError, GraphWarning, load_graph, parse_fix,
                     select_fixed_node)
@@ -274,19 +274,19 @@ def _cmd_gradcheck(args) -> int:
         raise ConfigError(f"tol must be finite and > 0, got {args.tol!r}")
     try:
         lx_offdiag = build_ops(args.colors)
-        # t = 0 stands in for the random per-point times, always in range
-        params = CostParams(gamma=args.gamma, t=0.0 if args.t is None else args.t)
-        if not math.isfinite(args.h):
-            raise ValueError(f"h must be finite, got {args.h!r}")
-        if args.h < 0:
-            raise ValueError("h must be >= 0")
-        fix_strategy = parse_fix(args.fix)
+        if args.t is not None and not math.isfinite(args.t):
+            raise ValueError(f"t must be finite, got {args.t!r}")
+        if args.t is not None and not 0.0 <= args.t <= 1.0:
+            raise ValueError("t must be in [0, 1]")
+        # the flags that are settings are checked as solve checks them
+        hp = Hyperparameters("qdlqa", args.colors, gamma=args.gamma, h=args.h,
+                             master_seed=args.seed, fix_strategy=parse_fix(args.fix))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    graph, _, fixed = _load_graph(args.graph, args.format, fix_strategy)
+    graph, _, fixed = _load_graph(args.graph, args.format, hp.fix_strategy)
     workspace = CostWorkspace(graph, lx_offdiag, fixed)
     n_free = graph.num_nodes - (fixed is not None)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(hp.master_seed)
     worst = 0.0
     flagged = 0
     for _ in range(args.points):
@@ -294,10 +294,10 @@ def _cmd_gradcheck(args) -> int:
         angles = rng.uniform(-np.pi, np.pi, size=(n_free, args.colors - 1))
         if fixed is not None:  # the pinned node's row is all zeros
             angles = np.insert(angles, fixed, 0.0, axis=0)
-        hvals = draw_couplings(graph, args.h, rng)
+        hvals = draw_couplings(graph, hp.h, rng)
         try:
-            report = check_gradient(workspace, angles, replace(params, t=t),
-                                    hvals, step=args.step, tol=args.tol)
+            report = check_gradient(workspace, angles, t, hp.gamma, hvals,
+                                    step=args.step, tol=args.tol)
         except ValueError as exc:  # a finite-difference step out of range
             raise ConfigError(str(exc)) from None
         worst = max(worst, report.max_rel_error)

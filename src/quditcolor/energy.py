@@ -6,14 +6,11 @@ path used by the solvers lives in the gradient module and is cross-checked
 against these in the tests.  States enter as one run's (V, c) amplitude
 matrix ``psi``, ``qudits.forward(angles).psi`` with the pinned node's
 one-hot row included; Lx as the superdiagonal that ``qudits.build_ops``
-returns; and the couplings as the (E,) noise values h_ij that the caller
-drew with ``draw_couplings``.
+returns; the couplings as the (E,) noise values h_ij that the caller drew
+with ``draw_couplings``; and t and gamma as plain floats the caller checks.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +21,6 @@ from .graph import Graph
 # PLOGP_FLOOR before the log so that p * log(p) is exactly 0 at p = 0.
 LOG_CLAMP = 1e-12
 PLOGP_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class CostParams:
-    """Knobs of the interpolated cost: regularizer weight and annealing
-    time.  Its couplings are drawn by the caller, who passes them along."""
-
-    gamma: float = 1.0
-    t: float = 1.0
-
-    def __post_init__(self):
-        for name in ("gamma", "t"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError("t must be in [0, 1]")
 
 
 def extract_coloring(psi: np.ndarray) -> np.ndarray:
@@ -121,19 +99,19 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return p * np.log(np.maximum(p, PLOGP_FLOOR))
 
 
-def energy_weight(psi: np.ndarray, params: CostParams) -> float:
+def energy_weight(psi: np.ndarray, gamma: float) -> float:
     """Regularizer favoring spread-out color distributions; always <= 0.
 
     Sums over every node including the fixed one, whose one-hot vector
     contributes exactly zero.
     """
-    return float(params.gamma * _plogp(psi ** 2).sum())
+    return float(gamma * _plogp(psi ** 2).sum())
 
 
 def energy_total(psi: np.ndarray, graph: Graph, lx_offdiag: np.ndarray,
-                 params: CostParams, hvals: np.ndarray) -> float:
+                 t: float, gamma: float, hvals: np.ndarray) -> float:
     """Annealing interpolation: (1-t) * initial + t * (final + regularizer)."""
     e_i = energy_initial(psi, lx_offdiag)
     e_f = energy_final(psi, graph, hvals)
-    e_w = energy_weight(psi, params)
-    return (1.0 - params.t) * e_i + params.t * (e_f + e_w)
+    e_w = energy_weight(psi, gamma)
+    return (1.0 - t) * e_i + t * (e_f + e_w)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
-from .energy import (LOG_CLAMP, PLOGP_FLOOR, CostParams, energy_total,
-                     extract_coloring)
+from .energy import LOG_CLAMP, PLOGP_FLOOR, energy_total, extract_coloring
 from .graph import Graph
 from .qudits import Forward, forward
 
@@ -105,22 +104,21 @@ class CostWorkspace:
         """(k, V) most probable color of every node of every run."""
         return extract_coloring(fwd.psi)
 
-    def value_and_grad(self, fwd: Forward, params: CostParams,
+    def value_and_grad(self, fwd: Forward, t: float, gamma: float,
                        hvals: np.ndarray):
         """Cost of each of the k runs that ``fwd`` maps, as a function that
         returns a list of k floats when called, and the gradient w.r.t.
         their (k, V, c-1) angle stack, with the pinned node's rows exactly 0.
 
-        Adam reads only the gradient, so the costs are computed only when
-        the returned function is called; each call returns the same list.
-        ``hvals`` holds each run's couplings as (k, E) rows.  At t = 1
-        (every qdgd step) the start cost has weight 0, so it and its
-        gradient are not computed: the values are the same, and a gradient
-        entry can differ from the full formula only in the sign of a zero,
-        which Adam's zero-started first moment does not carry.  Flat Lx rows
-        (see the class) can flip such a zero sign at a node's first or last
-        color, or set NaN there in a run with a non-finite amplitude."""
-        t, gamma = params.t, params.gamma
+        Adam reads only the gradient, so the costs are computed only when the
+        returned function is called; each call returns the same list. ``hvals``
+        holds each run's couplings as (k, E) rows; the floats t and gamma hold
+        for all k runs.  At t = 1 (every qdgd step) the start cost has weight
+        0, so it and its gradient are not computed: the values are the same,
+        and a gradient entry can differ from the full formula only in the sign
+        of a zero, which Adam's zero-started first moment does not carry.  Flat
+        Lx rows (see the class) can flip such a zero sign at a node's first or
+        last color, or set NaN there in a run with a non-finite amplitude."""
         psi, s, u, r = fwd
         runs = len(psi)
         p = psi ** 2
@@ -195,11 +193,11 @@ class GradientCheckReport:
 
 
 def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
-                   params: CostParams, hvals: np.ndarray, step: float = 1e-5,
-                   tol: float = 1e-4) -> GradientCheckReport:
-    """Compare the analytic gradient at the (V, c-1) ``angles`` and the
-    (E,) couplings ``hvals`` against central finite differences of the
-    ``energy_total`` oracle at the same couplings.
+                   t: float, gamma: float, hvals: np.ndarray,
+                   step: float = 1e-5, tol: float = 1e-4) -> GradientCheckReport:
+    """Compare the analytic gradient at the (V, c-1) ``angles``, time t,
+    weight gamma and (E,) couplings ``hvals`` against central finite
+    differences of the ``energy_total`` oracle at the same values.
 
     Only the free nodes' angles are compared: the pinned node's row (if
     any) is held at its zeros, and ``clamp_flags`` lists the free nodes'
@@ -212,7 +210,7 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
     graph, off = workspace.graph, workspace.lx_offdiag
     free = [i for i in range(graph.num_nodes) if i != workspace.fixed_node]
     angles = np.array(angles, dtype=np.float64)  # perturbed below
-    _, gphi = workspace.value_and_grad(forward(angles[None]), params, hvals[None])
+    _, gphi = workspace.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
     analytic = gphi[0, free].ravel()
 
     flat = angles.ravel()
@@ -220,9 +218,9 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
     for j, k in enumerate(np.arange(flat.size).reshape(angles.shape)[free].ravel()):
         saved = flat[k]
         flat[k] = saved + step
-        e_plus = energy_total(forward(angles).psi, graph, off, params, hvals)
+        e_plus = energy_total(forward(angles).psi, graph, off, t, gamma, hvals)
         flat[k] = saved - step
-        e_minus = energy_total(forward(angles).psi, graph, off, params, hvals)
+        e_minus = energy_total(forward(angles).psi, graph, off, t, gamma, hvals)
         flat[k] = saved
         fd[j] = (e_plus - e_minus) / (2.0 * step)
 

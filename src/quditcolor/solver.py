@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .energy import CostParams, draw_couplings, potts_energy
+from .energy import draw_couplings, potts_energy
 from .gradient import CostWorkspace
 from .graph import Graph, check_fix, select_fixed_node
 from .optimizer import Adam
@@ -116,6 +116,11 @@ class Hyperparameters:
     def __post_init__(self):
         if self.method not in ("qdlqa", "qdgd"):
             raise ValueError(f"method must be qdlqa or qdgd, got {self.method!r}")
+        for name in ("num_colors", "n_steps", "n_runs", "patience", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for name in ("gamma", "eta", "f", "f_tilde", "h"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -126,8 +131,9 @@ class Hyperparameters:
             raise ValueError("n_steps must be >= 1")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
-        if self.gamma < 0 or self.h < 0 or self.f < 0:
-            raise ValueError("gamma, h, and f must be >= 0")
+        for name in ("gamma", "h", "f"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
         if self.f_tilde <= 0:
@@ -206,14 +212,7 @@ def run_qdlqa(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     """
     if hp.method != "qdlqa":
         raise ValueError(f"run_qdlqa needs method 'qdlqa', got {hp.method!r}")
-    n_stages = hp.n_steps + 1 if hp.include_t_end else hp.n_steps
-    def stage(n: int) -> tuple[CostParams, int]:
-        t = n / hp.n_steps
-        return CostParams(gamma=hp.gamma, t=t), hp.alpha.steps_at(t)
-    total = (hp.alpha.steps * n_stages if isinstance(hp.alpha, ConstantAlpha)
-             else sum(hp.alpha.steps_at(n / hp.n_steps) for n in range(n_stages)))
-    return _run(graph, hp, run_indices, init_qdlqa_state, hp.f,
-                _Stages(n_stages, total, stage), math.inf, record_trajectory)
+    return _run(graph, hp, run_indices, record_trajectory)
 
 
 def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
@@ -224,19 +223,45 @@ def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
     in the order given."""
     if hp.method != "qdgd":
         raise ValueError(f"run_qdgd needs method 'qdgd', got {hp.method!r}")
-    shared = (CostParams(gamma=hp.gamma, t=1.0), 1)
-    return _run(graph, hp, run_indices, init_qdgd_state, hp.f_tilde,
-                _Stages(hp.n_steps, hp.n_steps, lambda n: shared), hp.patience,
-                record_trajectory)
+    return _run(graph, hp, run_indices, record_trajectory)
 
 
 @dataclass(frozen=True)
-class _Stages:
-    """Stage n < ``count`` is ``stage(n)``, built when reached; ``total_steps`` in all."""
+class _Schedule:
+    """All that the two methods differ in, built by ``_schedule(hp)``: runs
+    start at ``init(n_free, c, scale, rngs)``; stage n < ``count`` is
+    ``stage(n) -> (t, inner)``, ``inner`` Adam steps at time t, ``total_steps``
+    in all; a run stops after ``patience`` stages without a better best."""
 
+    init: Callable
+    scale: float
     count: int
     total_steps: int
-    stage: Callable[[int], tuple[CostParams, int]]
+    stage: Callable[[int], tuple[float, int]]
+    patience: float
+
+
+def _schedule(hp: Hyperparameters) -> _Schedule:
+    if hp.method == "qdgd":
+        return _Schedule(init_qdgd_state, hp.f_tilde, hp.n_steps, hp.n_steps,
+                         lambda n: (1.0, 1), hp.patience)
+    count = hp.n_steps + 1 if hp.include_t_end else hp.n_steps
+
+    def stage(n: int) -> tuple[float, int]:
+        t = n / hp.n_steps
+        return t, hp.alpha.steps_at(t)
+    return _Schedule(init_qdlqa_state, hp.f, count,
+                     _total_steps(stage, 0, count), stage, math.inf)
+
+
+def _total_steps(stage, lo: int, hi: int) -> int:
+    """The steps of stages lo to hi - 1.  They are monotone in t, so a span
+    whose ends agree holds one value: O(log count) calls per value."""
+    first, last = stage(lo)[1], stage(hi - 1)[1]
+    if first == last:
+        return first * (hi - lo)
+    mid = (lo + hi) // 2
+    return _total_steps(stage, lo, mid) + _total_steps(stage, mid, hi)
 
 
 @dataclass(slots=True)
@@ -286,44 +311,40 @@ DRAW_BUDGET = 32_768
 
 
 def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
-         init_state, init_scale: float, stages: _Stages, patience: float,
          record_trajectory: bool) -> list[RunRecord]:
-    """The set-up both drivers share: resolve the operators and the pinned
-    node once, split the runs into near-equal lockstep groups of at most
-    ``group_size`` runs, and step each group in turn through one
-    workspace."""
+    """The set-up both drivers share: build the schedule of ``hp``'s
+    method, resolve the operators and the pinned node once, split the runs
+    into near-equal lockstep groups of at most ``group_size`` runs, and
+    step each group in turn through one workspace."""
     # any sequence of integers: a list, a range, an integer array
     run_indices = [operator.index(i) for i in run_indices]
     if not run_indices:
         return []
+    schedule = _schedule(hp)
     lx_offdiag = build_ops(hp.num_colors)
     fixed = select_fixed_node(graph, hp.fix_strategy)
     n_groups = -(-len(run_indices) // group_size(graph.num_nodes, hp.num_colors))
     groups = [g.tolist() for g in np.array_split(run_indices, n_groups)]
     workspace = CostWorkspace(graph, lx_offdiag, fixed, copies=len(groups[0]))
     return [record for group in groups
-            for record in _run_group(workspace, hp, group, init_state,
-                                     init_scale, stages, patience,
+            for record in _run_group(workspace, hp, group, schedule,
                                      record_trajectory)]
 
 
 def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
-               run_indices: list[int], init_state, init_scale: float,
-               stages: _Stages, patience: float,
+               run_indices: list[int], schedule: _Schedule,
                record_trajectory: bool) -> list[RunRecord]:
-    """Step one group of runs in lockstep (a group of one is the same loop).
-
-    Stage n, built as the loop reaches it, is a ``CostParams`` and a step
-    count: take that many Adam steps on the stage's cost, then read out
-    the colorings and track each run's best conflict count.  The readout
-    is the one place where a run leaves the group: at 0 conflicts, after
-    ``patience`` stages in a row without improving its best, after the
-    last stage, or, marked as diverged, when any of its angles is
-    non-finite, in which case that readout is not counted for it.  Until
-    then a diverged run steps on with the others; each run draws its
-    couplings from its own generator and keeps its own angles, couplings
-    and Adam moments, and every value is reduced over its own run, so no
-    run's numbers depend on the group it is in.
+    """Step one group of runs in lockstep (a group of one is the same loop)
+    through the stages of ``schedule``, each built as the loop reaches it:
+    its Adam steps, then a readout of the colorings that tracks each run's
+    best conflict count.  The readout is the one place where a run leaves
+    the group: at 0 conflicts, at the patience stop, after the last stage,
+    or, marked as diverged, when any of its angles is non-finite, in which
+    case that readout is not counted for it.  Until then a diverged run
+    steps on with the others; each run draws its couplings from its own
+    generator and keeps its own angles, couplings and Adam moments, and
+    every value is reduced over its own run, so no run's numbers depend on
+    the group it is in.
 
     Every per-run array is a stack with the run as its first axis: the
     angles (k, V, c-1), Adam's two moments, the four ``Forward`` arrays
@@ -347,7 +368,8 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     members = [_Run(i, run_rng(hp.master_seed, i)) for i in run_indices]
     runs = members
     n_free = graph.num_nodes - (fixed is not None)
-    angles = init_state(n_free, hp.num_colors, init_scale, [run.rng for run in runs])
+    angles = schedule.init(n_free, hp.num_colors, schedule.scale,
+                           [run.rng for run in runs])
     if fixed is not None:
         angles = np.insert(angles, fixed, 0.0, axis=1)
     adam = Adam(angles.shape, hp.eta)
@@ -357,22 +379,22 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     # reported by the diverged flag, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         fwd = forward(angles)
-        for n, (params, inner) in enumerate(map(stages.stage, range(stages.count))):
+        for n, (t, inner) in enumerate(map(schedule.stage, range(schedule.count))):
             for _ in range(inner):
                 if not drawn.shape[1]:
                     block = min(max(1, DRAW_BUDGET // max(1, len(runs) * num_edges)),
-                                stages.total_steps - adam.step_count)
+                                schedule.total_steps - adam.step_count)
                     drawn = np.empty((len(runs), block, num_edges))
                     for run, out in zip(runs, drawn):
                         draw_couplings(graph, hp.h, run.rng, out=out)
-                values, gphi = workspace.value_and_grad(fwd, params, drawn[:, 0])
+                values, gphi = workspace.value_and_grad(fwd, t, hp.gamma, drawn[:, 0])
                 drawn = drawn[:, 1:]
                 adam.step(angles, gphi)
                 fwd = forward(angles)
             finite = np.isfinite(angles).all(axis=(1, 2)).tolist()
             colors = workspace.coloring(fwd)
             counts = potts_energy(graph, colors)
-            last = n == stages.count - 1
+            last = n == schedule.count - 1
             costs = values() if record_trajectory else None
             stays = []
             for j, run in enumerate(runs):
@@ -381,9 +403,9 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
                         run.best, run.improved_at = counts[j], n
                         run.coloring = colors[j].astype(color_type)
                     if record_trajectory:
-                        run.rows.append((n, params.t, costs[j], counts[j]))
+                        run.rows.append((n, t, costs[j], counts[j]))
                 stays.append(finite[j] and run.best > 0 and not last
-                             and n - run.improved_at < patience)
+                             and n - run.improved_at < schedule.patience)
             if all(stays):
                 continue
             now = time.perf_counter()

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditcolor.energy import (CostParams, draw_couplings, energy_total,
-                               potts_energy)
+from quditcolor.energy import draw_couplings, energy_total, potts_energy
 from quditcolor.gradient import CostWorkspace, check_gradient
 from quditcolor.graph import load_graph, select_fixed_node
 from quditcolor.harness import run_batch, sweep_colors
@@ -110,8 +109,8 @@ def test_criterion_5_gradient_correctness():
         for _ in range(points):
             angles = rng.uniform(-np.pi, np.pi, size=(graph.num_nodes - 1, c - 1))
             angles = np.insert(angles, fixed, 0.0, axis=0)  # the pinned row
-            params = CostParams(gamma=1.0, t=float(rng.uniform(0, 1)))
-            rep = check_gradient(ws, angles, params, draw_couplings(graph, 3.0, rng),
+            t = float(rng.uniform(0, 1))
+            rep = check_gradient(ws, angles, t, 1.0, draw_couplings(graph, 3.0, rng),
                                  step=1e-5, tol=1e-4)
             worst = max(worst, rep.max_rel_error)
             checked += 1
@@ -170,8 +169,7 @@ def test_criterion_7_invariant_suite():
     graph = queen_graph(5, 5)
     off, hvals = build_ops(5), np.zeros(graph.num_edges)
     psi = qdlqa_start(graph, 5, 1.0, rng)
-    values = {t: energy_total(psi, graph, off,
-                              CostParams(gamma=1.1, t=t), hvals)
+    values = {t: energy_total(psi, graph, off, t, 1.1, hvals)
               for t in (0.0, 0.5, 1.0)}
     if abs(values[0.5] - (values[0.0] + values[1.0]) / 2) > 1e-12:
         failures.append("affinity in t")

@@ -63,6 +63,25 @@ def test_malformed_fix_strategy_raises_at_construction(queen55_col, capsys, fix)
         assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [None, "solve", "sweep", "gradcheck", "info"])
+def test_help_lists_every_flag(capsys, command):
+    # argparse formats a help text only when asked for it, so a bad
+    # %(default)s or a stray % in one would surface here, not in a run
+    with pytest.raises(SystemExit) as caught:
+        main(["--help"] if command is None else [command, "--help"])
+    assert caught.value.code == 0
+    text = capsys.readouterr().out
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    if command is None:
+        assert all(name in text for name in commands)
+    else:
+        parser = commands[command]
+    flags = [flag for action in parser._actions for flag in action.option_strings]
+    assert flags and all(flag in text for flag in flags)
+
+
 def test_gradcheck_defaults_are_the_settings_defaults():
     args = build_parser().parse_args(["gradcheck", "--colors", "3"])
     defaults = {f.name: f.default for f in fields(Hyperparameters)}
@@ -387,6 +406,11 @@ def test_gradcheck_unresolvable_fix_is_solve_error(queen55_col, capsys):
     (["--tol", "nan"], "tol must be finite and > 0, got nan"),
     (["--tol", "0"], "tol must be finite and > 0, got 0.0"),
     (["--h", "nan"], "h must be finite, got nan"),
+    (["--gamma", "-1"], "gamma must be >= 0"),
+    (["--gamma", "inf"], "gamma must be finite, got inf"),
+    (["--t", "-0.1"], "t must be in [0, 1]"),
+    (["--t=-inf"], "t must be finite, got -inf"),
+    (["--seed", "-1"], "seed must be >= 0"),
 ])
 def test_gradcheck_bad_setting_is_config_error(queen55_col, capsys, flags,
                                                message):

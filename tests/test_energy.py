@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcolor import energy
-from quditcolor.energy import (CostParams, draw_couplings, energy_final,
-                               energy_initial, energy_total, energy_weight,
-                               extract_coloring, potts_energy)
+from quditcolor.energy import (draw_couplings, energy_final, energy_initial,
+                               energy_total, energy_weight, extract_coloring,
+                               potts_energy)
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.qudits import build_ops
 
@@ -20,14 +20,6 @@ def psi_from_probabilities(rows):
 
 def brute_force_conflicts(graph, coloring):
     return sum(1 for u, v in graph.edges.tolist() if coloring[u] == coloring[v])
-
-
-def test_cost_params_validation():
-    CostParams(gamma=0.0, t=0.5)
-    for bad in (dict(gamma=-1), dict(t=1.5), dict(t=-0.1), dict(gamma=np.nan),
-                dict(gamma=np.inf), dict(t=np.nan), dict(t=-np.inf)):
-        with pytest.raises(ValueError):
-            CostParams(**bad)
 
 
 def test_extract_coloring_argmax_and_ties():
@@ -138,41 +130,39 @@ def test_energy_final_bounds():
 
 def test_energy_weight_cases():
     one_hot = psi_from_probabilities([[1, 0, 0]])
-    assert energy_weight(one_hot, CostParams(gamma=1.0)) == 0.0
+    assert energy_weight(one_hot, 1.0) == 0.0
     uniform = psi_from_probabilities([[0.25] * 4])
-    assert energy_weight(uniform, CostParams(gamma=1.0)) == pytest.approx(-np.log(4))
+    assert energy_weight(uniform, 1.0) == pytest.approx(-np.log(4))
     half = psi_from_probabilities([[0.5, 0.5]])
-    assert energy_weight(half, CostParams(gamma=2.0)) == pytest.approx(-2 * np.log(2))
+    assert energy_weight(half, 2.0) == pytest.approx(-2 * np.log(2))
 
 
 def test_energy_weight_bounds_and_fixed_node_inclusion(k3):
-    params = CostParams(gamma=1.7)
+    gamma = 1.7
     for seed in range(10):
         psi = qdlqa_start(k3, 4, 3.0, np.random.default_rng(seed))
-        value = energy_weight(psi, params)
-        assert -params.gamma * k3.num_nodes * np.log(4) <= value <= 0.0
+        value = energy_weight(psi, gamma)
+        assert -gamma * k3.num_nodes * np.log(4) <= value <= 0.0
 
 
 def test_energy_total_boundaries(k3):
     off, hvals = build_ops(3), np.zeros(k3.num_edges)
     psi = qdlqa_start(k3, 3, 0.2, np.random.default_rng(3))
-    p0 = CostParams(gamma=1.0, t=0.0)
-    assert energy_total(psi, k3, off, p0, hvals) == pytest.approx(
+    assert energy_total(psi, k3, off, 0.0, 1.0, hvals) == pytest.approx(
         energy_initial(psi, off), abs=1e-14)
-    p1 = CostParams(gamma=1.0, t=1.0)
-    expected = energy_final(psi, k3, hvals) + energy_weight(psi, p1)
-    assert energy_total(psi, k3, off, p1, hvals) == pytest.approx(expected, abs=1e-14)
+    expected = energy_final(psi, k3, hvals) + energy_weight(psi, 1.0)
+    assert energy_total(psi, k3, off, 1.0, 1.0, hvals) == pytest.approx(expected, abs=1e-14)
 
 
 def test_energy_total_affine_in_t(k3):
     off, hvals = build_ops(4), np.zeros(k3.num_edges)
     psi = qdlqa_start(k3, 4, 1.0, np.random.default_rng(8))
-    values = {t: energy_total(psi, k3, off, CostParams(gamma=0.9, t=t), hvals)
+    values = {t: energy_total(psi, k3, off, t, 0.9, hvals)
               for t in (0.0, 0.5, 1.0)}
     assert values[0.5] == pytest.approx((values[0.0] + values[1.0]) / 2, abs=1e-12)
     # three-point collinearity at an off-center t as well
     t = 0.3
-    v = energy_total(psi, k3, off, CostParams(gamma=0.9, t=t), hvals)
+    v = energy_total(psi, k3, off, t, 0.9, hvals)
     assert v == pytest.approx((1 - t) * values[0.0] + t * values[1.0], abs=1e-12)
 
 

@@ -4,8 +4,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcolor.energy import (LOG_CLAMP, PLOGP_FLOOR, CostParams,
-                               draw_couplings, energy_total, extract_coloring)
+from quditcolor.energy import (LOG_CLAMP, PLOGP_FLOOR, draw_couplings,
+                               energy_total, extract_coloring)
 from quditcolor.gradient import (CLAMP_FLAG_THRESHOLD, CostWorkspace,
                                  check_gradient)
 from quditcolor.graph import Graph, select_fixed_node
@@ -41,7 +41,7 @@ def zero_pinned_rows(ws, angles):
     return angles
 
 
-def finite_difference(ws, angles, params, hvals, step=1e-6):
+def finite_difference(ws, angles, t, gamma, hvals, step=1e-6):
     """Central differences of the oracle in every free angle of one run's
     (V, c-1) angles; the pinned node's row is held fixed and its entries
     are 0."""
@@ -51,11 +51,11 @@ def finite_difference(ws, angles, params, hvals, step=1e-6):
     for k in np.flatnonzero(free):
         saved = flat[k]
         flat[k] = saved + step
-        plus = energy_total(forward(angles).psi, ws.graph, ws.lx_offdiag, params,
-                            hvals)
+        plus = energy_total(forward(angles).psi, ws.graph, ws.lx_offdiag, t,
+                            gamma, hvals)
         flat[k] = saved - step
-        minus = energy_total(forward(angles).psi, ws.graph, ws.lx_offdiag, params,
-                             hvals)
+        minus = energy_total(forward(angles).psi, ws.graph, ws.lx_offdiag, t,
+                             gamma, hvals)
         flat[k] = saved
         out[k] = (plus - minus) / (2 * step)
     return out
@@ -67,7 +67,7 @@ def test_gradient_zero_at_annealing_start():
     angles = np.insert(init_qdlqa_state(1, 3, 0.0, [np.random.default_rng(0)]),
                        ws.fixed_node, 0.0, axis=1)
     _, grad = ws.value_and_grad(
-        forward(angles), CostParams(gamma=1.0, t=0.0), np.zeros((1, 1)))
+        forward(angles), 0.0, 1.0, np.zeros((1, 1)))
     assert np.abs(grad).max() < 1e-9
 
 
@@ -77,9 +77,9 @@ def test_gradient_zero_without_edges_or_regularizer():
               degrees=np.zeros(3, dtype=np.int64))
     ws = CostWorkspace(g, build_ops(4), None)
     angles = random_angles(g, 4, np.random.default_rng(1))
-    params = CostParams(gamma=0.0, t=1.0)
+    t, gamma = 1.0, 0.0
     hvals = draw_couplings(g, 2.0, np.random.default_rng(0))
-    values, grad = ws.value_and_grad(forward(angles[None]), params, hvals[None])
+    values, grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
     (value,) = values()
     assert value == 0.0
     assert np.abs(grad).max() == 0.0
@@ -90,15 +90,15 @@ def test_gradient_matches_finite_differences_on_queen55():
     ws = pinned_workspace(g, 5)
     rng = np.random.default_rng(42)
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
-    params = CostParams(gamma=1.0, t=0.37)
+    t, gamma = 0.37, 1.0
     hvals = draw_couplings(g, 3.0, rng)
-    values, grad = ws.value_and_grad(forward(angles[None]), params, hvals[None])
+    values, grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
     (value,) = values()
     grad = grad.ravel()
     assert value == pytest.approx(
-        energy_total(forward(angles).psi, g, ws.lx_offdiag, params, hvals),
+        energy_total(forward(angles).psi, g, ws.lx_offdiag, t, gamma, hvals),
         rel=1e-12)
-    fd = finite_difference(ws, angles, params, hvals, step=1e-5)
+    fd = finite_difference(ws, angles, t, gamma, hvals, step=1e-5)
     rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-2)
     assert rel.max() < 1e-5
 
@@ -107,7 +107,7 @@ def test_gradient_layout_freezes_fixed_node():
     g = triangle()
     ws = CostWorkspace(g, build_ops(4), 1)
     angles = random_angles(g, 4, np.random.default_rng(0), fixed_node=1)
-    _, grad = ws.value_and_grad(forward(angles[None]), CostParams(t=0.6),
+    _, grad = ws.value_and_grad(forward(angles[None]), 0.6, 1.0,
                                 np.zeros((1, 3)))
     assert grad.shape == (1, g.num_nodes, 3)
     assert (grad[0, 1] == 0.0).all() and (grad[0, [0, 2]] != 0.0).all()
@@ -123,7 +123,7 @@ def test_gradient_linearity_in_t():
     grads = {}
     for t in (0.0, 0.35, 1.0):
         _, grads[t] = ws.value_and_grad(
-            forward(angles[None]), CostParams(gamma=1.2, t=t), hvals[None])
+            forward(angles[None]), t, 1.2, hvals[None])
     combo = 0.65 * grads[0.0] + 0.35 * grads[1.0]
     np.testing.assert_allclose(grads[0.35], combo, atol=1e-10)
 
@@ -134,7 +134,7 @@ def test_check_gradient_passes_at_boundaries(t):
     ws = pinned_workspace(g, 5)
     rng = np.random.default_rng(int(t * 10) + 1)
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
-    report = check_gradient(ws, angles, CostParams(gamma=1.0, t=t),
+    report = check_gradient(ws, angles, t, 1.0,
                             draw_couplings(g, 3.0, rng), step=1e-5, tol=1e-4)
     assert report.passed, report.max_rel_error
 
@@ -149,8 +149,8 @@ def test_check_gradient_random_points_suite():
             for _ in range(8):
                 angles = random_angles(g, c, rng, fixed_node=ws.fixed_node)
                 gamma, h = float(rng.uniform(0, 2)), float(rng.uniform(0, 4))
-                params = CostParams(gamma=gamma, t=float(rng.uniform(0, 1)))
-                report = check_gradient(ws, angles, params,
+                t = float(rng.uniform(0, 1))
+                report = check_gradient(ws, angles, t, gamma,
                                         draw_couplings(g, h, rng))
                 assert report.passed, (g.num_nodes, c, report.max_rel_error)
 
@@ -164,7 +164,7 @@ def test_check_gradient_flags_clamped_components():
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     ws = CostWorkspace(g, build_ops(3), None)
     report = check_gradient(ws, amplitudes_to_angles(amps),
-                            CostParams(gamma=1.0, t=1.0), np.zeros(g.num_edges))
+                            1.0, 1.0, np.zeros(g.num_edges))
     flagged_nodes = report.clamp_flags.reshape(3, 2).any(axis=1)
     assert flagged_nodes[0]
     assert not flagged_nodes[1]
@@ -175,7 +175,7 @@ def test_check_gradient_rejects_bad_step():
     g = triangle()
     angles = random_angles(g, 3, np.random.default_rng(0))
     with pytest.raises(ValueError, match="step"):
-        check_gradient(CostWorkspace(g, build_ops(3), None), angles, CostParams(),
+        check_gradient(CostWorkspace(g, build_ops(3), None), angles, 1.0, 1.0,
                        np.zeros(g.num_edges), step=0.5)
 
 
@@ -185,11 +185,11 @@ def test_workspace_reuse_matches_fresh():
     ws = pinned_workspace(g, 5)
     for _ in range(3):
         angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
-        params = CostParams(gamma=0.8, t=0.7)
+        t, gamma = 0.7, 0.8
         hvals = draw_couplings(g, 2.0, rng)
-        v1, g1 = ws.value_and_grad(forward(angles[None]), params, hvals[None])
+        v1, g1 = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
         fresh = pinned_workspace(g, 5)
-        v2, g2 = fresh.value_and_grad(forward(angles[None]), params,
+        v2, g2 = fresh.value_and_grad(forward(angles[None]), t, gamma,
                                       hvals[None])
         assert v1() == v2()
         np.testing.assert_array_equal(g1, g2)
@@ -210,24 +210,24 @@ def test_stacked_runs_match_single_runs_bit_for_bit(name, c, runs, pinned):
     for _ in range(3):
         angles = [random_angles(g, c, rng, fixed) for _ in range(runs)]
         hvals = [draw_couplings(g, 3.0, rng) for _ in range(runs)]
-        params = CostParams(gamma=1.3, t=float(rng.uniform()))
+        t, gamma = float(rng.uniform()), 1.3
         fwd = forward(np.stack(angles))
-        values, grad = group.value_and_grad(fwd, params, np.stack(hvals))
+        values, grad = group.value_and_grad(fwd, t, gamma, np.stack(hvals))
         costs = values()
         colors = group.coloring(fwd)
         for r in range(runs):
             one = forward(angles[r][None])
-            value, one_grad = single.value_and_grad(one, params, hvals[r][None])
+            value, one_grad = single.value_and_grad(one, t, gamma, hvals[r][None])
             assert [costs[r]] == value()
             assert np.array_equal(grad[r], one_grad[0])
             assert np.array_equal(colors[r], single.coloring(one)[0])
     # more runs than copies would index past the triangle
     with pytest.raises(ValueError):
         group.value_and_grad(forward(np.stack([angles[0]] * 11)),
-                             params, np.stack([hvals[0]] * 11))
+                             t, gamma, np.stack([hvals[0]] * 11))
     with pytest.raises(ValueError, match="1 to 10 runs"):
         group.value_and_grad(forward(np.stack([angles[0]] * 11)),
-                             params, np.stack([hvals[0]] * 10))
+                             t, gamma, np.stack([hvals[0]] * 10))
 
 
 def test_clamp_threshold_is_documented_scale():
@@ -248,8 +248,7 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=g.num_nodes * (c - 1),
                                          max_size=g.num_nodes * (c - 1))))
     angles = zero_pinned_rows(ws, angles.reshape(g.num_nodes, c - 1))
-    params = CostParams(gamma=data.draw(st.floats(0.0, 2.0)),
-                        t=data.draw(st.floats(0.0, 1.0)))
+    t, gamma = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 2.0))
     hvals = draw_couplings(g, 3.0,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
 
@@ -257,16 +256,16 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     assert len(fwd) == 4
     if pinned:
         np.testing.assert_array_equal(fwd.psi[0, fixed], np.eye(c)[0])
-    values, grad = ws.value_and_grad(fwd, params, hvals[None])
+    values, grad = ws.value_and_grad(fwd, t, gamma, hvals[None])
     (value,) = values()
-    oracle = energy_total(fwd.psi[0], g, ws.lx_offdiag, params, hvals)
+    oracle = energy_total(fwd.psi[0], g, ws.lx_offdiag, t, gamma, hvals)
     assert value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
     np.testing.assert_array_equal(ws.coloring(fwd),
                                   [extract_coloring(forward(angles).psi)])
 
     # a later forward map leaves the one already held untouched
     forward(angles[None] + 1.0)
-    again, grad_again = ws.value_and_grad(fwd, params, hvals[None])
+    again, grad_again = ws.value_and_grad(fwd, t, gamma, hvals[None])
     assert again() == [value]
     np.testing.assert_array_equal(grad_again, grad)
 
@@ -282,20 +281,20 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
     angles = zero_pinned_rows(ws, angles.reshape(-1, c - 1))
     h = data.draw(st.floats(0.0, 3.0))
-    params = CostParams(gamma=0.0, t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+    t, gamma = data.draw(st.sampled_from([0.0, 0.3, 1.0])), 0.0
     hvals = draw_couplings(g, h,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
-    _, grad = ws.value_and_grad(forward(angles[None]), params, hvals[None])
+    _, grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
     np.testing.assert_allclose(grad.ravel(),
-                               finite_difference(ws, angles, params, hvals),
+                               finite_difference(ws, angles, t, gamma, hvals),
                                rtol=0, atol=1e-6)
 
 
-def _full_cost_and_grad(ws, fwd, params, hvals):
+def _full_cost_and_grad(ws, fwd, t, gamma, hvals):
     """``value_and_grad`` written out with the start cost always computed,
     and Lx psi on the per-node ``[..., :-1]``/``[..., 1:]`` views: the
     reference for its t = 1 path and its flat Lx rows."""
-    t, gamma, off = params.t, params.gamma, ws.lx_offdiag
+    off = ws.lx_offdiag
     psi, s, u, r = fwd
     runs, cm1 = len(psi), off.size
     p = psi ** 2
@@ -351,18 +350,18 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
         angles[bad] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     finite = np.isfinite(angles).all(axis=(1, 2))
     gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
-    params = CostParams(gamma=gamma, t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+    t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
     hvals = np.stack([draw_couplings(g, h, rng) for _ in range(runs)])
     with np.errstate(invalid="ignore"):
         fwd = forward(angles)
-        values, grad = ws.value_and_grad(fwd, params, hvals)
-        full_values, full_grad = _full_cost_and_grad(ws, fwd, params, hvals)
+        values, grad = ws.value_and_grad(fwd, t, gamma, hvals)
+        full_values, full_grad = _full_cost_and_grad(ws, fwd, t, gamma, hvals)
         before = grad.copy()
         costs = values()
         for r in np.flatnonzero(finite):
             one = Forward._make(a[r:r + 1] for a in fwd)
-            one_values, one_grad = ws.value_and_grad(one, params, hvals[r:r + 1])
+            one_values, one_grad = ws.value_and_grad(one, t, gamma, hvals[r:r + 1])
             assert grad[r].tobytes() == one_grad[0].tobytes()
             assert [costs[r]] == one_values()
     assert [x.hex() for x in values()] == [x.hex() for x in costs]
@@ -381,10 +380,10 @@ def test_values_read_the_floored_log_below_the_clamp(t):
     ws = CostWorkspace(g, build_ops(3), None)
     fwd = forward(np.array([[[1e-7, 0.4], [1.0, 2.0], [0.5, 1.3]]]))
     assert 0 < (fwd.psi[0, 0, 1:] ** 2).max() < LOG_CLAMP
-    params = CostParams(gamma=1.0, t=t)
+    gamma = 1.0
     hvals = np.zeros((1, g.num_edges))
-    values, grad = ws.value_and_grad(fwd, params, hvals)
-    full_values, full_grad = _full_cost_and_grad(ws, fwd, params, hvals)
+    values, grad = ws.value_and_grad(fwd, t, gamma, hvals)
+    full_values, full_grad = _full_cost_and_grad(ws, fwd, t, gamma, hvals)
     assert values() == full_values
     assert np.array_equal(grad, full_grad)
 
@@ -402,13 +401,13 @@ def test_pinned_rows_stay_frozen_in_every_copy(g, c, copies, data):
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
     angles = zero_pinned_rows(ws, angles.reshape(copies, -1, c - 1))
     gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
-    params = CostParams(gamma=gamma, t=data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+    t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
     hvals = np.stack([draw_couplings(g, h, rng) for _ in range(copies)])
     fwd = forward(angles)
     zero = ~angles.any(axis=-1)
     np.testing.assert_array_equal(fwd.psi[zero], np.eye(c)[[0] * zero.sum()])
-    _, grad = ws.value_and_grad(fwd, params, hvals)
+    _, grad = ws.value_and_grad(fwd, t, gamma, hvals)
     if fixed is None:
         return
     assert (grad[:, fixed] == 0.0).all()
@@ -431,7 +430,7 @@ def test_workspace_rejects_edges_and_states_it_cannot_index():
     small = CostWorkspace(triangle(), build_ops(3), None)
     fwd = forward(random_angles(triangle(), 3, np.random.default_rng(0))[None])
     with pytest.raises(ValueError, match="expected 16 rows"):
-        ws.value_and_grad(fwd, CostParams(), np.zeros((1, ws.graph.num_edges)))
+        ws.value_and_grad(fwd, 1.0, 1.0, np.zeros((1, ws.graph.num_edges)))
 
 
 @pytest.mark.parametrize("runs, nodes, couplings", [
@@ -454,7 +453,7 @@ def test_unchecked_kernels_are_guarded_by_shape(runs, nodes, couplings):
     with pytest.raises(ValueError, match="expected 16 rows"):
         ws._neighbor_sum(p, hvals + 1.0)
     with pytest.raises(ValueError):
-        ws.value_and_grad(forward(angles), CostParams(), hvals)
+        ws.value_and_grad(forward(angles), 1.0, 1.0, hvals)
 
 
 @settings(deadline=None, max_examples=80)

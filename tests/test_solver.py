@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import tracemalloc
@@ -7,12 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditcolor import gradient, solver
 from quditcolor.energy import draw_couplings, extract_coloring, potts_energy
-from quditcolor.harness import DivergedError, run_batch
+from quditcolor.harness import DivergedError, hp_to_dict, run_batch
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
                                Hyperparameters, group_size,
@@ -60,6 +61,26 @@ def test_alpha_that_is_no_schedule_raises_at_construction(method, alpha):
     with pytest.raises(ValueError) as caught:
         Hyperparameters(method=method, num_colors=3, alpha=alpha)
     assert str(caught.value) == message
+
+
+_COUNTS = ["num_colors", "n_steps", "n_runs", "patience", "master_seed"]
+
+
+@pytest.mark.parametrize("name", _COUNTS)
+@pytest.mark.parametrize("value", [3.0, 20.5, True])
+def test_count_that_is_no_integer_raises_at_construction(name, value):
+    # a float count failed inside the run, a float patience or a bool
+    # n_steps ran; all of them would go into the stats JSON as given
+    with pytest.raises(ValueError) as caught:
+        Hyperparameters(**{"method": "qdgd", "num_colors": 3, name: value})
+    assert str(caught.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("name", _COUNTS)
+def test_numpy_integer_count_is_stored_as_int(name):
+    hp = Hyperparameters(**{"method": "qdgd", "num_colors": 3, name: np.int64(3)})
+    assert type(getattr(hp, name)) is int
+    assert json.loads(json.dumps(hp_to_dict(hp)))[solver.SETTING_NAMES[name]] == 3
 
 
 def test_parse_alpha():
@@ -539,33 +560,60 @@ def test_stages_are_built_as_the_loop_reaches_them(k3, method, colors, n_steps):
                                    parse_alpha("exp:2:7")],
                          ids=["1", "3", "exp:2:7"])
 @pytest.mark.parametrize("include_t_end", [False, True])
-def test_stages_on_demand_equal_the_stage_list(monkeypatch, k3, alpha,
-                                               include_t_end):
-    seen = {}
-
-    def capture(graph, hp, indices, init_state, init_scale, stages, *rest):
-        seen["stages"] = stages
-
-    monkeypatch.setattr(solver, "_run", capture)
-    hp = qdlqa_hp(n_steps=1000, gamma=0.7, alpha=alpha, include_t_end=include_t_end)
-    run_qdlqa(k3, hp, [0])
-    stages = seen.pop("stages")
-    built = [stages.stage(n) for n in range(stages.count)]
+def test_stages_on_demand_equal_the_stage_list(alpha, include_t_end):
+    hp = qdlqa_hp(n_steps=1000, f=0.2, alpha=alpha, include_t_end=include_t_end)
+    schedule = solver._schedule(hp)
+    built = [schedule.stage(n) for n in range(schedule.count)]
     # the list the drivers built before the first step
     n_stages = hp.n_steps + 1 if include_t_end else hp.n_steps
     expected = [(t, alpha.steps_at(t))
                 for t in (n / hp.n_steps for n in range(n_stages))]
-    assert [(params.t, inner) for params, inner in built] == expected
-    assert {params.gamma for params, _ in built} == {0.7}
-    assert stages.total_steps == sum(inner for _, inner in expected)
+    assert built == expected
+    assert schedule.total_steps == sum(inner for _, inner in expected)
+    assert (schedule.init, schedule.scale, schedule.patience) == \
+        (solver.init_qdlqa_state, 0.2, math.inf)
 
-    run_qdgd(k3, qdgd_hp(n_steps=1000, gamma=0.7), [0])
-    stages = seen.pop("stages")
-    built = [stages.stage(n) for n in range(stages.count)]
-    assert {id(params) for params, _ in built} == {id(built[0][0])}
-    assert (built[0][0].t, built[0][0].gamma) == (1.0, 0.7)
-    assert [inner for _, inner in built] == [1] * 1000
-    assert stages.total_steps == 1000
+    schedule = solver._schedule(qdgd_hp(n_steps=1000, f_tilde=0.3, patience=7))
+    built = [schedule.stage(n) for n in range(schedule.count)]
+    assert built == [(1.0, 1)] * 1000
+    assert schedule.total_steps == 1000
+    assert (schedule.init, schedule.scale, schedule.patience) == \
+        (solver.init_qdgd_state, 0.3, 7)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rate=st.floats(allow_nan=False, allow_infinity=False),
+       cap=st.integers(1, 40), n_steps=st.integers(1, 500),
+       include_t_end=st.booleans())
+@example(rate=-2.0, cap=7, n_steps=100, include_t_end=True)
+@example(rate=0.0, cap=7, n_steps=100, include_t_end=False)
+@example(rate=1000.0, cap=7, n_steps=100, include_t_end=True)
+@example(rate=2.0, cap=1, n_steps=100, include_t_end=False)
+@example(rate=2.0, cap=7, n_steps=1, include_t_end=True)
+def test_schedule_total_steps_equal_the_sum_over_stages(rate, cap, n_steps,
+                                                        include_t_end):
+    alpha = ExponentialAlpha(rate, cap)
+    hp = qdlqa_hp(n_steps=n_steps, alpha=alpha, include_t_end=include_t_end)
+    schedule = solver._schedule(hp)
+    assert schedule.total_steps == sum(alpha.steps_at(n / n_steps)
+                                       for n in range(schedule.count))
+
+
+def test_step_total_costs_no_call_per_stage_of_the_budget(k3, monkeypatch):
+    # the run solves in 10 steps; the total of a 10^5-stage budget is found
+    # with a bisect per step value, not with one steps_at call per stage
+    calls = []
+    steps_at = ExponentialAlpha.steps_at
+
+    def counting(self, t):
+        calls.append(t)
+        return steps_at(self, t)
+
+    monkeypatch.setattr(ExponentialAlpha, "steps_at", counting)
+    hp = qdlqa_hp(n_steps=10**5, alpha=parse_alpha("exp:2:7"))
+    rec = run_qdlqa(k3, hp, [0])[0]
+    assert (rec.best_energy, rec.steps_executed) == (0, 10)
+    assert len(calls) < 500
 
 
 def test_fix_strategy_none_parameterizes_all_nodes(k3):
