@@ -18,19 +18,20 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .energy import draw_couplings
 from .gradient import CostWorkspace, check_gradient
-from .graph import (GraphParseError, GraphWarning, load_graph, parse_fix,
+from .graph import (GraphParseError, GraphWarning, load_graph, read_utf8,
                     select_fixed_node)
 from .harness import (DivergedError, WorkerError, hp_to_dict, run_batch,
-                      stats_to_dict, sweep_colors, write_trajectory_csv)
+                      setting_value, stats_to_dict, sweep_colors,
+                      write_trajectory_csv)
 from .qudits import build_ops
-from .solver import SETTING_NAMES, Hyperparameters, parse_alpha
+from .solver import SETTING_NAMES, SETTING_TYPES, Hyperparameters
 
 WORKERS_ENV = "QUDITCOLOR_WORKERS"
 
@@ -46,8 +47,11 @@ def _parse_bool(text: str) -> bool:
     return value in ("1", "true", "yes")
 
 
-# config-file key -> parser of its text; a setting is parsed by the type of
-# its default, so colors (no default) stays a string for sweep's LO:HI range
+# a declared type -> the parser of a setting's text; any other stays text
+_TEXT_PARSERS = {int: int, float: float, bool: _parse_bool}
+# setting name -> its Hyperparameters field
+_SETTINGS = {SETTING_NAMES[f.name]: f for f in fields(Hyperparameters)}
+# config-file key -> parser of its text; a setting's is its flag's type
 _CONFIG_PARSERS = {
     "graph": str,
     "format": str,
@@ -55,9 +59,9 @@ _CONFIG_PARSERS = {
     "out": str,
     "trajectories": str,
     "coloring": str,
-    **{SETTING_NAMES[f.name]:
-       {int: int, float: float, bool: _parse_bool}.get(type(f.default), str)
-       for f in fields(Hyperparameters)},
+    **{name: f.metadata["flag"].get("type",
+                                    _TEXT_PARSERS.get(SETTING_TYPES[f.name], str))
+       for name, f in _SETTINGS.items()},
 }
 
 
@@ -86,8 +90,12 @@ class RunConfig:
 
 def read_config_file(path) -> dict:
     """Parse a flat ``key = value`` file with ``#`` comments."""
+    try:
+        text = read_utf8(path)
+    except UnicodeError as exc:
+        raise ConfigError(f"{path}:{exc}") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -125,18 +133,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-_METHOD_IGNORES = {"qdlqa": ("patience", "f_tilde"),
-                   "qdgd": ("f", "alpha", "include_t_end")}
-
-
-def _warn_ignored(hp: Hyperparameters) -> None:
-    defaults = {f.name: f.default for f in fields(Hyperparameters)}
-    for name in _METHOD_IGNORES[hp.method]:
-        if getattr(hp, name) != defaults[name]:
-            print(f"warning: {SETTING_NAMES[name]} is ignored by method {hp.method}",
-                  file=sys.stderr)
-
-
 def _colors_int(config: RunConfig) -> int:
     try:
         return int(config.colors)
@@ -144,20 +140,24 @@ def _colors_int(config: RunConfig) -> int:
         raise ConfigError(f"colors must be an integer, got {config.colors!r}") from None
 
 
-# setting name -> parser of the value given; the others pass as given
-_SETTING_PARSERS = {"alpha": parse_alpha, "fix": parse_fix}
+def _settings_to_hp(given: dict) -> Hyperparameters:
+    """The settings in ``given`` by name, each read by its declared parser
+    (method qdlqa unless given); warns of each that the method ignores."""
+    given = {"method": "qdlqa", **given}
+    try:
+        hp = Hyperparameters(**{
+            f.name: (f.metadata["parse"] or (lambda v: v))(given[name])
+            for name, f in _SETTINGS.items() if name in given})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for name, f in _SETTINGS.items():
+        if f.metadata["ignored_by"] == hp.method and getattr(hp, f.name) != f.default:
+            print(f"warning: {name} is ignored by method {hp.method}", file=sys.stderr)
+    return hp
 
 
 def config_to_hp(config: RunConfig, colors: int) -> Hyperparameters:
-    given = {"method": "qdlqa", **config.settings, "colors": colors}
-    try:
-        hp = Hyperparameters(**{
-            field_name: _SETTING_PARSERS.get(name, lambda v: v)(given[name])
-            for field_name, name in SETTING_NAMES.items() if name in given})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _warn_ignored(hp)
-    return hp
+    return _settings_to_hp({**config.settings, "colors": colors})
 
 
 def _resolved_config_dict(config: RunConfig, hp: Hyperparameters) -> dict:
@@ -278,11 +278,10 @@ def _cmd_gradcheck(args) -> int:
             raise ValueError(f"t must be finite, got {args.t!r}")
         if args.t is not None and not 0.0 <= args.t <= 1.0:
             raise ValueError("t must be in [0, 1]")
-        # the flags that are settings are checked as solve checks them
-        hp = Hyperparameters("qdlqa", args.colors, gamma=args.gamma, h=args.h,
-                             master_seed=args.seed, fix_strategy=parse_fix(args.fix))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # the flags that are settings are read and checked as solve reads them
+    hp = _settings_to_hp(vars(args))
     graph, _, fixed = _load_graph(args.graph, args.format, hp.fix_strategy)
     workspace = CostWorkspace(graph, lx_offdiag, fixed)
     n_free = graph.num_nodes - (fixed is not None)
@@ -326,27 +325,34 @@ def _add_instance_flags(parser) -> None:
                         help="override format auto-detection")
 
 
+def _add_setting_flags(parser, names, *, given=False) -> None:
+    """Add ``--NAME`` (``_`` as ``-``) for each setting in ``names``, its
+    help ending in its declared default, a bool as a switch.  A flag reads
+    its text as the config file does and is None when left out, so that
+    the config file or the declared default holds; a ``given`` flag
+    (gradcheck's) is the value itself, of the declared type and default."""
+    for name in names:
+        f = _SETTINGS[name]
+        kind, required = SETTING_TYPES[f.name], f.default is MISSING
+        extras = {"help": f.metadata["help"] + (
+            "" if required else f" (default {setting_value(f.default)})")}
+        if kind is bool:
+            extras.update(action="store_const", const=True)
+        elif given:
+            extras.update(type=_TEXT_PARSERS.get(kind, str), required=required,
+                          default=None if required else f.default)
+        else:
+            extras.update({"type": _CONFIG_PARSERS[name], **f.metadata["flag"]})
+        parser.add_argument("--" + name.replace("_", "-"), **extras)
+
+
 def _add_hyper_flags(parser) -> None:
-    parser.add_argument("--method", choices=["qdlqa", "qdgd"])
-    parser.add_argument("--colors", help="number of colors (sweep: LO:HI)")
-    parser.add_argument("--steps", type=int, help="outer steps / step budget")
-    parser.add_argument("--gamma", type=float, help="regularizer weight")
-    parser.add_argument("--alpha", help="inner steps per time: N or exp:RATE:CAP")
-    parser.add_argument("--eta", type=float, help="learning rate")
-    parser.add_argument("--f", type=float, help="annealing init angle noise")
-    parser.add_argument("--f-tilde", dest="f_tilde", type=float,
-                        help="gradient-descent init scale")
-    parser.add_argument("--h", type=float, help="coupling noise cap")
-    parser.add_argument("--runs", type=int, help="independent runs per batch")
-    parser.add_argument("--patience", type=int,
-                        help="qdgd early stop: steps without improvement")
-    parser.add_argument("--fix", help="fixed node: max_degree|degree_one|none|INDEX")
-    parser.add_argument("--seed", type=int, help="master seed")
+    # the switches have always come after --workers
+    switches = [name for name, f in _SETTINGS.items() if SETTING_TYPES[f.name] is bool]
+    _add_setting_flags(parser, [name for name in _SETTINGS if name not in switches])
     parser.add_argument("--workers", type=int,
                         help=f"parallel runs (default ${WORKERS_ENV} or 1)")
-    parser.add_argument("--include-t-end", dest="include_t_end",
-                        action="store_const", const=True,
-                        help="also optimize at t = 1 (annealing endpoint)")
+    _add_setting_flags(parser, switches)
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--out", help="stats JSON path (default: stdout)")
     parser.add_argument("--trajectories", help="write per-step CSV here")
@@ -373,18 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad = sub.add_parser("gradcheck", help="verify gradients on an instance")
     _add_instance_flags(grad)
-    grad.add_argument("--colors", type=int, required=True)
+    _add_setting_flags(grad, ["colors"], given=True)
     grad.add_argument("--points", type=int, default=20)
     grad.add_argument("--step", type=float, default=1e-5)
     grad.add_argument("--tol", type=float, default=1e-4)
-    grad.add_argument("--gamma", type=float, default=Hyperparameters.gamma)
-    grad.add_argument("--h", type=float, default=Hyperparameters.h)
-    grad.add_argument("--fix", default=Hyperparameters.fix_strategy,
-                      help="fixed node: max_degree|degree_one|none|INDEX "
-                           "(default %(default)s)")
+    _add_setting_flags(grad, ["gamma", "h", "fix"], given=True)
     grad.add_argument("--t", type=float, default=None,
                       help="fix the annealing time (default: random per point)")
-    grad.add_argument("--seed", type=int, default=0)
+    _add_setting_flags(grad, ["seed"], given=True)
 
     info = sub.add_parser("info", help="print parsed graph statistics")
     _add_instance_flags(info)

@@ -349,15 +349,24 @@ def load_graph(path, fmt: str | None = None) -> tuple[Graph, list[int]]:
         fmt = "dimacs" if path.suffix.lower() == ".col" else "edgelist"
     if fmt not in ("dimacs", "edgelist"):
         raise ValueError(f"unknown format {fmt!r}")
-    data = path.read_bytes()
     try:
-        text = data.decode()
+        text = read_utf8(path)
+    except UnicodeError as exc:
+        raise GraphParseError(f"line {exc}") from None
+    return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
+
+
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; ``UnicodeError("L: byte 0xNN is not
+    UTF-8")`` naming the line L of its first other byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
     except UnicodeDecodeError as exc:
         # The "?" stands for the bad byte, so the count includes its line.
         lineno = len((data[:exc.start].decode() + "?").splitlines())
-        raise GraphParseError(f"line {lineno}: byte 0x{data[exc.start]:02x} "
-                              "is not UTF-8") from None
-    return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
+        raise UnicodeError(f"{lineno}: byte 0x{data[exc.start]:02x} "
+                           "is not UTF-8") from None
 
 
 def check_fix(strategy):

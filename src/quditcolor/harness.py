@@ -201,14 +201,16 @@ def stats_to_dict(stats: BatchStats, graph: Graph, hp: Hyperparameters,
     }
 
 
+def setting_value(value):
+    """A setting's value in the form that a config file reads back."""
+    return "none" if value is None else getattr(value, "spec", value)
+
+
 def hp_to_dict(hp: Hyperparameters) -> dict:
     """The settings of ``hp`` by setting name, in values that a config file
     reads back to ``hp``."""
-    out = {}
-    for field_name, name in SETTING_NAMES.items():
-        value = getattr(hp, field_name)
-        out[name] = "none" if value is None else getattr(value, "spec", value)
-    return out
+    return {name: setting_value(getattr(hp, field_name))
+            for field_name, name in SETTING_NAMES.items()}
 
 
 def write_trajectory_csv(path, records: list[RunRecord]) -> None:

@@ -10,19 +10,36 @@ held at t = 1 with one step per stage and a patience stop.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from .energy import draw_couplings, potts_energy
 from .gradient import CostWorkspace
-from .graph import Graph, check_fix, select_fixed_node
+from .graph import Graph, check_fix, parse_fix, select_fixed_node
 from .optimizer import Adam
 from .qudits import (Forward, build_ops, forward, init_qdgd_state,
                      init_qdlqa_state)
+
+# A declared type -> the values that it accepts (a bool is neither an int
+# nor a real here) and what an error calls them
+_ACCEPTS = {int: ((int, np.integer), "an integer"),
+            float: (numbers.Real, "a real number"),
+            bool: ((bool, np.bool_), "True or False")}
+
+
+def _typed(name: str, kind: type, value):
+    """``value`` as ``kind`` (int, float or bool), a numpy scalar too;
+    ``ValueError`` naming ``name`` if ``_ACCEPTS`` does not list it."""
+    accepted, noun = _ACCEPTS[kind]
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -32,6 +49,7 @@ class ConstantAlpha:
     steps: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "steps", _typed("alpha", int, self.steps))
         if self.steps < 1:
             raise ValueError("alpha must be >= 1")
 
@@ -53,6 +71,8 @@ class ExponentialAlpha:
     cap: int = 7
 
     def __post_init__(self):
+        object.__setattr__(self, "rate", _typed("alpha rate", float, self.rate))
+        object.__setattr__(self, "cap", _typed("alpha cap", int, self.cap))
         if not math.isfinite(self.rate):
             raise ValueError(f"alpha rate must be finite, got {self.rate!r}")
         if self.cap < 1:
@@ -93,38 +113,59 @@ def parse_alpha(text) -> ConstantAlpha | ExponentialAlpha:
     return ConstantAlpha(steps)
 
 
+def _setting(default=MISSING, *, help: str, name: str | None = None,
+             parse: Callable | None = None, ignored_by: str | None = None,
+             flag: dict | None = None):
+    """A ``Hyperparameters`` field that declares a setting: its ``name``
+    (config-file key, flag and stats JSON key) where it is not the field's,
+    its flag's ``help``, the ``parse`` of its text (else the text is read
+    as the declared type), the method that it is ``ignored_by`` and the
+    extra ``add_argument`` keywords of its solve and sweep ``flag``."""
+    return field(default=default, metadata={
+        "name": name, "help": help, "parse": parse, "ignored_by": ignored_by,
+        "flag": flag or {}})
+
+
 @dataclass(frozen=True)
 class Hyperparameters:
     """Everything a batch needs; defaults are the values that work well on
     most mid-size instances.  Invalid values raise ``ValueError``."""
 
-    method: str  # "qdlqa" | "qdgd"
-    num_colors: int
-    n_steps: int = 1000
-    gamma: float = 1.0
-    alpha: ConstantAlpha | ExponentialAlpha = ConstantAlpha(1)
-    eta: float = 0.5
-    f: float = 0.0
-    f_tilde: float = 1.0
-    h: float = 3.0
-    n_runs: int = 100
-    patience: int = 100
-    fix_strategy: str | int | None = "max_degree"
-    master_seed: int = 0
-    include_t_end: bool = False
+    method: str = _setting(help="qdlqa (annealing, the default) or qdgd",
+                           flag={"choices": ["qdlqa", "qdgd"]})
+    # read as text by the CLI, where sweep takes a range LO:HI
+    num_colors: int = _setting(name="colors", help="number of colors (sweep: LO:HI)",
+                               flag={"type": str})
+    n_steps: int = _setting(1000, name="steps", help="outer steps / step budget")
+    gamma: float = _setting(1.0, help="regularizer weight")
+    alpha: ConstantAlpha | ExponentialAlpha = _setting(
+        ConstantAlpha(1), help="inner steps per time: N or exp:RATE:CAP",
+        parse=parse_alpha, ignored_by="qdgd")
+    eta: float = _setting(0.5, help="learning rate")
+    f: float = _setting(0.0, help="annealing init angle noise", ignored_by="qdgd")
+    f_tilde: float = _setting(1.0, help="gradient-descent init scale", ignored_by="qdlqa")
+    h: float = _setting(3.0, help="coupling noise cap")
+    n_runs: int = _setting(100, name="runs", help="independent runs per batch")
+    patience: int = _setting(100, help="qdgd early stop: steps without improvement",
+                             ignored_by="qdlqa")
+    fix_strategy: str | int | None = _setting(
+        "max_degree", name="fix", help="fixed node: max_degree|degree_one|none|INDEX",
+        parse=parse_fix)
+    master_seed: int = _setting(0, name="seed", help="master seed")
+    include_t_end: bool = _setting(False, ignored_by="qdgd",
+                                   help="also optimize at t = 1 (annealing endpoint)")
 
     def __post_init__(self):
         if self.method not in ("qdlqa", "qdgd"):
             raise ValueError(f"method must be qdlqa or qdgd, got {self.method!r}")
-        for name in ("num_colors", "n_steps", "n_runs", "patience", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("gamma", "eta", "f", "f_tilde", "h"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        # an int, float or bool setting is stored as its declared type, so
+        # the stats JSON holds it as given
+        for name, kind in SETTING_TYPES.items():
+            if kind in _ACCEPTS:
+                value = _typed(name, kind, getattr(self, name))
+                if kind is float and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+                object.__setattr__(self, name, value)
         if self.num_colors < 2:
             raise ValueError("colors must be >= 2")
         if self.n_steps < 1:
@@ -148,12 +189,10 @@ class Hyperparameters:
         object.__setattr__(self, "fix_strategy", check_fix(self.fix_strategy))
 
 
-# Each Hyperparameters field by its name as a setting (config-file key, flag
-# and stats JSON key), in field order; most fields go by their own name.
-SETTING_NAMES = {f.name: {"num_colors": "colors", "n_steps": "steps",
-                          "n_runs": "runs", "fix_strategy": "fix",
-                          "master_seed": "seed"}.get(f.name, f.name)
-                 for f in fields(Hyperparameters)}
+# Each Hyperparameters field by its name as a setting, in field order, and
+# by its declared type.
+SETTING_NAMES = {f.name: f.metadata["name"] or f.name for f in fields(Hyperparameters)}
+SETTING_TYPES = get_type_hints(Hyperparameters)
 
 
 @dataclass

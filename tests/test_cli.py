@@ -82,6 +82,39 @@ def test_help_lists_every_flag(capsys, command):
     assert flags and all(flag in text for flag in flags)
 
 
+_SETTING_FLAGS = ["--method", "--colors", "--steps", "--gamma", "--alpha",
+                  "--eta", "--f", "--f-tilde", "--h", "--runs", "--patience",
+                  "--fix", "--seed", "--workers", "--include-t-end", "--config",
+                  "--out", "--trajectories", "--coloring", "--quiet"]
+
+
+def test_cli_surface_is_pinned(queen55_col, tmp_path, capsys):
+    # the flags in --help order, the config block's keys and argparse's
+    # exit code for a bad choice are what scripts and config files rely on
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    instance = ["-h", "--help", "--graph", "--format"]
+    assert {name: [flag for action in commands[name]._actions
+                   for flag in action.option_strings]
+            for name in ("solve", "sweep", "gradcheck")} == {
+        "solve": instance + _SETTING_FLAGS,
+        "sweep": instance + _SETTING_FLAGS + ["--force-full"],
+        "gradcheck": instance + ["--colors", "--points", "--step", "--tol",
+                                 "--gamma", "--h", "--fix", "--t", "--seed"],
+    }
+    out = tmp_path / "pin.json"
+    assert main(solve_args(queen55_col, "--colors", "5", "--runs", "1",
+                           "--steps", "5", "--out", str(out))) == 0
+    assert list(json.loads(out.read_text())["config"]) == [
+        "method", "colors", "steps", "gamma", "alpha", "eta", "f", "f_tilde",
+        "h", "runs", "patience", "fix", "seed", "include_t_end",
+        "graph_file", "format", "workers"]
+    with pytest.raises(SystemExit) as caught:
+        main(solve_args(queen55_col, "--colors", "5", "--method", "foo"))
+    assert caught.value.code == 2
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
 def test_gradcheck_defaults_are_the_settings_defaults():
     args = build_parser().parse_args(["gradcheck", "--colors", "3"])
     defaults = {f.name: f.default for f in fields(Hyperparameters)}
@@ -186,6 +219,15 @@ def test_config_file_type_mismatch(tmp_path):
             read_config_file(cfg)
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_config_file_that_is_not_utf8_is_one_error_line(queen55_col, tmp_path,
+                                                        capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"colors = 5\n# caf\xe9\n")
+    assert main([command, "--graph", str(queen55_col), "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}:2: byte 0xe9 is not UTF-8\n")
+
+
 def test_config_file_boolean_spellings(tmp_path):
     cfg = tmp_path / "run.cfg"
     for text, value in [("1", True), ("TRUE", True), ("Yes", True),
@@ -231,6 +273,13 @@ def test_recorded_settings_read_back(tmp_path_factory, hp):
     cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in recorded.items()))
     config = load_config(argparse.Namespace(config=str(cfg), graph="g.col"))
+    assert config_to_hp(config, int(config.colors)) == hp
+    # ... and so do the same values given as solve flags
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in recorded.items()
+             if key != "include_t_end"]
+    flags += ["--include-t-end"] if recorded["include_t_end"] else []
+    config = load_config(build_parser().parse_args(["solve", "--graph", "g.col",
+                                                    *flags]))
     assert config_to_hp(config, int(config.colors)) == hp
 
 

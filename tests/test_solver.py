@@ -83,6 +83,58 @@ def test_numpy_integer_count_is_stored_as_int(name):
     assert json.loads(json.dumps(hp_to_dict(hp)))[solver.SETTING_NAMES[name]] == 3
 
 
+@pytest.mark.parametrize("name, value, message", [
+    # "no" is truthy: it added the t = 1 stage and was recorded as "no"
+    ("include_t_end", "no", "include_t_end must be True or False, got 'no'"),
+    ("include_t_end", 1, "include_t_end must be True or False, got 1"),
+    ("gamma", True, "gamma must be a real number, got True"),
+    ("eta", "0.5", "eta must be a real number, got '0.5'"),
+    ("h", None, "h must be a real number, got None"),
+])
+def test_setting_of_another_type_raises_at_construction(name, value, message):
+    with pytest.raises(ValueError) as caught:
+        Hyperparameters(**{"method": "qdlqa", "num_colors": 3, name: value})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("name, value, stored", [
+    ("gamma", np.float32(0.5), 0.5), ("h", 2, 2.0), ("f", np.int64(1), 1.0),
+    ("eta", np.float64(0.25), 0.25), ("include_t_end", np.bool_(True), True),
+])
+def test_setting_is_stored_as_its_declared_type(name, value, stored):
+    hp = Hyperparameters(**{"method": "qdlqa", "num_colors": 3, name: value})
+    assert type(getattr(hp, name)) is type(stored)
+    assert getattr(hp, name) == stored
+    assert json.loads(json.dumps(hp_to_dict(hp)))[name] == stored
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ConstantAlpha(2.5), "alpha must be an integer, got 2.5"),
+    (lambda: ConstantAlpha(True), "alpha must be an integer, got True"),
+    (lambda: ExponentialAlpha(2.0, 2.5), "alpha cap must be an integer, got 2.5"),
+    (lambda: ExponentialAlpha(2.0, 7.0), "alpha cap must be an integer, got 7.0"),
+    (lambda: ExponentialAlpha(True, 7), "alpha rate must be a real number, got True"),
+    (lambda: ExponentialAlpha("2", 7), "alpha rate must be a real number, got '2'"),
+])
+def test_alpha_schedule_of_another_type_raises(make, message):
+    # a float count constructed, then failed mid-run; "exp:2:2.5" read back
+    # from no spec
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+def test_alpha_schedule_stores_plain_numbers():
+    constant = ConstantAlpha(np.int64(2))
+    exponential = ExponentialAlpha(np.int64(2), np.int32(7))
+    assert type(constant.steps) is int
+    assert (type(exponential.rate), type(exponential.cap)) == (float, int)
+    assert exponential.spec == "exp:2:7"
+    for alpha in (constant, exponential):
+        hp = Hyperparameters(method="qdlqa", num_colors=3, alpha=alpha)
+        assert parse_alpha(json.loads(json.dumps(hp_to_dict(hp)))["alpha"]) == alpha
+
+
 def test_parse_alpha():
     assert parse_alpha("1") == ConstantAlpha(1)
     assert parse_alpha("exp:2:7") == ExponentialAlpha(2.0, 7)
