@@ -170,6 +170,8 @@ def _resolved_config_dict(config: RunConfig, hp: Hyperparameters) -> dict:
 
 def _read_graph(path, fmt):
     """Load an instance, printing each of its ``GraphWarning``s on stderr."""
+    if path is None:
+        raise ConfigError("an input graph is required (--graph)")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", GraphWarning)
         graph, original_ids = load_graph(path, fmt)
@@ -291,6 +293,7 @@ def _cmd_gradcheck(args) -> int:
     for _ in range(args.points):
         t = float(rng.uniform(0.0, 1.0)) if args.t is None else args.t
         angles = rng.uniform(-np.pi, np.pi, size=(n_free, args.colors - 1))
+        angles = np.pad(angles, ((0, 0), (0, 1)))  # the zero pad column
         if fixed is not None:  # the pinned node's row is all zeros
             angles = np.insert(angles, fixed, 0.0, axis=0)
         hvals = draw_couplings(graph, hp.h, rng)

@@ -38,11 +38,13 @@ class CostWorkspace:
     the first k copies.  Each value is reduced over its own run alone, so
     a run's numbers do not depend on the group.
 
-    The angles are a (k, V, c-1) stack, one (V, c-1) matrix per run with a
-    row per node in ascending order.  The pinned node's row (if any) is all
-    zeros, which the spherical map sends to exactly (1, 0, ..., 0), i.e.
+    The angles are a (k, V, c) stack, one (V, c) matrix per run with a
+    row per node in ascending order, in the padded layout of ``qudits``:
+    c-1 angles and a last column of 0.  The pinned node's row (if any) is
+    all zeros, which the spherical map sends to exactly (1, 0, ..., 0), i.e.
     color 0; ``value_and_grad`` gives that row a gradient of exactly 0 in
-    every run, so Adam never moves it.  A step maps the angles once with
+    every run, and so does the pad column of every row, so Adam never moves
+    either.  A step maps the angles once with
     ``qudits.forward`` and hands the result to both ``value_and_grad`` and
     ``coloring``.
 
@@ -108,7 +110,9 @@ class CostWorkspace:
                        hvals: np.ndarray):
         """Cost of each of the k runs that ``fwd`` maps, as a function that
         returns a list of k floats when called, and the gradient w.r.t.
-        their (k, V, c-1) angle stack, with the pinned node's rows exactly 0.
+        their padded (k, V, c) angle stack, with the pinned node's rows and
+        the pad column exactly 0.  The angles must be in that layout, with
+        their pad at 0; on the step path this is not checked.
 
         Adam reads only the gradient, so the costs are computed only when the
         returned function is called; each call returns the same list. ``hvals``
@@ -133,7 +137,7 @@ class CostWorkspace:
         # gradient (= log(max(p, LOG_CLAMP)))
         logp = np.log(np.maximum(p, PLOGP_FLOOR))
         logc = np.maximum(logp, _LOG_OF_CLAMP)
-        off, cm1 = self.lx_offdiag, s.shape[-1]
+        off, cm1 = self.lx_offdiag, psi.shape[-1] - 1
 
         def values():
             e_f = np.einsum("rij,rij->r", p, acc)
@@ -161,13 +165,18 @@ class CostWorkspace:
             lxpsi *= 2.0 * (1.0 - t)
             gpsi -= lxpsi.reshape(psi.shape)
 
-        # chain rule to angles: backward recursion over the angle index
+        # chain rule to angles: backward recursion over the angle index,
+        # with the pad's entry held at 0
         back = np.empty_like(s)
+        back[..., cm1] = 0.0
         back[..., cm1 - 1] = gpsi[..., cm1]
         for a in range(cm1 - 2, -1, -1):
             back[..., a] = (gpsi[..., a + 1] * u[..., a + 1]
                             + s[..., a + 1] * back[..., a + 1])
-        gphi = r[..., :cm1] * (u * back - gpsi[..., :cm1] * s)
+        gphi = u * back
+        gphi -= np.multiply(gpsi, s, out=gpsi)
+        gphi *= r
+        gphi[..., cm1] = 0.0
         if self.fixed_node is not None:
             gphi[:, self.fixed_node] = 0.0
         return values, gphi
@@ -195,27 +204,34 @@ class GradientCheckReport:
 def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
                    t: float, gamma: float, hvals: np.ndarray,
                    step: float = 1e-5, tol: float = 1e-4) -> GradientCheckReport:
-    """Compare the analytic gradient at the (V, c-1) ``angles``, time t,
-    weight gamma and (E,) couplings ``hvals`` against central finite
+    """Compare the analytic gradient at the padded (V, c) ``angles``, time
+    t, weight gamma and (E,) couplings ``hvals`` against central finite
     differences of the ``energy_total`` oracle at the same values.
 
-    Only the free nodes' angles are compared: the pinned node's row (if
-    any) is held at its zeros, and ``clamp_flags`` lists the free nodes'
-    angles in row order.  Components belonging to nodes with a near-zero
-    probability are flagged rather than failed (the log clamp makes them
-    incomparable).
+    Only the free nodes' c-1 angles are compared: the pinned node's row (if
+    any) is held at its zeros, the pad is no angle of the map, and
+    ``clamp_flags`` lists the free nodes' angles in row order.  Components
+    belonging to nodes with a near-zero probability are flagged rather than
+    failed (the log clamp makes them incomparable).  ``ValueError`` if the
+    angles are not (V, c) or their pad column is not all 0.
     """
     if not 1e-7 <= step <= 1e-3:
         raise ValueError("finite-difference step must be in [1e-7, 1e-3]")
     graph, off = workspace.graph, workspace.lx_offdiag
-    free = [i for i in range(graph.num_nodes) if i != workspace.fixed_node]
     angles = np.array(angles, dtype=np.float64)  # perturbed below
+    shape = (graph.num_nodes, off.size + 1)
+    if angles.shape != shape:
+        raise ValueError(f"angles must be {shape}: c-1 angles and a zero pad "
+                         f"per node, got {angles.shape}")
+    if np.any(angles[:, -1] != 0.0):
+        raise ValueError("the angles' pad column must be all 0")
+    free = [i for i in range(graph.num_nodes) if i != workspace.fixed_node]
     _, gphi = workspace.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
-    analytic = gphi[0, free].ravel()
+    analytic = gphi[0, free, :-1].ravel()
 
     flat = angles.ravel()
     fd = np.empty_like(analytic)
-    for j, k in enumerate(np.arange(flat.size).reshape(angles.shape)[free].ravel()):
+    for j, k in enumerate(np.arange(flat.size).reshape(shape)[free, :-1].ravel()):
         saved = flat[k]
         flat[k] = saved + step
         e_plus = energy_total(forward(angles).psi, graph, off, t, gamma, hvals)
@@ -228,7 +244,7 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
     rel = np.abs(analytic - fd) / denom
 
     p_min = (forward(angles).psi[free] ** 2).min(axis=1)
-    clamp_flags = np.repeat(p_min < CLAMP_FLAG_THRESHOLD, angles.shape[1])
+    clamp_flags = np.repeat(p_min < CLAMP_FLAG_THRESHOLD, off.size)
     clean = rel[~clamp_flags]
     max_rel = float(clean.max()) if clean.size else 0.0
     return GradientCheckReport(max_rel_error=max_rel, clamp_flags=clamp_flags,

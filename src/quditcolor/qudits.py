@@ -5,6 +5,11 @@ constructions for both solution strategies.
 Each node carries a real unit vector of length c (one component per color),
 parameterized by c-1 unconstrained angles.  Basis ordering is by ascending
 eigenvalue m of the z angular-momentum matrix; color index = m + (c-1)/2.
+
+Every angle array has c columns per node: the c-1 angles and a pad held at
+exactly 0.  Its sine is 0 and its cosine 1, so color j's amplitude is
+psi_j = cos(phi_j) * prod_{i<j} sin(phi_i) for every j, the last included,
+and each per-step array operation covers a whole contiguous array.
 """
 
 from __future__ import annotations
@@ -45,34 +50,38 @@ def lx_ground_state(c: int) -> np.ndarray:
 
 
 class Forward(NamedTuple):
-    """The spherical map of a stack of k runs' angles, as every consumer
-    reads it (k = 1 for a single run), V rows each."""
+    """The spherical map of a stack of k runs' padded angles, as every
+    consumer reads it (k = 1 for a single run), V rows each."""
 
     psi: np.ndarray       # (k, V, c) amplitudes, one row per node
-    sin: np.ndarray       # (k, V, c-1) sines of the angles
-    cos: np.ndarray       # (k, V, c-1) cosines of the angles
+    sin: np.ndarray       # (k, V, c) sines of the angles, 0 in the pad
+    cos: np.ndarray       # (k, V, c) cosines of the angles, 1 in the pad
     prefix: np.ndarray    # (k, V, c) prefix sine products
 
 
 def forward(phi: np.ndarray) -> Forward:
-    """Spherical map over the last axis of the (..., c-1) angles ``phi``;
-    psi and the prefix products have c entries on that axis.  Every array
-    is new."""
+    """Spherical map over the last axis of the padded (..., c) angles
+    ``phi``, whose last column must be 0 (not checked: this is the step
+    path).  Every array is new."""
     s = np.sin(phi)
     u = np.cos(phi)
-    r = np.empty((*phi.shape[:-1], phi.shape[-1] + 1))
-    r[..., 0] = 1.0
-    np.cumprod(s, axis=-1, out=r[..., 1:])
-    psi = np.empty_like(r)
-    np.multiply(r[..., :-1], u, out=psi[..., :-1])
-    psi[..., -1] = r[..., -1]
-    return Forward(psi, s, u, r)
+    # the products of np.cumprod, in its order, one column at a time over
+    # all node rows as one 2-D array: numpy sets up a loop per call, which
+    # cumprod pays once per (short) row.  r is C-ordered, so ``rows`` is a
+    # view of it whatever the layout of phi.
+    r = np.empty(s.shape)
+    rows, sines = r.reshape(-1, r.shape[-1]), s.reshape(-1, s.shape[-1])
+    rows[:, 0] = 1.0
+    rows[:, 1] = sines[:, 0]
+    for a in range(1, rows.shape[1] - 1):
+        np.multiply(rows[:, a], sines[:, a], rows[:, a + 1])
+    return Forward(r * u, s, u, r)
 
 
 def amplitudes_to_angles(psi: np.ndarray) -> np.ndarray:
     """Invert the spherical map for a unit vector (c,), a batch of them
     (n, c), or k batches stacked as (k, n, c); the angles keep the leading
-    shape, c-1 per vector.
+    shape, c-1 per vector and the zero pad, so ``forward`` reads them.
 
     Uses phi_k = atan2(||tail||, psi_k) so all but the final angle land in
     [0, pi]; once the remaining tail norm drops below 1e-14 the rest of the
@@ -97,12 +106,16 @@ def amplitudes_to_angles(psi: np.ndarray) -> np.ndarray:
         out[:, -1] = np.arctan2(batch[:, -1], batch[:, -2])
     degenerate = tail[:, :-1] < _DEGENERATE_TAIL
     phi[degenerate] = 0.0
-    return phi.reshape(*psi.shape[:-1], c - 1)
+    # the pad is added once to the whole array, not per batch
+    angles = np.zeros((rows.shape[0], c))
+    angles[:, :-1] = phi
+    return angles.reshape(psi.shape)
 
 
 @lru_cache(maxsize=None)
 def _ground_state_angles(c: int) -> np.ndarray:
-    """Angles of the -Lx ground state, computed once per c (read-only)."""
+    """Padded angles of the -Lx ground state, computed once per c
+    (read-only)."""
     base = amplitudes_to_angles(lx_ground_state(c))
     base.flags.writeable = False
     return base
@@ -110,26 +123,27 @@ def _ground_state_angles(c: int) -> np.ndarray:
 
 def init_qdlqa_state(n_free: int, c: int, f: float,
                      rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Annealing start: (k, n_free, c-1) angles near the -Lx ground state,
-    one (n_free, c-1) block per generator in ``rngs``, in order.
+    """Annealing start: (k, n_free, c) padded angles near the -Lx ground
+    state, one block per generator in ``rngs``, in order.
 
     Each angle is the ground-state angle plus i.i.d. uniform noise in
-    [-f, f), drawn from its block's generator.  The pinned node, if any,
-    owns no row here; the solver inserts its row of zeros.
+    [-f, f), drawn from its block's generator as one (n_free, c-1) array;
+    the pad stays 0.  The pinned node, if any, owns no row here; the solver
+    inserts its row of zeros.
     """
     if f < 0:
         raise ValueError("perturbation f must be >= 0")
     angles = np.tile(_ground_state_angles(c), (len(rngs), n_free, 1))
     if f > 0:
-        angles += np.stack([rng.uniform(-f, f, size=(n_free, c - 1))
-                            for rng in rngs])
+        angles[..., :-1] += np.stack([rng.uniform(-f, f, size=(n_free, c - 1))
+                                      for rng in rngs])
     return angles
 
 
 def init_qdgd_state(n_free: int, c: int, f_tilde: float,
                     rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Gradient-descent start: (k, n_free, c-1) angles of random amplitudes,
-    one (n_free, c-1) block per generator in ``rngs``, in order.
+    """Gradient-descent start: (k, n_free, c) padded angles of random
+    amplitudes, one (n_free, c) block per generator in ``rngs``, in order.
 
     Per row, c entries are drawn uniformly from [0, f_tilde) and the vector
     is normalized; each block's all-zero draws are redrawn from its own

@@ -95,6 +95,14 @@ class ExponentialAlpha:
         return f"exp:{rate}:{self.cap}"
 
 
+def _read_number(name: str, kind: type, noun: str, text: str):
+    """``text`` read as ``kind``; ``ValueError`` naming ``name`` if it is not."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {noun}, got {text!r}") from None
+
+
 def parse_alpha(text) -> ConstantAlpha | ExponentialAlpha:
     """"N" -> constant schedule; "exp:RATE:CAP" -> exponential schedule."""
     text = str(text).strip()
@@ -103,14 +111,12 @@ def parse_alpha(text) -> ConstantAlpha | ExponentialAlpha:
         if len(parts) != 3:
             raise ValueError(f"alpha schedule {text!r} must be exp:RATE:CAP")
         try:
-            return ExponentialAlpha(rate=float(parts[1]), cap=int(parts[2]))
+            return ExponentialAlpha(
+                rate=_read_number("alpha rate", float, "a number", parts[1]),
+                cap=_read_number("alpha cap", int, "an integer", parts[2]))
         except ValueError as exc:
             raise ValueError(f"bad alpha schedule {text!r}: {exc}") from None
-    try:
-        steps = int(text)
-    except ValueError:
-        raise ValueError(f"alpha must be an integer or exp:RATE:CAP, got {text!r}") from None
-    return ConstantAlpha(steps)
+    return ConstantAlpha(_read_number("alpha", int, "an integer or exp:RATE:CAP", text))
 
 
 def _setting(default=MISSING, *, help: str, name: str | None = None,
@@ -336,7 +342,8 @@ GROUP_ANGLES = 10_000
 
 def group_size(num_nodes: int, num_colors: int) -> int:
     """Most runs to step together on V nodes with c colors: a run holds
-    V*(c-1) angles, the pinned node's included."""
+    V*(c-1) angles, the pinned node's included, and a zero pad per node,
+    which this count leaves out."""
     return max(1, GROUP_ANGLES // (num_nodes * (num_colors - 1)))
 
 
@@ -386,7 +393,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     the group it is in.
 
     Every per-run array is a stack with the run as its first axis: the
-    angles (k, V, c-1), Adam's two moments, the four ``Forward`` arrays
+    padded angles (k, V, c), Adam's two moments, the four ``Forward`` arrays
     and the couplings drawn ahead (k, block, E), and a run that leaves is
     dropped from each of them with the same mask.  The angles are mapped
     to amplitudes once per step: the forward map taken after an Adam step

@@ -115,9 +115,16 @@ def small_graphs(draw):
     return Graph.from_edges(n, list(zip(order, order[1:])) + extra)
 
 
+def padded(phi) -> np.ndarray:
+    """(..., c-1) angles in the (..., c) layout of ``qudits``: a last
+    column of zeros appended."""
+    phi = np.asarray(phi, dtype=np.float64)
+    return np.concatenate([phi, np.zeros((*phi.shape[:-1], 1))], axis=-1)
+
+
 def amplitudes(phi) -> np.ndarray:
-    """The unit amplitude vector of an angle vector of length c-1, or the
-    (..., c) amplitudes of a (..., c-1) angle array."""
+    """The unit amplitude vector of a padded angle vector of length c, or
+    the (..., c) amplitudes of a padded (..., c) angle array."""
     return forward(np.asarray(phi, dtype=np.float64)).psi
 
 

@@ -23,8 +23,8 @@ from quditcolor.harness import run_batch, sweep_colors
 from quditcolor.qudits import build_ops, lx_ground_state
 from quditcolor.solver import Hyperparameters
 
-from instances import (amplitudes, lx_matrix, myciel_graph, qdlqa_start,
-                       queen_graph, random_graph)
+from instances import (amplitudes, lx_matrix, myciel_graph, padded,
+                       qdlqa_start, queen_graph, random_graph)
 
 pytestmark = pytest.mark.acceptance
 
@@ -108,7 +108,7 @@ def test_criterion_5_gradient_correctness():
         ws = CostWorkspace(graph, build_ops(c), fixed)
         for _ in range(points):
             angles = rng.uniform(-np.pi, np.pi, size=(graph.num_nodes - 1, c - 1))
-            angles = np.insert(angles, fixed, 0.0, axis=0)  # the pinned row
+            angles = np.insert(padded(angles), fixed, 0.0, axis=0)  # the pinned row
             t = float(rng.uniform(0, 1))
             rep = check_gradient(ws, angles, t, 1.0, draw_couplings(graph, 3.0, rng),
                                  step=1e-5, tol=1e-4)
@@ -150,7 +150,7 @@ def test_criterion_7_invariant_suite():
     worst_norm = worst_simplex = worst_gs = 0.0
     for c in range(2, 71):
         phi = rng.uniform(-10, 10, size=(3, c - 1))
-        psi = amplitudes(phi)
+        psi = amplitudes(padded(phi))
         worst_norm = max(worst_norm,
                          float(np.abs(np.linalg.norm(psi, axis=1) - 1).max()))
         worst_simplex = max(worst_simplex,

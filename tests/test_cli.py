@@ -155,6 +155,17 @@ def test_solve_requires_colors(queen55_col, capsys):
     assert "colors" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve", "--colors", "5"],
+                                     ["sweep", "--colors", "5"],
+                                     ["gradcheck", "--colors", "5"], ["info"]],
+                         ids=["solve", "sweep", "gradcheck", "info"])
+def test_missing_graph_is_config_error(capsys, command):
+    assert main(command) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", "error: an input graph is required (--graph)\n")
+
+
 def test_missing_file_is_io_error():
     code = main(["info", "--graph", "/nonexistent/foo.col"])
     assert code == 2
@@ -421,7 +432,8 @@ def test_gradcheck_honours_fix(queen55_col, capsys, monkeypatch, flags, fixed):
 
     def spy(workspace, angles, *args, **kwargs):
         zero_rows = np.flatnonzero(~angles.any(axis=1)).tolist()
-        seen.append((workspace.fixed_node, angles.shape, zero_rows))
+        seen.append((workspace.fixed_node, angles.shape, zero_rows,
+                     angles[:, -1].any()))
         return check_gradient(workspace, angles, *args, **kwargs)
 
     monkeypatch.setattr(cli, "check_gradient", spy)
@@ -429,8 +441,9 @@ def test_gradcheck_honours_fix(queen55_col, capsys, monkeypatch, flags, fixed):
                  "--points", "2", *flags])
     assert code == 0
     assert "gradcheck OK" in capsys.readouterr().out
-    # every node has a row; the pinned one, and only it, is all zeros
-    assert seen == [(fixed, (25, 4), [] if fixed is None else [fixed])] * 2
+    # every node has a padded row, the pad 0; the pinned one, and only it,
+    # is all zeros
+    assert seen == [(fixed, (25, 5), [] if fixed is None else [fixed], False)] * 2
 
 
 def test_gradcheck_unresolvable_fix_is_solve_error(queen55_col, capsys):
@@ -539,6 +552,20 @@ def test_non_finite_setting_is_config_error(queen55_col, capsys, command,
     assert main([command, "--graph", str(queen55_col), "--colors", "5",
                  "--runs", "1", "--quiet", *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("exp:x:7", "alpha rate must be a number, got 'x'"),
+    ("exp:2:2.5", "alpha cap must be an integer, got '2.5'"),
+])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_alpha_part_that_is_no_number_is_named(queen55_col, capsys, command,
+                                               alpha, message):
+    assert main([command, "--graph", str(queen55_col), "--colors", "5",
+                 "--runs", "1", "--quiet", "--alpha", alpha]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", f"error: bad alpha schedule {alpha!r}: {message}\n")
 
 
 def test_overflowing_alpha_rate_runs_at_the_cap(queen55_col, tmp_path):

@@ -98,9 +98,9 @@ def test_energy_initial_ground_states():
 
 def test_energy_initial_basis_state_and_rotation():
     off = build_ops(2)
-    one_hot = amplitudes(np.array([[np.pi / 2]]))  # (0, 1)
+    one_hot = amplitudes(np.array([[np.pi / 2, 0.0]]))  # (0, 1)
     assert energy_initial(one_hot, off) == pytest.approx(0.0, abs=1e-12)
-    rotated = amplitudes(np.array([[np.pi / 4]]))
+    rotated = amplitudes(np.array([[np.pi / 4, 0.0]]))
     assert energy_initial(rotated, off) == pytest.approx(-0.5)
 
 

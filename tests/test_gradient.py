@@ -11,17 +11,18 @@ from quditcolor.gradient import (CLAMP_FLAG_THRESHOLD, CostWorkspace,
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.optimizer import Adam
 from quditcolor.qudits import (Forward, amplitudes_to_angles, build_ops,
-                               forward, init_qdlqa_state)
+                               forward, init_qdgd_state, init_qdlqa_state)
 
-from instances import (myciel_graph, path, queen_graph, random_graph,
+from instances import (myciel_graph, padded, path, queen_graph, random_graph,
                        small_graphs, star, triangle)
 
 
 def random_angles(graph, c, rng, fixed_node=None):
-    """(V, c-1) angles, uniform in [-pi, pi) but for the pinned node's
-    row of zeros; the free rows are drawn as one (n_free, c-1) block."""
+    """Padded (V, c) angles, uniform in [-pi, pi) but for the pinned node's
+    row of zeros and the zero pad; the free rows are drawn as one
+    (n_free, c-1) block."""
     n_free = graph.num_nodes - (fixed_node is not None)
-    angles = rng.uniform(-np.pi, np.pi, size=(n_free, c - 1))
+    angles = padded(rng.uniform(-np.pi, np.pi, size=(n_free, c - 1)))
     if fixed_node is None:
         return angles
     return np.insert(angles, fixed_node, 0.0, axis=0)
@@ -34,7 +35,7 @@ def pinned_workspace(graph, c):
 
 
 def zero_pinned_rows(ws, angles):
-    """``angles``, a (V, c-1) matrix or a (k, V, c-1) stack, with the
+    """``angles``, a (V, c) matrix or a (k, V, c) stack, with the
     pinned node's row of every run set to 0 in place."""
     if ws.fixed_node is not None:
         angles.reshape(-1, ws.graph.num_nodes, angles.shape[-1])[:, ws.fixed_node] = 0.0
@@ -43,11 +44,11 @@ def zero_pinned_rows(ws, angles):
 
 def finite_difference(ws, angles, t, gamma, hvals, step=1e-6):
     """Central differences of the oracle in every free angle of one run's
-    (V, c-1) angles; the pinned node's row is held fixed and its entries
-    are 0."""
+    padded (V, c) angles; the pinned node's row and the pad are held fixed
+    and their entries are 0."""
     flat = angles.ravel()
     out = np.zeros(flat.size)
-    free = zero_pinned_rows(ws, np.ones(angles.shape)).ravel()
+    free = zero_pinned_rows(ws, padded(np.ones_like(angles[:, :-1]))).ravel()
     for k in np.flatnonzero(free):
         saved = flat[k]
         flat[k] = saved + step
@@ -109,8 +110,9 @@ def test_gradient_layout_freezes_fixed_node():
     angles = random_angles(g, 4, np.random.default_rng(0), fixed_node=1)
     _, grad = ws.value_and_grad(forward(angles[None]), 0.6, 1.0,
                                 np.zeros((1, 3)))
-    assert grad.shape == (1, g.num_nodes, 3)
-    assert (grad[0, 1] == 0.0).all() and (grad[0, [0, 2]] != 0.0).all()
+    assert grad.shape == (1, g.num_nodes, 4)
+    assert (grad[0, 1] == 0.0).all() and (grad[0, [0, 2], :-1] != 0.0).all()
+    assert (grad[0, :, -1] == 0.0).all()
     np.testing.assert_array_equal(forward(angles).psi[1], [1, 0, 0, 0])
 
 
@@ -177,6 +179,21 @@ def test_check_gradient_rejects_bad_step():
     with pytest.raises(ValueError, match="step"):
         check_gradient(CostWorkspace(g, build_ops(3), None), angles, 1.0, 1.0,
                        np.zeros(g.num_edges), step=0.5)
+
+
+def test_check_gradient_rejects_angles_out_of_the_padded_layout():
+    g = triangle()
+    ws = CostWorkspace(g, build_ops(3), None)
+    angles = random_angles(g, 3, np.random.default_rng(0))
+    hvals = np.zeros(g.num_edges)
+    for bad in (angles[:, :-1], angles[:2], angles[None]):
+        with pytest.raises(ValueError, match=r"angles must be \(3, 3\)"):
+            check_gradient(ws, bad, 1.0, 1.0, hvals)
+    for value in (0.3, np.nan):
+        shifted = angles.copy()
+        shifted[1, -1] = value
+        with pytest.raises(ValueError, match="pad column must be all 0"):
+            check_gradient(ws, shifted, 1.0, 1.0, hvals)
 
 
 def test_workspace_reuse_matches_fresh():
@@ -247,7 +264,7 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     ws = CostWorkspace(g, build_ops(c), fixed)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=g.num_nodes * (c - 1),
                                          max_size=g.num_nodes * (c - 1))))
-    angles = zero_pinned_rows(ws, angles.reshape(g.num_nodes, c - 1))
+    angles = zero_pinned_rows(ws, padded(angles.reshape(g.num_nodes, c - 1)))
     t, gamma = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 2.0))
     hvals = draw_couplings(g, 3.0,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
@@ -264,7 +281,7 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
                                   [extract_coloring(forward(angles).psi)])
 
     # a later forward map leaves the one already held untouched
-    forward(angles[None] + 1.0)
+    forward(padded(angles[None, :, :-1] + 1.0))
     again, grad_again = ws.value_and_grad(fwd, t, gamma, hvals[None])
     assert again() == [value]
     np.testing.assert_array_equal(grad_again, grad)
@@ -279,7 +296,7 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
     ws = CostWorkspace(g, build_ops(c), fixed)
     size = g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
-    angles = zero_pinned_rows(ws, angles.reshape(-1, c - 1))
+    angles = zero_pinned_rows(ws, padded(angles.reshape(-1, c - 1)))
     h = data.draw(st.floats(0.0, 3.0))
     t, gamma = data.draw(st.sampled_from([0.0, 0.3, 1.0])), 0.0
     hvals = draw_couplings(g, h,
@@ -292,11 +309,13 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
 
 def _full_cost_and_grad(ws, fwd, t, gamma, hvals):
     """``value_and_grad`` written out with the start cost always computed,
-    and Lx psi on the per-node ``[..., :-1]``/``[..., 1:]`` views: the
-    reference for its t = 1 path and its flat Lx rows."""
+    Lx psi on the per-node ``[..., :-1]``/``[..., 1:]`` views and the chain
+    rule on the c-1 angles alone, the pad's gradient set to 0 after: the
+    reference for its t = 1 path, its flat Lx rows and its padded layout."""
     off = ws.lx_offdiag
     psi, s, u, r = fwd
     runs, cm1 = len(psi), off.size
+    s, u = s[..., :cm1], u[..., :cm1]
     p = psi ** 2
     acc = ws._neighbor_sum(p, hvals + 1.0)
     e_f = np.einsum("rij,rij->r", p, acc)
@@ -317,7 +336,9 @@ def _full_cost_and_grad(ws, fwd, t, gamma, hvals):
     for a in range(cm1 - 2, -1, -1):
         back[..., a] = (gpsi[..., a + 1] * u[..., a + 1]
                         + s[..., a + 1] * back[..., a + 1])
-    return values, zero_pinned_rows(ws, r[..., :cm1] * (u * back - gpsi[..., :cm1] * s))
+    gphi = np.zeros_like(psi)
+    gphi[..., :cm1] = r[..., :cm1] * (u * back - gpsi[..., :cm1] * s)
+    return values, zero_pinned_rows(ws, gphi)
 
 
 @settings(deadline=None, max_examples=150)
@@ -340,14 +361,15 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
     ws = CostWorkspace(g, build_ops(c), fixed, copies=runs)
     size = runs * g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
-    angles = zero_pinned_rows(ws, angles.reshape(runs, -1, c - 1))
-    # a non-finite value in one angle, or in all angles, of one run
+    angles = zero_pinned_rows(ws, padded(angles.reshape(runs, -1, c - 1)))
+    # a non-finite value in one angle, or in all angles, of one run; the
+    # pad stays 0
     bad = data.draw(st.one_of(
         st.none(), st.tuples(st.integers(0, runs - 1)),
         st.tuples(st.integers(0, runs - 1), st.integers(0, g.num_nodes - 1),
                   st.integers(0, c - 2))))
     if bad is not None:
-        angles[bad] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        angles[..., :-1][bad] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     finite = np.isfinite(angles).all(axis=(1, 2))
     gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
     t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
@@ -378,7 +400,7 @@ def test_values_read_the_floored_log_below_the_clamp(t):
     # a value read from that clamped log would differ from the cost
     g = triangle()
     ws = CostWorkspace(g, build_ops(3), None)
-    fwd = forward(np.array([[[1e-7, 0.4], [1.0, 2.0], [0.5, 1.3]]]))
+    fwd = forward(padded([[[1e-7, 0.4], [1.0, 2.0], [0.5, 1.3]]]))
     assert 0 < (fwd.psi[0, 0, 1:] ** 2).max() < LOG_CLAMP
     gamma = 1.0
     hvals = np.zeros((1, g.num_edges))
@@ -399,7 +421,7 @@ def test_pinned_rows_stay_frozen_in_every_copy(g, c, copies, data):
     ws = CostWorkspace(g, build_ops(c), fixed, copies=copies)
     size = copies * g.num_nodes * (c - 1)
     angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
-    angles = zero_pinned_rows(ws, angles.reshape(copies, -1, c - 1))
+    angles = zero_pinned_rows(ws, padded(angles.reshape(copies, -1, c - 1)))
     gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
     t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
@@ -414,6 +436,52 @@ def test_pinned_rows_stay_frozen_in_every_copy(g, c, copies, data):
     Adam(angles.shape, 0.5).step(angles, grad)
     pinned = angles[:, fixed]
     assert not np.signbit(pinned).any() and (pinned == 0.0).all()
+
+
+@settings(deadline=None, max_examples=100)
+@given(g=small_graphs(), c=st.integers(2, 6), runs=st.integers(1, 3),
+       data=st.data())
+def test_gradient_of_pad_and_pinned_rows_is_exactly_zero(g, c, runs, data):
+    # also in a run with a non-finite angle, whose other entries are NaN
+    fixed = data.draw(st.one_of(st.none(), st.integers(0, g.num_nodes - 1)))
+    ws = CostWorkspace(g, build_ops(c), fixed, copies=runs)
+    size = runs * g.num_nodes * (c - 1)
+    angles = np.array(data.draw(st.lists(_ANGLES, min_size=size, max_size=size)))
+    angles = zero_pinned_rows(ws, padded(angles.reshape(runs, -1, c - 1)))
+    if data.draw(st.booleans()):
+        angles[data.draw(st.integers(0, runs - 1)), :, 0] = np.nan
+    gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
+    t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+    hvals = np.stack([draw_couplings(g, h, rng) for _ in range(runs)])
+    with np.errstate(invalid="ignore"):
+        _, grad = ws.value_and_grad(forward(angles), t, gamma, hvals)
+    frozen = [grad[..., -1]] + ([] if fixed is None else [grad[:, fixed]])
+    for entries in frozen:
+        assert (entries == 0.0).all() and not np.signbit(entries).any()
+
+
+@settings(deadline=None, max_examples=30)
+@given(g=small_graphs(), c=st.integers(2, 6), runs=st.integers(1, 3),
+       method=st.sampled_from(["qdlqa", "qdgd"]), seed=st.integers(0, 2**32 - 1))
+def test_adam_steps_keep_the_pad_at_zero(g, c, runs, method, seed):
+    # 50 steps of the solver's loop: the pad's gradient, and so both moments
+    # and every update, are exactly +0, and the pad's angles stay +0
+    fixed = select_fixed_node(g, "max_degree")
+    ws = CostWorkspace(g, build_ops(c), fixed, copies=runs)
+    rngs = [np.random.default_rng([seed, r]) for r in range(runs)]
+    init = init_qdlqa_state if method == "qdlqa" else init_qdgd_state
+    angles = np.insert(init(g.num_nodes - 1, c, 0.3, rngs), fixed, 0.0, axis=1)
+    adam = Adam(angles.shape, 0.5)
+    for step in range(50):
+        t = step / 50 if method == "qdlqa" else 1.0
+        hvals = np.stack([draw_couplings(g, 3.0, rng) for rng in rngs])
+        _, grad = ws.value_and_grad(forward(angles), t, 1.0, hvals)
+        adam.step(angles, grad)
+    for pad in (angles[..., -1], adam.first_moment[..., -1],
+                adam.second_moment[..., -1]):
+        assert (pad == 0.0).all() and not np.signbit(pad).any()
+    assert np.isfinite(angles).all()
 
 
 def test_workspace_rejects_edges_and_states_it_cannot_index():
@@ -447,7 +515,7 @@ def test_unchecked_kernels_are_guarded_by_shape(runs, nodes, couplings):
     g = queen_graph(4, 4)
     ws = CostWorkspace(g, build_ops(3), None, copies=2)
     shape = (runs * g.num_nodes,) if nodes is None else (runs, nodes)
-    angles = np.random.default_rng(0).uniform(-np.pi, np.pi, (*shape, 2))
+    angles = padded(np.random.default_rng(0).uniform(-np.pi, np.pi, (*shape, 2)))
     p = forward(angles).psi ** 2
     hvals = np.zeros(couplings(g.num_edges))
     with pytest.raises(ValueError, match="expected 16 rows"):

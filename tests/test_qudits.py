@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quditcolor.graph import select_fixed_node
-from quditcolor.qudits import (amplitudes_to_angles, build_ops,
+from quditcolor.qudits import (amplitudes_to_angles, build_ops, forward,
                                init_qdgd_state, init_qdlqa_state,
                                lx_ground_state)
 
-from instances import amplitudes, lx_matrix, qdlqa_start
+from instances import amplitudes, lx_matrix, padded, qdlqa_start
 
 SQ2 = np.sqrt(2) / 2
 
@@ -23,12 +25,12 @@ def numeric_ground_state(c):
 
 
 def test_spherical_map_small_cases():
-    np.testing.assert_allclose(amplitudes(np.zeros(3)), [1, 0, 0, 0],
+    np.testing.assert_allclose(amplitudes(np.zeros(4)), [1, 0, 0, 0],
                                atol=1e-15)
-    np.testing.assert_allclose(amplitudes(np.array([np.pi / 4])),
+    np.testing.assert_allclose(amplitudes(np.array([np.pi / 4, 0.0])),
                                [SQ2, SQ2])
     np.testing.assert_allclose(
-        amplitudes(np.array([np.pi / 2, np.pi / 2])), [0, 0, 1],
+        amplitudes(np.array([np.pi / 2, np.pi / 2, 0.0])), [0, 0, 1],
         atol=1e-15)
 
 
@@ -36,15 +38,43 @@ def test_spherical_map_normalization_property():
     rng = np.random.default_rng(0)
     for c in (2, 3, 5, 11, 24, 70):
         phi = rng.uniform(-12.0, 12.0, size=(40, c - 1))
-        psi = amplitudes(phi)
+        psi = amplitudes(padded(phi))
         np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(c=st.integers(2, 12), rows=st.integers(1, 4), data=st.data())
+def test_forward_is_the_spherical_formula_bit_for_bit(c, rows, data):
+    # psi_j = cos(phi_j) * prod_{i<j} sin(phi_i) for every color j: the pad
+    # gives the last color a cosine of exactly 1; the sine products are
+    # taken left to right, as np.cumprod takes them
+    angle = st.one_of(st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi]),
+                      st.floats(-20.0, 20.0))
+    phi = padded(np.reshape(data.draw(st.lists(angle, min_size=rows * (c - 1),
+                                               max_size=rows * (c - 1))),
+                            (rows, c - 1)))
+    fwd = forward(phi)
+    s, u = np.sin(phi), np.cos(phi)
+    assert fwd.sin.tobytes() == s.tobytes() and fwd.cos.tobytes() == u.tobytes()
+    assert (s[:, -1] == 0.0).all() and (u[:, -1] == 1.0).all()
+    sines, cosines = s.tolist(), u.tolist()
+    expected = [[math.prod(row[:j]) * cos[j] for j in range(c)]
+                for row, cos in zip(sines, cosines)]
+    prefix = [[math.prod(row[:j]) for j in range(c)] for row in sines]
+    assert fwd.psi.shape == fwd.prefix.shape == (rows, c)
+    assert fwd.psi.tobytes() == np.array(expected).tobytes()
+    assert fwd.prefix.tobytes() == np.array(prefix).tobytes()
+    np.testing.assert_allclose(np.linalg.norm(fwd.psi, axis=1), 1.0, atol=1e-12)
+    # the same bits from a stack of angles in any memory layout
+    stack = np.asfortranarray(np.stack([phi, phi[::-1]]))
+    assert forward(stack).psi.tobytes() == np.stack([fwd.psi, fwd.psi[::-1]]).tobytes()
 
 
 def test_inverse_small_cases():
     np.testing.assert_allclose(amplitudes_to_angles(np.array([1.0, 0, 0])),
-                               [0.0, 0.0], atol=1e-15)
+                               [0.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(amplitudes_to_angles(np.array([SQ2, SQ2])),
-                               [np.pi / 4])
+                               [np.pi / 4, 0.0])
 
 
 def test_inverse_of_lx_ground_state():
@@ -72,8 +102,8 @@ def test_angle_round_trip_on_canonical_domain():
     for c in (3, 6, 13):
         phi = rng.uniform(0.05, np.pi - 0.05, size=(30, c - 1))
         phi[:, -1] = rng.uniform(-np.pi + 0.05, np.pi - 0.05, size=30)
-        back = amplitudes_to_angles(amplitudes(phi))
-        np.testing.assert_allclose(back, phi, atol=1e-10)
+        back = amplitudes_to_angles(amplitudes(padded(phi)))
+        np.testing.assert_allclose(back, padded(phi), atol=1e-10)
 
 
 def test_inverse_of_a_stack_is_each_batch_inverted():
@@ -83,13 +113,13 @@ def test_inverse_of_a_stack_is_each_batch_inverted():
                       for seed in (0, 1)])
     psi = draws / np.linalg.norm(draws, axis=2, keepdims=True)
     phi = amplitudes_to_angles(psi)
-    assert phi.shape == (2, 2, 2)
+    assert phi.shape == (2, 2, 3)
     assert phi.tobytes() == np.stack([amplitudes_to_angles(b) for b in psi]).tobytes()
 
 
 def test_degenerate_tail_maps_remaining_angles_to_zero():
     phi = amplitudes_to_angles(np.array([0.6, 0.8, 0.0, 0.0]))
-    assert phi[2] == 0.0
+    assert phi[2] == 0.0 and phi[3] == 0.0
     np.testing.assert_allclose(amplitudes(phi), [0.6, 0.8, 0, 0],
                                atol=1e-15)
 
@@ -137,7 +167,7 @@ def test_ground_state_matches_eigensolver():
 
 def test_init_qdlqa_unperturbed(k3):
     angles = init_qdlqa_state(2, 3, 0.0, [np.random.default_rng(0)])
-    assert angles.shape == (1, 2, 2)
+    assert angles.shape == (1, 2, 3)
     p = qdlqa_start(k3, 3, 0.0, np.random.default_rng(0)) ** 2
     fixed = select_fixed_node(k3, "max_degree")
     np.testing.assert_allclose(np.delete(p, fixed, axis=0),
@@ -161,7 +191,7 @@ def test_init_qdlqa_equals_uncached_formula(c, f):
         angles = init_qdlqa_state(7, c, f, [np.random.default_rng(seed)])
         expected = np.tile(amplitudes_to_angles(lx_ground_state(c)), (1, 7, 1))
         if f > 0:
-            expected += np.random.default_rng(seed).uniform(-f, f, size=(7, c - 1))
+            expected[..., :-1] += np.random.default_rng(seed).uniform(-f, f, size=(7, c - 1))
         assert angles.shape == expected.shape
         assert angles.tobytes() == expected.tobytes()
         angles += 1.0
@@ -169,7 +199,7 @@ def test_init_qdlqa_equals_uncached_formula(c, f):
 
 def test_init_qdlqa_no_fixed_node():
     # with no pinned node every node owns a row
-    assert init_qdlqa_state(3, 3, 0.0, [np.random.default_rng(0)]).shape == (1, 3, 2)
+    assert init_qdlqa_state(3, 3, 0.0, [np.random.default_rng(0)]).shape == (1, 3, 3)
 
 
 def test_init_qdgd_unit_norm_nonnegative():
@@ -211,7 +241,8 @@ def test_grouped_init_is_the_single_calls_stacked(init, n_free, c, scale, seeds)
     refs = [np.random.default_rng(seed) for seed in seeds]
     stacked = init(n_free, c, scale, rngs)
     singles = [init(n_free, c, scale, [ref]) for ref in refs]
-    assert stacked.shape == (len(seeds), n_free, c - 1)
+    assert stacked.shape == (len(seeds), n_free, c)
+    assert not stacked[..., -1].any()
     assert stacked.tobytes() == np.concatenate(singles).tobytes()
     assert [g.random() for g in rngs] == [g.random() for g in refs]
 

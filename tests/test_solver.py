@@ -146,6 +146,18 @@ def test_parse_alpha():
                          ("0", "alpha must be >= 1")]:
         with pytest.raises(ValueError, match=message):
             parse_alpha(bad)
+    # a part that is not a number is named, not Python's conversion message
+    for bad, message in [
+            ("exp:x:7", "bad alpha schedule 'exp:x:7': alpha rate must be a "
+                        "number, got 'x'"),
+            ("exp:2:2.5", "bad alpha schedule 'exp:2:2.5': alpha cap must be "
+                          "an integer, got '2.5'"),
+            ("exp:2:", "bad alpha schedule 'exp:2:': alpha cap must be an "
+                       "integer, got ''"),
+            ("fast", "alpha must be an integer or exp:RATE:CAP, got 'fast'")]:
+        with pytest.raises(ValueError) as caught:
+            parse_alpha(bad)
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("schedule, spec", [
