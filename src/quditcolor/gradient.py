@@ -3,8 +3,13 @@ angles, plus a central-finite-difference verifier.  Both take the cost's
 couplings from the caller, as the ``energy`` oracles do.
 
 The chain rule through the spherical parametrization is evaluated with a
-backward recursion over angle index (O(c) per node, no divisions), so it is
-stable at the coordinate poles where sine products vanish.
+backward recursion over the angle index a,
+back_a = gpsi_{a+1} cos(phi_{a+1}) + sin(phi_{a+1}) back_{a+1}
+(O(c) per node, no divisions), so it is stable at the coordinate poles
+where sine products vanish.  It runs on (c, k*V) column views of the
+(k, V, c) stacks, so a column of every node row of every run is one 1-D
+array: gpsi*cos is taken once on the whole stack, and each column is then
+sin*back plus that product's column, two ufuncs written in place.
 """
 
 from __future__ import annotations
@@ -165,14 +170,20 @@ class CostWorkspace:
             lxpsi *= 2.0 * (1.0 - t)
             gpsi -= lxpsi.reshape(psi.shape)
 
-        # chain rule to angles: backward recursion over the angle index,
-        # with the pad's entry held at 0
-        back = np.empty_like(s)
-        back[..., cm1] = 0.0
-        back[..., cm1 - 1] = gpsi[..., cm1]
+        # chain rule to angles: the backward recursion (see the module
+        # docstring), with the pad's entry held at 0.  IEEE + and * commute,
+        # so the bits are the formula's; the pad's cosine is exactly 1, so
+        # G[cm1] is gpsi's last column.  ``back`` is allocated C-ordered,
+        # not ``empty_like(s)``, which follows the layout of the angles:
+        # only then is B a view that the loop writes through.
+        back = np.empty(s.shape)
+        B, G, S = (x.reshape(-1, cm1 + 1).T for x in (back, gpsi * u, s))
+        B[cm1] = 0.0
+        B[cm1 - 1] = G[cm1]
         for a in range(cm1 - 2, -1, -1):
-            back[..., a] = (gpsi[..., a + 1] * u[..., a + 1]
-                            + s[..., a + 1] * back[..., a + 1])
+            col = B[a]
+            np.multiply(S[a + 1], B[a + 1], col)
+            col += G[a + 1]
         gphi = u * back
         gphi -= np.multiply(gpsi, s, out=gpsi)
         gphi *= r

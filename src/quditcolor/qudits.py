@@ -65,16 +65,18 @@ def forward(phi: np.ndarray) -> Forward:
     path).  Every array is new."""
     s = np.sin(phi)
     u = np.cos(phi)
-    # the products of np.cumprod, in its order, one column at a time over
-    # all node rows as one 2-D array: numpy sets up a loop per call, which
-    # cumprod pays once per (short) row.  r is C-ordered, so ``rows`` is a
-    # view of it whatever the layout of phi.
+    # the products of np.cumprod, in its order, one ufunc call per angle
+    # column, each over that column of every node row of every run: a
+    # (c, k*V) column view indexes a column with one integer, as a 1-D
+    # strided array.  r is allocated C-ordered, so ``cols`` is a view of it
+    # whatever the layout of phi (``sines`` may be a copy).
+    c = s.shape[-1]
     r = np.empty(s.shape)
-    rows, sines = r.reshape(-1, r.shape[-1]), s.reshape(-1, s.shape[-1])
-    rows[:, 0] = 1.0
-    rows[:, 1] = sines[:, 0]
-    for a in range(1, rows.shape[1] - 1):
-        np.multiply(rows[:, a], sines[:, a], rows[:, a + 1])
+    cols, sines = r.reshape(-1, c).T, s.reshape(-1, c).T
+    cols[0] = 1.0
+    cols[1] = sines[0]
+    for a in range(1, c - 1):
+        np.multiply(cols[a], sines[a], cols[a + 1])
     return Forward(r * u, s, u, r)
 
 

@@ -4,7 +4,8 @@ Queen graphs connect chessboard squares that share a row, column, or
 diagonal.  The myciel family applies the triangle-free chromatic-number
 -raising construction repeatedly, starting from a single edge.
 ``qdlqa_start`` gives the amplitudes of an annealing start on an instance,
-``small_graphs`` draws graphs for property tests, ``amplitudes`` gives the
+``small_graphs`` draws graphs for property tests, ``angles_with_poles``
+angles that often sit at the poles, ``amplitudes`` gives the
 amplitudes of any angle array, and ``lx_matrix`` the dense Lx that the
 package keeps only as its superdiagonal.
 """
@@ -120,6 +121,15 @@ def padded(phi) -> np.ndarray:
     column of zeros appended."""
     phi = np.asarray(phi, dtype=np.float64)
     return np.concatenate([phi, np.zeros((*phi.shape[:-1], 1))], axis=-1)
+
+
+def angles_with_poles(rng: np.random.Generator, shape) -> np.ndarray:
+    """Angles uniform in [-pi, pi), about 30% of them replaced by exactly
+    0, pi/2, -pi/2 or pi, where sine products vanish."""
+    phi = rng.uniform(-np.pi, np.pi, size=shape)
+    poles = rng.uniform(size=shape) < 0.3
+    phi[poles] = rng.choice([0.0, np.pi / 2, -np.pi / 2, np.pi], size=int(poles.sum()))
+    return phi
 
 
 def amplitudes(phi) -> np.ndarray:

@@ -13,8 +13,8 @@ from quditcolor.optimizer import Adam
 from quditcolor.qudits import (Forward, amplitudes_to_angles, build_ops,
                                forward, init_qdgd_state, init_qdlqa_state)
 
-from instances import (myciel_graph, padded, path, queen_graph, random_graph,
-                       small_graphs, star, triangle)
+from instances import (angles_with_poles, myciel_graph, padded, path,
+                       queen_graph, random_graph, small_graphs, star, triangle)
 
 
 def random_angles(graph, c, rng, fixed_node=None):
@@ -459,6 +459,27 @@ def test_gradient_of_pad_and_pinned_rows_is_exactly_zero(g, c, runs, data):
     frozen = [grad[..., -1]] + ([] if fixed is None else [grad[:, fixed]])
     for entries in frozen:
         assert (entries == 0.0).all() and not np.signbit(entries).any()
+
+
+@settings(deadline=None, max_examples=80)
+@given(g=small_graphs(), c=st.integers(2, 11), runs=st.integers(1, 3),
+       pinned=st.booleans(), t=st.sampled_from([0.0, 0.4, 1.0]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_gradient_bytes_do_not_depend_on_the_angles_layout(g, c, runs, pinned,
+                                                           t, seed, data):
+    # the recursions write through column views of new arrays; one laid out
+    # like the angles would be copied by the view for a Fortran-ordered
+    # stack, and the gradient read from it would be wrong
+    fixed = data.draw(st.integers(0, g.num_nodes - 1)) if pinned else None
+    ws = CostWorkspace(g, build_ops(c), fixed, copies=runs)
+    rng = np.random.default_rng(seed)
+    wide = padded(angles_with_poles(rng, (2 * runs, g.num_nodes, c - 1)))
+    strided = zero_pinned_rows(ws, wide)[::2]
+    hvals = np.stack([draw_couplings(g, 3.0, rng) for _ in range(runs)])
+    grads = [ws.value_and_grad(forward(phi), t, 0.7, hvals)[1].tobytes()
+             for phi in (np.ascontiguousarray(strided), np.asfortranarray(strided),
+                         strided)]
+    assert grads[0] == grads[1] == grads[2]
 
 
 @settings(deadline=None, max_examples=30)
