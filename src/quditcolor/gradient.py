@@ -19,12 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
-from .energy import LOG_CLAMP, PLOGP_FLOOR, energy_total, extract_coloring
+from .energy import LOG_CLAMP, _plogp, energy_total, extract_coloring
 from .graph import Graph
 from .qudits import Forward, forward
-
-
-_LOG_OF_CLAMP = float(np.log(LOG_CLAMP))
 
 
 class CostWorkspace:
@@ -53,9 +50,11 @@ class CostWorkspace:
     ``qudits.forward`` and hands the result to both ``value_and_grad`` and
     ``coloring``.
 
-    Lx psi is taken on each run's amplitudes as one flat V*c row, in one
-    ufunc pass: ``_lx_band`` is Lx's superdiagonal per node with a 0 after
-    each.  A row never spans runs, so a diverged run's NaN stays in it.
+    Lx psi is taken on the whole (k, V, c) stack as one flat k*V*c vector,
+    one ufunc pass per operation: ``_lx_band`` is Lx's superdiagonal per
+    node of every copy with a 0 after each.  Two writes at each run
+    boundary keep the runs apart (see ``value_and_grad``), so a diverged
+    run's NaN stays in it.
     """
 
     def __init__(self, graph: Graph, lx_offdiag: np.ndarray,
@@ -80,7 +79,7 @@ class CostWorkspace:
         ).astype(np.intp)
         self._indices = (offsets + v).ravel().astype(np.intp)
         self._couplings = np.empty(copies * graph.num_edges)
-        band = np.zeros((n, lx_offdiag.size + 1))
+        band = np.zeros((copies * n, lx_offdiag.size + 1))
         band[:, :-1] = lx_offdiag
         self._lx_band = band.ravel()[:-1]
 
@@ -92,14 +91,16 @@ class CostWorkspace:
         float operations, in the same order, as the symmetric CSR product.
         """
         V, E = self.graph.num_nodes, self.graph.num_edges
-        # the kernels index p and the couplings without bounds checks
-        if (p.ndim != 3 or p.shape[1] != V or not 1 <= len(p) <= self.copies
+        c = self.lx_offdiag.size + 1
+        # the kernels index p and the couplings without bounds checks, and
+        # the flat Lx pass reads the band by the stack's length
+        if (p.shape[1:] != (V, c) or not 1 <= len(p) <= self.copies
                 or couplings.shape != (len(p), E)):
             raise ValueError(f"expected {V} rows and {E} couplings per run for "
-                             f"1 to {self.copies} runs, as (runs, {V}, c) and "
+                             f"1 to {self.copies} runs, as (runs, {V}, {c}) and "
                              f"(runs, {E}) stacks; got {p.shape} and "
                              f"{couplings.shape}")
-        n, c = len(p) * V, p.shape[2]
+        n = len(p) * V
         acc = np.zeros(p.shape)
         args = (n, n, c, self._indptr[:n + 1], self._indices[:couplings.size],
                 couplings.ravel(), p.ravel(), acc.ravel())
@@ -125,9 +126,13 @@ class CostWorkspace:
         for all k runs.  At t = 1 (every qdgd step) the start cost has weight
         0, so it and its gradient are not computed: the values are the same,
         and a gradient entry can differ from the full formula only in the sign
-        of a zero, which Adam's zero-started first moment does not carry.  Flat
-        Lx rows (see the class) can flip such a zero sign at a node's first or
-        last color, or set NaN there in a run with a non-finite amplitude."""
+        of a zero, which Adam's zero-started first moment does not carry.  The
+        flat Lx pass (see the class) can flip such a zero sign at a node's
+        first or last color, or set NaN there in a run with a non-finite
+        amplitude.  It never crosses runs: each run's last entry is set to
+        +0.0, as the per-run form leaves it, and the addend into the next
+        run's first entry to -0.0, because x + (-0.0) is x for every x, NaN
+        and both zeros included, so that entry keeps the per-run bits."""
         psi, s, u, r = fwd
         runs = len(psi)
         p = psi ** 2
@@ -137,16 +142,13 @@ class CostWorkspace:
                            out=self._couplings[:hvals.size].reshape(hvals.shape))
         acc = self._neighbor_sum(p, couplings)
 
-        # one log serves both: floored for the values (as energy._plogp),
-        # which read it later, and clamped into a new array for the
-        # gradient (= log(max(p, LOG_CLAMP)))
-        logp = np.log(np.maximum(p, PLOGP_FLOOR))
-        logc = np.maximum(logp, _LOG_OF_CLAMP)
+        # the gradient's clamped log; values() takes its own floored log
+        logc = np.log(np.maximum(p, LOG_CLAMP))
         off, cm1 = self.lx_offdiag, psi.shape[-1] - 1
 
         def values():
             e_f = np.einsum("rij,rij->r", p, acc)
-            e_w = (p * logp).reshape(runs, -1).sum(axis=1)
+            e_w = _plogp(p).reshape(runs, -1).sum(axis=1)
             if t < 1.0:
                 cross = (psi[..., :-1] * psi[..., 1:]).reshape(-1, cm1)
                 e_i = (cross @ off).reshape(runs, -1).sum(axis=1).tolist()
@@ -157,16 +159,19 @@ class CostWorkspace:
             return [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
                     for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i)]
 
-        # dE/dpsi = 2t psi (acc + gamma (logc + 1)), in logc: values() never reads it
+        # dE/dpsi = 2t psi (acc + gamma (logc + 1)), in logc
         gpsi = np.add(logc, 1.0, out=logc)
         gpsi *= gamma
         gpsi += acc
         gpsi *= (2.0 * t) * psi
         if t < 1.0:
-            flat, lxpsi = psi.reshape(runs, -1), np.empty((runs, psi[0].size))
-            np.multiply(self._lx_band, flat[:, 1:], out=lxpsi[:, :-1])
-            lxpsi[:, -1] = 0.0
-            lxpsi[:, 1:] += self._lx_band * flat[:, :-1]
+            flat, lxpsi, row = psi.ravel(), np.empty(psi.size), psi[0].size
+            band = self._lx_band[:flat.size - 1]
+            np.multiply(band, flat[1:], out=lxpsi[:-1])
+            lxpsi[row - 1::row] = 0.0  # each run's last entry
+            below = band * flat[:-1]
+            below[row - 1::row] = -0.0  # nothing crosses into a run's first
+            lxpsi[1:] += below
             lxpsi *= 2.0 * (1.0 - t)
             gpsi -= lxpsi.reshape(psi.shape)
 

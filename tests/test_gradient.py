@@ -410,6 +410,39 @@ def test_values_read_the_floored_log_below_the_clamp(t):
     assert np.array_equal(grad, full_grad)
 
 
+def test_one_pass_clamped_log_equals_floor_log_max_bit_for_bit():
+    # The gradient takes log(max(p, LOG_CLAMP)) in one pass.  That equals
+    # the floored log clamped from below by the scalar log(LOG_CLAMP) only
+    # if numpy's array log agrees with its scalar log at the clamp and
+    # does not step backwards next to it.  Checked on the 2,000 doubles on
+    # each side of the clamp, with the special values spread among them,
+    # filling arrays of 1 to 40 elements at offsets 0 to 2 back to back,
+    # so that they fall at the positions of numpy's SIMD loops and tails.
+    below, above = [LOG_CLAMP], [LOG_CLAMP]
+    for _ in range(2000):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    near = np.array(below[::-1] + above[1:])
+    special = [0.0, -0.0, 5e-324, 1e-300, np.nan, np.inf]
+    at = np.arange(0, near.size, 41)
+    values = np.insert(near, at, np.resize(special, at.size))
+
+    def one_pass(x):
+        return np.log(np.maximum(x, LOG_CLAMP))
+
+    def floor_log_max(x):
+        return np.maximum(np.log(np.maximum(x, PLOGP_FLOOR)), float(np.log(LOG_CLAMP)))
+
+    assert one_pass(values).tobytes() == floor_log_max(values).tobytes()
+    for n in range(1, 41):
+        for offset in range(3):
+            x = np.empty(n + offset)[offset:]
+            for start in range(0, values.size - n + 1, n):
+                x[...] = values[start:start + n]
+                assert one_pass(x).tobytes() == floor_log_max(x).tobytes(), \
+                    (n, offset, start)
+
+
 @settings(deadline=None, max_examples=100)
 @given(g=small_graphs(), c=st.integers(2, 5), copies=st.integers(1, 3),
        data=st.data())
@@ -522,27 +555,30 @@ def test_workspace_rejects_edges_and_states_it_cannot_index():
         ws.value_and_grad(fwd, 1.0, 1.0, np.zeros((1, ws.graph.num_edges)))
 
 
-@pytest.mark.parametrize("runs, nodes, couplings", [
-    (2, None, lambda e: (2, e)),
-    (2, 9, lambda e: (2, e)),
-    (3, 16, lambda e: (3, e)),
-    (2, 16, lambda e: (2, e - 1)),
-    (2, 16, lambda e: (2 * e,)),
+@pytest.mark.parametrize("runs, nodes, c, couplings", [
+    (2, None, 3, lambda e: (2, e)),
+    (2, 9, 3, lambda e: (2, e)),
+    (3, 16, 3, lambda e: (3, e)),
+    (2, 16, 3, lambda e: (2, e - 1)),
+    (2, 16, 3, lambda e: (2 * e,)),
+    (2, 16, 2, lambda e: (2, e)),
 ], ids=["flat-rows", "other-V", "more-runs-than-copies", "short-couplings",
-        "flat-couplings"])
-def test_unchecked_kernels_are_guarded_by_shape(runs, nodes, couplings):
-    # csc_matvecs and csr_matvecs index without bounds checks: every shape
-    # they could read or write past must end in ValueError before them
+        "flat-couplings", "other-c"])
+def test_unchecked_kernels_are_guarded_by_shape(runs, nodes, c, couplings):
+    # csc_matvecs and csr_matvecs index without bounds checks, and the flat
+    # Lx pass reads the band by the stack's length: every shape they could
+    # read or write past, or misread, must end in ValueError before them
     g = queen_graph(4, 4)
     ws = CostWorkspace(g, build_ops(3), None, copies=2)
     shape = (runs * g.num_nodes,) if nodes is None else (runs, nodes)
-    angles = padded(np.random.default_rng(0).uniform(-np.pi, np.pi, (*shape, 2)))
+    angles = padded(np.random.default_rng(0).uniform(-np.pi, np.pi, (*shape, c - 1)))
     p = forward(angles).psi ** 2
     hvals = np.zeros(couplings(g.num_edges))
     with pytest.raises(ValueError, match="expected 16 rows"):
         ws._neighbor_sum(p, hvals + 1.0)
-    with pytest.raises(ValueError):
-        ws.value_and_grad(forward(angles), 1.0, 1.0, hvals)
+    for t in (0.3, 1.0):
+        with pytest.raises(ValueError):
+            ws.value_and_grad(forward(angles), t, 1.0, hvals)
 
 
 @settings(deadline=None, max_examples=80)
