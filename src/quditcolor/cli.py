@@ -223,11 +223,7 @@ def _cmd_solve(args) -> int:
     _write_json(stats_to_dict(stats, graph, hp, _resolved_config_dict(config, hp)),
                 config.out)
     if config.trajectories:
-        try:
-            write_trajectory_csv(config.trajectories, stats.records)
-        except ValueError as exc:
-            # early-stopped runs leave unequal step grids; stats are still valid
-            print(f"warning: trajectory CSV not written: {exc}", file=sys.stderr)
+        write_trajectory_csv(config.trajectories, stats.records)
     if config.coloring:
         best = min((r for r in stats.records if not r.diverged),
                    key=lambda r: r.best_energy)

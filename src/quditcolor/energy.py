@@ -1,8 +1,8 @@
 """Cost functions: classical conflict count, annealing start/end costs,
 the entropy-style regularizer, and their time interpolation.
 
-These are the direct, readable implementations; the fused value+gradient
-path used by the solvers lives in the gradient module and is cross-checked
+These are the direct, readable implementations; the fused gradient
+kernel used by the solvers lives in the gradient module and is cross-checked
 against these in the tests.  States enter as one run's (V, c) amplitude
 matrix ``psi``, ``qudits.forward(angles).psi`` with the pinned node's
 one-hot row included; Lx as the superdiagonal that ``qudits.build_ops``

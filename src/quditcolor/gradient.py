@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
-from .energy import LOG_CLAMP, _plogp, energy_total, extract_coloring
+from .energy import LOG_CLAMP, energy_total, extract_coloring
 from .graph import Graph
 from .qudits import Forward, forward
 
 
 class CostWorkspace:
-    """Per-(graph, dimension, fixed-node) buffers for fused cost+gradient;
+    """Per-(graph, dimension, fixed-node) buffers for the cost's gradient;
     ``lx_offdiag`` is the superdiagonal of Lx that ``build_ops`` returns.
 
     Holds the upper triangle of the adjacency in CSR form: row u lists the
@@ -113,28 +113,27 @@ class CostWorkspace:
         return extract_coloring(fwd.psi)
 
     def value_and_grad(self, fwd: Forward, t: float, gamma: float,
-                       hvals: np.ndarray):
-        """Cost of each of the k runs that ``fwd`` maps, as a function that
-        returns a list of k floats when called, and the gradient w.r.t.
-        their padded (k, V, c) angle stack, with the pinned node's rows and
-        the pad column exactly 0.  The angles must be in that layout, with
-        their pad at 0; on the step path this is not checked.
+                       hvals: np.ndarray) -> np.ndarray:
+        """Gradient of the cost of each of the k runs that ``fwd`` maps,
+        w.r.t. their padded (k, V, c) angle stack, with the pinned node's
+        rows and the pad column exactly 0.  The angles must be in that
+        layout, with their pad at 0; on the step path this is not checked.
+        The cost itself is not computed: the drivers read the conflict count
+        alone, and ``energy.energy_total`` is its readable form.  The name
+        stays as the benchmark's tracer and per-layer metrics know it.
 
-        Adam reads only the gradient, so the costs are computed only when the
-        returned function is called; each call returns the same list. ``hvals``
-        holds each run's couplings as (k, E) rows; the floats t and gamma hold
-        for all k runs.  At t = 1 (every qdgd step) the start cost has weight
-        0, so it and its gradient are not computed: the values are the same,
-        and a gradient entry can differ from the full formula only in the sign
-        of a zero, which Adam's zero-started first moment does not carry.  The
-        flat Lx pass (see the class) can flip such a zero sign at a node's
-        first or last color, or set NaN there in a run with a non-finite
-        amplitude.  It never crosses runs: each run's last entry is set to
-        +0.0, as the per-run form leaves it, and the addend into the next
-        run's first entry to -0.0, because x + (-0.0) is x for every x, NaN
-        and both zeros included, so that entry keeps the per-run bits."""
+        ``hvals`` holds each run's couplings as (k, E) rows; the floats t and
+        gamma hold for all k runs.  At t = 1 (every qdgd step) the start cost
+        has weight 0, so its gradient is not computed: an entry can differ
+        from the full formula only in the sign of a zero, which Adam's
+        zero-started first moment does not carry.  The flat Lx pass (see the
+        class) can flip such a zero sign at a node's first or last color, or
+        set NaN there in a run with a non-finite amplitude.  It never crosses
+        runs: each run's last entry is set to +0.0, as the per-run form
+        leaves it, and the addend into the next run's first entry to -0.0,
+        because x + (-0.0) is x for every x, NaN and both zeros included, so
+        that entry keeps the per-run bits."""
         psi, s, u, r = fwd
-        runs = len(psi)
         p = psi ** 2
 
         # end cost: neighbor accumulation acc_i = sum_j J_ij p_j
@@ -142,25 +141,9 @@ class CostWorkspace:
                            out=self._couplings[:hvals.size].reshape(hvals.shape))
         acc = self._neighbor_sum(p, couplings)
 
-        # the gradient's clamped log; values() takes its own floored log
-        logc = np.log(np.maximum(p, LOG_CLAMP))
-        off, cm1 = self.lx_offdiag, psi.shape[-1] - 1
-
-        def values():
-            e_f = np.einsum("rij,rij->r", p, acc)
-            e_w = _plogp(p).reshape(runs, -1).sum(axis=1)
-            if t < 1.0:
-                cross = (psi[..., :-1] * psi[..., 1:]).reshape(-1, cm1)
-                e_i = (cross @ off).reshape(runs, -1).sum(axis=1).tolist()
-            else:
-                e_i = [0.0] * runs
-            # each run's terms combined in Python floats: the same operations
-            # as on numpy scalars, without a numpy call per term
-            return [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
-                    for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i)]
-
-        # dE/dpsi = 2t psi (acc + gamma (logc + 1)), in logc
-        gpsi = np.add(logc, 1.0, out=logc)
+        # dE/dpsi = 2t psi (acc + gamma (log p + 1)), log p clamped below
+        gpsi = np.log(np.maximum(p, LOG_CLAMP))
+        gpsi += 1.0
         gpsi *= gamma
         gpsi += acc
         gpsi *= (2.0 * t) * psi
@@ -181,6 +164,7 @@ class CostWorkspace:
         # G[cm1] is gpsi's last column.  ``back`` is allocated C-ordered,
         # not ``empty_like(s)``, which follows the layout of the angles:
         # only then is B a view that the loop writes through.
+        cm1 = psi.shape[-1] - 1
         back = np.empty(s.shape)
         B, G, S = (x.reshape(-1, cm1 + 1).T for x in (back, gpsi * u, s))
         B[cm1] = 0.0
@@ -195,7 +179,7 @@ class CostWorkspace:
         gphi[..., cm1] = 0.0
         if self.fixed_node is not None:
             gphi[:, self.fixed_node] = 0.0
-        return values, gphi
+        return gphi
 
 
 # Components of nodes whose smallest probability is below this are flagged
@@ -242,7 +226,7 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
     if np.any(angles[:, -1] != 0.0):
         raise ValueError("the angles' pad column must be all 0")
     free = [i for i in range(graph.num_nodes) if i != workspace.fixed_node]
-    _, gphi = workspace.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
+    gphi = workspace.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
     analytic = gphi[0, free, :-1].ravel()
 
     flat = angles.ravel()

@@ -162,21 +162,25 @@ def sweep_colors(graph: Graph, hp: Hyperparameters, c_range, *,
 
 
 def trajectory_stats(records: list[RunRecord]):
-    """Per-step sample mean and population std of the conflict count
-    ``e_potts`` across run trajectories.
+    """Per-stage t, sample mean and population std of the conflict count
+    ``e_potts``, and the number of runs these are taken over.
 
-    All trajectories must share the same step grid (no early-stopped
-    stragglers).
+    Row i of a trajectory is stage i, so stage i aggregates the runs whose
+    trajectory has more than i rows; runs that stopped early drop out.
+    ``t`` is the longest trajectory's, and ``ValueError`` is raised if two
+    trajectories disagree on the t of a stage they share.
     """
     trajs = [r.trajectory for r in records]
     if any(tr is None for tr in trajs):
         raise ValueError("records lack trajectories; rerun with recording on")
-    grid = trajs[0].step
-    for tr in trajs[1:]:
-        if not np.array_equal(tr.step, grid):
-            raise ValueError("trajectories have mismatched step grids")
-    values = np.stack([tr.e_potts for tr in trajs]).astype(float)
-    return grid.copy(), trajs[0].t.copy(), values.mean(axis=0), values.std(axis=0)
+    t = max((tr.t for tr in trajs), key=len, default=np.empty(0))
+    values = np.full((len(trajs), len(t)), np.nan)
+    for row, tr in zip(values, trajs):
+        if not np.array_equal(tr.t, t[:len(tr.t)]):
+            raise ValueError("trajectories disagree on the t of a shared stage")
+        row[:len(tr.e_potts)] = tr.e_potts
+    active = (~np.isnan(values)).sum(axis=0)
+    return t.copy(), np.nanmean(values, axis=0), np.nanstd(values, axis=0), active
 
 
 def stats_to_dict(stats: BatchStats, graph: Graph, hp: Hyperparameters,
@@ -214,11 +218,12 @@ def hp_to_dict(hp: Hyperparameters) -> dict:
 
 
 def write_trajectory_csv(path, records: list[RunRecord]) -> None:
-    step, t, mean, std = trajectory_stats(records)
+    """One row per stage, as ``trajectory_stats`` gives it; the step
+    column is the stage index."""
+    t, mean, std, active = trajectory_stats(records)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "t", "mean", "std"])
-        for row in zip(step, t, mean, std):
-            writer.writerow([int(row[0]), f"{row[1]:.10g}",
-                             f"{row[2]:.10g}", f"{row[3]:.10g}"])
-
+        writer.writerow(["step", "t", "mean", "std", "active"])
+        for step, row in enumerate(zip(t, mean, std, active)):
+            writer.writerow([step, f"{row[0]:.10g}", f"{row[1]:.10g}",
+                             f"{row[2]:.10g}", int(row[3])])

@@ -203,16 +203,13 @@ SETTING_TYPES = get_type_hints(Hyperparameters)
 
 @dataclass
 class Trajectory:
-    """Per-outer-step record of a single run: one row per stage.
-
-    ``e_potts`` is the conflict count read out after the stage's last Adam
-    step; ``e_total`` is the cost that step descended, at the angles before
-    it, so the two are one step apart.
+    """Per-stage record of a single run: row i is stage i, from stage 0
+    until the run leaves.  ``t`` is the stage's annealing time and
+    ``e_potts`` the conflict count read out after its last Adam step; a
+    diverged run has no row for the stage whose readout was non-finite.
     """
 
-    step: np.ndarray
     t: np.ndarray
-    e_total: np.ndarray
     e_potts: np.ndarray
 
 
@@ -313,7 +310,8 @@ def _total_steps(stage, lo: int, hi: int) -> int:
 class _Run:
     """One run of a lockstep group: its generator, its best conflict count
     and coloring so far, the stage of its last improvement, its trajectory
-    rows (stage, t, cost, conflicts) and, once it has left, its record.
+    rows (t, conflicts), one per stage from stage 0, and, once it has left,
+    its record.
     Plain Python values: a stage touches each once, which costs less than
     a numpy call when a group holds few runs."""
 
@@ -327,10 +325,8 @@ class _Run:
 
 
 def _trajectory(rows: list) -> Trajectory:
-    step, t, e_total, e_potts = zip(*rows) if rows else ((),) * 4
-    return Trajectory(step=np.array(step, dtype=np.int64),
-                      t=np.array(t, dtype=float),
-                      e_total=np.array(e_total, dtype=float),
+    t, e_potts = zip(*rows) if rows else ((), ())
+    return Trajectory(t=np.array(t, dtype=float),
                       e_potts=np.array(e_potts, dtype=np.int64))
 
 
@@ -403,9 +399,8 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     steps consume the block from its front; a block never holds more
     steps than the stages have left.  The angles hold a row for every
     node; the pinned node's row is inserted as zeros into each run's start
-    angles and stays there, since its gradient is 0.  The trajectory's t
-    column is the stage's annealing time and its cost the one taken at the
-    stage's last step, computed only when a trajectory is recorded.
+    angles and stays there, since its gradient is 0.  A recorded
+    trajectory gets a row (t, conflicts) at each counted readout.
     """
     mark = time.perf_counter()
     share = 0.0  # wall time attributed to every run still in the group
@@ -433,7 +428,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
                     drawn = np.empty((len(runs), block, num_edges))
                     for run, out in zip(runs, drawn):
                         draw_couplings(graph, hp.h, run.rng, out=out)
-                values, gphi = workspace.value_and_grad(fwd, t, hp.gamma, drawn[:, 0])
+                gphi = workspace.value_and_grad(fwd, t, hp.gamma, drawn[:, 0])
                 drawn = drawn[:, 1:]
                 adam.step(angles, gphi)
                 fwd = forward(angles)
@@ -441,7 +436,6 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
             colors = workspace.coloring(fwd)
             counts = potts_energy(graph, colors)
             last = n == schedule.count - 1
-            costs = values() if record_trajectory else None
             stays = []
             for j, run in enumerate(runs):
                 if finite[j]:
@@ -449,7 +443,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
                         run.best, run.improved_at = counts[j], n
                         run.coloring = colors[j].astype(color_type)
                     if record_trajectory:
-                        run.rows.append((n, t, costs[j], counts[j]))
+                        run.rows.append((t, counts[j]))
                 stays.append(finite[j] and run.best > 0 and not last
                              and n - run.improved_at < schedule.patience)
             if all(stays):

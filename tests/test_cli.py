@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import warnings
 from dataclasses import fields
@@ -350,18 +351,24 @@ def test_solve_writes_trajectory_csv(queen55_col, tmp_path):
                            "--trajectories", str(traj),
                            "--out", str(out))) == 0
     header = traj.read_text().splitlines()[0]
-    assert header == "step,t,mean,std"
+    assert header == "step,t,mean,std,active"
 
 
-def test_solve_trajectory_grid_mismatch_warns(queen55_col, tmp_path, capsys):
-    # solved runs stop early, leaving unequal grids; stats still written
+def test_solve_trajectory_csv_covers_runs_that_stop_early(queen55_col, tmp_path,
+                                                          capsys):
+    # solved runs stop early and leave the later stages to the others
     traj = tmp_path / "traj.csv"
     out = tmp_path / "t.json"
     assert main(solve_args(queen55_col, "--colors", "5", "--runs", "4",
                            "--seed", "1", "--trajectories", str(traj),
                            "--out", str(out))) == 0
-    assert "trajectory CSV not written" in capsys.readouterr().err
-    assert not traj.exists()
+    assert capsys.readouterr().err == ""
+    with traj.open() as fh:
+        rows = list(csv.DictReader(fh))
+    active = [int(row["active"]) for row in rows]
+    assert [int(row["step"]) for row in rows] == list(range(len(rows)))
+    assert active[0] == 4 and active[-1] == 1
+    assert all(b <= a for a, b in zip(active, active[1:]))
     assert json.loads(out.read_text())["best_energy"] == 0
 
 

@@ -67,8 +67,7 @@ def test_gradient_zero_at_annealing_start():
     ws = pinned_workspace(g, 3)
     angles = np.insert(init_qdlqa_state(1, 3, 0.0, [np.random.default_rng(0)]),
                        ws.fixed_node, 0.0, axis=1)
-    _, grad = ws.value_and_grad(
-        forward(angles), 0.0, 1.0, np.zeros((1, 1)))
+    grad = ws.value_and_grad(forward(angles), 0.0, 1.0, np.zeros((1, 1)))
     assert np.abs(grad).max() < 1e-9
 
 
@@ -80,9 +79,7 @@ def test_gradient_zero_without_edges_or_regularizer():
     angles = random_angles(g, 4, np.random.default_rng(1))
     t, gamma = 1.0, 0.0
     hvals = draw_couplings(g, 2.0, np.random.default_rng(0))
-    values, grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
-    (value,) = values()
-    assert value == 0.0
+    grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
     assert np.abs(grad).max() == 0.0
 
 
@@ -93,12 +90,7 @@ def test_gradient_matches_finite_differences_on_queen55():
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
     t, gamma = 0.37, 1.0
     hvals = draw_couplings(g, 3.0, rng)
-    values, grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
-    (value,) = values()
-    grad = grad.ravel()
-    assert value == pytest.approx(
-        energy_total(forward(angles).psi, g, ws.lx_offdiag, t, gamma, hvals),
-        rel=1e-12)
+    grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None]).ravel()
     fd = finite_difference(ws, angles, t, gamma, hvals, step=1e-5)
     rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-2)
     assert rel.max() < 1e-5
@@ -108,8 +100,7 @@ def test_gradient_layout_freezes_fixed_node():
     g = triangle()
     ws = CostWorkspace(g, build_ops(4), 1)
     angles = random_angles(g, 4, np.random.default_rng(0), fixed_node=1)
-    _, grad = ws.value_and_grad(forward(angles[None]), 0.6, 1.0,
-                                np.zeros((1, 3)))
+    grad = ws.value_and_grad(forward(angles[None]), 0.6, 1.0, np.zeros((1, 3)))
     assert grad.shape == (1, g.num_nodes, 4)
     assert (grad[0, 1] == 0.0).all() and (grad[0, [0, 2], :-1] != 0.0).all()
     assert (grad[0, :, -1] == 0.0).all()
@@ -124,8 +115,7 @@ def test_gradient_linearity_in_t():
     hvals = draw_couplings(g, 3.0, rng)
     grads = {}
     for t in (0.0, 0.35, 1.0):
-        _, grads[t] = ws.value_and_grad(
-            forward(angles[None]), t, 1.2, hvals[None])
+        grads[t] = ws.value_and_grad(forward(angles[None]), t, 1.2, hvals[None])
     combo = 0.65 * grads[0.0] + 0.35 * grads[1.0]
     np.testing.assert_allclose(grads[0.35], combo, atol=1e-10)
 
@@ -204,11 +194,9 @@ def test_workspace_reuse_matches_fresh():
         angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
         t, gamma = 0.7, 0.8
         hvals = draw_couplings(g, 2.0, rng)
-        v1, g1 = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
+        g1 = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
         fresh = pinned_workspace(g, 5)
-        v2, g2 = fresh.value_and_grad(forward(angles[None]), t, gamma,
-                                      hvals[None])
-        assert v1() == v2()
+        g2 = fresh.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
         np.testing.assert_array_equal(g1, g2)
 
 
@@ -229,13 +217,11 @@ def test_stacked_runs_match_single_runs_bit_for_bit(name, c, runs, pinned):
         hvals = [draw_couplings(g, 3.0, rng) for _ in range(runs)]
         t, gamma = float(rng.uniform()), 1.3
         fwd = forward(np.stack(angles))
-        values, grad = group.value_and_grad(fwd, t, gamma, np.stack(hvals))
-        costs = values()
+        grad = group.value_and_grad(fwd, t, gamma, np.stack(hvals))
         colors = group.coloring(fwd)
         for r in range(runs):
             one = forward(angles[r][None])
-            value, one_grad = single.value_and_grad(one, t, gamma, hvals[r][None])
-            assert [costs[r]] == value()
+            one_grad = single.value_and_grad(one, t, gamma, hvals[r][None])
             assert np.array_equal(grad[r], one_grad[0])
             assert np.array_equal(colors[r], single.coloring(one)[0])
     # more runs than copies would index past the triangle
@@ -273,17 +259,13 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     assert len(fwd) == 4
     if pinned:
         np.testing.assert_array_equal(fwd.psi[0, fixed], np.eye(c)[0])
-    values, grad = ws.value_and_grad(fwd, t, gamma, hvals[None])
-    (value,) = values()
-    oracle = energy_total(fwd.psi[0], g, ws.lx_offdiag, t, gamma, hvals)
-    assert value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+    grad = ws.value_and_grad(fwd, t, gamma, hvals[None])
     np.testing.assert_array_equal(ws.coloring(fwd),
                                   [extract_coloring(forward(angles).psi)])
 
     # a later forward map leaves the one already held untouched
     forward(padded(angles[None, :, :-1] + 1.0))
-    again, grad_again = ws.value_and_grad(fwd, t, gamma, hvals[None])
-    assert again() == [value]
+    grad_again = ws.value_and_grad(fwd, t, gamma, hvals[None])
     np.testing.assert_array_equal(grad_again, grad)
 
 
@@ -301,31 +283,25 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
     t, gamma = data.draw(st.sampled_from([0.0, 0.3, 1.0])), 0.0
     hvals = draw_couplings(g, h,
                            np.random.default_rng(data.draw(st.integers(0, 99))))
-    _, grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
+    grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
     np.testing.assert_allclose(grad.ravel(),
                                finite_difference(ws, angles, t, gamma, hvals),
                                rtol=0, atol=1e-6)
 
 
-def _full_cost_and_grad(ws, fwd, t, gamma, hvals):
-    """``value_and_grad`` written out with the start cost always computed,
-    Lx psi on the per-node ``[..., :-1]``/``[..., 1:]`` views and the chain
-    rule on the c-1 angles alone, the pad's gradient set to 0 after: the
-    reference for its t = 1 path, its flat Lx rows and its padded layout."""
+def _full_grad(ws, fwd, t, gamma, hvals):
+    """``value_and_grad`` written out with the start cost's gradient always
+    computed, Lx psi on the per-node ``[..., :-1]``/``[..., 1:]`` views, the
+    log clamped from below after the floored log, and the chain rule on the
+    c-1 angles alone, the pad's gradient set to 0 after: the reference for
+    its t = 1 path, its flat Lx rows and its padded layout."""
     off = ws.lx_offdiag
     psi, s, u, r = fwd
-    runs, cm1 = len(psi), off.size
+    cm1 = off.size
     s, u = s[..., :cm1], u[..., :cm1]
     p = psi ** 2
     acc = ws._neighbor_sum(p, hvals + 1.0)
-    e_f = np.einsum("rij,rij->r", p, acc)
-    logp = np.log(np.maximum(p, PLOGP_FLOOR))
-    e_w = (p * logp).reshape(runs, -1).sum(axis=1)
-    np.maximum(logp, np.log(LOG_CLAMP), out=logp)
-    cross = (psi[..., :-1] * psi[..., 1:]).reshape(-1, cm1)
-    e_i = (cross @ off).reshape(runs, -1).sum(axis=1)
-    values = [(1.0 - t) * (-2.0 * i) + t * (0.5 * f + gamma * w)
-              for f, w, i in zip(e_f.tolist(), e_w.tolist(), e_i.tolist())]
+    logp = np.maximum(np.log(np.maximum(p, PLOGP_FLOOR)), np.log(LOG_CLAMP))
     gpsi = (2.0 * t) * psi * (acc + gamma * (logp + 1.0))
     lxpsi = np.zeros_like(psi)
     lxpsi[..., :-1] = off * psi[..., 1:]
@@ -338,15 +314,15 @@ def _full_cost_and_grad(ws, fwd, t, gamma, hvals):
                         + s[..., a + 1] * back[..., a + 1])
     gphi = np.zeros_like(psi)
     gphi[..., :cm1] = r[..., :cm1] * (u * back - gpsi[..., :cm1] * s)
-    return values, zero_pinned_rows(ws, gphi)
+    return zero_pinned_rows(ws, gphi)
 
 
 @settings(deadline=None, max_examples=150)
 @given(g=small_graphs(), c=st.integers(2, 11), runs=st.integers(1, 3),
        data=st.data())
 def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
-    # At t = 1 the start cost has weight 0 and is not computed.  The values
-    # are equal; a gradient entry may differ only in the sign of a zero
+    # At t = 1 the start cost has weight 0 and its gradient is not
+    # computed.  A gradient entry may differ only in the sign of a zero
     # (in 300 draws of this property 43 flipped an entry between -0.0 and
     # +0.0 at pole angles, and no other bit differed), which array_equal
     # ignores.  Adam absorbs it: its first moment starts at +0.0,
@@ -354,9 +330,7 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
     # Below t = 1, Lx psi on flat per-run rows may flip such a zero sign
     # at a node's first or last color, too.  One run may hold a NaN or an
     # infinite angle: its row spreads NaN inside the run, and every other
-    # run keeps the bits it has in a group of one.  Below t = 1 as at it,
-    # the values are computed only when asked for, give the full
-    # formula's bits on every call and leave the gradient be.
+    # run keeps the bits it has in a group of one.
     fixed = data.draw(st.one_of(st.none(), st.integers(0, g.num_nodes - 1)))
     ws = CostWorkspace(g, build_ops(c), fixed, copies=runs)
     size = runs * g.num_nodes * (c - 1)
@@ -377,36 +351,28 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
     hvals = np.stack([draw_couplings(g, h, rng) for _ in range(runs)])
     with np.errstate(invalid="ignore"):
         fwd = forward(angles)
-        values, grad = ws.value_and_grad(fwd, t, gamma, hvals)
-        full_values, full_grad = _full_cost_and_grad(ws, fwd, t, gamma, hvals)
-        before = grad.copy()
-        costs = values()
+        grad = ws.value_and_grad(fwd, t, gamma, hvals)
+        full_grad = _full_grad(ws, fwd, t, gamma, hvals)
         for r in np.flatnonzero(finite):
             one = Forward._make(a[r:r + 1] for a in fwd)
-            one_values, one_grad = ws.value_and_grad(one, t, gamma, hvals[r:r + 1])
+            one_grad = ws.value_and_grad(one, t, gamma, hvals[r:r + 1])
             assert grad[r].tobytes() == one_grad[0].tobytes()
-            assert [costs[r]] == one_values()
-    assert [x.hex() for x in values()] == [x.hex() for x in costs]
-    assert [costs[r] for r in np.flatnonzero(finite)] == \
-        [full_values[r] for r in np.flatnonzero(finite)]
-    assert grad.tobytes() == before.tobytes()
     assert np.array_equal(grad[finite], full_grad[finite])
 
 
 @pytest.mark.parametrize("t", [0.3, 1.0])
 def test_values_read_the_floored_log_below_the_clamp(t):
     # node 0's first angle of 1e-7 puts its other two probabilities near
-    # 1e-14, under LOG_CLAMP: the gradient reads log(LOG_CLAMP) there, and
-    # a value read from that clamped log would differ from the cost
+    # 1e-14, under LOG_CLAMP: the gradient reads log(LOG_CLAMP) there, as
+    # the reference's floored log clamped from below does
     g = triangle()
     ws = CostWorkspace(g, build_ops(3), None)
     fwd = forward(padded([[[1e-7, 0.4], [1.0, 2.0], [0.5, 1.3]]]))
     assert 0 < (fwd.psi[0, 0, 1:] ** 2).max() < LOG_CLAMP
     gamma = 1.0
     hvals = np.zeros((1, g.num_edges))
-    values, grad = ws.value_and_grad(fwd, t, gamma, hvals)
-    full_values, full_grad = _full_cost_and_grad(ws, fwd, t, gamma, hvals)
-    assert values() == full_values
+    grad = ws.value_and_grad(fwd, t, gamma, hvals)
+    full_grad = _full_grad(ws, fwd, t, gamma, hvals)
     assert np.array_equal(grad, full_grad)
 
 
@@ -462,7 +428,7 @@ def test_pinned_rows_stay_frozen_in_every_copy(g, c, copies, data):
     fwd = forward(angles)
     zero = ~angles.any(axis=-1)
     np.testing.assert_array_equal(fwd.psi[zero], np.eye(c)[[0] * zero.sum()])
-    _, grad = ws.value_and_grad(fwd, t, gamma, hvals)
+    grad = ws.value_and_grad(fwd, t, gamma, hvals)
     if fixed is None:
         return
     assert (grad[:, fixed] == 0.0).all()
@@ -488,7 +454,7 @@ def test_gradient_of_pad_and_pinned_rows_is_exactly_zero(g, c, runs, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
     hvals = np.stack([draw_couplings(g, h, rng) for _ in range(runs)])
     with np.errstate(invalid="ignore"):
-        _, grad = ws.value_and_grad(forward(angles), t, gamma, hvals)
+        grad = ws.value_and_grad(forward(angles), t, gamma, hvals)
     frozen = [grad[..., -1]] + ([] if fixed is None else [grad[:, fixed]])
     for entries in frozen:
         assert (entries == 0.0).all() and not np.signbit(entries).any()
@@ -509,7 +475,7 @@ def test_gradient_bytes_do_not_depend_on_the_angles_layout(g, c, runs, pinned,
     wide = padded(angles_with_poles(rng, (2 * runs, g.num_nodes, c - 1)))
     strided = zero_pinned_rows(ws, wide)[::2]
     hvals = np.stack([draw_couplings(g, 3.0, rng) for _ in range(runs)])
-    grads = [ws.value_and_grad(forward(phi), t, 0.7, hvals)[1].tobytes()
+    grads = [ws.value_and_grad(forward(phi), t, 0.7, hvals).tobytes()
              for phi in (np.ascontiguousarray(strided), np.asfortranarray(strided),
                          strided)]
     assert grads[0] == grads[1] == grads[2]
@@ -530,7 +496,7 @@ def test_adam_steps_keep_the_pad_at_zero(g, c, runs, method, seed):
     for step in range(50):
         t = step / 50 if method == "qdlqa" else 1.0
         hvals = np.stack([draw_couplings(g, 3.0, rng) for rng in rngs])
-        _, grad = ws.value_and_grad(forward(angles), t, 1.0, hvals)
+        grad = ws.value_and_grad(forward(angles), t, 1.0, hvals)
         adam.step(angles, grad)
     for pad in (angles[..., -1], adam.first_moment[..., -1],
                 adam.second_moment[..., -1]):

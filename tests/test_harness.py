@@ -34,10 +34,7 @@ def hp(method="qdlqa", **kw):
 
 
 def fake_record(idx, best, steps, e_potts):
-    traj = Trajectory(step=np.arange(len(e_potts)),
-                      t=np.arange(len(e_potts)) / len(e_potts),
-                      e_total=np.zeros(len(e_potts)),
-                      e_potts=np.asarray(e_potts))
+    traj = Trajectory(t=np.arange(len(e_potts)) / 10, e_potts=np.asarray(e_potts))
     return RunRecord(run_index=idx, best_energy=best,
                      best_coloring=np.zeros(3, dtype=int),
                      steps_executed=steps, wall_time=0.0, trajectory=traj)
@@ -237,19 +234,34 @@ def test_sweep_requires_ascending_range(k3):
 
 def test_trajectory_stats_identical_and_simple_cases():
     recs = [fake_record(0, 0, 3, [5, 3, 0]), fake_record(1, 0, 3, [5, 3, 0])]
-    step, t, mean, std = trajectory_stats(recs)
+    t, mean, std, active = trajectory_stats(recs)
+    np.testing.assert_array_equal(t, [0.0, 0.1, 0.2])
     np.testing.assert_array_equal(mean, [5, 3, 0])
     np.testing.assert_array_equal(std, [0, 0, 0])
+    np.testing.assert_array_equal(active, [2, 2, 2])
 
     recs = [fake_record(0, 0, 2, [0, 0]), fake_record(1, 2, 2, [2, 2])]
-    _, _, mean, std = trajectory_stats(recs)
+    _, mean, std, _ = trajectory_stats(recs)
     np.testing.assert_array_equal(mean, [1, 1])
     np.testing.assert_array_equal(std, [1, 1])  # population convention
 
 
+def test_trajectory_stats_over_runs_that_stop_early():
+    # stage i aggregates the runs with more than i rows; a run without a
+    # row (diverged at its first readout) is active nowhere
+    recs = [fake_record(0, 0, 2, [4, 0]), fake_record(1, 1, 4, [6, 2, 1, 1]),
+            fake_record(2, 1, 3, [2, 2, 1]), fake_record(3, None, 1, [])]
+    t, mean, std, active = trajectory_stats(recs)
+    np.testing.assert_array_equal(t, [0.0, 0.1, 0.2, 0.3])
+    np.testing.assert_array_equal(active, [3, 3, 2, 1])
+    np.testing.assert_array_equal(mean, [4, 4 / 3, 1, 1])
+    np.testing.assert_allclose(std, [np.std([4, 6, 2]), np.std([0, 2, 2]), 0, 0])
+
+
 def test_trajectory_stats_errors():
     recs = [fake_record(0, 0, 3, [1, 2, 3]), fake_record(1, 0, 2, [1, 2])]
-    with pytest.raises(ValueError, match="mismatched"):
+    recs[1].trajectory.t[1] = 0.5
+    with pytest.raises(ValueError, match="disagree on the t of a shared stage"):
         trajectory_stats(recs)
     bare = RunRecord(0, 0, np.zeros(2, dtype=int), 5, 0.0, None)
     with pytest.raises(ValueError, match="recording"):
@@ -292,13 +304,13 @@ def test_stats_json_round_trip(tmp_path, k3):
 
 
 def test_trajectory_csv(tmp_path):
-    recs = [fake_record(0, 0, 3, [4, 2, 0]), fake_record(1, 0, 3, [2, 2, 2])]
+    recs = [fake_record(0, 0, 3, [4, 2, 0]), fake_record(1, 0, 2, [2, 2])]
     out = tmp_path / "traj.csv"
     write_trajectory_csv(out, recs)
     rows = list(csv.reader(out.open()))
-    assert rows[0] == ["step", "t", "mean", "std"]
-    assert rows[1][0] == "0"
-    assert float(rows[1][2]) == 3.0
+    assert rows == [["step", "t", "mean", "std", "active"],
+                    ["0", "0", "3", "1", "2"], ["1", "0.1", "2", "0", "2"],
+                    ["2", "0.2", "0", "0", "1"]]
 
 
 @pytest.mark.slow
@@ -310,6 +322,6 @@ def test_larger_coupling_noise_leaves_more_conflicts(queen1111):
         params = Hyperparameters(method="qdlqa", num_colors=11, f=0.0, h=h,
                                  n_runs=30, master_seed=23)
         stats = run_batch(queen1111, params, record_trajectories=True)
-        _, _, mean, _ = trajectory_stats(stats.records)
+        _, mean, _, _ = trajectory_stats(stats.records)
         means[h] = mean[-1]
     assert means[10.0] >= means[3.0]
