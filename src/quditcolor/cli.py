@@ -266,6 +266,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.colors is None:
+        raise ConfigError("the number of colors is required (--colors)")
     if args.points < 1:
         raise ConfigError(f"points must be >= 1, got {args.points}")
     if not 0.0 < args.tol < math.inf:
@@ -338,7 +340,7 @@ def _add_setting_flags(parser, names, *, given=False) -> None:
         if kind is bool:
             extras.update(action="store_const", const=True)
         elif given:
-            extras.update(type=_TEXT_PARSERS.get(kind, str), required=required,
+            extras.update(type=_TEXT_PARSERS.get(kind, str),
                           default=None if required else f.default)
         else:
             extras.update({"type": _CONFIG_PARSERS[name], **f.metadata["flag"]})

@@ -69,9 +69,15 @@ class CostWorkspace:
                              "Graph.from_edges builds them")
         if copies < 1:
             raise ValueError(f"copies must be >= 1, got {copies}")
+        # a negative index would pin another node, a bool every node
+        if fixed_node is not None and (
+                not isinstance(fixed_node, (int, np.integer))
+                or isinstance(fixed_node, bool) or not 0 <= fixed_node < n):
+            raise ValueError(f"fixed_node must be None or a node index in "
+                             f"[0, {n}), got {fixed_node!r}")
         self.graph = graph
         self.lx_offdiag = lx_offdiag
-        self.fixed_node = fixed_node
+        self.fixed_node = None if fixed_node is None else int(fixed_node)
         self.copies = copies
         offsets = n * np.arange(copies)[:, None]
         self._indptr = np.concatenate(

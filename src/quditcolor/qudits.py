@@ -142,22 +142,20 @@ def init_qdlqa_state(n_free: int, c: int, f: float,
     return angles
 
 
-def init_qdgd_state(n_free: int, c: int, f_tilde: float,
+def init_qdgd_state(n_free: int, c: int,
                     rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Gradient-descent start: (k, n_free, c) padded angles of random
     amplitudes, one (n_free, c) block per generator in ``rngs``, in order.
 
-    Per row, c entries are drawn uniformly from [0, f_tilde) and the vector
-    is normalized; each block's all-zero draws are redrawn from its own
+    Per row, c entries are drawn uniformly from [0, 1) and the vector is
+    normalized; each block's all-zero draws are redrawn from its own
     generator.
     """
-    if f_tilde <= 0:
-        raise ValueError("init scale f_tilde must be > 0")
-    draws = np.stack([rng.uniform(0.0, f_tilde, size=(n_free, c)) for rng in rngs])
+    draws = np.stack([rng.random((n_free, c)) for rng in rngs])
     norms = np.linalg.norm(draws, axis=-1)
     while not norms.all():
         for rows, zero, rng in zip(draws, norms == 0.0, rngs):
             if zero.any():
-                rows[zero] = rng.uniform(0.0, f_tilde, size=(int(zero.sum()), c))
+                rows[zero] = rng.random((int(zero.sum()), c))
         norms = np.linalg.norm(draws, axis=-1)
     return amplitudes_to_angles(draws / norms[..., None])

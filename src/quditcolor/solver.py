@@ -149,7 +149,6 @@ class Hyperparameters:
         parse=parse_alpha, ignored_by="qdgd")
     eta: float = _setting(0.5, help="learning rate")
     f: float = _setting(0.0, help="annealing init angle noise", ignored_by="qdgd")
-    f_tilde: float = _setting(1.0, help="gradient-descent init scale", ignored_by="qdlqa")
     h: float = _setting(3.0, help="coupling noise cap")
     n_runs: int = _setting(100, name="runs", help="independent runs per batch")
     patience: int = _setting(100, help="qdgd early stop: steps without improvement",
@@ -183,8 +182,6 @@ class Hyperparameters:
                 raise ValueError(f"{name} must be >= 0")
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
-        if self.f_tilde <= 0:
-            raise ValueError("f_tilde must be > 0")
         if self.method == "qdgd" and self.patience < 1:
             raise ValueError("patience must be >= 1 for qdgd")
         if self.master_seed < 0:
@@ -271,39 +268,30 @@ def run_qdgd(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
 @dataclass(frozen=True)
 class _Schedule:
     """All that the two methods differ in, built by ``_schedule(hp)``: runs
-    start at ``init(n_free, c, scale, rngs)``; stage n < ``count`` is
-    ``stage(n) -> (t, inner)``, ``inner`` Adam steps at time t, ``total_steps``
-    in all; a run stops after ``patience`` stages without a better best."""
+    start at ``init(n_free, c, rngs)``; stage n < ``count`` is
+    ``stage(n) -> (t, inner)``, ``inner`` >= 1 Adam steps at time t; a run
+    stops after ``patience`` stages without a better best."""
 
     init: Callable
-    scale: float
     count: int
-    total_steps: int
     stage: Callable[[int], tuple[float, int]]
     patience: float
 
 
 def _schedule(hp: Hyperparameters) -> _Schedule:
     if hp.method == "qdgd":
-        return _Schedule(init_qdgd_state, hp.f_tilde, hp.n_steps, hp.n_steps,
-                         lambda n: (1.0, 1), hp.patience)
+        return _Schedule(init_qdgd_state, hp.n_steps, lambda n: (1.0, 1),
+                         hp.patience)
     count = hp.n_steps + 1 if hp.include_t_end else hp.n_steps
 
     def stage(n: int) -> tuple[float, int]:
         t = n / hp.n_steps
         return t, hp.alpha.steps_at(t)
-    return _Schedule(init_qdlqa_state, hp.f, count,
-                     _total_steps(stage, 0, count), stage, math.inf)
 
-
-def _total_steps(stage, lo: int, hi: int) -> int:
-    """The steps of stages lo to hi - 1.  They are monotone in t, so a span
-    whose ends agree holds one value: O(log count) calls per value."""
-    first, last = stage(lo)[1], stage(hi - 1)[1]
-    if first == last:
-        return first * (hi - lo)
-    mid = (lo + hi) // 2
-    return _total_steps(stage, lo, mid) + _total_steps(stage, mid, hi)
+    # looked up here when called, so that a patch of the module's name holds
+    def init(n_free, c, rngs):
+        return init_qdlqa_state(n_free, c, hp.f, rngs)
+    return _Schedule(init, count, stage, math.inf)
 
 
 @dataclass(slots=True)
@@ -345,10 +333,11 @@ def group_size(num_nodes: int, num_colors: int) -> int:
 
 # Coupling values a group draws ahead at most (256 KiB of float64).  Each
 # run fills its couplings for a block of DRAW_BUDGET // (k*E) steps, at
-# least one and at most the steps the group can still take, in one
-# generator call, which shares the call's overhead among the steps of the
-# block.  A larger budget gained no more in measurement and added its size
-# to the peak memory.
+# least one and at most the stages left, in one generator call, which
+# shares the call's overhead among the steps of the block.  Every stage
+# takes at least one step, so a block never runs past the last step.  A
+# larger budget gained no more in measurement and added its size to the
+# peak memory.
 DRAW_BUDGET = 32_768
 
 
@@ -397,9 +386,10 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     draws its couplings a block of steps ahead in one call, which takes
     its generator through the same stream as one draw per step, and the
     steps consume the block from its front; a block never holds more
-    steps than the stages have left.  The angles hold a row for every
-    node; the pinned node's row is inserted as zeros into each run's start
-    angles and stays there, since its gradient is 0.  A recorded
+    steps than there are stages left, and so never more than steps left.
+    The angles hold a row for every node; the pinned node's row is
+    inserted as zeros into each run's start angles and stays there, since
+    its gradient is 0.  A recorded
     trajectory gets a row (t, conflicts) at each counted readout.
     """
     mark = time.perf_counter()
@@ -409,8 +399,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     members = [_Run(i, run_rng(hp.master_seed, i)) for i in run_indices]
     runs = members
     n_free = graph.num_nodes - (fixed is not None)
-    angles = schedule.init(n_free, hp.num_colors, schedule.scale,
-                           [run.rng for run in runs])
+    angles = schedule.init(n_free, hp.num_colors, [run.rng for run in runs])
     if fixed is not None:
         angles = np.insert(angles, fixed, 0.0, axis=1)
     adam = Adam(angles.shape, hp.eta)
@@ -424,7 +413,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
             for _ in range(inner):
                 if not drawn.shape[1]:
                     block = min(max(1, DRAW_BUDGET // max(1, len(runs) * num_edges)),
-                                schedule.total_steps - adam.step_count)
+                                schedule.count - n)
                     drawn = np.empty((len(runs), block, num_edges))
                     for run, out in zip(runs, drawn):
                         draw_couplings(graph, hp.h, run.rng, out=out)

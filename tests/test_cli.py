@@ -84,7 +84,7 @@ def test_help_lists_every_flag(capsys, command):
 
 
 _SETTING_FLAGS = ["--method", "--colors", "--steps", "--gamma", "--alpha",
-                  "--eta", "--f", "--f-tilde", "--h", "--runs", "--patience",
+                  "--eta", "--f", "--h", "--runs", "--patience",
                   "--fix", "--seed", "--workers", "--include-t-end", "--config",
                   "--out", "--trajectories", "--coloring", "--quiet"]
 
@@ -107,8 +107,7 @@ def test_cli_surface_is_pinned(queen55_col, tmp_path, capsys):
     assert main(solve_args(queen55_col, "--colors", "5", "--runs", "1",
                            "--steps", "5", "--out", str(out))) == 0
     assert list(json.loads(out.read_text())["config"]) == [
-        "method", "colors", "steps", "gamma", "alpha", "eta", "f", "f_tilde",
-        "h", "runs", "patience", "fix", "seed", "include_t_end",
+        "method", "colors", "steps", "gamma", "alpha", "eta", "f", "h", "runs", "patience", "fix", "seed", "include_t_end",
         "graph_file", "format", "workers"]
     with pytest.raises(SystemExit) as caught:
         main(solve_args(queen55_col, "--colors", "5", "--method", "foo"))
@@ -152,8 +151,12 @@ def test_solve_rejects_too_few_colors(queen55_col, capsys):
 
 
 def test_solve_requires_colors(queen55_col, capsys):
-    assert main(solve_args(queen55_col)) == 1
-    assert "colors" in capsys.readouterr().err
+    # and so do sweep and gradcheck, with the same line
+    for command in ("solve", "sweep", "gradcheck"):
+        assert main([command, "--graph", str(queen55_col)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == \
+            ("", "error: the number of colors is required (--colors)\n")
 
 
 @pytest.mark.parametrize("command", [["solve", "--colors", "5"],
@@ -263,7 +266,6 @@ _finite = dict(allow_nan=False, allow_infinity=False)
                               st.integers(1, 50))),
     eta=st.floats(1e-9, 1e3, **_finite),
     f=st.floats(0.0, 10.0, **_finite),
-    f_tilde=st.floats(1e-9, 10.0, **_finite),
     h=st.floats(0.0, 1e3, **_finite),
     n_runs=st.integers(1, 10**4),
     patience=st.integers(1, 10**4),
@@ -549,7 +551,7 @@ def test_unresolvable_fixed_node_is_config_error(queen55_col, capsys, command,
 @pytest.mark.parametrize("flags, message", [
     (["--eta", "nan"], "eta must be finite, got nan"),
     (["--gamma", "inf"], "gamma must be finite, got inf"),
-    (["--f-tilde", "nan"], "f_tilde must be finite, got nan"),
+    (["--f", "nan"], "f must be finite, got nan"),
     (["--alpha", "exp:nan:7"],
      "bad alpha schedule 'exp:nan:7': alpha rate must be finite, got nan"),
 ])

@@ -1,6 +1,6 @@
 """Fixed-seed golden record: exact per-run (run_index, best, steps), the
 recorded conflict counts of two short runs, and digests of the fused
-kernel's gradient bytes.
+kernel's gradient bytes and of the gradient-descent start angles.
 
 Any refactor or speed-up of the drivers, the fused kernel, Adam or the
 initial states must leave these values unchanged.  Budgets are short so
@@ -15,7 +15,7 @@ import pytest
 from quditcolor.gradient import CostWorkspace
 from quditcolor.graph import select_fixed_node
 from quditcolor.harness import run_batch
-from quditcolor.qudits import build_ops, forward
+from quditcolor.qudits import build_ops, forward, init_qdgd_state
 from quditcolor.solver import ExponentialAlpha, Hyperparameters
 
 from instances import angles_with_poles, myciel_graph, padded, queen_graph
@@ -126,3 +126,24 @@ def gradient_bytes(c, t):
 @pytest.mark.parametrize("c, t", sorted(GRADIENT_DIGESTS))
 def test_golden_gradient_bytes(c, t):
     assert hashlib.sha256(gradient_bytes(c, t)).hexdigest() == GRADIENT_DIGESTS[c, t]
+
+
+# sha256 of ``init_qdgd_state``'s angle bytes per (n_free, c, k, seed), the
+# k blocks drawn from default_rng([seed, i]) for i < k.  Captured when each
+# row was drawn as uniform(0, 1), which is 0 + 1*u for the double u that
+# ``random`` returns: the start of every qdgd run.
+START_DIGESTS = {
+    (1, 2, 1, 0): "b002f4074c6472eacfcb1b2e08f84ad04f6d24c53b19b3226f99cadf4f605527",
+    (24, 5, 3, 7): "f90beacb60f4cfee4f56ce7d2c53f30882c1f77efa0ed21b030723d729ebcf3b",
+    (120, 11, 2, 3): "c1fe5aa0d424990f8fa4f2e1a86ff86f7052cbfa8f7af47b9018623a723fb3ef",
+    (999, 8, 4, 11): "a8f74b9cea007cc41a7f1d503acf9a6808e1d82fad173207afe1cbc75065d2d8",
+}
+
+
+@pytest.mark.parametrize("n_free, c, k, seed", sorted(START_DIGESTS))
+def test_golden_qdgd_start_bytes(n_free, c, k, seed):
+    rngs = [np.random.default_rng([seed, i]) for i in range(k)]
+    angles = init_qdgd_state(n_free, c, rngs)
+    assert angles.shape == (k, n_free, c)
+    assert hashlib.sha256(angles.tobytes()).hexdigest() == \
+        START_DIGESTS[n_free, c, k, seed]

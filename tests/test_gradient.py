@@ -490,8 +490,10 @@ def test_adam_steps_keep_the_pad_at_zero(g, c, runs, method, seed):
     fixed = select_fixed_node(g, "max_degree")
     ws = CostWorkspace(g, build_ops(c), fixed, copies=runs)
     rngs = [np.random.default_rng([seed, r]) for r in range(runs)]
-    init = init_qdlqa_state if method == "qdlqa" else init_qdgd_state
-    angles = np.insert(init(g.num_nodes - 1, c, 0.3, rngs), fixed, 0.0, axis=1)
+    n_free = g.num_nodes - 1
+    start = (init_qdlqa_state(n_free, c, 0.3, rngs) if method == "qdlqa"
+             else init_qdgd_state(n_free, c, rngs))
+    angles = np.insert(start, fixed, 0.0, axis=1)
     adam = Adam(angles.shape, 0.5)
     for step in range(50):
         t = step / 50 if method == "qdlqa" else 1.0
@@ -512,6 +514,14 @@ def test_workspace_rejects_edges_and_states_it_cannot_index():
                   degrees=np.ones(3, dtype=np.int64))
         with pytest.raises(ValueError, match="u < v"):
             CostWorkspace(g, build_ops(3), None)
+
+    # -1 would pin the last node, and a bool index every node
+    for fixed in (-1, 3, True, np.bool_(False), 1.0, "0"):
+        with pytest.raises(ValueError, match="^fixed_node must be None or a node"):
+            CostWorkspace(triangle(), build_ops(3), fixed)
+    for fixed in (None, 0, np.int64(2), np.uint8(1)):
+        pinned = CostWorkspace(triangle(), build_ops(3), fixed).fixed_node
+        assert pinned == fixed and (fixed is None or type(pinned) is int)
 
     # a state of another graph would be read out of bounds
     ws = CostWorkspace(queen_graph(4, 4), build_ops(3), None)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditcolor.graph import select_fixed_node
@@ -203,44 +203,43 @@ def test_init_qdlqa_no_fixed_node():
 
 
 def test_init_qdgd_unit_norm_nonnegative():
-    psi = amplitudes(init_qdgd_state(5, 4, 1.0, [np.random.default_rng(9)])[0])
+    psi = amplitudes(init_qdgd_state(5, 4, [np.random.default_rng(9)])[0])
     np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-12)
     assert (psi >= 0).all()
 
 
 def test_init_qdgd_two_color_angle_is_arctan():
-    angles = init_qdgd_state(1, 2, 1.0, [np.random.default_rng(21)])
-    a, b = np.random.default_rng(21).uniform(0.0, 1.0, size=(1, 2))[0]
+    angles = init_qdgd_state(1, 2, [np.random.default_rng(21)])
+    a, b = np.random.default_rng(21).random((1, 2))[0]
     assert angles[0, 0, 0] == pytest.approx(np.arctan2(b, a))
 
 
 def test_init_qdgd_mean_probability_statistics():
     # sampling oracle: uniform draws, normalized, squared -> mean 1/c per color
-    angles = init_qdgd_state(10000, 3, 1.0, [np.random.default_rng(123)])[0]
+    angles = init_qdgd_state(10000, 3, [np.random.default_rng(123)])[0]
     mean_p = (amplitudes(angles) ** 2).mean(axis=0)
     np.testing.assert_allclose(mean_p, 1 / 3, atol=0.02)
 
 
-def test_init_qdgd_requires_positive_scale():
-    with pytest.raises(ValueError):
-        init_qdgd_state(2, 3, 0.0, [np.random.default_rng(0)])
-
-
 @settings(deadline=None, max_examples=60)
-@given(init=st.sampled_from([init_qdlqa_state, init_qdgd_state]),
+@given(method=st.sampled_from(["qdlqa", "qdgd"]),
        n_free=st.integers(0, 8), c=st.integers(2, 12),
-       scale=st.sampled_from([0.0, 0.1, 1.0, 2.5]),
+       f=st.sampled_from([0.0, 0.1, 1.0, 2.5]),
        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
 # one arctan2 over these stacked two-row blocks rounds one angle differently
-@example(init=init_qdgd_state, n_free=2, c=3, scale=1.0, seeds=[0, 1])
-def test_grouped_init_is_the_single_calls_stacked(init, n_free, c, scale, seeds):
+@example(method="qdgd", n_free=2, c=3, f=0.0, seeds=[0, 1])
+def test_grouped_init_is_the_single_calls_stacked(method, n_free, c, f, seeds):
     # a group is set up in one call; each run's row block must be the bits
     # of a call with its generator alone, which it must leave in the same state
-    assume(init is init_qdlqa_state or scale > 0)
+    def init(rngs):
+        if method == "qdgd":
+            return init_qdgd_state(n_free, c, rngs)
+        return init_qdlqa_state(n_free, c, f, rngs)
+
     rngs = [np.random.default_rng(seed) for seed in seeds]
     refs = [np.random.default_rng(seed) for seed in seeds]
-    stacked = init(n_free, c, scale, rngs)
-    singles = [init(n_free, c, scale, [ref]) for ref in refs]
+    stacked = init(rngs)
+    singles = [init([ref]) for ref in refs]
     assert stacked.shape == (len(seeds), n_free, c)
     assert not stacked[..., -1].any()
     assert stacked.tobytes() == np.concatenate(singles).tobytes()
@@ -248,14 +247,14 @@ def test_grouped_init_is_the_single_calls_stacked(init, n_free, c, scale, seeds)
 
 
 class ZeroFirstRow:
-    """A generator whose first uniform draw has an all-zero first row."""
+    """A generator whose first ``random`` draw has an all-zero first row."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.calls = 0
 
-    def uniform(self, low, high, size):
-        out = self.rng.uniform(low, high, size)
+    def random(self, size):
+        out = self.rng.random(size)
         if self.calls == 0:
             out[0] = 0.0
         self.calls += 1
@@ -265,15 +264,15 @@ class ZeroFirstRow:
 def test_init_qdgd_redraws_all_zero_rows_from_their_own_generator():
     rngs = [np.random.default_rng(1), ZeroFirstRow(2), np.random.default_rng(3),
             ZeroFirstRow(4)]
-    stacked = init_qdgd_state(5, 4, 1.0, rngs)
+    stacked = init_qdgd_state(5, 4, rngs)
     assert [g.calls for g in rngs[1::2]] == [2, 2]
-    singles = [init_qdgd_state(5, 4, 1.0, [g]) for g in
+    singles = [init_qdgd_state(5, 4, [g]) for g in
                (np.random.default_rng(1), ZeroFirstRow(2), np.random.default_rng(3),
                 ZeroFirstRow(4))]
     assert stacked.tobytes() == np.concatenate(singles).tobytes()
     # the zero row of run 1 is its generator's next draw, normalized
     ref = np.random.default_rng(2)
-    ref.uniform(0.0, 1.0, (5, 4))
-    redraw = ref.uniform(0.0, 1.0, (1, 4))[0]
+    ref.random((5, 4))
+    redraw = ref.random((1, 4))[0]
     np.testing.assert_allclose(amplitudes(stacked[1, 0]), redraw / np.linalg.norm(redraw),
                                atol=1e-12)

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcolor import gradient, solver
@@ -183,15 +183,13 @@ def test_hyperparameter_validation():
         qdlqa_hp(n_steps=0)
     with pytest.raises(ValueError, match="patience"):
         qdgd_hp(patience=0)
-    with pytest.raises(ValueError, match="f_tilde"):
-        qdgd_hp(f_tilde=0.0)
     with pytest.raises(ValueError, match="eta"):
         qdlqa_hp(eta=-1.0)
     with pytest.raises(ValueError, match="seed"):
         qdlqa_hp(master_seed=-1)
 
 
-@pytest.mark.parametrize("name", ["gamma", "eta", "f", "f_tilde", "h"])
+@pytest.mark.parametrize("name", ["gamma", "eta", "f", "h"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_settings_are_rejected(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
@@ -578,13 +576,17 @@ def test_solver_calls_its_layers_by_module_name(queen55, monkeypatch, method):
                      "potts_energy": 30}
 
 
-@pytest.mark.parametrize("graph, hp", [
+@pytest.mark.parametrize("graph, hp, steps", [
     (triangle(), Hyperparameters(method="qdgd", num_colors=2, n_steps=60,
-                                 patience=60, n_runs=1)),
+                                 patience=60, n_runs=1), 60),
     (queen_graph(5, 5), Hyperparameters(method="qdgd", num_colors=4, n_steps=5,
-                                        n_runs=100)),
-], ids=["one-run-3-edges", "queen5-5-100-runs"])
-def test_coupling_draws_stop_at_the_step_budget(monkeypatch, graph, hp):
+                                        n_runs=100), 5),
+    # stages of 1, 1, 2, 3, 5 and 7 steps at t = 0, 0.2, ..., 1
+    (queen_graph(5, 5), Hyperparameters(method="qdlqa", num_colors=4, n_steps=5,
+                                        alpha=parse_alpha("exp:2:7"),
+                                        include_t_end=True, n_runs=4), 19),
+], ids=["one-run-3-edges", "queen5-5-100-runs", "queen5-5-multi-step-stages"])
+def test_coupling_draws_stop_at_the_step_budget(monkeypatch, graph, hp, steps):
     # a block of draws is never longer than the steps its group has left:
     # a run draws at most one row of couplings per step it may take
     rows = {}
@@ -596,8 +598,8 @@ def test_coupling_draws_stop_at_the_step_budget(monkeypatch, graph, hp):
     monkeypatch.setattr(solver, "draw_couplings", counting)
     recs = run_one(graph, hp, range(hp.n_runs))
     assert len(rows) == hp.n_runs
-    assert max(rows.values()) <= hp.n_steps
-    assert max(r.steps_executed for r in recs) == hp.n_steps
+    assert max(rows.values()) <= steps
+    assert max(r.steps_executed for r in recs) == steps
 
 
 @pytest.mark.parametrize("runner, method, other",
@@ -641,39 +643,22 @@ def test_stages_on_demand_equal_the_stage_list(alpha, include_t_end):
     expected = [(t, alpha.steps_at(t))
                 for t in (n / hp.n_steps for n in range(n_stages))]
     assert built == expected
-    assert schedule.total_steps == sum(inner for _, inner in expected)
-    assert (schedule.init, schedule.scale, schedule.patience) == \
-        (solver.init_qdlqa_state, 0.2, math.inf)
+    assert schedule.patience == math.inf
+    # the start angles carry hp.f
+    start = schedule.init(6, 5, [np.random.default_rng(s) for s in (1, 2)])
+    expected = solver.init_qdlqa_state(6, 5, hp.f, [np.random.default_rng(s)
+                                                    for s in (1, 2)])
+    assert start.tobytes() == expected.tobytes()
 
-    schedule = solver._schedule(qdgd_hp(n_steps=1000, f_tilde=0.3, patience=7))
+    schedule = solver._schedule(qdgd_hp(n_steps=1000, patience=7))
     built = [schedule.stage(n) for n in range(schedule.count)]
     assert built == [(1.0, 1)] * 1000
-    assert schedule.total_steps == 1000
-    assert (schedule.init, schedule.scale, schedule.patience) == \
-        (solver.init_qdgd_state, 0.3, 7)
-
-
-@settings(deadline=None, max_examples=200)
-@given(rate=st.floats(allow_nan=False, allow_infinity=False),
-       cap=st.integers(1, 40), n_steps=st.integers(1, 500),
-       include_t_end=st.booleans())
-@example(rate=-2.0, cap=7, n_steps=100, include_t_end=True)
-@example(rate=0.0, cap=7, n_steps=100, include_t_end=False)
-@example(rate=1000.0, cap=7, n_steps=100, include_t_end=True)
-@example(rate=2.0, cap=1, n_steps=100, include_t_end=False)
-@example(rate=2.0, cap=7, n_steps=1, include_t_end=True)
-def test_schedule_total_steps_equal_the_sum_over_stages(rate, cap, n_steps,
-                                                        include_t_end):
-    alpha = ExponentialAlpha(rate, cap)
-    hp = qdlqa_hp(n_steps=n_steps, alpha=alpha, include_t_end=include_t_end)
-    schedule = solver._schedule(hp)
-    assert schedule.total_steps == sum(alpha.steps_at(n / n_steps)
-                                       for n in range(schedule.count))
+    assert (schedule.init, schedule.patience) == (solver.init_qdgd_state, 7)
 
 
 def test_step_total_costs_no_call_per_stage_of_the_budget(k3, monkeypatch):
-    # the run solves in 10 steps; the total of a 10^5-stage budget is found
-    # with a bisect per step value, not with one steps_at call per stage
+    # the run solves in 10 steps; a 10^5-stage budget costs it no steps_at
+    # call per stage
     calls = []
     steps_at = ExponentialAlpha.steps_at
 
