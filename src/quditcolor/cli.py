@@ -294,7 +294,7 @@ def _cmd_gradcheck(args) -> int:
         angles = np.pad(angles, ((0, 0), (0, 1)))  # the zero pad column
         if fixed is not None:  # the pinned node's row is all zeros
             angles = np.insert(angles, fixed, 0.0, axis=0)
-        hvals = draw_couplings(graph, hp.h, rng)
+        hvals = draw_couplings(graph, hp.h, [rng])[0]
         try:
             report = check_gradient(workspace, angles, t, hp.gamma, hvals,
                                     step=args.step, tol=args.tol)

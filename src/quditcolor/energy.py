@@ -12,6 +12,8 @@ with ``draw_couplings``; and t and gamma as plain floats the caller checks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .graph import Graph
@@ -64,23 +66,29 @@ def energy_initial(psi: np.ndarray, lx_offdiag: np.ndarray) -> float:
     return float(-per_node.sum())
 
 
-def draw_couplings(graph: Graph, h: float, rng: np.random.Generator,
+def draw_couplings(graph: Graph, h: float, rngs: Sequence[np.random.Generator],
                    out: np.ndarray | None = None) -> np.ndarray:
     """Per-edge coupling perturbations, i.i.d. uniform in [0, h), in edge
-    order.
+    order, one row of them per generator in ``rngs``.
 
-    Written into ``out`` when given, else into a new (E,) array.  ``out``
-    may have any C-contiguous shape (..., E): a (B, E) buffer holds B
-    successive draws.  The values and the generator's next state are those
-    of ``rng.uniform(0.0, h, out.shape)``; ``h == 0`` gives zeros and draws
-    nothing.
+    Written into ``out`` when given, else into a new (len(rngs), E) array.
+    ``out`` is C-contiguous of shape (len(rngs), ..., E), and ``out[j]`` is
+    filled from ``rngs[j]`` alone: a (k, B, E) buffer holds B successive
+    draws of each of k generators.  ``out[j]`` and the generator's next
+    state are those of ``rngs[j].uniform(0.0, h, out[j].shape)``: each
+    generator fills its rows in one call, and the whole buffer is then
+    scaled by h in one pass.  ``h == 0`` gives zeros and draws nothing.
+    A single draw is ``draw_couplings(graph, h, [rng])[0]``.
     """
     if out is None:
-        out = np.empty(graph.num_edges)
+        out = np.empty((len(rngs), graph.num_edges))
+    elif len(out) != len(rngs):
+        raise ValueError(f"{len(rngs)} generators for {len(out)} rows of couplings")
     if h == 0.0:
         out.fill(0.0)
         return out
-    rng.random(out=out)
+    for rng, rows in zip(rngs, out):
+        rng.random(out=rows)
     out *= h
     return out
 

@@ -331,14 +331,38 @@ def group_size(num_nodes: int, num_colors: int) -> int:
     return max(1, GROUP_ANGLES // (num_nodes * (num_colors - 1)))
 
 
-# Coupling values a group draws ahead at most (256 KiB of float64).  Each
-# run fills its couplings for a block of DRAW_BUDGET // (k*E) steps, at
-# least one and at most the stages left, in one generator call, which
-# shares the call's overhead among the steps of the block.  Every stage
-# takes at least one step, so a block never runs past the last step.  A
-# larger budget gained no more in measurement and added its size to the
-# peak memory.
-DRAW_BUDGET = 32_768
+# Coupling values a group draws ahead at most (1 MiB of float64), and
+# that a run draws ahead at most in one call.  At each refill every run of
+# a group of k fills its rows for a block of
+# min(ceil(DRAW_PER_RUN / E), DRAW_BUDGET // (k*E)) steps, at least one and
+# at most the steps left, in one generator call, which shares the call's
+# overhead among the steps of the block: 8 steps for 100 runs on queen5-5,
+# 26 once 31 or fewer are left.  DRAW_PER_RUN keeps a small group's block
+# small: a lone run on a 3-edge graph draws about 4k values, not 1 MiB.
+# DRAW_BUDGET bounds the buffer a group allocates once.
+DRAW_BUDGET = 131_072
+DRAW_PER_RUN = 4_096
+
+
+def _block_rows(k: int, num_edges: int) -> int:
+    """Steps of couplings each of k runs draws at a refill, before the cap
+    at the steps left."""
+    per_step = max(1, num_edges)
+    return max(1, min(-(-DRAW_PER_RUN // per_step), DRAW_BUDGET // (k * per_step)))
+
+
+def _steps_left(schedule: _Schedule, n: int, left: int, most: int) -> int:
+    """The steps left from stage n, which has ``left`` still to take, if
+    fewer than ``most``, else ``most``.  Every stage takes at least one
+    step, so the stages are built only where fewer than ``most`` are left,
+    and summed only until they reach it."""
+    m = n + 1
+    while left < most and m < schedule.count:
+        if left + schedule.count - m >= most:
+            return most
+        left += schedule.stage(m)[1]
+        m += 1
+    return min(left, most)
 
 
 def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
@@ -378,19 +402,23 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     the group it is in.
 
     Every per-run array is a stack with the run as its first axis: the
-    padded angles (k, V, c), Adam's two moments, the four ``Forward`` arrays
-    and the couplings drawn ahead (k, block, E), and a run that leaves is
-    dropped from each of them with the same mask.  The angles are mapped
-    to amplitudes once per step: the forward map taken after an Adam step
-    serves both the stage's readout and the next step's cost.  Each run
-    draws its couplings a block of steps ahead in one call, which takes
-    its generator through the same stream as one draw per step, and the
-    steps consume the block from its front; a block never holds more
-    steps than there are stages left, and so never more than steps left.
-    The angles hold a row for every node; the pinned node's row is
-    inserted as zeros into each run's start angles and stays there, since
-    its gradient is 0.  A recorded
-    trajectory gets a row (t, conflicts) at each counted readout.
+    padded angles (k, V, c), Adam's two moments and the four ``Forward``
+    arrays, and a run that leaves is dropped from each of them with the
+    same mask.  The angles are mapped to amplitudes once per step: the
+    forward map taken after an Adam step serves both the stage's readout
+    and the next step's cost.  The couplings are drawn a block of steps
+    ahead into one buffer that the group allocates once.  At each refill
+    the runs still in the group are packed into its first k slots, a
+    (k, rows, E) block, and each run fills its rows from its own generator
+    in one call, which takes the generator through the same stream as one
+    draw per step; a block never holds more steps than the group has left.
+    The runs step in lockstep, so one cursor serves them all: a step takes
+    the view ``block[:, cursor]``, or, after a run has left in mid-block,
+    the survivors' rows ``block[slots, cursor]``, so that a leave copies no
+    couplings.  The angles hold a row for every node; the pinned node's row
+    is inserted as zeros into each run's start angles and stays there,
+    since its gradient is 0.  A recorded trajectory gets a row (t,
+    conflicts) at each counted readout.
     """
     mark = time.perf_counter()
     share = 0.0  # wall time attributed to every run still in the group
@@ -403,22 +431,28 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     if fixed is not None:
         angles = np.insert(angles, fixed, 0.0, axis=1)
     adam = Adam(angles.shape, hp.eta)
-    drawn = np.empty((len(runs), 0, num_edges))  # the steps' couplings ahead
+    # the couplings ahead, with room for the largest block of any refill:
+    # one step of every run, or at most DRAW_BUDGET values and at most a
+    # lone run's rows per run
+    step = len(runs) * num_edges
+    buffer = np.empty(max(step, min(step * _block_rows(1, num_edges), DRAW_BUDGET)))
+    slots, cursor, rows = None, 0, 0
     color_type = np.min_scalar_type(-hp.num_colors)
     # a diverging run overflows in Adam and then maps NaN angles; it is
     # reported by the diverged flag, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         fwd = forward(angles)
         for n, (t, inner) in enumerate(map(schedule.stage, range(schedule.count))):
-            for _ in range(inner):
-                if not drawn.shape[1]:
-                    block = min(max(1, DRAW_BUDGET // max(1, len(runs) * num_edges)),
-                                schedule.count - n)
-                    drawn = np.empty((len(runs), block, num_edges))
-                    for run, out in zip(runs, drawn):
-                        draw_couplings(graph, hp.h, run.rng, out=out)
-                gphi = workspace.value_and_grad(fwd, t, hp.gamma, drawn[:, 0])
-                drawn = drawn[:, 1:]
+            for i in range(inner):
+                if cursor == rows:  # the block is used up: draw the next
+                    k = len(runs)
+                    rows = _steps_left(schedule, n, inner - i, _block_rows(k, num_edges))
+                    block = buffer[:k * rows * num_edges].reshape(k, rows, num_edges)
+                    draw_couplings(graph, hp.h, [run.rng for run in runs], block)
+                    slots, cursor = None, 0
+                hvals = block[:, cursor] if slots is None else block[slots, cursor]
+                cursor += 1
+                gphi = workspace.value_and_grad(fwd, t, hp.gamma, hvals)
                 adam.step(angles, gphi)
                 fwd = forward(angles)
             finite = np.isfinite(angles).all(axis=(1, 2)).tolist()
@@ -452,7 +486,8 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
             if not runs:
                 break
             keep = np.array(stays)
-            angles, drawn = angles[keep], drawn[keep]
+            angles = angles[keep]
+            slots = np.flatnonzero(keep) if slots is None else slots[keep]
             adam.first_moment = adam.first_moment[keep]
             adam.second_moment = adam.second_moment[keep]
             fwd = Forward._make(a[keep] for a in fwd)

@@ -110,7 +110,7 @@ def test_criterion_5_gradient_correctness():
             angles = rng.uniform(-np.pi, np.pi, size=(graph.num_nodes - 1, c - 1))
             angles = np.insert(padded(angles), fixed, 0.0, axis=0)  # the pinned row
             t = float(rng.uniform(0, 1))
-            rep = check_gradient(ws, angles, t, 1.0, draw_couplings(graph, 3.0, rng),
+            rep = check_gradient(ws, angles, t, 1.0, draw_couplings(graph, 3.0, [rng])[0],
                                  step=1e-5, tol=1e-4)
             worst = max(worst, rep.max_rel_error)
             checked += 1

@@ -108,7 +108,7 @@ def test_energy_final_orthogonal_and_identical():
     g = Graph.from_edges(2, [(0, 1)])
     rng = np.random.default_rng(0)
     apart = psi_from_probabilities([[1, 0, 0], [0, 1, 0]])
-    assert energy_final(apart, g, draw_couplings(g, 5.0, rng)) == pytest.approx(0.0)
+    assert energy_final(apart, g, draw_couplings(g, 5.0, [rng])[0]) == pytest.approx(0.0)
     together = psi_from_probabilities([[0, 1, 0], [0, 1, 0]])
     assert energy_final(together, g, np.zeros(g.num_edges)) == pytest.approx(1.0)
 

@@ -78,7 +78,7 @@ def test_gradient_zero_without_edges_or_regularizer():
     ws = CostWorkspace(g, build_ops(4), None)
     angles = random_angles(g, 4, np.random.default_rng(1))
     t, gamma = 1.0, 0.0
-    hvals = draw_couplings(g, 2.0, np.random.default_rng(0))
+    hvals = draw_couplings(g, 2.0, [np.random.default_rng(0)])[0]
     grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
     assert np.abs(grad).max() == 0.0
 
@@ -89,7 +89,7 @@ def test_gradient_matches_finite_differences_on_queen55():
     rng = np.random.default_rng(42)
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
     t, gamma = 0.37, 1.0
-    hvals = draw_couplings(g, 3.0, rng)
+    hvals = draw_couplings(g, 3.0, [rng])[0]
     grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None]).ravel()
     fd = finite_difference(ws, angles, t, gamma, hvals, step=1e-5)
     rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-2)
@@ -112,7 +112,7 @@ def test_gradient_linearity_in_t():
     ws = pinned_workspace(g, 5)
     rng = np.random.default_rng(9)
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
-    hvals = draw_couplings(g, 3.0, rng)
+    hvals = draw_couplings(g, 3.0, [rng])[0]
     grads = {}
     for t in (0.0, 0.35, 1.0):
         grads[t] = ws.value_and_grad(forward(angles[None]), t, 1.2, hvals[None])
@@ -127,7 +127,7 @@ def test_check_gradient_passes_at_boundaries(t):
     rng = np.random.default_rng(int(t * 10) + 1)
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
     report = check_gradient(ws, angles, t, 1.0,
-                            draw_couplings(g, 3.0, rng), step=1e-5, tol=1e-4)
+                            draw_couplings(g, 3.0, [rng])[0], step=1e-5, tol=1e-4)
     assert report.passed, report.max_rel_error
 
 
@@ -143,7 +143,7 @@ def test_check_gradient_random_points_suite():
                 gamma, h = float(rng.uniform(0, 2)), float(rng.uniform(0, 4))
                 t = float(rng.uniform(0, 1))
                 report = check_gradient(ws, angles, t, gamma,
-                                        draw_couplings(g, h, rng))
+                                        draw_couplings(g, h, [rng])[0])
                 assert report.passed, (g.num_nodes, c, report.max_rel_error)
 
 
@@ -193,7 +193,7 @@ def test_workspace_reuse_matches_fresh():
     for _ in range(3):
         angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
         t, gamma = 0.7, 0.8
-        hvals = draw_couplings(g, 2.0, rng)
+        hvals = draw_couplings(g, 2.0, [rng])[0]
         g1 = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
         fresh = pinned_workspace(g, 5)
         g2 = fresh.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
@@ -214,7 +214,7 @@ def test_stacked_runs_match_single_runs_bit_for_bit(name, c, runs, pinned):
     rng = np.random.default_rng(runs)
     for _ in range(3):
         angles = [random_angles(g, c, rng, fixed) for _ in range(runs)]
-        hvals = [draw_couplings(g, 3.0, rng) for _ in range(runs)]
+        hvals = [draw_couplings(g, 3.0, [rng])[0] for _ in range(runs)]
         t, gamma = float(rng.uniform()), 1.3
         fwd = forward(np.stack(angles))
         grad = group.value_and_grad(fwd, t, gamma, np.stack(hvals))
@@ -253,7 +253,7 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
     angles = zero_pinned_rows(ws, padded(angles.reshape(g.num_nodes, c - 1)))
     t, gamma = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 2.0))
     hvals = draw_couplings(g, 3.0,
-                           np.random.default_rng(data.draw(st.integers(0, 99))))
+                           [np.random.default_rng(data.draw(st.integers(0, 99)))])[0]
 
     fwd = forward(angles[None])
     assert len(fwd) == 4
@@ -282,7 +282,7 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
     h = data.draw(st.floats(0.0, 3.0))
     t, gamma = data.draw(st.sampled_from([0.0, 0.3, 1.0])), 0.0
     hvals = draw_couplings(g, h,
-                           np.random.default_rng(data.draw(st.integers(0, 99))))
+                           [np.random.default_rng(data.draw(st.integers(0, 99)))])[0]
     grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
     np.testing.assert_allclose(grad.ravel(),
                                finite_difference(ws, angles, t, gamma, hvals),
@@ -348,7 +348,7 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
     gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
     t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-    hvals = np.stack([draw_couplings(g, h, rng) for _ in range(runs)])
+    hvals = np.stack([draw_couplings(g, h, [rng])[0] for _ in range(runs)])
     with np.errstate(invalid="ignore"):
         fwd = forward(angles)
         grad = ws.value_and_grad(fwd, t, gamma, hvals)
@@ -424,7 +424,7 @@ def test_pinned_rows_stay_frozen_in_every_copy(g, c, copies, data):
     gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
     t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-    hvals = np.stack([draw_couplings(g, h, rng) for _ in range(copies)])
+    hvals = np.stack([draw_couplings(g, h, [rng])[0] for _ in range(copies)])
     fwd = forward(angles)
     zero = ~angles.any(axis=-1)
     np.testing.assert_array_equal(fwd.psi[zero], np.eye(c)[[0] * zero.sum()])
@@ -452,7 +452,7 @@ def test_gradient_of_pad_and_pinned_rows_is_exactly_zero(g, c, runs, data):
     gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
     t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-    hvals = np.stack([draw_couplings(g, h, rng) for _ in range(runs)])
+    hvals = np.stack([draw_couplings(g, h, [rng])[0] for _ in range(runs)])
     with np.errstate(invalid="ignore"):
         grad = ws.value_and_grad(forward(angles), t, gamma, hvals)
     frozen = [grad[..., -1]] + ([] if fixed is None else [grad[:, fixed]])
@@ -474,7 +474,7 @@ def test_gradient_bytes_do_not_depend_on_the_angles_layout(g, c, runs, pinned,
     rng = np.random.default_rng(seed)
     wide = padded(angles_with_poles(rng, (2 * runs, g.num_nodes, c - 1)))
     strided = zero_pinned_rows(ws, wide)[::2]
-    hvals = np.stack([draw_couplings(g, 3.0, rng) for _ in range(runs)])
+    hvals = np.stack([draw_couplings(g, 3.0, [rng])[0] for _ in range(runs)])
     grads = [ws.value_and_grad(forward(phi), t, 0.7, hvals).tobytes()
              for phi in (np.ascontiguousarray(strided), np.asfortranarray(strided),
                          strided)]
@@ -497,7 +497,7 @@ def test_adam_steps_keep_the_pad_at_zero(g, c, runs, method, seed):
     adam = Adam(angles.shape, 0.5)
     for step in range(50):
         t = step / 50 if method == "qdlqa" else 1.0
-        hvals = np.stack([draw_couplings(g, 3.0, rng) for rng in rngs])
+        hvals = draw_couplings(g, 3.0, rngs)
         grad = ws.value_and_grad(forward(angles), t, 1.0, hvals)
         adam.step(angles, grad)
     for pad in (angles[..., -1], adam.first_moment[..., -1],
@@ -579,25 +579,32 @@ def test_neighbor_sum_equals_symmetric_csr_product(g, c, data):
        seed=st.integers(0, 2**32 - 1))
 def test_draw_couplings_into_buffer_is_uniform_draw(g, h, seed):
     mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    buf = np.full(g.num_edges, np.nan)
-    drawn = draw_couplings(g, h, mine, out=buf)
+    buf = np.full((1, g.num_edges), np.nan)
+    drawn = draw_couplings(g, h, [mine], out=buf)
     assert drawn is buf
     expected = ref.uniform(0.0, h, g.num_edges) if h else np.zeros(g.num_edges)
-    np.testing.assert_array_equal(buf, expected)
+    np.testing.assert_array_equal(buf[0], expected)
     assert mine.random() == ref.random()  # same generator state afterwards
-    np.testing.assert_array_equal(draw_couplings(g, h, np.random.default_rng(seed)),
-                                  expected)
+    np.testing.assert_array_equal(draw_couplings(g, h, [np.random.default_rng(seed)]),
+                                  [expected])
 
 
 @settings(deadline=None, max_examples=60)
 @given(g=small_graphs(), h=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
-       block=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
-def test_draw_couplings_into_block_is_successive_draws(g, h, block, seed):
-    # a run draws a block of steps in one call: the rows must be the draws
-    # one call per step would give, and leave the generator where they would
-    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    buf = np.full((block, g.num_edges), np.nan)
+       runs=st.integers(1, 4), block=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_draw_couplings_into_block_is_successive_draws(g, h, runs, block, seed):
+    # a group fills a block of steps for each of its runs in one call: each
+    # run's rows must be the draws one call per step on its own generator
+    # would give, and leave that generator where they would
+    mine = [np.random.default_rng([seed, j]) for j in range(runs)]
+    ref = [np.random.default_rng([seed, j]) for j in range(runs)]
+    buf = np.full((runs, block, g.num_edges), np.nan)
     assert draw_couplings(g, h, mine, out=buf) is buf
-    expected = [draw_couplings(g, h, ref) for _ in range(block)]
+    expected = [[draw_couplings(g, h, [rng])[0] for _ in range(block)] for rng in ref]
     np.testing.assert_array_equal(buf, np.reshape(expected, buf.shape))
-    assert mine.random() == ref.random()
+    assert [rng.random() for rng in mine] == [rng.random() for rng in ref]
+
+
+def test_draw_couplings_takes_a_generator_per_row(k3):
+    with pytest.raises(ValueError, match="^2 generators for 3 rows of couplings$"):
+        draw_couplings(k3, 1.0, [np.random.default_rng(0)] * 2, out=np.empty((3, 2, 3)))

@@ -454,12 +454,30 @@ def test_grouping_does_not_change_any_run(case, order, cuts, block):
         budget = block * len(group) * graph.num_edges
         with np.errstate(over="ignore", invalid="ignore"), \
                 mock.patch.object(solver, "DRAW_BUDGET", budget), \
+                mock.patch.object(solver, "DRAW_PER_RUN", budget), \
                 gradient_digests() as calls:
             recs = run_one(graph, hp, group, record_trajectory=True)
         assert [r.run_index for r in recs] == group
         got.update((r.run_index, run_result(r)) for r in recs)
         digests.update(digests_by_run(recs, calls))
     assert ([got[i] for i in range(GROUP_RUNS)], digests) == single_run_results(case)
+
+
+def test_runs_that_leave_in_mid_block_keep_their_couplings(monkeypatch):
+    # blocks of 3 steps for a group of 6 runs that leave on patience: a
+    # leave in mid-block hands the survivors' rows on from where they lie,
+    # and the next refill packs the survivors into the first slots
+    graph = queen_graph(5, 5)
+    hp = Hyperparameters(**GROUP_CASES["qdgd-patience"], n_runs=GROUP_RUNS)
+    monkeypatch.setattr(solver, "DRAW_BUDGET", 3 * GROUP_RUNS * graph.num_edges)
+    monkeypatch.setattr(solver, "DRAW_PER_RUN", 3 * graph.num_edges)
+    with gradient_digests() as calls:
+        recs = run_one(graph, hp, range(GROUP_RUNS), record_trajectory=True)
+    # the runs that leave after 38 and 40 steps do so in mid-block, and
+    # the run that takes 49 steps steps on through the refills after them
+    assert sorted(r.steps_executed for r in recs) == [18, 38, 39, 40, 41, 49]
+    assert ([run_result(r) for r in recs], digests_by_run(recs, calls)) \
+        == single_run_results("qdgd-patience")
 
 
 @pytest.mark.parametrize("case", sorted(GROUP_CASES))
@@ -551,8 +569,7 @@ def test_runs_are_split_into_near_equal_groups(queen55, monkeypatch):
 def test_solver_calls_its_layers_by_module_name(queen55, monkeypatch, method):
     # the bench tracer patches these names in the solver module, so the
     # solver must look them up there at call time; per group there is one
-    # init call, one draw per run per coupling block and one Potts count
-    # per stage
+    # init call, one draw per coupling block and one Potts count per stage
     calls = {}
 
     def counting(name):
@@ -572,7 +589,7 @@ def test_solver_calls_its_layers_by_module_name(queen55, monkeypatch, method):
     monkeypatch.setattr(solver, "DRAW_BUDGET", 7 * 3 * queen55.num_edges)
     recs = run_one(queen55, hp, range(3))
     assert [r.steps_executed for r in recs] == [30] * 3
-    assert calls == {init: 1, "draw_couplings": 3 * math.ceil(30 / 7),
+    assert calls == {init: 1, "draw_couplings": math.ceil(30 / 7),
                      "potts_energy": 30}
 
 
@@ -591,15 +608,33 @@ def test_coupling_draws_stop_at_the_step_budget(monkeypatch, graph, hp, steps):
     # a run draws at most one row of couplings per step it may take
     rows = {}
 
-    def counting(graph, h, rng, out=None):
-        rows[id(rng)] = rows.get(id(rng), 0) + out.size // graph.num_edges
-        return draw_couplings(graph, h, rng, out=out)
+    def counting(graph, h, rngs, out=None):
+        for rng, block in zip(rngs, out):
+            rows[id(rng)] = rows.get(id(rng), 0) + block.size // graph.num_edges
+        return draw_couplings(graph, h, rngs, out=out)
 
     monkeypatch.setattr(solver, "draw_couplings", counting)
     recs = run_one(graph, hp, range(hp.n_runs))
     assert len(rows) == hp.n_runs
     assert max(rows.values()) <= steps
     assert max(r.steps_executed for r in recs) == steps
+
+
+def test_coupling_blocks_fill_up_to_the_steps_left(queen55, monkeypatch):
+    # 51 stages of 1 to 7 steps, 163 steps in all: a block is capped at the
+    # steps left, not at the stages left, so 26-step blocks run to the end
+    blocks = []
+
+    def counting(graph, h, rngs, out=None):
+        blocks.append(out.shape[:2])
+        return draw_couplings(graph, h, rngs, out=out)
+
+    monkeypatch.setattr(solver, "draw_couplings", counting)
+    hp = Hyperparameters(method="qdlqa", num_colors=4, n_steps=50, n_runs=4,
+                         alpha=parse_alpha("exp:2:7"), include_t_end=True)
+    recs = run_one(queen55, hp, range(4))
+    assert [r.steps_executed for r in recs] == [163] * 4
+    assert blocks == [(4, 26)] * 6 + [(4, 7)]
 
 
 @pytest.mark.parametrize("runner, method, other",
@@ -617,7 +652,7 @@ def test_drivers_reject_the_other_method(k3, runner, method, other):
                                                      ("qdlqa", 3, 10**5)])
 def test_stages_are_built_as_the_loop_reaches_them(k3, method, colors, n_steps):
     # a run that stops after a few dozen steps pays for those, not for its
-    # whole budget: no list of all stages, no draw block past 256 KiB
+    # whole budget: no list of all stages, no draw block past about 4k values
     hp = Hyperparameters(method=method, num_colors=colors, n_steps=n_steps,
                          patience=20)
     tracemalloc.start()
