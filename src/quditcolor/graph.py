@@ -67,9 +67,11 @@ class Graph:
     def from_edges(cls, num_nodes: int, edges) -> "Graph":
         """Build a validated graph from 0-based (u, v) pairs.
 
-        Duplicate edges (in either orientation) are collapsed; self-loops
-        and isolated nodes are rejected.
+        Duplicate edges (in either orientation) are collapsed; an empty
+        graph, self-loops and isolated nodes are rejected.
         """
+        if num_nodes < 1:
+            raise ValueError(f"a graph needs at least one node, got {num_nodes}")
         pairs = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                            dtype=np.int64).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
@@ -81,7 +83,7 @@ class Graph:
         key += np.maximum(pairs[:, 0], pairs[:, 1])
         pairs = _canonical_edges(key, num_nodes)
         degrees = np.bincount(pairs.ravel(), minlength=num_nodes)
-        if num_nodes and degrees.min() == 0:
+        if degrees.min() == 0:
             raise ValueError("isolated node present; preprocess with compact_edges first")
         return cls(num_nodes=num_nodes, edges=pairs, degrees=degrees)
 

@@ -334,35 +334,20 @@ def group_size(num_nodes: int, num_colors: int) -> int:
 # Coupling values a group draws ahead at most (1 MiB of float64), and
 # that a run draws ahead at most in one call.  At each refill every run of
 # a group of k fills its rows for a block of
-# min(ceil(DRAW_PER_RUN / E), DRAW_BUDGET // (k*E)) steps, at least one and
-# at most the steps left, in one generator call, which shares the call's
-# overhead among the steps of the block: 8 steps for 100 runs on queen5-5,
-# 26 once 31 or fewer are left.  DRAW_PER_RUN keeps a small group's block
-# small: a lone run on a 3-edge graph draws about 4k values, not 1 MiB.
-# DRAW_BUDGET bounds the buffer a group allocates once.
+# max(1, min(ceil(DRAW_PER_RUN / E), DRAW_BUDGET // (k*E))) steps in one
+# generator call, which shares the call's overhead among the steps of the
+# block: 8 steps for 100 runs on queen5-5, 26 once 31 or fewer are left.
+# DRAW_PER_RUN keeps a small group's block small: a lone run on a 3-edge
+# graph draws about 4k values, not 1 MiB.  DRAW_BUDGET bounds the buffer a
+# group allocates once.
 DRAW_BUDGET = 131_072
 DRAW_PER_RUN = 4_096
 
 
 def _block_rows(k: int, num_edges: int) -> int:
-    """Steps of couplings each of k runs draws at a refill, before the cap
-    at the steps left."""
+    """Steps of couplings each of k runs draws at a refill."""
     per_step = max(1, num_edges)
     return max(1, min(-(-DRAW_PER_RUN // per_step), DRAW_BUDGET // (k * per_step)))
-
-
-def _steps_left(schedule: _Schedule, n: int, left: int, most: int) -> int:
-    """The steps left from stage n, which has ``left`` still to take, if
-    fewer than ``most``, else ``most``.  Every stage takes at least one
-    step, so the stages are built only where fewer than ``most`` are left,
-    and summed only until they reach it."""
-    m = n + 1
-    while left < most and m < schedule.count:
-        if left + schedule.count - m >= most:
-            return most
-        left += schedule.stage(m)[1]
-        m += 1
-    return min(left, most)
 
 
 def _run(graph: Graph, hp: Hyperparameters, run_indices: Sequence[int],
@@ -411,14 +396,15 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     the runs still in the group are packed into its first k slots, a
     (k, rows, E) block, and each run fills its rows from its own generator
     in one call, which takes the generator through the same stream as one
-    draw per step; a block never holds more steps than the group has left.
-    The runs step in lockstep, so one cursor serves them all: a step takes
-    the view ``block[:, cursor]``, or, after a run has left in mid-block,
-    the survivors' rows ``block[slots, cursor]``, so that a leave copies no
-    couplings.  The angles hold a row for every node; the pinned node's row
-    is inserted as zeros into each run's start angles and stays there,
-    since its gradient is 0.  A recorded trajectory gets a row (t,
-    conflicts) at each counted readout.
+    draw per step.  A run's last block may run past its last step; its
+    unused rows are never read, and its generator is dropped when it
+    leaves.  The runs step in lockstep, so one cursor serves them all: a
+    step takes the view ``block[:, cursor]``, or, after a run has left in
+    mid-block, the survivors' rows ``block[slots, cursor]``, so that a
+    leave copies no couplings.  The angles hold a row for every node; the
+    pinned node's row is inserted as zeros into each run's start angles and
+    stays there, since its gradient is 0.  A recorded trajectory gets a row
+    (t, conflicts) at each counted readout.
     """
     mark = time.perf_counter()
     share = 0.0  # wall time attributed to every run still in the group
@@ -443,10 +429,10 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     with np.errstate(over="ignore", invalid="ignore"):
         fwd = forward(angles)
         for n, (t, inner) in enumerate(map(schedule.stage, range(schedule.count))):
-            for i in range(inner):
+            for _ in range(inner):
                 if cursor == rows:  # the block is used up: draw the next
                     k = len(runs)
-                    rows = _steps_left(schedule, n, inner - i, _block_rows(k, num_edges))
+                    rows = _block_rows(k, num_edges)
                     block = buffer[:k * rows * num_edges].reshape(k, rows, num_edges)
                     draw_couplings(graph, hp.h, [run.rng for run in runs], block)
                     slots, cursor = None, 0

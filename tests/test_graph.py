@@ -149,6 +149,10 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(ValueError, match="isolated"):
         Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError, match="at least one node, got 0"):
+        Graph.from_edges(0, [])
+    with pytest.raises(ValueError, match="at least one node, got -1"):
+        Graph.from_edges(-1, [])
 
 
 def test_select_fixed_node_strategies(k3):

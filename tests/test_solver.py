@@ -593,48 +593,29 @@ def test_solver_calls_its_layers_by_module_name(queen55, monkeypatch, method):
                      "potts_energy": 30}
 
 
-@pytest.mark.parametrize("graph, hp, steps", [
-    (triangle(), Hyperparameters(method="qdgd", num_colors=2, n_steps=60,
-                                 patience=60, n_runs=1), 60),
-    (queen_graph(5, 5), Hyperparameters(method="qdgd", num_colors=4, n_steps=5,
-                                        n_runs=100), 5),
-    # stages of 1, 1, 2, 3, 5 and 7 steps at t = 0, 0.2, ..., 1
-    (queen_graph(5, 5), Hyperparameters(method="qdlqa", num_colors=4, n_steps=5,
-                                        alpha=parse_alpha("exp:2:7"),
-                                        include_t_end=True, n_runs=4), 19),
-], ids=["one-run-3-edges", "queen5-5-100-runs", "queen5-5-multi-step-stages"])
-def test_coupling_draws_stop_at_the_step_budget(monkeypatch, graph, hp, steps):
-    # a block of draws is never longer than the steps its group has left:
-    # a run draws at most one row of couplings per step it may take
-    rows = {}
-
-    def counting(graph, h, rngs, out=None):
-        for rng, block in zip(rngs, out):
-            rows[id(rng)] = rows.get(id(rng), 0) + block.size // graph.num_edges
-        return draw_couplings(graph, h, rngs, out=out)
-
-    monkeypatch.setattr(solver, "draw_couplings", counting)
-    recs = run_one(graph, hp, range(hp.n_runs))
-    assert len(rows) == hp.n_runs
-    assert max(rows.values()) <= steps
-    assert max(r.steps_executed for r in recs) == steps
-
-
 def test_coupling_blocks_fill_up_to_the_steps_left(queen55, monkeypatch):
-    # 51 stages of 1 to 7 steps, 163 steps in all: a block is capped at the
-    # steps left, not at the stages left, so 26-step blocks run to the end
-    blocks = []
+    # 51 stages of 1 to 7 steps, 163 steps in all: every block is sized by
+    # the group alone, so the last 26-step block runs 19 steps past the end,
+    # and each stage is built once, as the loop reaches it
+    blocks, stages = [], []
+    steps_at = ExponentialAlpha.steps_at
 
     def counting(graph, h, rngs, out=None):
         blocks.append(out.shape[:2])
         return draw_couplings(graph, h, rngs, out=out)
 
+    def building(self, t):
+        stages.append(t)
+        return steps_at(self, t)
+
     monkeypatch.setattr(solver, "draw_couplings", counting)
+    monkeypatch.setattr(ExponentialAlpha, "steps_at", building)
     hp = Hyperparameters(method="qdlqa", num_colors=4, n_steps=50, n_runs=4,
                          alpha=parse_alpha("exp:2:7"), include_t_end=True)
     recs = run_one(queen55, hp, range(4))
     assert [r.steps_executed for r in recs] == [163] * 4
-    assert blocks == [(4, 26)] * 6 + [(4, 7)]
+    assert blocks == [(4, 26)] * 7
+    assert len(stages) == 51
 
 
 @pytest.mark.parametrize("runner, method, other",
