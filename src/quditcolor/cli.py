@@ -25,8 +25,8 @@ import numpy as np
 
 from .energy import draw_couplings
 from .gradient import CostWorkspace, check_gradient
-from .graph import (GraphParseError, GraphWarning, load_graph, read_utf8,
-                    select_fixed_node)
+from .graph import (FORMATS, GraphParseError, GraphWarning, load_graph,
+                    read_utf8, select_fixed_node)
 from .harness import (DivergedError, WorkerError, hp_to_dict, run_batch,
                       setting_value, stats_to_dict, sweep_colors,
                       write_trajectory_csv)
@@ -47,6 +47,12 @@ def _parse_bool(text: str) -> bool:
     return value in ("1", "true", "yes")
 
 
+def _parse_format(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError(f"expected {' or '.join(FORMATS)}, got {text!r}")
+    return text
+
+
 # a declared type -> the parser of a setting's text; any other stays text
 _TEXT_PARSERS = {int: int, float: float, bool: _parse_bool}
 # setting name -> its Hyperparameters field
@@ -54,7 +60,7 @@ _SETTINGS = {SETTING_NAMES[f.name]: f for f in fields(Hyperparameters)}
 # config-file key -> parser of its text; a setting's is its flag's type
 _CONFIG_PARSERS = {
     "graph": str,
-    "format": str,
+    "format": _parse_format,
     "workers": int,
     "out": str,
     "trajectories": str,
@@ -322,7 +328,7 @@ def _cmd_info(args) -> int:
 
 def _add_instance_flags(parser) -> None:
     parser.add_argument("--graph", help="instance file (.col or edge list)")
-    parser.add_argument("--format", choices=["dimacs", "edgelist"],
+    parser.add_argument("--format", choices=FORMATS,
                         help="override format auto-detection")
 
 

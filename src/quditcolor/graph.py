@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+FORMATS = ("dimacs", "edgelist")  # the names load_graph reads as fmt
+
 
 class GraphParseError(ValueError):
     """Raised when an instance file cannot be parsed."""
@@ -343,13 +345,13 @@ def load_graph(path, fmt: str | None = None) -> tuple[Graph, list[int]]:
     """Load an instance file, auto-detecting the format by extension.
 
     ``.col`` files parse as DIMACS, everything else as an edge list;
-    pass ``fmt`` ("dimacs" or "edgelist") to override.  The file must be
+    pass ``fmt`` (one of ``FORMATS``) to override.  The file must be
     UTF-8; ``GraphParseError`` names the line of its first other byte.
     """
     path = Path(path)
     if fmt is None:
         fmt = "dimacs" if path.suffix.lower() == ".col" else "edgelist"
-    if fmt not in ("dimacs", "edgelist"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     try:
         text = read_utf8(path)

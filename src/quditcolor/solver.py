@@ -220,10 +220,9 @@ class RunRecord:
     A run whose angles go non-finite is marked ``diverged`` and stops at the
     end of that stage (for qdgd, one step); that stage's readout is not
     counted.  It keeps the best of its earlier readouts, or ``None`` as
-    best and coloring if it had none.  ``wall_time`` is the run's
-    attributed share of its group's time: each interval between two runs
-    leaving the group is split evenly among the runs active in it, so the
-    shares of a group add up to the group's wall time.
+    best and coloring if it had none.  ``wall_time`` is the run's share of
+    its group's time: each stage's time is split evenly among the runs in
+    the group at that stage, so the shares add up to the group's time.
     """
 
     run_index: int
@@ -297,9 +296,9 @@ def _schedule(hp: Hyperparameters) -> _Schedule:
 @dataclass(slots=True)
 class _Run:
     """One run of a lockstep group: its generator, its best conflict count
-    and coloring so far, the stage of its last improvement, its trajectory
-    rows (t, conflicts), one per stage from stage 0, and, once it has left,
-    its record.
+    and coloring so far, the stage of its last improvement, its count at
+    each counted readout if its trajectory is recorded, and, once it has
+    left, its record.
     Plain Python values: a stage touches each once, which costs less than
     a numpy call when a group holds few runs."""
 
@@ -308,14 +307,8 @@ class _Run:
     best: int | None = None
     coloring: np.ndarray | None = None
     improved_at: int = 0
-    rows: list = field(default_factory=list)
+    counts: list = field(default_factory=list)
     record: RunRecord | None = None
-
-
-def _trajectory(rows: list) -> Trajectory:
-    t, e_potts = zip(*rows) if rows else ((), ())
-    return Trajectory(t=np.array(t, dtype=float),
-                      e_potts=np.array(e_potts, dtype=np.int64))
 
 
 # Angles one lockstep group holds at most.  Below this a step is bound by
@@ -388,8 +381,8 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
 
     Every per-run array is a stack with the run as its first axis: the
     padded angles (k, V, c), Adam's two moments and the four ``Forward``
-    arrays, and a run that leaves is dropped from each of them with the
-    same mask.  The angles are mapped to amplitudes once per step: the
+    arrays; one ``keep`` selects the staying runs of each, of ``slots`` and the
+    run list.  The angles are mapped to amplitudes once per step: the
     forward map taken after an Adam step serves both the stage's readout
     and the next step's cost.  The couplings are drawn a block of steps
     ahead into one buffer that the group allocates once.  At each refill
@@ -403,15 +396,15 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     mid-block, the survivors' rows ``block[slots, cursor]``, so that a
     leave copies no couplings.  The angles hold a row for every node; the
     pinned node's row is inserted as zeros into each run's start angles and
-    stays there, since its gradient is 0.  A recorded trajectory gets a row
-    (t, conflicts) at each counted readout.
+    stays there, since its gradient is 0.  A recorded trajectory pairs a
+    run's count at each counted readout with the group's stage times.
     """
     mark = time.perf_counter()
     share = 0.0  # wall time attributed to every run still in the group
+    times = [] if record_trajectory else None  # each stage's t
     graph, fixed = workspace.graph, workspace.fixed_node
     num_edges = graph.num_edges
-    members = [_Run(i, run_rng(hp.master_seed, i)) for i in run_indices]
-    runs = members
+    runs = members = [_Run(i, run_rng(hp.master_seed, i)) for i in run_indices]
     n_free = graph.num_nodes - (fixed is not None)
     angles = schedule.init(n_free, hp.num_colors, [run.rng for run in runs])
     if fixed is not None:
@@ -444,38 +437,36 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
             finite = np.isfinite(angles).all(axis=(1, 2)).tolist()
             colors = workspace.coloring(fwd)
             counts = potts_energy(graph, colors)
-            last = n == schedule.count - 1
-            stays = []
+            start, mark = mark, time.perf_counter()
+            share += (mark - start) / len(runs)
+            if record_trajectory:
+                times.append(t)
+            keep = []
             for j, run in enumerate(runs):
                 if finite[j]:
                     if run.best is None or counts[j] < run.best:
                         run.best, run.improved_at = counts[j], n
                         run.coloring = colors[j].astype(color_type)
                     if record_trajectory:
-                        run.rows.append((t, counts[j]))
-                stays.append(finite[j] and run.best > 0 and not last
-                             and n - run.improved_at < schedule.patience)
-            if all(stays):
+                        run.counts.append(counts[j])
+                    if (run.best > 0 and n + 1 < schedule.count
+                            and n - run.improved_at < schedule.patience):
+                        keep.append(j)
+                        continue
+                run.record = RunRecord(
+                    run_index=run.index, best_energy=run.best, best_coloring=run.coloring,
+                    steps_executed=adam.step_count, wall_time=share, diverged=not finite[j],
+                    trajectory=Trajectory(np.array(times[:len(run.counts)]),
+                                          np.array(run.counts, dtype=np.int64))
+                    if record_trajectory else None)
+            if len(keep) == len(runs):
                 continue
-            now = time.perf_counter()
-            share += (now - mark) / len(runs)
-            mark = now
-            for run, ok, stay in zip(runs, finite, stays):
-                if not stay:
-                    run.record = RunRecord(
-                        run_index=run.index, best_energy=run.best,
-                        best_coloring=run.coloring,
-                        steps_executed=adam.step_count, wall_time=share,
-                        trajectory=_trajectory(run.rows) if record_trajectory else None,
-                        diverged=not ok)
-            runs = [run for run, stay in zip(runs, stays) if stay]
-            if not runs:
+            if not keep:
                 break
-            keep = np.array(stays)
-            angles = angles[keep]
-            slots = np.flatnonzero(keep) if slots is None else slots[keep]
-            adam.first_moment = adam.first_moment[keep]
-            adam.second_moment = adam.second_moment[keep]
+            runs, keep = [runs[j] for j in keep], np.array(keep)
+            slots = keep if slots is None else slots[keep]
+            angles, adam.first_moment, adam.second_moment = (
+                a[keep] for a in (angles, adam.first_moment, adam.second_moment))
             fwd = Forward._make(a[keep] for a in fwd)
     return [run.record for run in members]
 

@@ -1,14 +1,19 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quditcolor
 from quditcolor import cli
 from quditcolor.cli import (ConfigError, build_parser, config_to_hp,
                             load_config, main, read_config_file)
@@ -175,6 +180,29 @@ def test_missing_file_is_io_error():
     assert code == 2
 
 
+def test_console_entry_hands_on_the_exit_code(tmp_path):
+    # `python -m quditcolor` runs __main__.py, which exits with main's code
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text("0 1\n1 2\n0 2\n")
+    src = str(Path(quditcolor.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def console(*args):
+        return subprocess.run([sys.executable, "-m", "quditcolor", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    info = console("info", "--graph", str(triangle))
+    assert (info.returncode, info.stderr) == (0, "")
+    assert info.stdout == ("triangle.txt: 3 nodes, 3 edges, density 100.00%, "
+                           "max degree 2 (node 0)\n")
+    missing = tmp_path / "missing.col"
+    solve = console("solve", "--graph", str(missing), "--colors", "3")
+    assert (solve.returncode, solve.stdout) == (2, "")
+    assert solve.stderr.startswith("i/o error: ")
+    assert solve.stderr.count("\n") == 1 and "Traceback" not in solve.stderr
+
+
 def test_parse_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 2 1\ne 1 5\n")
@@ -228,10 +256,25 @@ def test_config_file_unknown_key(tmp_path):
 
 def test_config_file_type_mismatch(tmp_path):
     cfg = tmp_path / "run.cfg"
-    for key, value in [("runs", "many"), ("include_t_end", "ture")]:
+    for key, value in [("runs", "many"), ("include_t_end", "ture"),
+                       ("format", "xyz")]:
         cfg.write_text(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"bad value for {key}"):
             read_config_file(cfg)
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("value", ["xyz", "DIMACS"])
+def test_config_file_format_is_checked_as_the_flag_is(queen55_col, tmp_path,
+                                                      capsys, command, value):
+    # the flag's choices are the config key's: a format that --format
+    # refuses is one error line, not a traceback from the loader
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"colors = 5\nformat = {value}\n")
+    assert main([command, "--graph", str(queen55_col), "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {cfg}:2: bad value for format: "
+            f"expected dimacs or edgelist, got {value!r}\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from contextlib import contextmanager
 from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -516,7 +517,7 @@ def test_diverged_runs_keep_only_finite_readouts(queen55, case):
         assert rec.best_energy == rec.trajectory.e_potts.min()
 
 
-def test_group_wall_time_shares_add_up(queen55):
+def test_group_wall_time_shares_add_up(queen55, monkeypatch):
     # runs that stop early hold a smaller share than those that run on
     hp = Hyperparameters(**GROUP_CASES["qdgd-patience"], n_runs=GROUP_RUNS)
     start = time.perf_counter()
@@ -525,6 +526,38 @@ def test_group_wall_time_shares_add_up(queen55):
     assert 0 < sum(r.wall_time for r in recs) <= elapsed
     by_steps = sorted(recs, key=lambda r: r.steps_executed)
     assert by_steps[0].wall_time < by_steps[-1].wall_time
+
+    # on a clock that reads the steps taken so far, each step's time is
+    # split evenly among the runs that take it: a run's share is the sum,
+    # over its steps s, of 1 / (the runs with more than s steps), and the
+    # shares add up to the longest run's steps
+    calls = []
+    original = gradient.CostWorkspace.value_and_grad
+
+    def counting(self, *args):
+        calls.append(None)
+        return original(self, *args)
+
+    monkeypatch.setattr(gradient.CostWorkspace, "value_and_grad", counting)
+    monkeypatch.setattr(solver, "time",
+                        SimpleNamespace(perf_counter=lambda: float(len(calls))))
+    # qdgd on patience; ConstantAlpha(3) groups that end at 0 conflicts,
+    # and diverged
+    for case in (GROUP_CASES["qdgd-patience"],
+                 dict(method="qdlqa", num_colors=5, n_steps=40,
+                      alpha=ConstantAlpha(3)),
+                 GROUP_CASES["qdlqa-some-diverge-mid-stage"]):
+        hp = Hyperparameters(**case, n_runs=GROUP_RUNS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            recs = run_one(queen55, hp, range(GROUP_RUNS))
+        steps = [r.steps_executed for r in recs]
+        assert len(set(steps)) > 1
+        for rec in recs:
+            expected = math.fsum(1 / sum(n > s for n in steps)
+                                 for s in range(rec.steps_executed))
+            assert rec.wall_time == pytest.approx(expected, rel=1e-12, abs=0)
+        assert math.fsum(r.wall_time for r in recs) \
+            == pytest.approx(max(steps), rel=1e-12, abs=0)
 
 
 def test_group_size_rule():
