@@ -229,7 +229,7 @@ def _cmd_solve(args) -> int:
     _write_json(stats_to_dict(stats, graph, hp, _resolved_config_dict(config, hp)),
                 config.out)
     if config.trajectories:
-        write_trajectory_csv(config.trajectories, stats.records)
+        write_trajectory_csv(config.trajectories, stats.records, hp)
     if config.coloring:
         best = min((r for r in stats.records if not r.diverged),
                    key=lambda r: r.best_energy)

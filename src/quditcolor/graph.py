@@ -346,7 +346,8 @@ def load_graph(path, fmt: str | None = None) -> tuple[Graph, list[int]]:
 
     ``.col`` files parse as DIMACS, everything else as an edge list;
     pass ``fmt`` (one of ``FORMATS``) to override.  The file must be
-    UTF-8; ``GraphParseError`` names the line of its first other byte.
+    UTF-8, with or without a byte order mark; ``GraphParseError`` names
+    the line of its first other byte.
     """
     path = Path(path)
     if fmt is None:
@@ -361,9 +362,10 @@ def load_graph(path, fmt: str | None = None) -> tuple[Graph, list[int]]:
 
 
 def read_utf8(path) -> str:
-    """The text of a UTF-8 file; ``UnicodeError("L: byte 0xNN is not
-    UTF-8")`` naming the line L of its first other byte."""
-    data = Path(path).read_bytes()
+    """The text of a UTF-8 file, less a leading byte order mark;
+    ``UnicodeError("L: byte 0xNN is not UTF-8")`` naming the line L of its
+    first other byte."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode()
     except UnicodeDecodeError as exc:

@@ -16,7 +16,7 @@ from .graph import Graph
 # not called here; bound because the benchmark's tracer patches both names here
 from .graph import select_fixed_node  # noqa: F401
 from .qudits import build_ops  # noqa: F401
-from .solver import SETTING_NAMES, Hyperparameters, RunRecord, run_one
+from .solver import SETTING_NAMES, Hyperparameters, RunRecord, _schedule, run_one
 
 
 @dataclass
@@ -161,26 +161,24 @@ def sweep_colors(graph: Graph, hp: Hyperparameters, c_range, *,
     return SweepResult(batches=batches, chi_upper=chi_upper)
 
 
-def trajectory_stats(records: list[RunRecord]):
-    """Per-stage t, sample mean and population std of the conflict count
-    ``e_potts``, and the number of runs these are taken over.
+def trajectory_stats(records: list[RunRecord], hp: Hyperparameters):
+    """Per-stage t, sample mean and population std of the conflict count,
+    and the number of runs these are taken over.
 
     Row i of a trajectory is stage i, so stage i aggregates the runs whose
     trajectory has more than i rows; runs that stopped early drop out.
-    ``t`` is the longest trajectory's, and ``ValueError`` is raised if two
-    trajectories disagree on the t of a stage they share.
+    Its t is the one that the batch's settings ``hp`` run it at.
     """
     trajs = [r.trajectory for r in records]
     if any(tr is None for tr in trajs):
         raise ValueError("records lack trajectories; rerun with recording on")
-    t = max((tr.t for tr in trajs), key=len, default=np.empty(0))
-    values = np.full((len(trajs), len(t)), np.nan)
+    values = np.full((len(trajs), max(map(len, trajs), default=0)), np.nan)
     for row, tr in zip(values, trajs):
-        if not np.array_equal(tr.t, t[:len(tr.t)]):
-            raise ValueError("trajectories disagree on the t of a shared stage")
-        row[:len(tr.e_potts)] = tr.e_potts
+        row[:len(tr)] = tr
+    stage = _schedule(hp).stage
+    t = np.array([stage(n)[0] for n in range(values.shape[1])])
     active = (~np.isnan(values)).sum(axis=0)
-    return t.copy(), np.nanmean(values, axis=0), np.nanstd(values, axis=0), active
+    return t, np.nanmean(values, axis=0), np.nanstd(values, axis=0), active
 
 
 def stats_to_dict(stats: BatchStats, graph: Graph, hp: Hyperparameters,
@@ -217,10 +215,10 @@ def hp_to_dict(hp: Hyperparameters) -> dict:
             for field_name, name in SETTING_NAMES.items()}
 
 
-def write_trajectory_csv(path, records: list[RunRecord]) -> None:
+def write_trajectory_csv(path, records: list[RunRecord], hp: Hyperparameters) -> None:
     """One row per stage, as ``trajectory_stats`` gives it; the step
     column is the stage index."""
-    t, mean, std, active = trajectory_stats(records)
+    t, mean, std, active = trajectory_stats(records, hp)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "t", "mean", "std", "active"])

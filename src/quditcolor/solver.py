@@ -198,18 +198,6 @@ SETTING_NAMES = {f.name: f.metadata["name"] or f.name for f in fields(Hyperparam
 SETTING_TYPES = get_type_hints(Hyperparameters)
 
 
-@dataclass
-class Trajectory:
-    """Per-stage record of a single run: row i is stage i, from stage 0
-    until the run leaves.  ``t`` is the stage's annealing time and
-    ``e_potts`` the conflict count read out after its last Adam step; a
-    diverged run has no row for the stage whose readout was non-finite.
-    """
-
-    t: np.ndarray
-    e_potts: np.ndarray
-
-
 @dataclass(slots=True)
 class RunRecord:
     """Result of one run: the best conflict count seen and its coloring.
@@ -223,6 +211,8 @@ class RunRecord:
     best and coloring if it had none.  ``wall_time`` is the run's share of
     its group's time: each stage's time is split evenly among the runs in
     the group at that stage, so the shares add up to the group's time.
+    A recorded ``trajectory`` holds the run's int64 conflict count at each
+    counted readout, row i for stage i, whose t the settings alone give.
     """
 
     run_index: int
@@ -230,7 +220,7 @@ class RunRecord:
     best_coloring: np.ndarray | None
     steps_executed: int
     wall_time: float
-    trajectory: Trajectory | None = None
+    trajectory: np.ndarray | None = None
     diverged: bool = False
 
 
@@ -396,12 +386,11 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
     mid-block, the survivors' rows ``block[slots, cursor]``, so that a
     leave copies no couplings.  The angles hold a row for every node; the
     pinned node's row is inserted as zeros into each run's start angles and
-    stays there, since its gradient is 0.  A recorded trajectory pairs a
-    run's count at each counted readout with the group's stage times.
+    stays there, since its gradient is 0.  A recorded trajectory is a
+    run's count at each counted readout.
     """
     mark = time.perf_counter()
     share = 0.0  # wall time attributed to every run still in the group
-    times = [] if record_trajectory else None  # each stage's t
     graph, fixed = workspace.graph, workspace.fixed_node
     num_edges = graph.num_edges
     runs = members = [_Run(i, run_rng(hp.master_seed, i)) for i in run_indices]
@@ -439,8 +428,6 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
             counts = potts_energy(graph, colors)
             start, mark = mark, time.perf_counter()
             share += (mark - start) / len(runs)
-            if record_trajectory:
-                times.append(t)
             keep = []
             for j, run in enumerate(runs):
                 if finite[j]:
@@ -456,8 +443,7 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
                 run.record = RunRecord(
                     run_index=run.index, best_energy=run.best, best_coloring=run.coloring,
                     steps_executed=adam.step_count, wall_time=share, diverged=not finite[j],
-                    trajectory=Trajectory(np.array(times[:len(run.counts)]),
-                                          np.array(run.counts, dtype=np.int64))
+                    trajectory=np.array(run.counts, dtype=np.int64)
                     if record_trajectory else None)
             if len(keep) == len(runs):
                 continue

@@ -286,6 +286,23 @@ def test_config_file_that_is_not_utf8_is_one_error_line(queen55_col, tmp_path,
     assert capsys.readouterr() == ("", f"error: {cfg}:2: byte 0xe9 is not UTF-8\n")
 
 
+def test_config_file_with_a_byte_order_mark(queen55_col, tmp_path):
+    # as Windows Notepad and PowerShell 5's Out-File -Encoding utf8 write it
+    text = b"colors = 5\nruns = 2\nsteps = 50\nseed = 4\n"
+    runs = []
+    for name, data in [("plain.cfg", text), ("bom.cfg", b"\xef\xbb\xbf" + text)]:
+        cfg, out = tmp_path / name, tmp_path / f"{name}.json"
+        cfg.write_bytes(data)
+        assert main(solve_args(queen55_col, "--config", str(cfg),
+                               "--out", str(out))) == 0
+        payload = json.loads(out.read_text())
+        for run in payload["per_run"]:
+            run.pop("wall_ms")  # timing is the one non-deterministic field
+        runs.append(payload)
+    assert runs[0] == runs[1]
+    assert runs[0]["config"]["colors"] == 5
+
+
 def test_config_file_boolean_spellings(tmp_path):
     cfg = tmp_path / "run.cfg"
     for text, value in [("1", True), ("TRUE", True), ("Yes", True),

@@ -77,8 +77,7 @@ def test_golden_trajectory_costs(case):
     kw, e_potts = TRAJECTORY_CASES[case]
     hp = Hyperparameters(**kw, n_runs=1, master_seed=7)
     stats = run_batch(queen_graph(5, 5), hp, record_trajectories=True)
-    trajectory = stats.records[0].trajectory
-    assert trajectory.e_potts.tolist() == e_potts
+    assert stats.records[0].trajectory.tolist() == e_potts
 
 
 # sha256 of ``value_and_grad``'s gradient bytes on queen3-3, one digest per

@@ -231,6 +231,35 @@ def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, name):
         load_graph(path)
 
 
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte order mark, as Windows Notepad writes it
+
+
+BOM_TEXTS = {"plain.col": "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+             "plain.txt": "1 2\n2 3\n1 3\n",
+             "signed.txt": "1 +2\n2 3\n1 3\n"}  # only the line reader takes a sign
+
+
+@pytest.mark.parametrize("name", sorted(BOM_TEXTS))
+def test_leading_byte_order_mark_is_dropped(tmp_path, name):
+    text = BOM_TEXTS[name]
+    if name.endswith(".txt"):
+        assert (graph._plain_edge_list(text) is None) == name.startswith("signed")
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text)
+    marked.write_bytes(BOM + text.encode())
+    g, ids = load_graph(plain)
+    g_marked, ids_marked = load_graph(marked)
+    assert (g_marked.num_nodes, ids_marked) == (g.num_nodes, ids)
+    np.testing.assert_array_equal(g_marked.edges, g.edges)
+
+
+def test_byte_order_mark_leaves_the_bad_byte_named(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(BOM + b"0 1\n1 2\n2 3\n3 4\n4 5\xff\n")
+    with pytest.raises(GraphParseError, match=r"^line 5: byte 0xff is not UTF-8$"):
+        load_graph(path)
+
+
 def test_load_graph_reads_crlf_and_cr_line_ends(tmp_path):
     for ending in ("\r\n", "\r"):
         path = tmp_path / "crlf.txt"

@@ -15,13 +15,15 @@ import quditcolor
 import numpy as np
 import pytest
 
-from quditcolor import harness
+from quditcolor import harness, solver
 from quditcolor.cli import main
+from quditcolor.gradient import CostWorkspace
 from quditcolor.graph import to_dimacs
 from quditcolor.harness import (DivergedError, WorkerError, collect_stats,
                                 run_batch, stats_to_dict, sweep_colors,
                                 trajectory_stats, write_trajectory_csv)
-from quditcolor.solver import Hyperparameters, RunRecord, Trajectory
+from quditcolor.solver import (ConstantAlpha, ExponentialAlpha, Hyperparameters,
+                               RunRecord, run_one)
 
 from instances import (dies_in_worker, path, queen_graph, raises_in_worker,
                        triangle)
@@ -34,10 +36,12 @@ def hp(method="qdlqa", **kw):
 
 
 def fake_record(idx, best, steps, e_potts):
-    traj = Trajectory(t=np.arange(len(e_potts)) / 10, e_potts=np.asarray(e_potts))
     return RunRecord(run_index=idx, best_energy=best,
-                     best_coloring=np.zeros(3, dtype=int),
-                     steps_executed=steps, wall_time=0.0, trajectory=traj)
+                     best_coloring=np.zeros(3, dtype=int), steps_executed=steps,
+                     wall_time=0.0, trajectory=np.array(e_potts, dtype=np.int64))
+
+
+TENTHS = hp(n_steps=10)  # stage i runs at t = i / 10
 
 
 def test_batch_stats_fields(k3):
@@ -234,14 +238,14 @@ def test_sweep_requires_ascending_range(k3):
 
 def test_trajectory_stats_identical_and_simple_cases():
     recs = [fake_record(0, 0, 3, [5, 3, 0]), fake_record(1, 0, 3, [5, 3, 0])]
-    t, mean, std, active = trajectory_stats(recs)
+    t, mean, std, active = trajectory_stats(recs, TENTHS)
     np.testing.assert_array_equal(t, [0.0, 0.1, 0.2])
     np.testing.assert_array_equal(mean, [5, 3, 0])
     np.testing.assert_array_equal(std, [0, 0, 0])
     np.testing.assert_array_equal(active, [2, 2, 2])
 
     recs = [fake_record(0, 0, 2, [0, 0]), fake_record(1, 2, 2, [2, 2])]
-    _, mean, std, _ = trajectory_stats(recs)
+    _, mean, std, _ = trajectory_stats(recs, TENTHS)
     np.testing.assert_array_equal(mean, [1, 1])
     np.testing.assert_array_equal(std, [1, 1])  # population convention
 
@@ -251,7 +255,7 @@ def test_trajectory_stats_over_runs_that_stop_early():
     # row (diverged at its first readout) is active nowhere
     recs = [fake_record(0, 0, 2, [4, 0]), fake_record(1, 1, 4, [6, 2, 1, 1]),
             fake_record(2, 1, 3, [2, 2, 1]), fake_record(3, None, 1, [])]
-    t, mean, std, active = trajectory_stats(recs)
+    t, mean, std, active = trajectory_stats(recs, TENTHS)
     np.testing.assert_array_equal(t, [0.0, 0.1, 0.2, 0.3])
     np.testing.assert_array_equal(active, [3, 3, 2, 1])
     np.testing.assert_array_equal(mean, [4, 4 / 3, 1, 1])
@@ -259,13 +263,9 @@ def test_trajectory_stats_over_runs_that_stop_early():
 
 
 def test_trajectory_stats_errors():
-    recs = [fake_record(0, 0, 3, [1, 2, 3]), fake_record(1, 0, 2, [1, 2])]
-    recs[1].trajectory.t[1] = 0.5
-    with pytest.raises(ValueError, match="disagree on the t of a shared stage"):
-        trajectory_stats(recs)
     bare = RunRecord(0, 0, np.zeros(2, dtype=int), 5, 0.0, None)
     with pytest.raises(ValueError, match="recording"):
-        trajectory_stats([bare])
+        trajectory_stats([bare], TENTHS)
 
 
 def test_diverged_runs_stay_out_of_the_aggregates(k3):
@@ -306,11 +306,99 @@ def test_stats_json_round_trip(tmp_path, k3):
 def test_trajectory_csv(tmp_path):
     recs = [fake_record(0, 0, 3, [4, 2, 0]), fake_record(1, 0, 2, [2, 2])]
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(out, recs)
+    write_trajectory_csv(out, recs, TENTHS)
     rows = list(csv.reader(out.open()))
     assert rows == [["step", "t", "mean", "std", "active"],
                     ["0", "0", "3", "1", "2"], ["1", "0.1", "2", "0", "2"],
                     ["2", "0.2", "0", "0", "1"]]
+
+
+# queen5-5 batches of 8 runs: at c = 5 all but one qdlqa run solve early
+# and that one reaches the t = 1 stage; the qdgd runs end on patience
+# stops, two of them diverged.
+CSV_CASES = {
+    "qdlqa-exp-t-end": dict(method="qdlqa", num_colors=5, n_steps=40, f=0.1,
+                            alpha=ExponentialAlpha(2.0, 3), include_t_end=True),
+    "qdgd-patience-diverge": dict(method="qdgd", num_colors=5, n_steps=80,
+                                  patience=20, eta=1e307),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_trajectory_csv_is_recomputed_from_the_readouts(queen55, tmp_path,
+                                                        monkeypatch, case):
+    hp = Hyperparameters(**CSV_CASES[case], n_runs=8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = run_one(queen55, hp, range(hp.n_runs), record_trajectory=True)
+    out = tmp_path / "traj.csv"
+    write_trajectory_csv(out, records, hp)
+    with out.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+
+    # each run's count at every readout, taken with the run alone in its
+    # group; a diverged run's last readout is not counted
+    readouts = []
+    original = solver.potts_energy
+
+    def readout(graph, colors):
+        counts = original(graph, colors)
+        readouts[-1].append(int(counts[0]))
+        return counts
+
+    monkeypatch.setattr(solver, "potts_energy", readout)
+    counts = []
+    for rec in records:
+        readouts.append([])
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_one(queen55, hp, [rec.run_index])
+        counts.append(readouts[-1][:len(readouts[-1]) - rec.diverged])
+    assert len({len(c) for c in counts}) > 1  # some runs stop early
+
+    assert header == ["step", "t", "mean", "std", "active"]
+    assert len(rows) == max(map(len, counts))
+    if hp.method == "qdlqa":
+        assert len(rows) == hp.n_steps + 1  # a run reached the t_end stage
+    else:
+        assert any(r.diverged for r in records)
+    for n, (step, t, mean, std, active) in enumerate(rows):
+        values = [c[n] for c in counts if len(c) > n]
+        assert step == str(n)
+        assert t == f"{n / hp.n_steps if hp.method == 'qdlqa' else 1.0:.10g}"
+        assert active == str(len(values))
+        assert mean == f"{np.mean(values):.10g}"
+        assert std == f"{float(std):.10g}"
+        assert float(std) == pytest.approx(np.std(values), rel=1e-9, abs=1e-12)
+    assert rows[-1][1] == "1"
+
+
+@pytest.mark.parametrize("settings", [
+    dict(method="qdlqa", num_colors=5, n_steps=30, alpha=ConstantAlpha(2)),
+    dict(method="qdlqa", num_colors=4, n_steps=20, alpha=ExponentialAlpha(2.0, 3),
+         include_t_end=True),
+    dict(method="qdgd", num_colors=5, n_steps=60, patience=10),
+])
+def test_trajectory_t_is_the_t_the_kernel_ran_with(queen55, monkeypatch, settings):
+    hp = Hyperparameters(**settings, n_runs=4)
+    stages = [[]]  # the t of each value_and_grad call, stage by stage
+    value_and_grad = CostWorkspace.value_and_grad
+    coloring = CostWorkspace.coloring
+
+    def traced_value_and_grad(self, fwd, t, *args):
+        stages[-1].append(t)
+        return value_and_grad(self, fwd, t, *args)
+
+    def traced_coloring(self, fwd):  # the stage's readout ends it
+        stages.append([])
+        return coloring(self, fwd)
+
+    monkeypatch.setattr(CostWorkspace, "value_and_grad", traced_value_and_grad)
+    monkeypatch.setattr(CostWorkspace, "coloring", traced_coloring)
+    records = run_one(queen55, hp, range(hp.n_runs), record_trajectory=True)
+    assert stages.pop() == []
+    t = trajectory_stats(records, hp)[0]
+    assert len(t) == len(stages) > 1
+    for stage_t, calls in zip(t, stages):
+        assert calls and set(calls) == {stage_t}
 
 
 @pytest.mark.slow
@@ -322,6 +410,6 @@ def test_larger_coupling_noise_leaves_more_conflicts(queen1111):
         params = Hyperparameters(method="qdlqa", num_colors=11, f=0.0, h=h,
                                  n_runs=30, master_seed=23)
         stats = run_batch(queen1111, params, record_trajectories=True)
-        _, mean, _, _ = trajectory_stats(stats.records)
+        _, mean, _, _ = trajectory_stats(stats.records, params)
         means[h] = mean[-1]
     assert means[10.0] >= means[3.0]

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from quditcolor import gradient, solver
 from quditcolor.energy import draw_couplings, extract_coloring, potts_energy
-from quditcolor.harness import DivergedError, hp_to_dict, run_batch
+from quditcolor.harness import (DivergedError, hp_to_dict, run_batch,
+                                trajectory_stats)
 from quditcolor.graph import Graph, select_fixed_node
 from quditcolor.solver import (ConstantAlpha, ExponentialAlpha,
                                Hyperparameters, group_size,
@@ -230,33 +231,36 @@ def test_qdlqa_even_colors_initial_coloring():
 def test_best_energy_matches_trajectory_minimum(queen55):
     hp = qdlqa_hp(num_colors=4, n_steps=120)  # under-colored: stays positive
     rec = run_qdlqa(queen55, hp, [3], record_trajectory=True)[0]
-    assert rec.best_energy == rec.trajectory.e_potts.min()
+    assert rec.best_energy == rec.trajectory.min()
     assert potts_energy(queen55, rec.best_coloring) == rec.best_energy
-    running_best = np.minimum.accumulate(rec.trajectory.e_potts)
+    running_best = np.minimum.accumulate(rec.trajectory)
     assert (np.diff(running_best) <= 0).all()
 
 
 def test_trajectory_grid_and_t_values(queen55):
     hp = qdlqa_hp(num_colors=4, n_steps=50)
     rec = run_qdlqa(queen55, hp, [0], record_trajectory=True)[0]
-    assert rec.trajectory.t.size == rec.trajectory.e_potts.size == 50
-    assert rec.trajectory.t[0] == 0.0
-    assert rec.trajectory.t[-1] == pytest.approx(49 / 50)  # t < 1 loop guard
+    t = trajectory_stats([rec], hp)[0]
+    assert t.size == rec.trajectory.size == 50
+    assert t[0] == 0.0
+    assert t[-1] == pytest.approx(49 / 50)  # t < 1 loop guard
 
 
 def test_qdgd_trajectory_t_is_the_end_time(queen55):
     # every qdgd stage steps on the end cost, t = 1
     hp = qdgd_hp(num_colors=4, n_steps=30)
     for rec in run_qdgd(queen55, hp, [0, 1, 2], record_trajectory=True):
-        assert rec.trajectory.t.size == rec.steps_executed
-        assert (rec.trajectory.t == 1.0).all()
+        t = trajectory_stats([rec], hp)[0]
+        assert t.size == rec.trajectory.size == rec.steps_executed
+        assert (t == 1.0).all()
 
 
 def test_include_t_end_adds_final_stage(queen55):
     hp = qdlqa_hp(num_colors=4, n_steps=50, include_t_end=True)
     rec = run_qdlqa(queen55, hp, [0], record_trajectory=True)[0]
-    assert len(rec.trajectory.t) == 51
-    assert rec.trajectory.t[-1] == 1.0
+    t = trajectory_stats([rec], hp)[0]
+    assert len(t) == len(rec.trajectory) == 51
+    assert t[-1] == 1.0
 
 
 def test_run_determinism(queen55):
@@ -265,9 +269,9 @@ def test_run_determinism(queen55):
     b = run_qdlqa(queen55, hp, [2], record_trajectory=True)[0]
     assert a.best_energy == b.best_energy
     np.testing.assert_array_equal(a.best_coloring, b.best_coloring)
-    np.testing.assert_array_equal(a.trajectory.e_potts, b.trajectory.e_potts)
+    np.testing.assert_array_equal(a.trajectory, b.trajectory)
     c = run_qdlqa(queen55, hp, [3], record_trajectory=True)[0]
-    assert not np.array_equal(c.trajectory.e_potts, a.trajectory.e_potts)
+    assert not np.array_equal(c.trajectory, a.trajectory)
 
 
 def test_run_indices_may_be_any_integer_sequence(queen55):
@@ -293,7 +297,7 @@ def test_qdgd_patience_stops_stalled_run(k3):
     rec = run_qdgd(k3, hp, [0], record_trajectory=True)[0]
     assert rec.best_energy == 1
     assert rec.steps_executed < 1000
-    tail = rec.trajectory.e_potts[-25:]
+    tail = rec.trajectory[-25:]
     assert (tail >= rec.best_energy).all()
 
 
@@ -328,8 +332,8 @@ def test_diverging_run_stops_and_is_marked(queen55):
     assert rec.diverged
     assert rec.steps_executed == 1
     assert rec.best_energy is None and rec.best_coloring is None
-    assert rec.trajectory.e_potts.dtype == np.int64
-    assert rec.trajectory.t.size == rec.trajectory.e_potts.size == 0
+    assert rec.trajectory.dtype == np.int64
+    assert rec.trajectory.size == 0
     assert not run_qdgd(queen55, qdgd_hp(num_colors=4, n_steps=50), [0])[0].diverged
 
 
@@ -384,12 +388,11 @@ GROUP_RUNS = 6
 
 
 def run_result(rec):
-    """Everything a run reports, t as exact hex."""
+    """Everything a run reports."""
     coloring = rec.best_coloring
     return (rec.run_index, rec.best_energy, rec.steps_executed, rec.diverged,
             None if coloring is None else coloring.tolist(),
-            [x.hex() for x in rec.trajectory.t.tolist()],
-            rec.trajectory.e_potts.tolist())
+            rec.trajectory.tolist())
 
 
 @contextmanager
@@ -508,13 +511,13 @@ def test_diverged_runs_keep_only_finite_readouts(queen55, case):
     inner = hp.alpha.steps if hp.method == "qdlqa" else 1
     for rec in recs:
         # a row per stage taken, but for a diverged run's last readout
-        assert rec.trajectory.e_potts.size == rec.steps_executed // inner - rec.diverged
+        assert rec.trajectory.size == rec.steps_executed // inner - rec.diverged
         if rec.best_coloring is None:
             assert rec.diverged and rec.best_energy is None
-            assert rec.trajectory.e_potts.size == 0
+            assert rec.trajectory.size == 0
             continue
         assert potts_energy(queen55, rec.best_coloring) == rec.best_energy
-        assert rec.best_energy == rec.trajectory.e_potts.min()
+        assert rec.best_energy == rec.trajectory.min()
 
 
 def test_group_wall_time_shares_add_up(queen55, monkeypatch):
@@ -749,10 +752,10 @@ def test_qdlqa_average_conflicts_decrease_over_time(queen1111):
     # statistical trend: late-time conflicts sit below early-time conflicts
     hp = Hyperparameters(method="qdlqa", num_colors=11, f=0.1, n_runs=30,
                          master_seed=19)
-    trajs = [r.trajectory for r in run_qdlqa(queen1111, hp, range(hp.n_runs),
-                                             record_trajectory=True)]
-    e = np.stack([tr.e_potts for tr in trajs]).astype(float)
-    t_grid = trajs[0].t
+    recs = run_qdlqa(queen1111, hp, range(hp.n_runs), record_trajectory=True)
+    trajs = [r.trajectory for r in recs]
+    e = np.stack(trajs).astype(float)
+    t_grid = trajectory_stats(recs, hp)[0]
     early = e[:, np.argmin(np.abs(t_grid - 0.2))].mean()
     late = e[:, -1].mean()
     assert late < early
