@@ -9,14 +9,23 @@ A file in the plain syntax is read in whole-text passes, with no Python
 work per line: node ids of at most 18 ASCII digits, separated by spaces
 and tabs, lines ending in LF or CRLF, and whole-line comments (``c`` in
 DIMACS) or trailing ones (``#`` in an edge list).  One regex strips the
-comments, one anchored search rejects the first line outside the plain
-syntax, and ``np.fromstring`` reads every id at once.  Any other text
-(signs, ``_`` in a number, non-ASCII digits or spaces, other line breaks
-such as form feeds, malformed lines, out-of-range ids) goes through the
-line reader, which accepts the same texts as ``int`` and ``str.split`` do
-and names the first bad line.  Both readers give the same graph, ids and
-warnings.  Duplicate edges are dropped by sorting one int64 key
-``lo * |V| + hi`` per edge.
+comments.  In an edge list, a byte-class check then decides whether the
+rest is plain: one ``bytes.translate`` maps each byte through a 256-entry
+table to its class (digit, space or tab, CR, LF, other), and numpy
+passes over the class array reject any other byte, a CR not followed by
+LF, a run of more than 18 digits and any line that holds neither nothing
+nor exactly two ids.  The check runs over chunks of about 64 KiB that
+end at a line end, so its arrays stay a few times the chunk, and the
+parse's peak stays near two int64 copies of the ids.  A DIMACS file
+keeps one anchored search for the first line outside the plain syntax:
+on the COLOR instances, a few kB each, it costs less than the check's
+numpy calls.  ``np.fromstring`` then reads every id at once.  Any other
+text (signs, ``_`` in a number, non-ASCII digits or spaces, other line
+breaks such as form feeds, malformed lines, out-of-range ids) goes
+through the line reader, which accepts the same texts as ``int`` and
+``str.split`` do and names the first bad line.  Both readers give the
+same graph, ids and warnings.  Duplicate edges are dropped by sorting
+one int64 key ``lo * |V| + hi`` per edge.
 """
 
 from __future__ import annotations
@@ -164,16 +173,24 @@ def _relabel(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 # readers put one before the text), which re searches for much faster than
 # for a "^" at every position.  The line reader's str.splitlines also ends
 # a line at the other characters in _LINE_BREAKS, so a comment stops at
-# any of them and the line check rejects any left outside a comment.
+# any of them and the line checks reject any left outside a comment.
 _LINE_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 _ID = "[0-9]{1,18}"  # fits in int64
 _PAIR = rf"{_ID}[ \t]+{_ID}[ \t]*"
 _EDGE_LIST_COMMENT = re.compile(rf"#[^{_LINE_BREAKS}]*")
-_BAD_EDGE_LIST_LINE = re.compile(rf"\n(?![ \t]*(?:{_PAIR})?\r?$)", re.M)
 _DIMACS_COMMENT = re.compile(rf"\n[ \t]*c[^{_LINE_BREAKS}]*")
 _DIMACS_HEADER = re.compile(
     rf"\n[ \t]*p[ \t]+(?:edges?|col)[ \t]+({_ID})[ \t]+({_ID})[ \t]*\r?$", re.M)
 _BAD_DIMACS_LINE = re.compile(rf"\n(?![ \t]*(?:e[ \t]+{_PAIR})?\r?$)", re.M)
+
+# The byte classes of an edge list's plain syntax, as a bytes.translate table.
+_SPACE, _DIGIT, _LF, _CR, _OTHER = range(5)
+_BYTE_CLASS = bytearray([_OTHER]) * 256
+_BYTE_CLASS[ord("0"):ord("9") + 1] = bytes([_DIGIT]) * 10
+_BYTE_CLASS[ord(" ")] = _BYTE_CLASS[ord("\t")] = _SPACE
+_BYTE_CLASS[ord("\n")], _BYTE_CLASS[ord("\r")] = _LF, _CR
+_BYTE_CLASS = bytes(_BYTE_CLASS)
+_CHUNK = 1 << 16  # bytes per pass of the check, so that its arrays stay in L2
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -183,6 +200,47 @@ def _read_ids(body: str) -> np.ndarray:
     if body.isspace():  # np.fromstring reads whitespace alone as [0]
         return np.empty(0, dtype=np.int64)
     return np.fromstring(body, dtype=np.int64, sep=" ")
+
+
+def _plain_edge_lines(body: str) -> bool:
+    """Whether ``body``, an edge list less its comments that starts and
+    ends with "\n", is in the plain syntax: ASCII, every CR before an LF,
+    ids of at most 18 digits, and every line blank or two ids apart.
+
+    Checks the lines in chunks of at least ``_CHUNK`` bytes that end at an
+    LF, each with the LF before it."""
+    if not body.isascii():
+        return False
+    start = 1
+    while start < len(body):
+        end = body.find("\n", start + _CHUNK) + 1 or len(body)
+        if not _plain_chunk(body[start - 1:end].encode().translate(_BYTE_CLASS)):
+            return False
+        start = end
+    return True
+
+
+def _plain_chunk(classes: bytes) -> bool:
+    """``_plain_edge_lines`` for the byte classes of one chunk."""
+    if bytes([_OTHER]) in classes:
+        return False
+    cls = np.frombuffer(classes, dtype=np.uint8)
+    if bytes([_CR]) in classes and ((cls[:-1] == _CR) > (cls[1:] == _LF)).any():
+        return False
+    digit = cls == _DIGIT
+    long = digit  # after the shifts, long[i]: bytes i to i + 18 are digits
+    for shift in (1, 2, 4, 8, 3):
+        long = long[:-shift] & long[shift:]
+    if long.any():
+        return False
+    # In order, each id's first digit (True) and each LF (False), from the
+    # LF before the chunk.  A line with one id leaves a True between two
+    # Falses, one with three or more leaves three Trues in a row.
+    event = cls == _LF
+    event[1:] |= digit[1:] > digit[:-1]
+    ids = digit.compress(event)
+    return not ((ids[1:-1] > (ids[:-2] | ids[2:])).any()
+                or (ids[:-2] & ids[1:-1] & ids[2:]).any())
 
 
 def _plain_dimacs(text: str) -> tuple[int, np.ndarray] | None:
@@ -205,8 +263,8 @@ def _plain_dimacs(text: str) -> tuple[int, np.ndarray] | None:
 def _plain_edge_list(text: str) -> np.ndarray | None:
     """The (E, 2) pairs of an edge list in the plain syntax; None for any
     other text."""
-    body = _EDGE_LIST_COMMENT.sub("", "\n" + text)
-    if _BAD_EDGE_LIST_LINE.search(body):
+    body = _EDGE_LIST_COMMENT.sub("", "\n" + text + "\n")
+    if not _plain_edge_lines(body):
         return None
     return _read_ids(body).reshape(-1, 2)
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -415,6 +416,84 @@ def test_standard_instances_take_the_plain_reader():
     assert graph._plain_dimacs(myciel_col_text(4)) is not None
     snap = "# FromNodeId\tToNodeId\r\n0\t4\r\n0\t40\r\n"
     assert graph._plain_edge_list(snap).tolist() == [[0, 4], [0, 40]]
+
+
+# The reference for the byte-class check: the per-line regex it replaced.
+# An edge list is plain exactly when, its comments stripped, no line fails it.
+_BAD_EDGE_LIST_LINE = re.compile(
+    r"\n(?![ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*)?\r?$)", re.M)
+
+
+def _reference_edge_list_is_plain(text):
+    return _BAD_EDGE_LIST_LINE.search(graph._EDGE_LIST_COMMENT.sub("", "\n" + text)) is None
+
+
+def _assert_check_matches_reference(text):
+    assert (graph._plain_edge_list(text) is None) == (not _reference_edge_list_is_plain(text))
+
+
+# Pieces of texts near and outside the plain syntax.
+_PIECES = ["0", "7", "12", "0" * 18, "0" * 19, "9" * 18, "1" * 20, " ", "\t", "  ",
+           "\n", "\r\n", "\r", "\x0c", "\x0b", "\x85", "\u2028", "\xa0", "\uff12",
+           "e", "x", "-", "+", "_", "#", "# c\n", "1 2\n", "1 2 3\n"]
+
+
+@settings(deadline=None, max_examples=500)
+@given(pieces=st.lists(st.sampled_from(_PIECES), max_size=24),
+       chunk=st.integers(1, 24))
+def test_byte_class_check_matches_the_line_regex(pieces, chunk):
+    """With chunks of a few bytes, every byte of these texts falls on the
+    first or last byte of some chunk."""
+    text = "".join(pieces)
+    with mock.patch.object(graph, "_CHUNK", chunk):
+        _assert_check_matches_reference(text)
+    _assert_check_matches_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1 2\r", "1 2 \r", "1 2\r\r\n", "\r\n1 2", "1\r2\n", "1 2\n\r", "0000000000000000001 2\n",
+    "000000000000000001 2\n", "1 2\n\ud800\n", "1 2\n\x00\n", "1 2\n3\n", "1 2 3 4\n",
+])
+def test_byte_class_check_matches_the_line_regex_on_edge_cases(text):
+    _assert_check_matches_reference(text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_edge_list_texts(), chunk=st.integers(1, 24))
+def test_byte_class_check_matches_the_line_regex_on_generated_files(case, chunk):
+    text, _ = case
+    with mock.patch.object(graph, "_CHUNK", chunk):
+        _assert_check_matches_reference(text)
+
+
+def _chunk_ends(body):
+    """The index in ``body`` of the LF that ends each chunk of the check."""
+    ends, start = [], 1
+    while start < len(body):
+        start = body.find("\n", start + graph._CHUNK) + 1 or len(body)
+        ends.append(start - 1)
+    return ends
+
+
+_LONG_LINES = [f"{u}\t{v}" for u, v in
+               np.random.default_rng(5).integers(0, 10**6, (2 * graph._CHUNK // 8, 2))]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), crlf=st.booleans(), where=st.sampled_from(["first", "last", "end"]),
+       piece=st.sampled_from(["\x0c", "\r", "1234567890123456789", " 7 ", "\uff12",
+                              " ", "\r\n"]))
+def test_byte_class_check_at_the_edges_of_full_chunks(data, crlf, where, piece):
+    """An odd piece on the first byte of a chunk, on its last byte before
+    the line end, or in place of its last byte (the LF), in an edge list of
+    more than two chunks of the real size."""
+    text = ("\r\n" if crlf else "\n").join(_LONG_LINES) + "\n"
+    ends = _chunk_ends("\n" + text + "\n")
+    assert len(ends) > 2
+    lf = data.draw(st.sampled_from(ends[:-1])) - 1  # the chunk's last LF, in text
+    cut = {"first": lf + 1, "last": lf - crlf, "end": lf}[where]
+    text = text[:cut] + piece + text[cut + (where == "end"):]
+    _assert_check_matches_reference(text)
 
 
 @settings(deadline=None, max_examples=200)

@@ -307,7 +307,8 @@ def test_trajectory_csv(tmp_path):
     recs = [fake_record(0, 0, 3, [4, 2, 0]), fake_record(1, 0, 2, [2, 2])]
     out = tmp_path / "traj.csv"
     write_trajectory_csv(out, recs, TENTHS)
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows == [["step", "t", "mean", "std", "active"],
                     ["0", "0", "3", "1", "2"], ["1", "0.1", "2", "0", "2"],
                     ["2", "0.2", "0", "0", "1"]]
