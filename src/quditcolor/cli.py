@@ -139,11 +139,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _colors_int(config: RunConfig) -> int:
+def _colors_int(text) -> int:
     try:
-        return int(config.colors)
+        return int(text)
     except (TypeError, ValueError):
-        raise ConfigError(f"colors must be an integer, got {config.colors!r}") from None
+        raise ConfigError(f"colors must be an integer, got {text!r}") from None
 
 
 def _settings_to_hp(given: dict) -> Hyperparameters:
@@ -167,15 +167,19 @@ def config_to_hp(config: RunConfig, colors: int) -> Hyperparameters:
 
 
 def _resolved_config_dict(config: RunConfig, hp: Hyperparameters) -> dict:
-    out = hp_to_dict(hp)
-    out["graph_file"] = config.graph
-    out["format"] = config.format
+    """The run's settings, instance and worker count under their config-file
+    keys, in values that a config file reads back; ``format`` only if given."""
+    out = {**hp_to_dict(hp), "graph": config.graph}
+    if config.format is not None:
+        out["format"] = config.format
     out["workers"] = config.workers
     return out
 
 
-def _read_graph(path, fmt):
-    """Load an instance, printing each of its ``GraphWarning``s on stderr."""
+def _load_graph(path, fmt, fix_strategy):
+    """Load an instance, printing each of its ``GraphWarning``s on stderr,
+    and resolve its pinned node; returns the graph, its original node ids
+    and the pinned node (None for none)."""
     if path is None:
         raise ConfigError("an input graph is required (--graph)")
     with warnings.catch_warnings(record=True) as caught:
@@ -183,13 +187,6 @@ def _read_graph(path, fmt):
         graph, original_ids = load_graph(path, fmt)
     for warning in caught:
         print(f"warning: {path}: {warning.message}", file=sys.stderr)
-    return graph, original_ids
-
-
-def _load_graph(path, fmt, fix_strategy):
-    """Load an instance and resolve its pinned node; returns the graph, its
-    original node ids and the pinned node (None for none)."""
-    graph, original_ids = _read_graph(path, fmt)
     try:
         fixed = select_fixed_node(graph, fix_strategy)
     except ValueError as exc:
@@ -220,7 +217,7 @@ def _write_coloring(path, coloring, original_ids) -> None:
 
 def _cmd_solve(args) -> int:
     config = load_config(args)
-    hp = config_to_hp(config, _colors_int(config))
+    hp = config_to_hp(config, _colors_int(config.colors))
     graph, original_ids, _ = _load_graph(config.graph, config.format,
                                          hp.fix_strategy)
     stats = run_batch(graph, hp, workers=config.workers,
@@ -260,7 +257,7 @@ def _cmd_sweep(args) -> int:
                           force_full=args.force_full, workers=config.workers)
     _warn_diverged([r for s in result.batches.values() for r in s.records])
     payload = {
-        "config": _resolved_config_dict(config, hp),
+        "config": {**_resolved_config_dict(config, hp), "colors": config.colors},
         "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges},
         "chi_upper": result.chi_upper,
         "sweep": {str(c): {k: v for k, v in stats_to_dict(s, graph, hp).items()
@@ -274,20 +271,22 @@ def _cmd_sweep(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.colors is None:
         raise ConfigError("the number of colors is required (--colors)")
+    colors = _colors_int(args.colors)
     if args.points < 1:
         raise ConfigError(f"points must be >= 1, got {args.points}")
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"tol must be finite and > 0, got {args.tol!r}")
     try:
-        lx_offdiag = build_ops(args.colors)
+        lx_offdiag = build_ops(colors)
         if args.t is not None and not math.isfinite(args.t):
             raise ValueError(f"t must be finite, got {args.t!r}")
         if args.t is not None and not 0.0 <= args.t <= 1.0:
             raise ValueError("t must be in [0, 1]")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # the flags that are settings are read and checked as solve reads them
-    hp = _settings_to_hp(vars(args))
+    # the setting flags given are read and checked as solve reads them
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    hp = _settings_to_hp({**given, "colors": colors})
     graph, _, fixed = _load_graph(args.graph, args.format, hp.fix_strategy)
     workspace = CostWorkspace(graph, lx_offdiag, fixed)
     n_free = graph.num_nodes - (fixed is not None)
@@ -296,7 +295,7 @@ def _cmd_gradcheck(args) -> int:
     flagged = 0
     for _ in range(args.points):
         t = float(rng.uniform(0.0, 1.0)) if args.t is None else args.t
-        angles = rng.uniform(-np.pi, np.pi, size=(n_free, args.colors - 1))
+        angles = rng.uniform(-np.pi, np.pi, size=(n_free, colors - 1))
         angles = np.pad(angles, ((0, 0), (0, 1)))  # the zero pad column
         if fixed is not None:  # the pinned node's row is all zeros
             angles = np.insert(angles, fixed, 0.0, axis=0)
@@ -318,11 +317,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    graph, _ = _read_graph(args.graph, args.format)
+    graph, _, node = _load_graph(args.graph, args.format, "max_degree")
     print(f"{Path(args.graph).name}: {graph.num_nodes} nodes, "
           f"{graph.num_edges} edges, density {100 * graph.density:.2f}%, "
-          f"max degree {graph.max_degree} "
-          f"(node {select_fixed_node(graph, 'max_degree')})")
+          f"max degree {graph.max_degree} (node {node})")
     return 0
 
 
@@ -332,22 +330,17 @@ def _add_instance_flags(parser) -> None:
                         help="override format auto-detection")
 
 
-def _add_setting_flags(parser, names, *, given=False) -> None:
+def _add_setting_flags(parser, names) -> None:
     """Add ``--NAME`` (``_`` as ``-``) for each setting in ``names``, its
     help ending in its declared default, a bool as a switch.  A flag reads
     its text as the config file does and is None when left out, so that
-    the config file or the declared default holds; a ``given`` flag
-    (gradcheck's) is the value itself, of the declared type and default."""
+    the config file or the declared default holds."""
     for name in names:
         f = _SETTINGS[name]
-        kind, required = SETTING_TYPES[f.name], f.default is MISSING
         extras = {"help": f.metadata["help"] + (
-            "" if required else f" (default {setting_value(f.default)})")}
-        if kind is bool:
+            "" if f.default is MISSING else f" (default {setting_value(f.default)})")}
+        if SETTING_TYPES[f.name] is bool:
             extras.update(action="store_const", const=True)
-        elif given:
-            extras.update(type=_TEXT_PARSERS.get(kind, str),
-                          default=None if required else f.default)
         else:
             extras.update({"type": _CONFIG_PARSERS[name], **f.metadata["flag"]})
         parser.add_argument("--" + name.replace("_", "-"), **extras)
@@ -386,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad = sub.add_parser("gradcheck", help="verify gradients on an instance")
     _add_instance_flags(grad)
-    _add_setting_flags(grad, ["colors"], given=True)
+    _add_setting_flags(grad, ["colors"])
     grad.add_argument("--points", type=int, default=20)
     grad.add_argument("--step", type=float, default=1e-5)
     grad.add_argument("--tol", type=float, default=1e-4)
-    _add_setting_flags(grad, ["gamma", "h", "fix"], given=True)
+    _add_setting_flags(grad, ["gamma", "h", "fix"])
     grad.add_argument("--t", type=float, default=None,
                       help="fix the annealing time (default: random per point)")
-    _add_setting_flags(grad, ["seed"], given=True)
+    _add_setting_flags(grad, ["seed"])
 
     info = sub.add_parser("info", help="print parsed graph statistics")
     _add_instance_flags(info)

@@ -89,14 +89,10 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if np.any(pairs[:, 0] == pairs[:, 1]):
             raise ValueError("self-loop not allowed")
-        key = np.minimum(pairs[:, 0], pairs[:, 1])
-        key *= num_nodes
-        key += np.maximum(pairs[:, 0], pairs[:, 1])
-        pairs = _canonical_edges(key, num_nodes)
-        degrees = np.bincount(pairs.ravel(), minlength=num_nodes)
-        if degrees.min() == 0:
+        if np.bincount(pairs.ravel(), minlength=num_nodes).min() == 0:
             raise ValueError("isolated node present; preprocess with compact_edges first")
-        return cls(num_nodes=num_nodes, edges=pairs, degrees=degrees)
+        # every id in [0, num_nodes) is present, so compacting keeps them all
+        return compact_edges(pairs)[0]
 
 
 def _canonical_edges(key: np.ndarray, num_nodes: int) -> np.ndarray:

@@ -113,18 +113,37 @@ def test_cli_surface_is_pinned(queen55_col, tmp_path, capsys):
                            "--steps", "5", "--out", str(out))) == 0
     assert list(json.loads(out.read_text())["config"]) == [
         "method", "colors", "steps", "gamma", "alpha", "eta", "f", "h", "runs", "patience", "fix", "seed", "include_t_end",
-        "graph_file", "format", "workers"]
+        "graph", "workers"]
     with pytest.raises(SystemExit) as caught:
         main(solve_args(queen55_col, "--colors", "5", "--method", "foo"))
     assert caught.value.code == 2
     assert "invalid choice: 'foo'" in capsys.readouterr().err
 
 
-def test_gradcheck_defaults_are_the_settings_defaults():
-    args = build_parser().parse_args(["gradcheck", "--colors", "3"])
+def test_gradcheck_defaults_are_the_settings_defaults(queen55_col, capsys,
+                                                     monkeypatch):
+    # left out, gamma, h and fix are the declared defaults: the checks see
+    # the same pinned node, gamma and couplings as with the defaults given
     defaults = {f.name: f.default for f in fields(Hyperparameters)}
-    assert (args.gamma, args.h, args.fix) == \
-        (defaults["gamma"], defaults["h"], defaults["fix_strategy"])
+    seen = []
+
+    def spy(workspace, angles, t, gamma, hvals, **kwargs):
+        seen.append((workspace.fixed_node, t, gamma, hvals.tolist()))
+        return check_gradient(workspace, angles, t, gamma, hvals, **kwargs)
+
+    monkeypatch.setattr(cli, "check_gradient", spy)
+    runs = []
+    for flags in ([], ["--gamma", str(defaults["gamma"]), "--h", str(defaults["h"]),
+                       "--fix", defaults["fix_strategy"]]):
+        assert main(["gradcheck", "--graph", str(queen55_col), "--colors", "5",
+                     "--points", "2", *flags]) == 0
+        assert "gradcheck OK" in capsys.readouterr().out
+        runs.append(seen[:])
+        seen.clear()
+    assert runs[0] == runs[1]
+    assert [(fixed, gamma) for fixed, _, gamma, _ in runs[0]] == \
+        [(12, defaults["gamma"])] * 2
+    assert all(0 < max(hvals) <= defaults["h"] for *_, hvals in runs[0])
 
 
 def test_info_command(myciel5_col, capsys):
@@ -143,10 +162,19 @@ def test_solve_writes_self_describing_json(queen55_col, tmp_path):
     assert payload["graph"] == {"nodes": 25, "edges": 160}
     assert payload["config"]["seed"] == 7
     assert payload["config"]["method"] == "qdlqa"
-    assert payload["config"]["graph_file"] == str(queen55_col)
+    assert payload["config"]["graph"] == str(queen55_col)
+    assert "format" not in payload["config"]  # recorded only when given
     assert len(payload["per_run"]) == 4
     assert {"seed", "best", "steps", "wall_ms", "diverged"} <= set(payload["per_run"][0])
     assert not any(run["diverged"] for run in payload["per_run"])
+
+
+@pytest.mark.parametrize("command", ["solve", "gradcheck"])
+def test_non_integer_colors_is_config_error(queen55_col, capsys, command):
+    assert main([command, "--graph", str(queen55_col), "--colors", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", "error: colors must be an integer, got 'abc'\n")
 
 
 def test_solve_rejects_too_few_colors(queen55_col, capsys):
@@ -355,6 +383,54 @@ def test_recorded_settings_read_back(tmp_path_factory, hp):
     config = load_config(build_parser().parse_args(["solve", "--graph", "g.col",
                                                     *flags]))
     assert config_to_hp(config, int(config.colors)) == hp
+
+
+def _rerun_from_config_block(command, out, tmp_path):
+    """Write the ``config`` block of ``out`` as a config file, run
+    ``command`` from it alone and return both JSON documents."""
+    first = json.loads(out.read_text())
+    cfg = tmp_path / f"{out.stem}.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in first["config"].items()))
+    again = tmp_path / f"{out.stem}-again.json"
+    assert main([command, "--config", str(cfg), "--quiet", "--out", str(again)]) == 0
+    return first, json.loads(again.read_text())
+
+
+def _per_run(payload):
+    return [{k: run[k] for k in ("seed", "best", "steps", "diverged")}
+            for run in payload["per_run"]]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "qdgd", "--eta", "0.3", "--patience", "15", "--fix", "none"],
+    ["--method", "qdlqa", "--alpha", "exp:2:3", "--f", "0.1", "--include-t-end",
+     "--fix", "3"],
+], ids=["qdgd", "qdlqa"])
+def test_solve_reruns_from_its_config_block(queen55_col, tmp_path, flags):
+    out = tmp_path / "solve.json"
+    assert main(solve_args(queen55_col, "--colors", "4", "--runs", "3",
+                           "--steps", "40", "--seed", "5", *flags,
+                           "--out", str(out))) == 0
+    first, again = _rerun_from_config_block("solve", out, tmp_path)
+    assert again["config"] == first["config"]
+    assert _per_run(again) == _per_run(first)
+
+
+def test_sweep_reruns_from_its_config_block(tmp_path):
+    # a DIMACS text under a name that auto-detection reads as an edge list,
+    # so the recorded format matters, and a range past the first success
+    tri = tmp_path / "tri.txt"
+    tri.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--graph", str(tri), "--format", "dimacs",
+                 "--colors", "2:4", "--runs", "2", "--steps", "200", "--quiet",
+                 "--out", str(out)]) == 0
+    first, again = _rerun_from_config_block("sweep", out, tmp_path)
+    assert first["config"]["colors"] == "2:4"
+    assert first["config"]["format"] == "dimacs"
+    assert first["chi_upper"] == 3
+    assert {k: again[k] for k in ("config", "chi_upper", "sweep")} == \
+        {k: first[k] for k in ("config", "chi_upper", "sweep")}
 
 
 @pytest.mark.parametrize("fix", [True, False, np.bool_(True)])
