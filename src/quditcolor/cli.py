@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -94,6 +95,11 @@ class RunConfig:
     settings: dict = field(default_factory=dict)  # setting name -> value
 
 
+# A "#" starts a comment at the start of a line or after whitespace, so a
+# value such as a path may hold one.
+_CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_config_file(path) -> dict:
     """Parse a flat ``key = value`` file with ``#`` comments."""
     try:
@@ -102,7 +108,7 @@ def read_config_file(path) -> dict:
         raise ConfigError(f"{path}:{exc}") from None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CONFIG_COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -24,6 +24,11 @@ from .graph import Graph
 from .qudits import Forward, forward
 
 
+def _increasing(values: np.ndarray) -> bool:
+    """Whether a 1-D array is strictly increasing."""
+    return bool((values[1:] > values[:-1]).all())
+
+
 class CostWorkspace:
     """Per-(graph, dimension, fixed-node) buffers for the cost's gradient;
     ``lx_offdiag`` is the superdiagonal of Lx that ``build_ops`` returns.
@@ -62,8 +67,10 @@ class CostWorkspace:
         n = graph.num_nodes
         u, v = graph.edges[:, 0], graph.edges[:, 1]
         # slot e of the triangle is edge e only for rows 0 <= u < v < n in
-        # strictly increasing (u, v) order, i.e. increasing u * n + v
-        if np.any((u < 0) | (u >= v) | (v >= n)) or np.any(np.diff(u * n + v) <= 0):
+        # strictly increasing (u, v) order, i.e. increasing u * n + v (the
+        # initial values let a graph with no edges through)
+        if not (graph.edges.min(initial=0) >= 0 and v.max(initial=-1) < n
+                and (v - u).min(initial=1) > 0 and _increasing(u * n + v)):
             raise ValueError("graph edges must have 0 <= u < v < num_nodes in "
                              "every row and be strictly increasing, as "
                              "Graph.from_edges builds them")
@@ -79,11 +86,9 @@ class CostWorkspace:
         self.lx_offdiag = lx_offdiag
         self.fixed_node = None if fixed_node is None else int(fixed_node)
         self.copies = copies
-        offsets = n * np.arange(copies)[:, None]
-        self._indptr = np.concatenate(
-            [[0], np.cumsum(np.tile(np.bincount(u, minlength=n), copies))]
-        ).astype(np.intp)
-        self._indices = (offsets + v).ravel().astype(np.intp)
+        self._indptr = np.zeros(copies * n + 1, dtype=np.intp)
+        np.cumsum(np.tile(np.bincount(u, minlength=n), copies), out=self._indptr[1:])
+        self._indices = (np.arange(0, copies * n, n, dtype=np.intp)[:, None] + v).ravel()
         self._couplings = np.empty(copies * graph.num_edges)
         band = np.zeros((copies * n, lx_offdiag.size + 1))
         band[:, :-1] = lx_offdiag

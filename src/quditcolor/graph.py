@@ -9,23 +9,24 @@ A file in the plain syntax is read in whole-text passes, with no Python
 work per line: node ids of at most 18 ASCII digits, separated by spaces
 and tabs, lines ending in LF or CRLF, and whole-line comments (``c`` in
 DIMACS) or trailing ones (``#`` in an edge list).  One regex strips the
-comments.  In an edge list, a byte-class check then decides whether the
-rest is plain: one ``bytes.translate`` maps each byte through a 256-entry
-table to its class (digit, space or tab, CR, LF, other), and numpy
-passes over the class array reject any other byte, a CR not followed by
-LF, a run of more than 18 digits and any line that holds neither nothing
-nor exactly two ids.  The check runs over chunks of about 64 KiB that
-end at a line end, so its arrays stay a few times the chunk, and the
-parse's peak stays near two int64 copies of the ids.  A DIMACS file
-keeps one anchored search for the first line outside the plain syntax:
-on the COLOR instances, a few kB each, it costs less than the check's
-numpy calls.  ``np.fromstring`` then reads every id at once.  Any other
-text (signs, ``_`` in a number, non-ASCII digits or spaces, other line
-breaks such as form feeds, malformed lines, out-of-range ids) goes
-through the line reader, which accepts the same texts as ``int`` and
-``str.split`` do and names the first bad line.  Both readers give the
-same graph, ids and warnings.  Duplicate edges are dropped by sorting
-one int64 key ``lo * |V| + hi`` per edge.
+comments, and in DIMACS one more finds the header.  A byte-class check
+then decides whether the rest is plain: one ``bytes.translate`` maps each
+byte through a 256-entry table to its class (digit, space or tab, CR, LF,
+other, and in DIMACS ``e``), and numpy passes over the class array reject
+any other byte and a run of more than 18 digits.  In an edge list, more
+passes reject a CR not followed by LF and any line that holds neither
+nothing nor exactly two ids.  In DIMACS, the class of each run of equal
+classes and of each ``e`` or CR byte makes a short string, and a few
+``bytes.replace`` calls on it check that every line is blank or ``e``
+and two ids.  The check runs over chunks of about 64 KiB that end at a
+line end, so its arrays stay a few times the chunk, and the parse's peak
+stays near two int64 copies of the ids.  ``np.fromstring`` then reads
+every id at once.  Any other text (signs, ``_`` in a number, non-ASCII
+digits or spaces, other line breaks such as form feeds, malformed lines,
+out-of-range ids) goes through the line reader, which accepts the same
+texts as ``int`` and ``str.split`` do and names the first bad line.
+Both readers give the same graph, ids and warnings.  Duplicate edges are
+dropped by sorting one int64 key ``lo * |V| + hi`` per edge.
 """
 
 from __future__ import annotations
@@ -172,21 +173,27 @@ def _relabel(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 # any of them and the line checks reject any left outside a comment.
 _LINE_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 _ID = "[0-9]{1,18}"  # fits in int64
-_PAIR = rf"{_ID}[ \t]+{_ID}[ \t]*"
 _EDGE_LIST_COMMENT = re.compile(rf"#[^{_LINE_BREAKS}]*")
 _DIMACS_COMMENT = re.compile(rf"\n[ \t]*c[^{_LINE_BREAKS}]*")
 _DIMACS_HEADER = re.compile(
     rf"\n[ \t]*p[ \t]+(?:edges?|col)[ \t]+({_ID})[ \t]+({_ID})[ \t]*\r?$", re.M)
-_BAD_DIMACS_LINE = re.compile(rf"\n(?![ \t]*(?:e[ \t]+{_PAIR})?\r?$)", re.M)
 
-# The byte classes of an edge list's plain syntax, as a bytes.translate table.
-_SPACE, _DIGIT, _LF, _CR, _OTHER = range(5)
-_BYTE_CLASS = bytearray([_OTHER]) * 256
-_BYTE_CLASS[ord("0"):ord("9") + 1] = bytes([_DIGIT]) * 10
-_BYTE_CLASS[ord(" ")] = _BYTE_CLASS[ord("\t")] = _SPACE
-_BYTE_CLASS[ord("\n")], _BYTE_CLASS[ord("\r")] = _LF, _CR
-_BYTE_CLASS = bytes(_BYTE_CLASS)
+# The byte classes of the plain syntax, as bytes.translate tables.  An edge
+# list has no use for "e", so there it is another byte.  _E and _CR are the
+# largest classes below _OTHER, which the check rejects first.
+_SPACE, _DIGIT, _LF, _E, _CR, _OTHER = range(6)
+_EDGE_LIST_CLASS = bytearray([_OTHER]) * 256
+_EDGE_LIST_CLASS[ord("0"):ord("9") + 1] = bytes([_DIGIT]) * 10
+_EDGE_LIST_CLASS[ord(" ")] = _EDGE_LIST_CLASS[ord("\t")] = _SPACE
+_EDGE_LIST_CLASS[ord("\n")], _EDGE_LIST_CLASS[ord("\r")] = _LF, _CR
+_DIMACS_CLASS = bytearray(_EDGE_LIST_CLASS)
+_DIMACS_CLASS[ord("e")] = _E
+_EDGE_LIST_CLASS, _DIMACS_CLASS = bytes(_EDGE_LIST_CLASS), bytes(_DIMACS_CLASS)
 _CHUNK = 1 << 16  # bytes per pass of the check, so that its arrays stay in L2
+# In a DIMACS chunk's kinds (see _plain_dimacs_chunk): a line's indent,
+# and an edge line up to the end of its second id.
+_INDENT = bytes([_LF, _SPACE])
+_EDGE_LINE = bytes([_LF, _E, _SPACE, _DIGIT, _SPACE, _DIGIT])
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -198,36 +205,40 @@ def _read_ids(body: str) -> np.ndarray:
     return np.fromstring(body, dtype=np.int64, sep=" ")
 
 
-def _plain_edge_lines(body: str) -> bool:
-    """Whether ``body``, an edge list less its comments that starts and
-    ends with "\n", is in the plain syntax: ASCII, every CR before an LF,
-    ids of at most 18 digits, and every line blank or two ids apart.
+def _plain_lines(body: str, dimacs: bool) -> bool:
+    """Whether ``body``, a text less its comments (and a DIMACS text less
+    its header) that starts and ends with "\n", is in the plain syntax:
+    ASCII, every CR before an LF, ids of at most 18 digits, and every line
+    blank or two ids apart (``e`` and two ids, in DIMACS).
 
     Checks the lines in chunks of at least ``_CHUNK`` bytes that end at an
     LF, each with the LF before it."""
     if not body.isascii():
         return False
+    table = _DIMACS_CLASS if dimacs else _EDGE_LIST_CLASS
     start = 1
     while start < len(body):
         end = body.find("\n", start + _CHUNK) + 1 or len(body)
-        if not _plain_chunk(body[start - 1:end].encode().translate(_BYTE_CLASS)):
+        if not _plain_chunk(body[start - 1:end].encode().translate(table), dimacs):
             return False
         start = end
     return True
 
 
-def _plain_chunk(classes: bytes) -> bool:
-    """``_plain_edge_lines`` for the byte classes of one chunk."""
+def _plain_chunk(classes: bytes, dimacs: bool) -> bool:
+    """``_plain_lines`` for the byte classes of one chunk."""
     if bytes([_OTHER]) in classes:
         return False
     cls = np.frombuffer(classes, dtype=np.uint8)
-    if bytes([_CR]) in classes and ((cls[:-1] == _CR) > (cls[1:] == _LF)).any():
-        return False
     digit = cls == _DIGIT
     long = digit  # after the shifts, long[i]: bytes i to i + 18 are digits
     for shift in (1, 2, 4, 8, 3):
         long = long[:-shift] & long[shift:]
     if long.any():
+        return False
+    if dimacs:
+        return _plain_dimacs_chunk(cls)
+    if bytes([_CR]) in classes and ((cls[:-1] == _CR) > (cls[1:] == _LF)).any():
         return False
     # In order, each id's first digit (True) and each LF (False), from the
     # LF before the chunk.  A line with one id leaves a True between two
@@ -239,16 +250,37 @@ def _plain_chunk(classes: bytes) -> bool:
                 or (ids[:-2] & ids[1:-1] & ids[2:]).any())
 
 
+def _plain_dimacs_chunk(cls: np.ndarray) -> bool:
+    """``_plain_lines`` for the byte classes of a DIMACS chunk that has no
+    other byte and no id of more than 18 digits.
+
+    The chunk's kinds are the class of each run of equal classes from the
+    LF before the chunk on, except that every e and CR byte is a kind of
+    its own, so the kind after one is the byte after it.  A plain line's
+    kinds are its LF and indent, then nothing or ``_EDGE_LINE`` less its
+    LF, then at most a space and a CR, the CR just before the next LF.
+    Less the indents and then the edge lines, only LFs, spaces and CRs
+    before an LF may remain."""
+    event = np.empty(cls.size, dtype=bool)
+    event[0] = True
+    np.not_equal(cls[1:], cls[:-1], out=event[1:])
+    event[1:] |= cls[1:] >= _E
+    rest = cls.compress(event).tobytes().replace(_INDENT, _INDENT[:1])
+    rest = rest.replace(_EDGE_LINE, _EDGE_LINE[:1])
+    return not (bytes([_E]) in rest or bytes([_DIGIT]) in rest
+                or bytes([_CR]) in rest.replace(bytes([_CR, _LF]), bytes([_LF])))
+
+
 def _plain_dimacs(text: str) -> tuple[int, np.ndarray] | None:
     """(declared edge count, (E, 2) 1-based pairs) of a DIMACS text in the
     plain syntax with one header and every id in range; None for any other
     text."""
-    body = _DIMACS_COMMENT.sub("\n", "\n" + text)
+    body = _DIMACS_COMMENT.sub("\n", "\n" + text + "\n")
     header = _DIMACS_HEADER.search(body)
     if header is None:
         return None
     body = body[:header.start()] + body[header.end():]
-    if _BAD_DIMACS_LINE.search(body):
+    if not _plain_lines(body, True):
         return None
     pairs = _read_ids(body.replace("e", " ")).reshape(-1, 2)
     if pairs.size and (pairs.min() < 1 or pairs.max() > int(header[1])):
@@ -260,7 +292,7 @@ def _plain_edge_list(text: str) -> np.ndarray | None:
     """The (E, 2) pairs of an edge list in the plain syntax; None for any
     other text."""
     body = _EDGE_LIST_COMMENT.sub("", "\n" + text + "\n")
-    if not _plain_edge_lines(body):
+    if not _plain_lines(body, False):
         return None
     return _read_ids(body).reshape(-1, 2)
 

@@ -275,6 +275,16 @@ def test_config_file_alpha_schedule(tmp_path):
     assert parse_alpha("exp:2:7") == ExponentialAlpha(2.0, 7)
 
 
+def test_config_file_hash_starts_a_comment_only_after_whitespace(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("#colors = 3\ngraph = run#1/q.col  # the instance\n"
+                   "alpha = exp:2:7\t# schedule\n  # indented comment\n")
+    assert read_config_file(cfg) == {"graph": "run#1/q.col", "alpha": "exp:2:7"}
+    cfg.write_text("runs = 5#five\n")
+    with pytest.raises(ConfigError, match="bad value for runs"):
+        read_config_file(cfg)
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("turbo = on\n")
@@ -412,6 +422,19 @@ def test_solve_reruns_from_its_config_block(queen55_col, tmp_path, flags):
                            "--steps", "40", "--seed", "5", *flags,
                            "--out", str(out))) == 0
     first, again = _rerun_from_config_block("solve", out, tmp_path)
+    assert again["config"] == first["config"]
+    assert _per_run(again) == _per_run(first)
+
+
+def test_solve_reruns_from_its_config_block_with_a_hash_in_the_path(tmp_path):
+    graph = tmp_path / "run#1" / "q.col"
+    graph.parent.mkdir()
+    graph.write_text(queen_col_text(5, 5))
+    out = tmp_path / "solve.json"
+    assert main(solve_args(graph, "--colors", "4", "--runs", "3", "--steps", "40",
+                           "--seed", "5", "--out", str(out))) == 0
+    first, again = _rerun_from_config_block("solve", out, tmp_path)
+    assert first["config"]["graph"] == str(graph)
     assert again["config"] == first["config"]
     assert _per_run(again) == _per_run(first)
 

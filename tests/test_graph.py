@@ -413,23 +413,44 @@ def test_plain_dimacs_reader_matches_line_reader(case):
 
 def test_standard_instances_take_the_plain_reader():
     assert graph._plain_dimacs(queen_col_text(5, 5)) is not None
+    assert graph._plain_dimacs(queen_col_text(11, 11)) is not None
     assert graph._plain_dimacs(myciel_col_text(4)) is not None
+    indented = "c tabs\r\n p\tedge\t4\t2 \r\n\te\t1\t4\r\n  e 2\t3\t\r\n\r\n"
+    assert graph._plain_dimacs(indented)[1].tolist() == [[1, 4], [2, 3]]
     snap = "# FromNodeId\tToNodeId\r\n0\t4\r\n0\t40\r\n"
     assert graph._plain_edge_list(snap).tolist() == [[0, 4], [0, 40]]
 
 
-# The reference for the byte-class check: the per-line regex it replaced.
-# An edge list is plain exactly when, its comments stripped, no line fails it.
+# The references for the byte-class check: the per-line regexes it replaced.
+# An edge list is plain exactly when, its comments stripped, no line fails
+# its regex; a DIMACS text, when its comments and header stripped, no line
+# fails its regex and every id is in range.
 _BAD_EDGE_LIST_LINE = re.compile(
     r"\n(?![ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*)?\r?$)", re.M)
+_BAD_DIMACS_LINE = re.compile(
+    r"\n(?![ \t]*(?:e[ \t]+[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*)?\r?$)", re.M)
 
 
 def _reference_edge_list_is_plain(text):
     return _BAD_EDGE_LIST_LINE.search(graph._EDGE_LIST_COMMENT.sub("", "\n" + text)) is None
 
 
+def _reference_dimacs_is_plain(text):
+    body = graph._DIMACS_COMMENT.sub("\n", "\n" + text)
+    header = graph._DIMACS_HEADER.search(body)
+    if header is None:
+        return False
+    body = body[:header.start()] + body[header.end():]
+    return (_BAD_DIMACS_LINE.search(body) is None
+            and all(1 <= int(i) <= int(header[1]) for i in body.replace("e", " ").split()))
+
+
 def _assert_check_matches_reference(text):
     assert (graph._plain_edge_list(text) is None) == (not _reference_edge_list_is_plain(text))
+
+
+def _assert_dimacs_check_matches_reference(text):
+    assert (graph._plain_dimacs(text) is None) == (not _reference_dimacs_is_plain(text))
 
 
 # Pieces of texts near and outside the plain syntax.
@@ -494,6 +515,48 @@ def test_byte_class_check_at_the_edges_of_full_chunks(data, crlf, where, piece):
     cut = {"first": lf + 1, "last": lf - crlf, "end": lf}[where]
     text = text[:cut] + piece + text[cut + (where == "end"):]
     _assert_check_matches_reference(text)
+
+
+# Pieces of DIMACS texts near and outside the plain syntax.  The header
+# declares 18 nines of nodes, so of the ids up to 18 digits only 0 is out
+# of range.
+_DIMACS_PIECES = ["e", "e ", "e\t", "ee", "e1", "1e", "0", "7", "12", "0" * 17 + "1",
+                  "0" * 18 + "1", "1" * 18, "1" * 19,
+                  " ", "\t", "  ", "\n", "\r\n", "\r", "c x\n", "\n c\n", "\x0c", "x",
+                  "\xa0", "e 1 2\n", "e\t3 4", "\n  e 5\t6 "]
+_HUGE_HEADER = "\np edge 999999999999999999 1\n"
+
+
+@settings(deadline=None, max_examples=800)
+@given(pieces=st.lists(st.sampled_from(_DIMACS_PIECES), max_size=24),
+       where=st.integers(0, 24), chunk=st.integers(1, 24))
+def test_dimacs_byte_class_check_matches_the_line_regex(pieces, where, chunk):
+    pieces.insert(where, _HUGE_HEADER)
+    text = "".join(pieces)
+    with mock.patch.object(graph, "_CHUNK", chunk):
+        _assert_dimacs_check_matches_reference(text)
+    _assert_dimacs_check_matches_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    # the first two fool a check that counts e's and ids per text, not per line
+    "p edge 5 1\n1 2\ne ", "p edge 5 1\n  1 2\ne\t",
+    "p edge 5 1\ne1 2 3\n", "p edge 5 1\ne 1 2e\n", "p edge 5 1\ne 1 2e", "p edge 5 1\nee 1 2\n",
+    "p edge 5 1\ne 1e 2\n", "p edge 5 1\ne 1 2 e 3 4\n", "p edge 5 1\n e 1 2e 3 4\n",
+    "p edge 5 1\ne 1 2\r\r\n", "p edge 5 1\ne 1 2\r", "p edge 5 1\ne 1 2 \r\n \r\n",
+    "p edge 5 1\n\te 1\t2", "p edge 5 1\ne 1 2\n\re 3 4\n", "p edge 5 1\ne\n1 2\n",
+    "p edge 5 1\ne 000000000000000001 2\n", "p edge 5 1\ne 0000000000000000001 2\n",
+])
+def test_dimacs_byte_class_check_matches_the_line_regex_on_edge_cases(text):
+    _assert_dimacs_check_matches_reference(text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_dimacs_texts(), chunk=st.integers(1, 24))
+def test_dimacs_byte_class_check_matches_the_line_regex_on_generated_files(case, chunk):
+    text, _ = case
+    with mock.patch.object(graph, "_CHUNK", chunk):
+        _assert_dimacs_check_matches_reference(text)
 
 
 @settings(deadline=None, max_examples=200)
