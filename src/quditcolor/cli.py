@@ -19,7 +19,7 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,20 +81,6 @@ def _default_workers() -> int:
             f"{WORKERS_ENV} must be a positive integer, got {text!r}") from None
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: instance, outputs, and the settings as given."""
-
-    graph: str
-    colors: str | None = None
-    format: str | None = None
-    workers: int = field(default_factory=_default_workers)
-    out: str | None = None
-    trajectories: str | None = None
-    coloring: str | None = None
-    settings: dict = field(default_factory=dict)  # setting name -> value
-
-
 # A "#" starts a comment at the start of a line or after whitespace, so a
 # value such as a path may hold one.
 _CONFIG_COMMENT = re.compile(r"(?:^|\s)#")
@@ -124,31 +110,32 @@ def read_config_file(path) -> dict:
     return values
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and flag overrides (flags win)."""
-    values = {}
+def load_config(args: argparse.Namespace) -> dict:
+    """The config file's values and the flags given (flags win), by
+    config-file key; ``workers`` is ``$QUDITCOLOR_WORKERS`` (or 1) when
+    neither gives it."""
+    config = {}
     if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
+        config.update(read_config_file(args.config))
     for key in _CONFIG_PARSERS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            values[key] = flag_value
-    if "graph" not in values:
+            config[key] = flag_value
+    if "graph" not in config:
         raise ConfigError("an input graph is required (--graph)")
-    own = {f.name for f in fields(RunConfig)}
-    config = RunConfig(**{k: v for k, v in values.items() if k in own},
-                       settings={k: v for k, v in values.items() if k not in own})
-    if config.colors is None:
+    if "workers" not in config:
+        config["workers"] = _default_workers()
+    if "colors" not in config:
         raise ConfigError("the number of colors is required (--colors)")
-    if config.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {config.workers}")
+    if config["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {config['workers']}")
     return config
 
 
-def _colors_int(text) -> int:
+def _colors_int(text: str) -> int:
     try:
         return int(text)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"colors must be an integer, got {text!r}") from None
 
 
@@ -168,18 +155,12 @@ def _settings_to_hp(given: dict) -> Hyperparameters:
     return hp
 
 
-def config_to_hp(config: RunConfig, colors: int) -> Hyperparameters:
-    return _settings_to_hp({**config.settings, "colors": colors})
-
-
-def _resolved_config_dict(config: RunConfig, hp: Hyperparameters) -> dict:
-    """The run's settings, instance and worker count under their config-file
+def _resolved_config_dict(config: dict, hp: Hyperparameters) -> dict:
+    """The run's settings, instance (as an absolute path, so that the block
+    reads back from any directory) and worker count under their config-file
     keys, in values that a config file reads back; ``format`` only if given."""
-    out = {**hp_to_dict(hp), "graph": config.graph}
-    if config.format is not None:
-        out["format"] = config.format
-    out["workers"] = config.workers
-    return out
+    return {**hp_to_dict(hp), "graph": os.path.abspath(config["graph"]),
+            **{k: config[k] for k in ("format", "workers") if k in config}}
 
 
 def _load_graph(path, fmt, fix_strategy):
@@ -223,20 +204,20 @@ def _write_coloring(path, coloring, original_ids) -> None:
 
 def _cmd_solve(args) -> int:
     config = load_config(args)
-    hp = config_to_hp(config, _colors_int(config.colors))
-    graph, original_ids, _ = _load_graph(config.graph, config.format,
+    hp = _settings_to_hp({**config, "colors": _colors_int(config["colors"])})
+    graph, original_ids, _ = _load_graph(config["graph"], config.get("format"),
                                          hp.fix_strategy)
-    stats = run_batch(graph, hp, workers=config.workers,
-                      record_trajectories=config.trajectories is not None)
+    stats = run_batch(graph, hp, workers=config["workers"],
+                      record_trajectories="trajectories" in config)
     _warn_diverged(stats.records)
     _write_json(stats_to_dict(stats, graph, hp, _resolved_config_dict(config, hp)),
-                config.out)
-    if config.trajectories:
-        write_trajectory_csv(config.trajectories, stats.records, hp)
-    if config.coloring:
+                config.get("out"))
+    if config.get("trajectories"):
+        write_trajectory_csv(config["trajectories"], stats.records, hp)
+    if config.get("coloring"):
         best = min((r for r in stats.records if not r.diverged),
                    key=lambda r: r.best_energy)
-        _write_coloring(config.coloring, best.best_coloring, original_ids)
+        _write_coloring(config["coloring"], best.best_coloring, original_ids)
     if not args.quiet:
         print(f"best {stats.best_overall} in {stats.n_min}/{hp.n_runs} runs "
               f"(mean {stats.mean_best:.2f})", file=sys.stderr)
@@ -246,31 +227,32 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     config = load_config(args)
     for name in ("trajectories", "coloring"):
-        if getattr(config, name):
+        if config.get(name):
             raise ConfigError(f"{name} is not supported by sweep")
-    lo, sep, hi = str(config.colors).partition(":")
+    lo, sep, hi = config["colors"].partition(":")
     # --colors may be "LO:HI" for sweeps; a single value sweeps one point
     try:
         c_lo = int(lo)
         c_hi = int(hi) if sep else c_lo
     except ValueError:
-        raise ConfigError(f"sweep expects --colors LO:HI, got {config.colors!r}") from None
+        raise ConfigError(
+            f"sweep expects --colors LO:HI, got {config['colors']!r}") from None
     if c_hi < c_lo:
         raise ConfigError("sweep range must be ascending")
-    hp = config_to_hp(config, c_lo)
-    graph, _, _ = _load_graph(config.graph, config.format, hp.fix_strategy)
+    hp = _settings_to_hp({**config, "colors": c_lo})
+    graph, _, _ = _load_graph(config["graph"], config.get("format"), hp.fix_strategy)
     result = sweep_colors(graph, hp, range(c_lo, c_hi + 1),
-                          force_full=args.force_full, workers=config.workers)
+                          force_full=args.force_full, workers=config["workers"])
     _warn_diverged([r for s in result.batches.values() for r in s.records])
     payload = {
-        "config": {**_resolved_config_dict(config, hp), "colors": config.colors},
+        "config": {**_resolved_config_dict(config, hp), "colors": config["colors"]},
         "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges},
         "chi_upper": result.chi_upper,
         "sweep": {str(c): {k: v for k, v in stats_to_dict(s, graph, hp).items()
                            if k not in ("config", "graph", "per_run")}
                   for c, s in result.batches.items()},
     }
-    _write_json(payload, config.out)
+    _write_json(payload, config.get("out"))
     return 0
 
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import quditcolor
 from quditcolor import cli
-from quditcolor.cli import (ConfigError, build_parser, config_to_hp,
-                            load_config, main, read_config_file)
+from quditcolor.cli import (ConfigError, build_parser, load_config, main,
+                            read_config_file)
 from quditcolor.gradient import check_gradient
 from quditcolor.graph import parse_fix, select_fixed_node
 from quditcolor.harness import hp_to_dict
@@ -385,14 +385,14 @@ def test_recorded_settings_read_back(tmp_path_factory, hp):
     cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in recorded.items()))
     config = load_config(argparse.Namespace(config=str(cfg), graph="g.col"))
-    assert config_to_hp(config, int(config.colors)) == hp
+    assert cli._settings_to_hp({**config, "colors": int(config["colors"])}) == hp
     # ... and so do the same values given as solve flags
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in recorded.items()
              if key != "include_t_end"]
     flags += ["--include-t-end"] if recorded["include_t_end"] else []
     config = load_config(build_parser().parse_args(["solve", "--graph", "g.col",
                                                     *flags]))
-    assert config_to_hp(config, int(config.colors)) == hp
+    assert cli._settings_to_hp({**config, "colors": int(config["colors"])}) == hp
 
 
 def _rerun_from_config_block(command, out, tmp_path):
@@ -454,6 +454,44 @@ def test_sweep_reruns_from_its_config_block(tmp_path):
     assert first["chi_upper"] == 3
     assert {k: again[k] for k in ("config", "chi_upper", "sweep")} == \
         {k: first[k] for k in ("config", "chi_upper", "sweep")}
+
+
+@pytest.mark.parametrize("command, flags, keys", [
+    ("solve", ["--colors", "4"], ("config",)),
+    ("sweep", ["--colors", "3:5", "--force-full"], ("config", "chi_upper", "sweep")),
+], ids=["solve", "sweep"])
+def test_config_block_reruns_from_another_directory(tmp_path, monkeypatch,
+                                                    command, flags, keys):
+    # the run names its graph relative to one directory and the rerun
+    # starts in another, so the block must record an absolute path
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    (tmp_path / "a" / "q.col").write_text(queen_col_text(5, 5))
+    out = tmp_path / f"{command}.json"
+    monkeypatch.chdir(tmp_path / "a")
+    assert main([command, "--graph", "q.col", *flags, "--runs", "3", "--steps", "40",
+                 "--seed", "5", "--quiet", "--out", str(out)]) == 0
+    monkeypatch.chdir(tmp_path / "b")
+    first, again = _rerun_from_config_block(command, out, tmp_path)
+    assert first["config"]["graph"] == str(tmp_path / "a" / "q.col")
+    assert {k: again[k] for k in keys} == {k: first[k] for k in keys}
+    if command == "solve":
+        assert _per_run(again) == _per_run(first)
+
+
+def test_given_worker_count_never_reads_the_env_var(queen55_col, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.setenv("QUDITCOLOR_WORKERS", "abc")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 1\n")
+    base = solve_args(queen55_col, "--colors", "5", "--runs", "1", "--steps", "20",
+                      "--out", str(tmp_path / "out.json"))
+    assert main([*base, "--workers", "1"]) == 0
+    assert main([*base, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(base) == 1
+    assert capsys.readouterr().err == \
+        "error: QUDITCOLOR_WORKERS must be a positive integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("fix", [True, False, np.bool_(True)])
@@ -662,11 +700,11 @@ def test_dimacs_edge_count_mismatch_warns(tmp_path, capsys):
 
 
 def test_workers_env_default(monkeypatch):
-    from quditcolor.cli import RunConfig
+    args = argparse.Namespace(graph="x.col", colors="5")
     monkeypatch.setenv("QUDITCOLOR_WORKERS", "4")
-    assert RunConfig(graph="x.col").workers == 4
+    assert load_config(args)["workers"] == 4
     monkeypatch.delenv("QUDITCOLOR_WORKERS")
-    assert RunConfig(graph="x.col").workers == 1
+    assert load_config(args)["workers"] == 1
 
 
 @pytest.mark.parametrize("env, flags, message", [
