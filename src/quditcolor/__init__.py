@@ -10,7 +10,7 @@ from .energy import (energy_final, energy_initial, energy_total, energy_weight,
                      extract_coloring, potts_energy)
 from .gradient import CostWorkspace, check_gradient
 from .graph import (Graph, GraphParseError, GraphWarning, load_graph,
-                    parse_dimacs, parse_edge_list, select_fixed_node, to_dimacs)
+                    parse_dimacs, parse_edge_list, select_fixed_node)
 from .harness import (BatchStats, DivergedError, SweepResult, WorkerError,
                       run_batch, sweep_colors, trajectory_stats)
 from .optimizer import Adam
@@ -29,6 +29,6 @@ __all__ = [
     "energy_total", "energy_weight", "extract_coloring", "forward",
     "init_qdgd_state", "init_qdlqa_state", "load_graph", "lx_ground_state",
     "parse_dimacs", "parse_edge_list", "potts_energy", "run_batch", "run_qdgd",
-    "run_qdlqa", "select_fixed_node", "sweep_colors", "to_dimacs",
+    "run_qdlqa", "select_fixed_node", "sweep_colors",
     "trajectory_stats", "WorkerError",
 ]

@@ -19,7 +19,7 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .harness import (DivergedError, WorkerError, hp_to_dict, run_batch,
                       setting_value, stats_to_dict, sweep_colors,
                       write_trajectory_csv)
 from .qudits import build_ops
-from .solver import SETTING_NAMES, SETTING_TYPES, Hyperparameters
+from .solver import SETTING_TYPES, SETTINGS, Hyperparameters
 
 WORKERS_ENV = "QUDITCOLOR_WORKERS"
 
@@ -56,8 +56,6 @@ def _parse_format(text: str) -> str:
 
 # a declared type -> the parser of a setting's text; any other stays text
 _TEXT_PARSERS = {int: int, float: float, bool: _parse_bool}
-# setting name -> its Hyperparameters field
-_SETTINGS = {SETTING_NAMES[f.name]: f for f in fields(Hyperparameters)}
 # config-file key -> parser of its text; a setting's is its flag's type
 _CONFIG_PARSERS = {
     "graph": str,
@@ -68,7 +66,7 @@ _CONFIG_PARSERS = {
     "coloring": str,
     **{name: f.metadata["flag"].get("type",
                                     _TEXT_PARSERS.get(SETTING_TYPES[f.name], str))
-       for name, f in _SETTINGS.items()},
+       for name, f in SETTINGS.items()},
 }
 
 
@@ -146,10 +144,10 @@ def _settings_to_hp(given: dict) -> Hyperparameters:
     try:
         hp = Hyperparameters(**{
             f.name: (f.metadata["parse"] or (lambda v: v))(given[name])
-            for name, f in _SETTINGS.items() if name in given})
+            for name, f in SETTINGS.items() if name in given})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for name, f in _SETTINGS.items():
+    for name, f in SETTINGS.items():
         if f.metadata["ignored_by"] == hp.method and getattr(hp, f.name) != f.default:
             print(f"warning: {name} is ignored by method {hp.method}", file=sys.stderr)
     return hp
@@ -324,7 +322,7 @@ def _add_setting_flags(parser, names) -> None:
     its text as the config file does and is None when left out, so that
     the config file or the declared default holds."""
     for name in names:
-        f = _SETTINGS[name]
+        f = SETTINGS[name]
         extras = {"help": f.metadata["help"] + (
             "" if f.default is MISSING else f" (default {setting_value(f.default)})")}
         if SETTING_TYPES[f.name] is bool:
@@ -335,9 +333,10 @@ def _add_setting_flags(parser, names) -> None:
 
 
 def _add_hyper_flags(parser) -> None:
-    # the switches have always come after --workers
-    switches = [name for name, f in _SETTINGS.items() if SETTING_TYPES[f.name] is bool]
-    _add_setting_flags(parser, [name for name in _SETTINGS if name not in switches])
+    # the switches come after --workers: test_cli_surface_is_pinned pins
+    # the --help order, because scripts rely on it
+    switches = [name for name, f in SETTINGS.items() if SETTING_TYPES[f.name] is bool]
+    _add_setting_flags(parser, [name for name in SETTINGS if name not in switches])
     parser.add_argument("--workers", type=int,
                         help=f"parallel runs (default ${WORKERS_ENV} or 1)")
     _add_setting_flags(parser, switches)

@@ -419,14 +419,6 @@ def _edge_list_pairs(text: str) -> np.ndarray:
     return _edge_list_lines(text) if pairs is None else pairs
 
 
-def to_dimacs(graph: Graph) -> str:
-    """Serialize a graph back to DIMACS .col text (1-based indices)."""
-    lines = [f"p edge {graph.num_nodes} {graph.num_edges}"]
-    for u, v in graph.edges:
-        lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
-
-
 def load_graph(path, fmt: str | None = None) -> tuple[Graph, list[int]]:
     """Load an instance file, auto-detecting the format by extension.
 

@@ -16,7 +16,7 @@ from .graph import Graph
 # not called here; bound because the benchmark's tracer patches both names here
 from .graph import select_fixed_node  # noqa: F401
 from .qudits import build_ops  # noqa: F401
-from .solver import SETTING_NAMES, Hyperparameters, RunRecord, _schedule, run_one
+from .solver import SETTINGS, Hyperparameters, RunRecord, _schedule, run_one
 
 
 @dataclass
@@ -53,17 +53,6 @@ _pool: ProcessPoolExecutor | None = None
 _pool_size = 0
 
 
-def _worker_pool(processes: int) -> ProcessPoolExecutor:
-    """The kept pool, replaced by a new one of ``processes`` processes when
-    its count differs."""
-    global _pool, _pool_size
-    if _pool is None or _pool_size != processes:
-        # no fork while the old pool's threads run
-        _close_pool()
-        _pool, _pool_size = ProcessPoolExecutor(max_workers=processes), processes
-    return _pool
-
-
 def _close_pool() -> None:
     """Shut the kept pool down, waiting for its processes, and forget it."""
     global _pool, _pool_size
@@ -78,17 +67,18 @@ def run_batch(graph: Graph, hp: Hyperparameters, *,
 
     Each run's stream is derived from (master_seed, run index), so results
     do not depend on the worker count, the grouping or scheduling order.
-    With more than one worker the runs go to a process pool that is kept
+    The batch takes min(workers, hp.n_runs) processes; with more than one,
+    the runs go to a process pool that is kept
     for later batches with the same number of processes; it is replaced
     when that number changes or when a worker dies.  A worker of a new pool
     that dies, or a run in one that raises, ends in ``WorkerError``.  A
     batch in which every run diverged raises ``DivergedError``.
     """
     indices = list(range(hp.n_runs))
-    if workers <= 1 or hp.n_runs == 1:
+    workers = min(workers, hp.n_runs)
+    if workers <= 1:
         records = run_one(graph, hp, indices, record_trajectory=record_trajectories)
     else:
-        workers = min(workers, hp.n_runs)
         chunks = [indices[w::workers] for w in range(workers)]
         task = partial(run_one, graph, hp, record_trajectory=record_trajectories)
         try:
@@ -104,13 +94,19 @@ def run_batch(graph: Graph, hp: Hyperparameters, *,
 
 
 def _map_in_pool(workers: int, task, chunks) -> list:
-    """``task`` over ``chunks`` in the kept pool; a broken pool is closed.
-    A pool kept from an earlier batch may have lost a worker while it sat
-    idle, so the chunks then run once more on a new pool.  A new pool that
-    breaks raises ``BrokenProcessPool``."""
+    """``task`` over ``chunks`` in the kept pool, replaced first by a new
+    one of ``workers`` processes when its count differs; a broken pool is
+    closed.  A pool kept from an earlier batch may have lost a worker while
+    it sat idle, so the chunks then run once more on a new pool.  A new
+    pool that breaks raises ``BrokenProcessPool``."""
+    global _pool, _pool_size
     kept = _pool is not None and _pool_size == workers
+    if not kept:
+        # no fork while the old pool's threads run
+        _close_pool()
+        _pool, _pool_size = ProcessPoolExecutor(max_workers=workers), workers
     try:
-        return list(_worker_pool(workers).map(task, chunks))
+        return list(_pool.map(task, chunks))
     except BrokenProcessPool:
         _close_pool()
         if not kept:
@@ -211,8 +207,7 @@ def setting_value(value):
 def hp_to_dict(hp: Hyperparameters) -> dict:
     """The settings of ``hp`` by setting name, in values that a config file
     reads back to ``hp``."""
-    return {name: setting_value(getattr(hp, field_name))
-            for field_name, name in SETTING_NAMES.items()}
+    return {name: setting_value(getattr(hp, f.name)) for name, f in SETTINGS.items()}
 
 
 def write_trajectory_csv(path, records: list[RunRecord], hp: Hyperparameters) -> None:

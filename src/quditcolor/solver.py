@@ -174,9 +174,9 @@ class Hyperparameters:
         if self.num_colors < 2:
             raise ValueError("colors must be >= 2")
         if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+            raise ValueError("steps must be >= 1")
         if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
+            raise ValueError("runs must be >= 1")
         for name in ("gamma", "h", "f"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -192,9 +192,9 @@ class Hyperparameters:
         object.__setattr__(self, "fix_strategy", check_fix(self.fix_strategy))
 
 
-# Each Hyperparameters field by its name as a setting, in field order, and
-# by its declared type.
-SETTING_NAMES = {f.name: f.metadata["name"] or f.name for f in fields(Hyperparameters)}
+# Setting name (config-file key, flag and stats JSON key) -> its
+# Hyperparameters field, in field order; and field name -> declared type.
+SETTINGS = {f.metadata["name"] or f.name: f for f in fields(Hyperparameters)}
 SETTING_TYPES = get_type_hints(Hyperparameters)
 
 

@@ -183,6 +183,17 @@ def test_solve_rejects_too_few_colors(queen55_col, capsys):
     assert "colors must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, colors", [("solve", "5"), ("sweep", "3:6")])
+@pytest.mark.parametrize("flag, name", [("--steps", "steps"), ("--runs", "runs")])
+def test_range_error_names_the_setting(queen55_col, capsys, command, colors,
+                                       flag, name):
+    # the flag and config key, not the Hyperparameters field
+    assert main([command, "--graph", str(queen55_col), "--colors", colors,
+                 flag, "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {name} must be >= 1\n")
+
+
 def test_solve_requires_colors(queen55_col, capsys):
     # and so do sweep and gradcheck, with the same line
     for command in ("solve", "sweep", "gradcheck"):

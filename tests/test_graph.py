@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from quditcolor import graph
 from quditcolor.graph import (Graph, GraphParseError, GraphWarning, compact_edges,
                               load_graph, parse_dimacs, parse_edge_list,
-                              select_fixed_node, to_dimacs)
+                              select_fixed_node)
 
 from instances import (myciel_col_text, myciel_graph, path, queen_col_text,
-                       queen_graph, small_graphs, star, triangle)
+                       queen_graph, small_graphs, star, to_col_text, triangle)
 
 
 def test_parse_dimacs_triangle():
@@ -121,7 +121,7 @@ def test_myciel_instance_sizes(k, nodes, edges):
 
 def test_serialization_round_trip():
     for g in (triangle(), queen_graph(5, 5), myciel_graph(4)):
-        reparsed, _ = parse_dimacs(to_dimacs(g))
+        reparsed, _ = parse_dimacs(to_col_text(g.num_nodes, g.edges))
         assert reparsed.num_nodes == g.num_nodes
         assert np.array_equal(reparsed.edges, g.edges)
 
@@ -131,7 +131,7 @@ def test_serialization_round_trip():
 def test_dimacs_round_trip_property(g):
     with warnings.catch_warnings():
         warnings.simplefilter("error", GraphWarning)
-        reparsed, ids = parse_dimacs(to_dimacs(g))
+        reparsed, ids = parse_dimacs(to_col_text(g.num_nodes, g.edges))
     assert reparsed.num_nodes == g.num_nodes
     assert np.array_equal(reparsed.edges, g.edges)
     assert ids == list(range(1, g.num_nodes + 1))

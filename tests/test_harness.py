@@ -18,7 +18,6 @@ import pytest
 from quditcolor import harness, solver
 from quditcolor.cli import main
 from quditcolor.gradient import CostWorkspace
-from quditcolor.graph import to_dimacs
 from quditcolor.harness import (DivergedError, WorkerError, collect_stats,
                                 run_batch, stats_to_dict, sweep_colors,
                                 trajectory_stats, write_trajectory_csv)
@@ -26,7 +25,7 @@ from quditcolor.solver import (ConstantAlpha, ExponentialAlpha, Hyperparameters,
                                RunRecord, run_one)
 
 from instances import (dies_in_worker, path, queen_graph, raises_in_worker,
-                       triangle)
+                       to_col_text, triangle)
 
 
 def hp(method="qdlqa", **kw):
@@ -160,6 +159,20 @@ def test_batches_share_one_pool(queen55, monkeypatch, fresh_pool):
     assert len(made) == 2 and harness._pool is made[1]
 
 
+def test_process_count_is_workers_capped_at_runs(queen55, monkeypatch,
+                                                fresh_pool):
+    made = count_pools(monkeypatch)
+    one = hp(num_colors=5, n_runs=1, n_steps=60)
+    same_records(run_batch(queen55, one, workers=4), run_batch(queen55, one))
+    assert made == []
+    three = hp(num_colors=5, n_runs=3, n_steps=60)
+    same_records(run_batch(queen55, three, workers=5), run_batch(queen55, three))
+    assert len(made) == 1 and harness._pool_size == 3
+    # three workers for four runs is the kept pool's count
+    run_batch(queen55, hp(num_colors=5, n_runs=4, n_steps=60), workers=3)
+    assert made == [harness._pool]
+
+
 def test_dead_worker_pool_is_replaced(queen55, monkeypatch, fresh_pool):
     made = count_pools(monkeypatch)
     with pytest.raises(WorkerError, match="^worker process failed: "):
@@ -290,7 +303,7 @@ def test_diverged_runs_stay_out_of_the_aggregates(k3):
 
 def test_stats_json_round_trip(tmp_path, k3):
     col = tmp_path / "k3.col"
-    col.write_text(to_dimacs(k3))
+    col.write_text(to_col_text(k3.num_nodes, k3.edges))
     out = tmp_path / "stats.json"
     assert main(["solve", "--graph", str(col), "--colors", "3", "--runs", "3",
                  "--steps", "200", "--quiet", "--out", str(out)]) == 0

@@ -84,7 +84,8 @@ def test_count_that_is_no_integer_raises_at_construction(name, value):
 def test_numpy_integer_count_is_stored_as_int(name):
     hp = Hyperparameters(**{"method": "qdgd", "num_colors": 3, name: np.int64(3)})
     assert type(getattr(hp, name)) is int
-    assert json.loads(json.dumps(hp_to_dict(hp)))[solver.SETTING_NAMES[name]] == 3
+    setting = next(s for s, f in solver.SETTINGS.items() if f.name == name)
+    assert json.loads(json.dumps(hp_to_dict(hp)))[setting] == 3
 
 
 @pytest.mark.parametrize("name, value, message", [
@@ -181,7 +182,7 @@ def test_hyperparameter_validation():
         Hyperparameters(method="sa", num_colors=3)
     with pytest.raises(ValueError, match="colors"):
         qdlqa_hp(num_colors=1)
-    with pytest.raises(ValueError, match="n_steps"):
+    with pytest.raises(ValueError, match="^steps must be >= 1$"):
         qdlqa_hp(n_steps=0)
     with pytest.raises(ValueError, match="patience"):
         qdgd_hp(patience=0)
