@@ -9,24 +9,34 @@ A file in the plain syntax is read in whole-text passes, with no Python
 work per line: node ids of at most 18 ASCII digits, separated by spaces
 and tabs, lines ending in LF or CRLF, and whole-line comments (``c`` in
 DIMACS) or trailing ones (``#`` in an edge list).  One regex strips the
-comments, and in DIMACS one more finds the header.  A byte-class check
-then decides whether the rest is plain: one ``bytes.translate`` maps each
-byte through a 256-entry table to its class (digit, space or tab, CR, LF,
-other, and in DIMACS ``e``), and numpy passes over the class array reject
-any other byte and a run of more than 18 digits.  In an edge list, more
-passes reject a CR not followed by LF and any line that holds neither
-nothing nor exactly two ids.  In DIMACS, the class of each run of equal
-classes and of each ``e`` or CR byte makes a short string, and a few
-``bytes.replace`` calls on it check that every line is blank or ``e``
-and two ids.  The check runs over chunks of about 64 KiB that end at a
-line end, so its arrays stay a few times the chunk, and the parse's peak
-stays near two int64 copies of the ids.  ``np.fromstring`` then reads
-every id at once.  Any other text (signs, ``_`` in a number, non-ASCII
-digits or spaces, other line breaks such as form feeds, malformed lines,
-out-of-range ids) goes through the line reader, which accepts the same
-texts as ``int`` and ``str.split`` do and names the first bad line.
-Both readers give the same graph, ids and warnings.  Duplicate edges are
-dropped by sorting one int64 key ``lo * |V| + hi`` per edge.
+comments, run only up to the line of the last comment marker, so a file
+whose comments come first costs a search of its head; in DIMACS one more
+regex finds the header.  A byte-class check then decides whether the rest
+is plain: one ``bytes.translate`` maps each byte through a 256-entry
+table to its class (digit, space or tab, CR, LF, other, and in DIMACS
+``e``), and numpy passes over the class array reject any other byte and
+a run of more than 18 digits.  In an edge list, more passes reject a CR
+not followed by LF and any line that holds neither nothing nor exactly
+two ids.  In DIMACS, the class of each run of equal classes and of each
+``e`` or CR byte makes a short string.  When every line is empty or an
+unindented ``e id id`` with nothing after its second id, one compare
+with a repeated pattern accepts it; otherwise a few ``bytes.replace``
+calls on it check that every line is blank or ``e`` and two ids.  The check runs over
+chunks of about 64 KiB that end at a line end, so its arrays stay a few
+times the chunk, and the parse's peak stays near two int64 copies of the
+ids.  ``np.fromstring`` then reads every id at once.  Any other text
+(signs, ``_`` in a number, non-ASCII digits or spaces, other line breaks
+such as form feeds, malformed lines, out-of-range ids) goes through the
+line reader, which accepts the same texts as ``int`` and ``str.split`` do
+and names the first bad line.  Both readers give the same graph, ids and
+warnings.
+
+Ids that fill one range ``first..top - 1`` are relabeled by subtracting
+``first``; others through a lookup table or a sort.  Edges are keyed by
+one int64 ``lo * |V| + hi`` each.  Keys already strictly increasing (rows
+sorted with u < v and no repeats, as the COLOR and generated files are)
+give the edge rows as they stand; any others are sorted, which also
+drops duplicate edges.
 """
 
 from __future__ import annotations
@@ -111,6 +121,11 @@ def _canonical_edges(key: np.ndarray, num_nodes: int) -> np.ndarray:
     return edges
 
 
+def _increasing(values: np.ndarray) -> bool:
+    """Whether a 1-D array is strictly increasing."""
+    return bool((values[1:] > values[:-1]).all())
+
+
 def _drop_repeats(values: np.ndarray) -> np.ndarray:
     """A sorted 1-D array without its repeated values (itself if none)."""
     first = np.empty(values.size, dtype=bool)
@@ -131,8 +146,7 @@ def compact_edges(pairs) -> tuple[Graph, list[int]]:
                        dtype=np.int64).reshape(-1, 2)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    # The parsers pass their ids as a temporary, so this frees them; from
-    # here on the peak stays at about two copies of them.
+    # The parsers pass their ids as a temporary, so this frees them.
     del pairs
     not_loop = lo != hi
     if not not_loop.all():
@@ -142,10 +156,17 @@ def compact_edges(pairs) -> tuple[Graph, list[int]]:
         raise GraphParseError("empty graph after preprocessing")
     labels, lo, hi = _relabel(lo, hi)
     num_nodes = labels.size
-    lo *= num_nodes
-    lo += hi
-    del hi
-    edges = _canonical_edges(lo, num_nodes)
+    key = lo * num_nodes
+    key += hi
+    # Each branch frees what it no longer needs before it allocates, so the
+    # peak stays at two copies of the ids.
+    if _increasing(key):  # already sorted and free of repeats
+        del key
+        edges = np.stack((lo, hi), axis=1)
+        del lo, hi
+    else:
+        del lo, hi
+        edges = _canonical_edges(key, num_nodes)
     graph = Graph(num_nodes, edges, np.bincount(edges.ravel(), minlength=num_nodes))
     return graph, labels.tolist()
 
@@ -153,11 +174,15 @@ def compact_edges(pairs) -> tuple[Graph, list[int]]:
 def _relabel(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct ids of ``lo`` and ``hi`` in ascending order, and both
     arrays with each id replaced by its index among them."""
-    top = int(hi.max()) + 1
-    if lo.min() >= 0 and top <= 2 * lo.size:  # a lookup table no longer than the ids
+    first, top = int(lo.min()), int(hi.max()) + 1
+    if first >= 0 and top <= 2 * lo.size:  # a lookup table no longer than the ids
         present = np.zeros(top, dtype=bool)
         present[lo] = True
         present[hi] = True
+        if present[first:].all():  # the ids first..top-1: shift them in place
+            lo -= first
+            hi -= first
+            return np.arange(first, top), lo, hi
         index = np.cumsum(present) - 1
         return np.flatnonzero(present), index[lo], index[hi]
     labels = np.concatenate((lo, hi))
@@ -177,6 +202,7 @@ _EDGE_LIST_COMMENT = re.compile(rf"#[^{_LINE_BREAKS}]*")
 _DIMACS_COMMENT = re.compile(rf"\n[ \t]*c[^{_LINE_BREAKS}]*")
 _DIMACS_HEADER = re.compile(
     rf"\n[ \t]*p[ \t]+(?:edges?|col)[ \t]+({_ID})[ \t]+({_ID})[ \t]*\r?$", re.M)
+_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
 
 # The byte classes of the plain syntax, as bytes.translate tables.  An edge
 # list has no use for "e", so there it is another byte.  _E and _CR are the
@@ -196,6 +222,19 @@ _INDENT = bytes([_LF, _SPACE])
 _EDGE_LINE = bytes([_LF, _E, _SPACE, _DIGIT, _SPACE, _DIGIT])
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+def _strip_comments(text: str, comment: re.Pattern, marker: str, repl: str) -> str:
+    """``comment.sub(repl, "\n" + text + "\n")``, with the pattern run only
+    up to the line break after the last ``marker``.  Every comment holds
+    its marker, so none lies past that line, and a file whose comments
+    all come first costs a search of its head."""
+    last = text.rfind(marker)
+    if last < 0:
+        return "\n" + text + "\n"
+    end = _LINE_BREAK.search(text, last)
+    cut = len(text) if end is None else end.start()
+    return "".join((comment.sub(repl, "\n" + text[:cut]), text[cut:], "\n"))
 
 
 def _read_ids(body: str) -> np.ndarray:
@@ -265,7 +304,10 @@ def _plain_dimacs_chunk(cls: np.ndarray) -> bool:
     event[0] = True
     np.not_equal(cls[1:], cls[:-1], out=event[1:])
     event[1:] |= cls[1:] >= _E
-    rest = cls.compress(event).tobytes().replace(_INDENT, _INDENT[:1])
+    kinds = cls.compress(event).tobytes()
+    if kinds == _EDGE_LINE * (len(kinds) // len(_EDGE_LINE)) + _EDGE_LINE[:1]:
+        return True  # only empty lines and unindented e id id ones
+    rest = kinds.replace(_INDENT, _INDENT[:1])
     rest = rest.replace(_EDGE_LINE, _EDGE_LINE[:1])
     return not (bytes([_E]) in rest or bytes([_DIGIT]) in rest
                 or bytes([_CR]) in rest.replace(bytes([_CR, _LF]), bytes([_LF])))
@@ -275,7 +317,7 @@ def _plain_dimacs(text: str) -> tuple[int, np.ndarray] | None:
     """(declared edge count, (E, 2) 1-based pairs) of a DIMACS text in the
     plain syntax with one header and every id in range; None for any other
     text."""
-    body = _DIMACS_COMMENT.sub("\n", "\n" + text + "\n")
+    body = _strip_comments(text, _DIMACS_COMMENT, "c", "\n")
     header = _DIMACS_HEADER.search(body)
     if header is None:
         return None
@@ -291,7 +333,7 @@ def _plain_dimacs(text: str) -> tuple[int, np.ndarray] | None:
 def _plain_edge_list(text: str) -> np.ndarray | None:
     """The (E, 2) pairs of an edge list in the plain syntax; None for any
     other text."""
-    body = _EDGE_LIST_COMMENT.sub("", "\n" + text + "\n")
+    body = _strip_comments(text, _EDGE_LIST_COMMENT, "#", "")
     if not _plain_lines(body, False):
         return None
     return _read_ids(body).reshape(-1, 2)
