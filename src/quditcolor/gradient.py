@@ -20,8 +20,13 @@ import numpy as np
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .energy import LOG_CLAMP, energy_total, extract_coloring
-from .graph import Graph, _increasing
+from .graph import Graph
 from .qudits import Forward, forward
+
+
+def _increasing(values: np.ndarray) -> bool:
+    """Whether a 1-D array is strictly increasing."""
+    return bool((values[1:] > values[:-1]).all())
 
 
 class CostWorkspace:

@@ -21,22 +21,16 @@ two ids.  In DIMACS, the class of each run of equal classes and of each
 ``e`` or CR byte makes a short string.  When every line is empty or an
 unindented ``e id id`` with nothing after its second id, one compare
 with a repeated pattern accepts it; otherwise a few ``bytes.replace``
-calls on it check that every line is blank or ``e`` and two ids.  The check runs over
-chunks of about 64 KiB that end at a line end, so its arrays stay a few
-times the chunk, and the parse's peak stays near two int64 copies of the
-ids.  ``np.fromstring`` then reads every id at once.  Any other text
-(signs, ``_`` in a number, non-ASCII digits or spaces, other line breaks
-such as form feeds, malformed lines, out-of-range ids) goes through the
-line reader, which accepts the same texts as ``int`` and ``str.split`` do
-and names the first bad line.  Both readers give the same graph, ids and
-warnings.
-
-Ids that fill one range ``first..top - 1`` are relabeled by subtracting
-``first``; others through a lookup table or a sort.  Edges are keyed by
-one int64 ``lo * |V| + hi`` each.  Keys already strictly increasing (rows
-sorted with u < v and no repeats, as the COLOR and generated files are)
-give the edge rows as they stand; any others are sorted, which also
-drops duplicate edges.
+calls on it check that every line is blank or ``e`` and two ids.  The
+check runs over chunks of about 64 KiB that end at a line end, so its
+arrays stay a few times the chunk, and the parse's peak stays near two
+int64 copies of the ids.  ``np.fromstring`` then reads every id at once.
+Any other text (signs, ``_`` in a number, non-ASCII digits or spaces,
+other line breaks such as form feeds, malformed lines, out-of-range ids)
+goes through the line reader, which accepts the same texts as ``int``
+and ``str.split`` do and names the first bad line.  Both readers give
+the same graph, ids and warnings.  Duplicate edges are dropped by sorting
+one int64 key ``lo * |V| + hi`` per edge.
 """
 
 from __future__ import annotations
@@ -121,11 +115,6 @@ def _canonical_edges(key: np.ndarray, num_nodes: int) -> np.ndarray:
     return edges
 
 
-def _increasing(values: np.ndarray) -> bool:
-    """Whether a 1-D array is strictly increasing."""
-    return bool((values[1:] > values[:-1]).all())
-
-
 def _drop_repeats(values: np.ndarray) -> np.ndarray:
     """A sorted 1-D array without its repeated values (itself if none)."""
     first = np.empty(values.size, dtype=bool)
@@ -146,7 +135,8 @@ def compact_edges(pairs) -> tuple[Graph, list[int]]:
                        dtype=np.int64).reshape(-1, 2)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    # The parsers pass their ids as a temporary, so this frees them.
+    # The parsers pass their ids as a temporary, so this frees them; from
+    # here on the peak stays at about two copies of them.
     del pairs
     not_loop = lo != hi
     if not not_loop.all():
@@ -156,17 +146,10 @@ def compact_edges(pairs) -> tuple[Graph, list[int]]:
         raise GraphParseError("empty graph after preprocessing")
     labels, lo, hi = _relabel(lo, hi)
     num_nodes = labels.size
-    key = lo * num_nodes
-    key += hi
-    # Each branch frees what it no longer needs before it allocates, so the
-    # peak stays at two copies of the ids.
-    if _increasing(key):  # already sorted and free of repeats
-        del key
-        edges = np.stack((lo, hi), axis=1)
-        del lo, hi
-    else:
-        del lo, hi
-        edges = _canonical_edges(key, num_nodes)
+    lo *= num_nodes
+    lo += hi
+    del hi
+    edges = _canonical_edges(lo, num_nodes)
     graph = Graph(num_nodes, edges, np.bincount(edges.ravel(), minlength=num_nodes))
     return graph, labels.tolist()
 
@@ -174,15 +157,11 @@ def compact_edges(pairs) -> tuple[Graph, list[int]]:
 def _relabel(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct ids of ``lo`` and ``hi`` in ascending order, and both
     arrays with each id replaced by its index among them."""
-    first, top = int(lo.min()), int(hi.max()) + 1
-    if first >= 0 and top <= 2 * lo.size:  # a lookup table no longer than the ids
+    top = int(hi.max()) + 1
+    if lo.min() >= 0 and top <= 2 * lo.size:  # a lookup table no longer than the ids
         present = np.zeros(top, dtype=bool)
         present[lo] = True
         present[hi] = True
-        if present[first:].all():  # the ids first..top-1: shift them in place
-            lo -= first
-            hi -= first
-            return np.arange(first, top), lo, hi
         index = np.cumsum(present) - 1
         return np.flatnonzero(present), index[lo], index[hi]
     labels = np.concatenate((lo, hi))

@@ -580,10 +580,7 @@ def test_from_edges_matches_a_row_unique(n, data):
 def test_compact_edges_matches_unique_and_searchsorted(pairs):
     """Both relabelings (a lookup table for small ids, a sort for others)
     give the labels and edges of np.unique and np.searchsorted."""
-    _assert_compact_edges_matches_reference(np.array(pairs, dtype=np.int64))
-
-
-def _assert_compact_edges_matches_reference(pairs):
+    pairs = np.array(pairs, dtype=np.int64)
     kept = pairs[pairs[:, 0] != pairs[:, 1]]
     if kept.size == 0:
         with pytest.raises(GraphParseError, match="empty graph"):
@@ -595,86 +592,7 @@ def _assert_compact_edges_matches_reference(pairs):
     g, ids = compact_edges(pairs)
     assert ids == labels.tolist()
     assert g.num_nodes == labels.size
-    assert g.edges.flags.c_contiguous and g.edges.dtype == np.int64
     assert np.array_equal(g.edges, expected)
-    assert np.array_equal(g.degrees, np.bincount(expected.ravel(), minlength=labels.size))
-
-
-# The flaws that make canonical rows near-canonical.  Only a swap and a
-# repeat leave the keys out of strictly increasing order; only a gap
-# leaves the ids out of one contiguous range.
-_FLAWS = [None, None, None, "swap", "repeat", "gap", "loop", "reverse"]
-
-
-@st.composite
-def _near_canonical_pairs(draw):
-    """(pairs, flaw): the rows of a graph sorted with u < v, its ids
-    ``first..first + n - 1`` all present, ``first`` 0 or 1, and the one
-    flaw drawn from ``_FLAWS`` applied to them."""
-    n = draw(st.integers(3, 12))
-    first = draw(st.sampled_from([0, 1]))
-    extra = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                         .filter(lambda e: e[0] < e[1])))
-    rows = sorted(extra | {(i, i + 1) for i in range(n - 1)})
-    rows = [(u + first, v + first) for u, v in rows]
-    flaw = draw(st.sampled_from(_FLAWS))
-    i = draw(st.integers(0, len(rows) - 2))
-    if flaw == "swap":
-        rows[i], rows[i + 1] = rows[i + 1], rows[i]
-    elif flaw == "repeat":
-        rows.insert(i, rows[i])
-    elif flaw == "gap":
-        gap = draw(st.integers(first + 1, first + n - 1))
-        rows = [(u + (u >= gap), v + (v >= gap)) for u, v in rows]
-    elif flaw == "loop":
-        rows.insert(i, (rows[i][0], rows[i][0]))
-    elif flaw == "reverse":
-        rows[i] = rows[i][::-1]
-    return np.array(rows, dtype=np.int64), flaw
-
-
-@settings(deadline=None, max_examples=300)
-@given(case=_near_canonical_pairs())
-def test_compact_edges_fast_paths_match_unique_and_searchsorted(case):
-    """Canonical rows skip the edge sort and the id lookup; each flaw
-    takes the general path it needs, with the reference's result."""
-    pairs, flaw = case
-    relabel, shifted = graph._relabel, []
-
-    def spy(lo, hi):
-        labels, new_lo, new_hi = relabel(lo, hi)
-        shifted.append(new_lo is lo)
-        return labels, new_lo, new_hi
-
-    with mock.patch.object(graph, "_relabel", spy), \
-            mock.patch.object(graph, "_canonical_edges", wraps=graph._canonical_edges) as sort:
-        _assert_compact_edges_matches_reference(pairs)
-    assert sort.called == (flaw in ("swap", "repeat"))
-    assert shifted == [flaw != "gap"]
-
-
-def _no_sort(key, num_nodes):
-    raise AssertionError("the edges went through _canonical_edges")
-
-
-def test_sorted_files_skip_the_edge_sort(tmp_path):
-    """queen11-11 as the COLOR site writes it, and an edge list of its
-    rows in order, never reach the sort; the same rows shuffled do."""
-    queen = tmp_path / "queen11-11.col"
-    queen.write_text("c queen11-11\n" + queen_col_text(11, 11))
-    rows = queen_graph(11, 11).edges
-    in_order, shuffled = tmp_path / "in-order.txt", tmp_path / "shuffled.txt"
-    in_order.write_text("".join(f"{u}\t{v}\n" for u, v in rows))
-    shuffled.write_text("".join(f"{u}\t{v}\n" for u, v in
-                                np.random.default_rng(0).permutation(rows)))
-    expected, _ = load_graph(shuffled)
-    with mock.patch.object(graph, "_canonical_edges", _no_sort):
-        g_queen, _ = load_graph(queen)
-        g_in_order, _ = load_graph(in_order)
-        with pytest.raises(AssertionError, match="_canonical_edges"):
-            load_graph(shuffled)
-    np.testing.assert_array_equal(g_queen.edges, expected.edges)
-    np.testing.assert_array_equal(g_in_order.edges, expected.edges)
 
 
 class _Untouchable(bytes):
@@ -713,41 +631,20 @@ def test_bounded_comment_pass_matches_the_full_text_sub(pieces):
                 == comment.sub(repl, "\n" + text + "\n"))
 
 
-def _parse_peak(text):
-    """The graph that ``parse_edge_list`` makes of ``text``, and the peak
-    of the memory it allocates."""
-    tracemalloc.start()
-    try:
-        g, _ = parse_edge_list(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return g, peak
-
-
-_MEMORY_PAIRS = np.random.default_rng(0).integers(0, 20_000, size=(100_000, 2))
-
-
 def test_plain_parse_memory_stays_within_four_times_the_text():
     """A whole-text regex over the lines would keep several hundred bytes
     per line.  The plain reader's peak is about 32 bytes per edge: the
     int64 ids, then two int64 endpoint arrays.  A SNAP-style line of two
     5-digit ids, as a graph of 10^5 edges on 2 * 10^4 nodes has, is about 11
     bytes."""
-    text = "# Nodes: 20000 Edges: 100000\n" + "".join(
-        f"{u}\t{v}\n" for u, v in _MEMORY_PAIRS.tolist())
-    g, peak = _parse_peak(text)
+    rng = np.random.default_rng(0)
+    pairs = rng.integers(0, 20_000, size=(100_000, 2)).tolist()
+    text = "# Nodes: 20000 Edges: 100000\n" + "".join(f"{u}\t{v}\n" for u, v in pairs)
+    tracemalloc.start()
+    try:
+        g, _ = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert g.num_nodes == 20_000
-    assert peak < 4 * len(text)
-
-
-def test_sorted_parse_memory_stays_within_four_times_the_text():
-    """The same edges written sorted, u < v and without repeats, which
-    skip the edge sort and build the rows from the endpoint arrays."""
-    rows = np.unique(np.sort(_MEMORY_PAIRS, axis=1), axis=0)
-    rows = rows[rows[:, 0] != rows[:, 1]]
-    text = "# Nodes: 20000 Edges: 100000\n" + "".join(f"{u}\t{v}\n" for u, v in rows.tolist())
-    with mock.patch.object(graph, "_canonical_edges", _no_sort):
-        g, peak = _parse_peak(text)
-    assert (g.num_nodes, g.num_edges) == (20_000, len(rows))
     assert peak < 4 * len(text)
