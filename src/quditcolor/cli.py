@@ -285,9 +285,9 @@ def _cmd_gradcheck(args) -> int:
         angles = np.pad(angles, ((0, 0), (0, 1)))  # the zero pad column
         if fixed is not None:  # the pinned node's row is all zeros
             angles = np.insert(angles, fixed, 0.0, axis=0)
-        hvals = draw_couplings(graph, hp.h, [rng])[0]
+        couplings = draw_couplings(graph, hp.h, [rng])[0]
         try:
-            report = check_gradient(workspace, angles, t, hp.gamma, hvals,
+            report = check_gradient(workspace, angles, t, hp.gamma, couplings,
                                     step=args.step, tol=args.tol)
         except ValueError as exc:  # a finite-difference step out of range
             raise ConfigError(str(exc)) from None

@@ -6,8 +6,8 @@ kernel used by the solvers lives in the gradient module and is cross-checked
 against these in the tests.  States enter as one run's (V, c) amplitude
 matrix ``psi``, ``qudits.forward(angles).psi`` with the pinned node's
 one-hot row included; Lx as the superdiagonal that ``qudits.build_ops``
-returns; the couplings as the (E,) noise values h_ij that the caller drew
-with ``draw_couplings``; and t and gamma as plain floats the caller checks.
+returns; the (E,) couplings J_ij = 1 + h_ij that ``draw_couplings`` draws;
+and t and gamma as plain floats the caller checks.
 """
 
 from __future__ import annotations
@@ -68,16 +68,16 @@ def energy_initial(psi: np.ndarray, lx_offdiag: np.ndarray) -> float:
 
 def draw_couplings(graph: Graph, h: float, rngs: Sequence[np.random.Generator],
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Per-edge coupling perturbations, i.i.d. uniform in [0, h), in edge
-    order, one row of them per generator in ``rngs``.
+    """Per-edge couplings J = 1 + h_ij, h_ij i.i.d. uniform in [0, h), in
+    edge order, one row of them per generator in ``rngs``.
 
     Written into ``out`` when given, else into a new (len(rngs), E) array.
     ``out`` is C-contiguous of shape (len(rngs), ..., E), and ``out[j]`` is
     filled from ``rngs[j]`` alone: a (k, B, E) buffer holds B successive
     draws of each of k generators.  ``out[j]`` and the generator's next
-    state are those of ``rngs[j].uniform(0.0, h, out[j].shape)``: each
-    generator fills its rows in one call, and the whole buffer is then
-    scaled by h in one pass.  ``h == 0`` gives zeros and draws nothing.
+    state are those of ``1.0 + rngs[j].uniform(0.0, h, out[j].shape)``:
+    each generator fills its rows in one call, then one pass scales the
+    buffer by h and one adds 1.  ``h == 0`` gives ones and draws nothing.
     A single draw is ``draw_couplings(graph, h, [rng])[0]``.
     """
     if out is None:
@@ -85,21 +85,22 @@ def draw_couplings(graph: Graph, h: float, rngs: Sequence[np.random.Generator],
     elif len(out) != len(rngs):
         raise ValueError(f"{len(rngs)} generators for {len(out)} rows of couplings")
     if h == 0.0:
-        out.fill(0.0)
+        out.fill(1.0)
         return out
     for rng, rows in zip(rngs, out):
         rng.random(out=rows)
     out *= h
+    out += 1.0
     return out
 
 
-def energy_final(psi: np.ndarray, graph: Graph, hvals: np.ndarray) -> float:
+def energy_final(psi: np.ndarray, graph: Graph, couplings: np.ndarray) -> float:
     """End cost: overlap of probability vectors over edges, edge ij weighted
-    by its coupling 1 + h_ij for the (E,) noise values ``hvals``."""
+    by its coupling J_ij from ``couplings``, a row of ``draw_couplings``."""
     p = psi ** 2
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     overlaps = np.einsum("ij,ij->i", p[u], p[v])
-    return float((1.0 + hvals) @ overlaps)
+    return float(couplings @ overlaps)
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
@@ -117,9 +118,9 @@ def energy_weight(psi: np.ndarray, gamma: float) -> float:
 
 
 def energy_total(psi: np.ndarray, graph: Graph, lx_offdiag: np.ndarray,
-                 t: float, gamma: float, hvals: np.ndarray) -> float:
+                 t: float, gamma: float, couplings: np.ndarray) -> float:
     """Annealing interpolation: (1-t) * initial + t * (final + regularizer)."""
     e_i = energy_initial(psi, lx_offdiag)
-    e_f = energy_final(psi, graph, hvals)
+    e_f = energy_final(psi, graph, couplings)
     e_w = energy_weight(psi, gamma)
     return (1.0 - t) * e_i + t * (e_f + e_w)

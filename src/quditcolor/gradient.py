@@ -35,7 +35,7 @@ class CostWorkspace:
 
     Holds the upper triangle of the adjacency in CSR form: row u lists the
     neighbors v > u of u, so its slot e is edge e of ``graph.edges`` and
-    the per-call couplings 1 + h go into the data array in edge order.
+    each call's couplings J, in edge order, are read as its data array.
     The symmetric neighbor sum is two sparse products over that triangle,
     read once column-wise and once row-wise.  Reusable across runs; owns no
     per-run state.
@@ -89,7 +89,6 @@ class CostWorkspace:
         self._indptr = np.zeros(copies * n + 1, dtype=np.intp)
         np.cumsum(np.tile(np.bincount(u, minlength=n), copies), out=self._indptr[1:])
         self._indices = (np.arange(0, copies * n, n, dtype=np.intp)[:, None] + v).ravel()
-        self._couplings = np.empty(copies * graph.num_edges)
         band = np.zeros((copies * n, lx_offdiag.size + 1))
         band[:, :-1] = lx_offdiag
         self._lx_band = band.ravel()[:-1]
@@ -124,7 +123,7 @@ class CostWorkspace:
         return extract_coloring(fwd.psi)
 
     def value_and_grad(self, fwd: Forward, t: float, gamma: float,
-                       hvals: np.ndarray) -> np.ndarray:
+                       couplings: np.ndarray) -> np.ndarray:
         """Gradient of the cost of each of the k runs that ``fwd`` maps,
         w.r.t. their padded (k, V, c) angle stack, with the pinned node's
         rows and the pad column exactly 0.  The angles must be in that
@@ -133,10 +132,11 @@ class CostWorkspace:
         alone, and ``energy.energy_total`` is its readable form.  The name
         stays as the benchmark's tracer and per-layer metrics know it.
 
-        ``hvals`` holds each run's couplings as (k, E) rows; the floats t and
-        gamma hold for all k runs.  At t = 1 (every qdgd step) the start cost
-        has weight 0, so its gradient is not computed: an entry can differ
-        from the full formula only in the sign of a zero, which Adam's
+        ``couplings`` holds each run's couplings as (k, E) rows, as
+        ``energy.draw_couplings`` draws them; the floats t and gamma hold
+        for all k runs.  At t = 1 (every qdgd step) the start cost has
+        weight 0, so its gradient is not computed: an entry can differ from
+        the full formula only in the sign of a zero, which Adam's
         zero-started first moment does not carry.  The flat Lx pass (see the
         class) can flip such a zero sign at a node's first or last color, or
         set NaN there in a run with a non-finite amplitude.  It never crosses
@@ -148,8 +148,6 @@ class CostWorkspace:
         p = psi ** 2
 
         # end cost: neighbor accumulation acc_i = sum_j J_ij p_j
-        couplings = np.add(hvals, 1.0,
-                           out=self._couplings[:hvals.size].reshape(hvals.shape))
         acc = self._neighbor_sum(p, couplings)
 
         # dE/dpsi = 2t psi (acc + gamma (log p + 1)), log p clamped below
@@ -213,11 +211,11 @@ class GradientCheckReport:
 
 
 def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
-                   t: float, gamma: float, hvals: np.ndarray,
+                   t: float, gamma: float, couplings: np.ndarray,
                    step: float = 1e-5, tol: float = 1e-4) -> GradientCheckReport:
     """Compare the analytic gradient at the padded (V, c) ``angles``, time
-    t, weight gamma and (E,) couplings ``hvals`` against central finite
-    differences of the ``energy_total`` oracle at the same values.
+    t, weight gamma and (E,) ``couplings``, a row of ``draw_couplings``,
+    against central finite differences of the ``energy_total`` oracle.
 
     Only the free nodes' c-1 angles are compared: the pinned node's row (if
     any) is held at its zeros, the pad is no angle of the map, and
@@ -237,7 +235,7 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
     if np.any(angles[:, -1] != 0.0):
         raise ValueError("the angles' pad column must be all 0")
     free = [i for i in range(graph.num_nodes) if i != workspace.fixed_node]
-    gphi = workspace.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
+    gphi = workspace.value_and_grad(forward(angles[None]), t, gamma, couplings[None])
     analytic = gphi[0, free, :-1].ravel()
 
     flat = angles.ravel()
@@ -245,9 +243,9 @@ def check_gradient(workspace: CostWorkspace, angles: np.ndarray,
     for j, k in enumerate(np.arange(flat.size).reshape(shape)[free, :-1].ravel()):
         saved = flat[k]
         flat[k] = saved + step
-        e_plus = energy_total(forward(angles).psi, graph, off, t, gamma, hvals)
+        e_plus = energy_total(forward(angles).psi, graph, off, t, gamma, couplings)
         flat[k] = saved - step
-        e_minus = energy_total(forward(angles).psi, graph, off, t, gamma, hvals)
+        e_minus = energy_total(forward(angles).psi, graph, off, t, gamma, couplings)
         flat[k] = saved
         fd[j] = (e_plus - e_minus) / (2.0 * step)
 

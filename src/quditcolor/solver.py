@@ -418,9 +418,9 @@ def _run_group(workspace: CostWorkspace, hp: Hyperparameters,
                     block = buffer[:k * rows * num_edges].reshape(k, rows, num_edges)
                     draw_couplings(graph, hp.h, [run.rng for run in runs], block)
                     slots, cursor = None, 0
-                hvals = block[:, cursor] if slots is None else block[slots, cursor]
+                couplings = block[:, cursor] if slots is None else block[slots, cursor]
                 cursor += 1
-                gphi = workspace.value_and_grad(fwd, t, hp.gamma, hvals)
+                gphi = workspace.value_and_grad(fwd, t, hp.gamma, couplings)
                 adam.step(angles, gphi)
                 fwd = forward(angles)
             finite = np.isfinite(angles).all(axis=(1, 2)).tolist()

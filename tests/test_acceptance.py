@@ -169,9 +169,9 @@ def test_criterion_7_invariant_suite():
         failures.append(f"ground state {worst_gs:.1e}")
 
     graph = queen_graph(5, 5)
-    off, hvals = build_ops(5), np.zeros(graph.num_edges)
+    off, couplings = build_ops(5), np.ones(graph.num_edges)
     psi = qdlqa_start(graph, 5, 1.0, rng)
-    values = {t: energy_total(psi, graph, off, t, 1.1, hvals)
+    values = {t: energy_total(psi, graph, off, t, 1.1, couplings)
               for t in (0.0, 0.5, 1.0)}
     if abs(values[0.5] - (values[0.0] + values[1.0]) / 2) > 1e-12:
         failures.append("affinity in t")

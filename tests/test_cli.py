@@ -127,9 +127,9 @@ def test_gradcheck_defaults_are_the_settings_defaults(queen55_col, capsys,
     defaults = {f.name: f.default for f in fields(Hyperparameters)}
     seen = []
 
-    def spy(workspace, angles, t, gamma, hvals, **kwargs):
-        seen.append((workspace.fixed_node, t, gamma, hvals.tolist()))
-        return check_gradient(workspace, angles, t, gamma, hvals, **kwargs)
+    def spy(workspace, angles, t, gamma, couplings, **kwargs):
+        seen.append((workspace.fixed_node, t, gamma, couplings.tolist()))
+        return check_gradient(workspace, angles, t, gamma, couplings, **kwargs)
 
     monkeypatch.setattr(cli, "check_gradient", spy)
     runs = []
@@ -143,7 +143,8 @@ def test_gradcheck_defaults_are_the_settings_defaults(queen55_col, capsys,
     assert runs[0] == runs[1]
     assert [(fixed, gamma) for fixed, _, gamma, _ in runs[0]] == \
         [(12, defaults["gamma"])] * 2
-    assert all(0 < max(hvals) <= defaults["h"] for *_, hvals in runs[0])
+    assert all(1 < min(couplings) and max(couplings) <= 1 + defaults["h"]
+               for *_, couplings in runs[0])
 
 
 def test_info_command(myciel5_col, capsys):

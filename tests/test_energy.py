@@ -110,21 +110,21 @@ def test_energy_final_orthogonal_and_identical():
     apart = psi_from_probabilities([[1, 0, 0], [0, 1, 0]])
     assert energy_final(apart, g, draw_couplings(g, 5.0, [rng])[0]) == pytest.approx(0.0)
     together = psi_from_probabilities([[0, 1, 0], [0, 1, 0]])
-    assert energy_final(together, g, np.zeros(g.num_edges)) == pytest.approx(1.0)
+    assert energy_final(together, g, np.ones(g.num_edges)) == pytest.approx(1.0)
 
 
 def test_energy_final_uniform_triangle(k3):
     psi = psi_from_probabilities([[1 / 3] * 3] * 3)
-    assert energy_final(psi, k3, np.zeros(k3.num_edges)) == pytest.approx(1.0)
+    assert energy_final(psi, k3, np.ones(k3.num_edges)) == pytest.approx(1.0)
 
 
 def test_energy_final_bounds():
     rng = np.random.default_rng(5)
     g = random_graph(8, 0.5, rng)
-    hvals = np.zeros(g.num_edges)
+    couplings = np.ones(g.num_edges)
     for seed in range(10):
         psi = qdlqa_start(g, 3, 2.0, np.random.default_rng(seed))
-        value = energy_final(psi, g, hvals)
+        value = energy_final(psi, g, couplings)
         assert 0.0 <= value <= g.num_edges
 
 
@@ -146,30 +146,30 @@ def test_energy_weight_bounds_and_fixed_node_inclusion(k3):
 
 
 def test_energy_total_boundaries(k3):
-    off, hvals = build_ops(3), np.zeros(k3.num_edges)
+    off, couplings = build_ops(3), np.ones(k3.num_edges)
     psi = qdlqa_start(k3, 3, 0.2, np.random.default_rng(3))
-    assert energy_total(psi, k3, off, 0.0, 1.0, hvals) == pytest.approx(
+    assert energy_total(psi, k3, off, 0.0, 1.0, couplings) == pytest.approx(
         energy_initial(psi, off), abs=1e-14)
-    expected = energy_final(psi, k3, hvals) + energy_weight(psi, 1.0)
-    assert energy_total(psi, k3, off, 1.0, 1.0, hvals) == pytest.approx(expected, abs=1e-14)
+    expected = energy_final(psi, k3, couplings) + energy_weight(psi, 1.0)
+    assert energy_total(psi, k3, off, 1.0, 1.0, couplings) == pytest.approx(expected, abs=1e-14)
 
 
 def test_energy_total_affine_in_t(k3):
-    off, hvals = build_ops(4), np.zeros(k3.num_edges)
+    off, couplings = build_ops(4), np.ones(k3.num_edges)
     psi = qdlqa_start(k3, 4, 1.0, np.random.default_rng(8))
-    values = {t: energy_total(psi, k3, off, t, 0.9, hvals)
+    values = {t: energy_total(psi, k3, off, t, 0.9, couplings)
               for t in (0.0, 0.5, 1.0)}
     assert values[0.5] == pytest.approx((values[0.0] + values[1.0]) / 2, abs=1e-12)
     # three-point collinearity at an off-center t as well
     t = 0.3
-    v = energy_total(psi, k3, off, t, 0.9, hvals)
+    v = energy_total(psi, k3, off, t, 0.9, couplings)
     assert v == pytest.approx((1 - t) * values[0.0] + t * values[1.0], abs=1e-12)
 
 
 def test_energy_final_zero_iff_disjoint_supports():
     g = Graph.from_edges(2, [(0, 1)])
-    hvals = np.zeros(g.num_edges)
+    couplings = np.ones(g.num_edges)
     disjoint = psi_from_probabilities([[0.5, 0.5, 0], [0, 0, 1]])
-    assert energy_final(disjoint, g, hvals) == pytest.approx(0.0, abs=1e-15)
+    assert energy_final(disjoint, g, couplings) == pytest.approx(0.0, abs=1e-15)
     overlapping = psi_from_probabilities([[0.5, 0.5, 0], [0, 0.5, 0.5]])
-    assert energy_final(overlapping, g, hvals) > 0.0
+    assert energy_final(overlapping, g, couplings) > 0.0

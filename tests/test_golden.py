@@ -108,7 +108,7 @@ def gradient_bytes(c, t):
     g = queen_graph(3, 3)
     rng = np.random.default_rng(c)
     angles = padded(angles_with_poles(rng, (3, g.num_nodes, c - 1)))
-    hvals = rng.uniform(0.0, 0.5, size=(3, g.num_edges))
+    couplings = 1.0 + rng.uniform(0.0, 0.5, size=(3, g.num_edges))
     out = b""
     for runs in (1, 3):
         for fixed in (None, select_fixed_node(g, "max_degree")):
@@ -116,7 +116,7 @@ def gradient_bytes(c, t):
             if fixed is not None:
                 phi[:, fixed] = 0.0
             ws = CostWorkspace(g, build_ops(c), fixed, copies=3)
-            grad = ws.value_and_grad(forward(phi), t, 0.9, hvals[:runs])
+            grad = ws.value_and_grad(forward(phi), t, 0.9, couplings[:runs])
             assert grad.shape == phi.shape and grad.dtype == np.float64
             out += grad.tobytes()
     return out

@@ -42,7 +42,7 @@ def zero_pinned_rows(ws, angles):
     return angles
 
 
-def finite_difference(ws, angles, t, gamma, hvals, step=1e-6):
+def finite_difference(ws, angles, t, gamma, couplings, step=1e-6):
     """Central differences of the oracle in every free angle of one run's
     padded (V, c) angles; the pinned node's row and the pad are held fixed
     and their entries are 0."""
@@ -53,10 +53,10 @@ def finite_difference(ws, angles, t, gamma, hvals, step=1e-6):
         saved = flat[k]
         flat[k] = saved + step
         plus = energy_total(forward(angles).psi, ws.graph, ws.lx_offdiag, t,
-                            gamma, hvals)
+                            gamma, couplings)
         flat[k] = saved - step
         minus = energy_total(forward(angles).psi, ws.graph, ws.lx_offdiag, t,
-                             gamma, hvals)
+                             gamma, couplings)
         flat[k] = saved
         out[k] = (plus - minus) / (2 * step)
     return out
@@ -67,7 +67,7 @@ def test_gradient_zero_at_annealing_start():
     ws = pinned_workspace(g, 3)
     angles = np.insert(init_qdlqa_state(1, 3, 0.0, [np.random.default_rng(0)]),
                        ws.fixed_node, 0.0, axis=1)
-    grad = ws.value_and_grad(forward(angles), 0.0, 1.0, np.zeros((1, 1)))
+    grad = ws.value_and_grad(forward(angles), 0.0, 1.0, np.ones((1, 1)))
     assert np.abs(grad).max() < 1e-9
 
 
@@ -78,8 +78,8 @@ def test_gradient_zero_without_edges_or_regularizer():
     ws = CostWorkspace(g, build_ops(4), None)
     angles = random_angles(g, 4, np.random.default_rng(1))
     t, gamma = 1.0, 0.0
-    hvals = draw_couplings(g, 2.0, [np.random.default_rng(0)])[0]
-    grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
+    couplings = draw_couplings(g, 2.0, [np.random.default_rng(0)])[0]
+    grad = ws.value_and_grad(forward(angles[None]), t, gamma, couplings[None])
     assert np.abs(grad).max() == 0.0
 
 
@@ -89,9 +89,9 @@ def test_gradient_matches_finite_differences_on_queen55():
     rng = np.random.default_rng(42)
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
     t, gamma = 0.37, 1.0
-    hvals = draw_couplings(g, 3.0, [rng])[0]
-    grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None]).ravel()
-    fd = finite_difference(ws, angles, t, gamma, hvals, step=1e-5)
+    couplings = draw_couplings(g, 3.0, [rng])[0]
+    grad = ws.value_and_grad(forward(angles[None]), t, gamma, couplings[None]).ravel()
+    fd = finite_difference(ws, angles, t, gamma, couplings, step=1e-5)
     rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-2)
     assert rel.max() < 1e-5
 
@@ -100,7 +100,7 @@ def test_gradient_layout_freezes_fixed_node():
     g = triangle()
     ws = CostWorkspace(g, build_ops(4), 1)
     angles = random_angles(g, 4, np.random.default_rng(0), fixed_node=1)
-    grad = ws.value_and_grad(forward(angles[None]), 0.6, 1.0, np.zeros((1, 3)))
+    grad = ws.value_and_grad(forward(angles[None]), 0.6, 1.0, np.ones((1, 3)))
     assert grad.shape == (1, g.num_nodes, 4)
     assert (grad[0, 1] == 0.0).all() and (grad[0, [0, 2], :-1] != 0.0).all()
     assert (grad[0, :, -1] == 0.0).all()
@@ -112,10 +112,10 @@ def test_gradient_linearity_in_t():
     ws = pinned_workspace(g, 5)
     rng = np.random.default_rng(9)
     angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
-    hvals = draw_couplings(g, 3.0, [rng])[0]
+    couplings = draw_couplings(g, 3.0, [rng])[0]
     grads = {}
     for t in (0.0, 0.35, 1.0):
-        grads[t] = ws.value_and_grad(forward(angles[None]), t, 1.2, hvals[None])
+        grads[t] = ws.value_and_grad(forward(angles[None]), t, 1.2, couplings[None])
     combo = 0.65 * grads[0.0] + 0.35 * grads[1.0]
     np.testing.assert_allclose(grads[0.35], combo, atol=1e-10)
 
@@ -156,7 +156,7 @@ def test_check_gradient_flags_clamped_components():
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     ws = CostWorkspace(g, build_ops(3), None)
     report = check_gradient(ws, amplitudes_to_angles(amps),
-                            1.0, 1.0, np.zeros(g.num_edges))
+                            1.0, 1.0, np.ones(g.num_edges))
     flagged_nodes = report.clamp_flags.reshape(3, 2).any(axis=1)
     assert flagged_nodes[0]
     assert not flagged_nodes[1]
@@ -168,22 +168,22 @@ def test_check_gradient_rejects_bad_step():
     angles = random_angles(g, 3, np.random.default_rng(0))
     with pytest.raises(ValueError, match="step"):
         check_gradient(CostWorkspace(g, build_ops(3), None), angles, 1.0, 1.0,
-                       np.zeros(g.num_edges), step=0.5)
+                       np.ones(g.num_edges), step=0.5)
 
 
 def test_check_gradient_rejects_angles_out_of_the_padded_layout():
     g = triangle()
     ws = CostWorkspace(g, build_ops(3), None)
     angles = random_angles(g, 3, np.random.default_rng(0))
-    hvals = np.zeros(g.num_edges)
+    couplings = np.ones(g.num_edges)
     for bad in (angles[:, :-1], angles[:2], angles[None]):
         with pytest.raises(ValueError, match=r"angles must be \(3, 3\)"):
-            check_gradient(ws, bad, 1.0, 1.0, hvals)
+            check_gradient(ws, bad, 1.0, 1.0, couplings)
     for value in (0.3, np.nan):
         shifted = angles.copy()
         shifted[1, -1] = value
         with pytest.raises(ValueError, match="pad column must be all 0"):
-            check_gradient(ws, shifted, 1.0, 1.0, hvals)
+            check_gradient(ws, shifted, 1.0, 1.0, couplings)
 
 
 def test_workspace_reuse_matches_fresh():
@@ -193,10 +193,10 @@ def test_workspace_reuse_matches_fresh():
     for _ in range(3):
         angles = random_angles(g, 5, rng, fixed_node=ws.fixed_node)
         t, gamma = 0.7, 0.8
-        hvals = draw_couplings(g, 2.0, [rng])[0]
-        g1 = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
+        couplings = draw_couplings(g, 2.0, [rng])[0]
+        g1 = ws.value_and_grad(forward(angles[None]), t, gamma, couplings[None])
         fresh = pinned_workspace(g, 5)
-        g2 = fresh.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
+        g2 = fresh.value_and_grad(forward(angles[None]), t, gamma, couplings[None])
         np.testing.assert_array_equal(g1, g2)
 
 
@@ -214,23 +214,23 @@ def test_stacked_runs_match_single_runs_bit_for_bit(name, c, runs, pinned):
     rng = np.random.default_rng(runs)
     for _ in range(3):
         angles = [random_angles(g, c, rng, fixed) for _ in range(runs)]
-        hvals = [draw_couplings(g, 3.0, [rng])[0] for _ in range(runs)]
+        couplings = [draw_couplings(g, 3.0, [rng])[0] for _ in range(runs)]
         t, gamma = float(rng.uniform()), 1.3
         fwd = forward(np.stack(angles))
-        grad = group.value_and_grad(fwd, t, gamma, np.stack(hvals))
+        grad = group.value_and_grad(fwd, t, gamma, np.stack(couplings))
         colors = group.coloring(fwd)
         for r in range(runs):
             one = forward(angles[r][None])
-            one_grad = single.value_and_grad(one, t, gamma, hvals[r][None])
+            one_grad = single.value_and_grad(one, t, gamma, couplings[r][None])
             assert np.array_equal(grad[r], one_grad[0])
             assert np.array_equal(colors[r], single.coloring(one)[0])
     # more runs than copies would index past the triangle
     with pytest.raises(ValueError):
         group.value_and_grad(forward(np.stack([angles[0]] * 11)),
-                             t, gamma, np.stack([hvals[0]] * 11))
+                             t, gamma, np.stack([couplings[0]] * 11))
     with pytest.raises(ValueError, match="1 to 10 runs"):
         group.value_and_grad(forward(np.stack([angles[0]] * 11)),
-                             t, gamma, np.stack([hvals[0]] * 10))
+                             t, gamma, np.stack([couplings[0]] * 10))
 
 
 def test_clamp_threshold_is_documented_scale():
@@ -252,20 +252,20 @@ def test_forward_feeds_value_and_coloring(data, c, pinned):
                                          max_size=g.num_nodes * (c - 1))))
     angles = zero_pinned_rows(ws, padded(angles.reshape(g.num_nodes, c - 1)))
     t, gamma = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 2.0))
-    hvals = draw_couplings(g, 3.0,
-                           [np.random.default_rng(data.draw(st.integers(0, 99)))])[0]
+    seed = data.draw(st.integers(0, 99))
+    couplings = draw_couplings(g, 3.0, [np.random.default_rng(seed)])[0]
 
     fwd = forward(angles[None])
     assert len(fwd) == 4
     if pinned:
         np.testing.assert_array_equal(fwd.psi[0, fixed], np.eye(c)[0])
-    grad = ws.value_and_grad(fwd, t, gamma, hvals[None])
+    grad = ws.value_and_grad(fwd, t, gamma, couplings[None])
     np.testing.assert_array_equal(ws.coloring(fwd),
                                   [extract_coloring(forward(angles).psi)])
 
     # a later forward map leaves the one already held untouched
     forward(padded(angles[None, :, :-1] + 1.0))
-    grad_again = ws.value_and_grad(fwd, t, gamma, hvals[None])
+    grad_again = ws.value_and_grad(fwd, t, gamma, couplings[None])
     np.testing.assert_array_equal(grad_again, grad)
 
 
@@ -281,15 +281,15 @@ def test_gradient_at_poles_matches_finite_differences(g, c, data):
     angles = zero_pinned_rows(ws, padded(angles.reshape(-1, c - 1)))
     h = data.draw(st.floats(0.0, 3.0))
     t, gamma = data.draw(st.sampled_from([0.0, 0.3, 1.0])), 0.0
-    hvals = draw_couplings(g, h,
-                           [np.random.default_rng(data.draw(st.integers(0, 99)))])[0]
-    grad = ws.value_and_grad(forward(angles[None]), t, gamma, hvals[None])
+    seed = data.draw(st.integers(0, 99))
+    couplings = draw_couplings(g, h, [np.random.default_rng(seed)])[0]
+    grad = ws.value_and_grad(forward(angles[None]), t, gamma, couplings[None])
     np.testing.assert_allclose(grad.ravel(),
-                               finite_difference(ws, angles, t, gamma, hvals),
+                               finite_difference(ws, angles, t, gamma, couplings),
                                rtol=0, atol=1e-6)
 
 
-def _full_grad(ws, fwd, t, gamma, hvals):
+def _full_grad(ws, fwd, t, gamma, couplings):
     """``value_and_grad`` written out with the start cost's gradient always
     computed, Lx psi on the per-node ``[..., :-1]``/``[..., 1:]`` views, the
     log clamped from below after the floored log, and the chain rule on the
@@ -300,7 +300,7 @@ def _full_grad(ws, fwd, t, gamma, hvals):
     cm1 = off.size
     s, u = s[..., :cm1], u[..., :cm1]
     p = psi ** 2
-    acc = ws._neighbor_sum(p, hvals + 1.0)
+    acc = ws._neighbor_sum(p, couplings)
     logp = np.maximum(np.log(np.maximum(p, PLOGP_FLOOR)), np.log(LOG_CLAMP))
     gpsi = (2.0 * t) * psi * (acc + gamma * (logp + 1.0))
     lxpsi = np.zeros_like(psi)
@@ -348,14 +348,14 @@ def test_start_cost_skip_at_t_end_matches_full_formula(g, c, runs, data):
     gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
     t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-    hvals = np.stack([draw_couplings(g, h, [rng])[0] for _ in range(runs)])
+    couplings = np.stack([draw_couplings(g, h, [rng])[0] for _ in range(runs)])
     with np.errstate(invalid="ignore"):
         fwd = forward(angles)
-        grad = ws.value_and_grad(fwd, t, gamma, hvals)
-        full_grad = _full_grad(ws, fwd, t, gamma, hvals)
+        grad = ws.value_and_grad(fwd, t, gamma, couplings)
+        full_grad = _full_grad(ws, fwd, t, gamma, couplings)
         for r in np.flatnonzero(finite):
             one = Forward._make(a[r:r + 1] for a in fwd)
-            one_grad = ws.value_and_grad(one, t, gamma, hvals[r:r + 1])
+            one_grad = ws.value_and_grad(one, t, gamma, couplings[r:r + 1])
             assert grad[r].tobytes() == one_grad[0].tobytes()
     assert np.array_equal(grad[finite], full_grad[finite])
 
@@ -370,9 +370,9 @@ def test_values_read_the_floored_log_below_the_clamp(t):
     fwd = forward(padded([[[1e-7, 0.4], [1.0, 2.0], [0.5, 1.3]]]))
     assert 0 < (fwd.psi[0, 0, 1:] ** 2).max() < LOG_CLAMP
     gamma = 1.0
-    hvals = np.zeros((1, g.num_edges))
-    grad = ws.value_and_grad(fwd, t, gamma, hvals)
-    full_grad = _full_grad(ws, fwd, t, gamma, hvals)
+    couplings = np.ones((1, g.num_edges))
+    grad = ws.value_and_grad(fwd, t, gamma, couplings)
+    full_grad = _full_grad(ws, fwd, t, gamma, couplings)
     assert np.array_equal(grad, full_grad)
 
 
@@ -424,11 +424,11 @@ def test_pinned_rows_stay_frozen_in_every_copy(g, c, copies, data):
     gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
     t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-    hvals = np.stack([draw_couplings(g, h, [rng])[0] for _ in range(copies)])
+    couplings = np.stack([draw_couplings(g, h, [rng])[0] for _ in range(copies)])
     fwd = forward(angles)
     zero = ~angles.any(axis=-1)
     np.testing.assert_array_equal(fwd.psi[zero], np.eye(c)[[0] * zero.sum()])
-    grad = ws.value_and_grad(fwd, t, gamma, hvals)
+    grad = ws.value_and_grad(fwd, t, gamma, couplings)
     if fixed is None:
         return
     assert (grad[:, fixed] == 0.0).all()
@@ -452,9 +452,9 @@ def test_gradient_of_pad_and_pinned_rows_is_exactly_zero(g, c, runs, data):
     gamma, h = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 3.0))
     t = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 99)))
-    hvals = np.stack([draw_couplings(g, h, [rng])[0] for _ in range(runs)])
+    couplings = np.stack([draw_couplings(g, h, [rng])[0] for _ in range(runs)])
     with np.errstate(invalid="ignore"):
-        grad = ws.value_and_grad(forward(angles), t, gamma, hvals)
+        grad = ws.value_and_grad(forward(angles), t, gamma, couplings)
     frozen = [grad[..., -1]] + ([] if fixed is None else [grad[:, fixed]])
     for entries in frozen:
         assert (entries == 0.0).all() and not np.signbit(entries).any()
@@ -464,21 +464,28 @@ def test_gradient_of_pad_and_pinned_rows_is_exactly_zero(g, c, runs, data):
 @given(g=small_graphs(), c=st.integers(2, 11), runs=st.integers(1, 3),
        pinned=st.booleans(), t=st.sampled_from([0.0, 0.4, 1.0]),
        seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_gradient_bytes_do_not_depend_on_the_angles_layout(g, c, runs, pinned,
+def test_gradient_bytes_do_not_depend_on_the_input_layouts(g, c, runs, pinned,
                                                            t, seed, data):
     # the recursions write through column views of new arrays; one laid out
     # like the angles would be copied by the view for a Fortran-ordered
-    # stack, and the gradient read from it would be wrong
+    # stack, and the gradient read from it would be wrong.  The solver hands
+    # the kernel a step's strided view block[:, j] of its (k, rows, E)
+    # coupling block with no copy in between: it must read as its
+    # contiguous copy does, and the block must stay as it was
     fixed = data.draw(st.integers(0, g.num_nodes - 1)) if pinned else None
     ws = CostWorkspace(g, build_ops(c), fixed, copies=runs)
     rng = np.random.default_rng(seed)
     wide = padded(angles_with_poles(rng, (2 * runs, g.num_nodes, c - 1)))
     strided = zero_pinned_rows(ws, wide)[::2]
-    hvals = np.stack([draw_couplings(g, 3.0, [rng])[0] for _ in range(runs)])
-    grads = [ws.value_and_grad(forward(phi), t, 0.7, hvals).tobytes()
-             for phi in (np.ascontiguousarray(strided), np.asfortranarray(strided),
-                         strided)]
+    block = draw_couplings(g, 3.0, [rng] * runs, out=np.empty((runs, 3, g.num_edges)))
+    drawn = block.tobytes()
+    view = block[:, data.draw(st.integers(0, 2))]
+    layouts = [(np.ascontiguousarray(strided), np.ascontiguousarray(view)),
+               (np.asfortranarray(strided), view), (strided, view)]
+    grads = [ws.value_and_grad(forward(phi), t, 0.7, couplings).tobytes()
+             for phi, couplings in layouts]
     assert grads[0] == grads[1] == grads[2]
+    assert block.tobytes() == drawn
 
 
 @settings(deadline=None, max_examples=30)
@@ -497,8 +504,8 @@ def test_adam_steps_keep_the_pad_at_zero(g, c, runs, method, seed):
     adam = Adam(angles.shape, 0.5)
     for step in range(50):
         t = step / 50 if method == "qdlqa" else 1.0
-        hvals = draw_couplings(g, 3.0, rngs)
-        grad = ws.value_and_grad(forward(angles), t, 1.0, hvals)
+        couplings = draw_couplings(g, 3.0, rngs)
+        grad = ws.value_and_grad(forward(angles), t, 1.0, couplings)
         adam.step(angles, grad)
     for pad in (angles[..., -1], adam.first_moment[..., -1],
                 adam.second_moment[..., -1]):
@@ -528,7 +535,7 @@ def test_workspace_rejects_edges_and_states_it_cannot_index():
     small = CostWorkspace(triangle(), build_ops(3), None)
     fwd = forward(random_angles(triangle(), 3, np.random.default_rng(0))[None])
     with pytest.raises(ValueError, match="expected 16 rows"):
-        ws.value_and_grad(fwd, 1.0, 1.0, np.zeros((1, ws.graph.num_edges)))
+        ws.value_and_grad(fwd, 1.0, 1.0, np.ones((1, ws.graph.num_edges)))
 
 
 @pytest.mark.parametrize("runs, nodes, c, couplings", [
@@ -549,12 +556,12 @@ def test_unchecked_kernels_are_guarded_by_shape(runs, nodes, c, couplings):
     shape = (runs * g.num_nodes,) if nodes is None else (runs, nodes)
     angles = padded(np.random.default_rng(0).uniform(-np.pi, np.pi, (*shape, c - 1)))
     p = forward(angles).psi ** 2
-    hvals = np.zeros(couplings(g.num_edges))
+    ones = np.ones(couplings(g.num_edges))
     with pytest.raises(ValueError, match="expected 16 rows"):
-        ws._neighbor_sum(p, hvals + 1.0)
+        ws._neighbor_sum(p, ones)
     for t in (0.3, 1.0):
         with pytest.raises(ValueError):
-            ws.value_and_grad(forward(angles), t, 1.0, hvals)
+            ws.value_and_grad(forward(angles), t, 1.0, ones)
 
 
 @settings(deadline=None, max_examples=80)
@@ -578,11 +585,13 @@ def test_neighbor_sum_equals_symmetric_csr_product(g, c, data):
 @given(g=small_graphs(), h=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
        seed=st.integers(0, 2**32 - 1))
 def test_draw_couplings_into_buffer_is_uniform_draw(g, h, seed):
+    # the couplings are 1 + h_ij; at h = 0 they are exactly 1, and the
+    # generator does not move
     mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     buf = np.full((1, g.num_edges), np.nan)
     drawn = draw_couplings(g, h, [mine], out=buf)
     assert drawn is buf
-    expected = ref.uniform(0.0, h, g.num_edges) if h else np.zeros(g.num_edges)
+    expected = 1.0 + ref.uniform(0.0, h, g.num_edges) if h else np.ones(g.num_edges)
     np.testing.assert_array_equal(buf[0], expected)
     assert mine.random() == ref.random()  # same generator state afterwards
     np.testing.assert_array_equal(draw_couplings(g, h, [np.random.default_rng(seed)]),
@@ -594,13 +603,15 @@ def test_draw_couplings_into_buffer_is_uniform_draw(g, h, seed):
        runs=st.integers(1, 4), block=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
 def test_draw_couplings_into_block_is_successive_draws(g, h, runs, block, seed):
     # a group fills a block of steps for each of its runs in one call: each
-    # run's rows must be the draws one call per step on its own generator
-    # would give, and leave that generator where they would
+    # run's rows must be 1 + the uniform draws one call per step on its own
+    # generator would give, and leave that generator where they would; at
+    # h = 0 every coupling is 1 and no generator moves
     mine = [np.random.default_rng([seed, j]) for j in range(runs)]
     ref = [np.random.default_rng([seed, j]) for j in range(runs)]
     buf = np.full((runs, block, g.num_edges), np.nan)
     assert draw_couplings(g, h, mine, out=buf) is buf
-    expected = [[draw_couplings(g, h, [rng])[0] for _ in range(block)] for rng in ref]
+    expected = [[1.0 + rng.uniform(0.0, h, g.num_edges) if h else np.ones(g.num_edges)
+                 for _ in range(block)] for rng in ref]
     np.testing.assert_array_equal(buf, np.reshape(expected, buf.shape))
     assert [rng.random() for rng in mine] == [rng.random() for rng in ref]
 

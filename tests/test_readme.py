@@ -41,7 +41,7 @@ def test_kernel_example_takes_one_step():
     scope = dict(angles=angles,
                  workspace=CostWorkspace(graph, build_ops(c), fixed, copies=2),
                  t=0.4, gamma=1.0,
-                 hvals=draw_couplings(graph, 3.0, rngs))
+                 couplings=draw_couplings(graph, 3.0, rngs))
     exec(python_blocks()[1], scope)
     assert isinstance(scope["grad"], np.ndarray)
     assert scope["grad"].shape == angles.shape
